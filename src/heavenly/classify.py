@@ -24,7 +24,7 @@ from .polynomials import (
     make_monic_integral,
     squarefree_part,
 )
-from .ramification import odd_ramified_primes
+from .ramification import odd_ramified_primes, splitting_field_odd_ramified
 from .towers import (
     BASE_FIELD_POLYS,
     FieldTower,
@@ -33,7 +33,6 @@ from .towers import (
     extend,
     factor_over_tower,
     field_chain,
-    galois_closure_is_2power,
     splitting_degree,
     splitting_tower,
     tower_field,
@@ -90,10 +89,12 @@ class Verdict:
     """Classification outcome together with its step-by-step certificate.
 
     torsion_degree is the degree of the computed 2-division field over the
-    base field; closure_degree is the degree over Q of its Galois closure.
-    Either may be None when a resource cap stopped the pipeline early, and
-    closure_degree is None when an odd ramified prime already decided the
-    verdict.
+    base field; closure_degree is the degree over Q of its Galois closure,
+    which is the field itself: the 2-division field is the splitting field
+    over Q of one rational polynomial, so closure_degree is the absolute
+    degree of its tower.  Either may be None when a resource cap stopped
+    the pipeline early, and closure_degree is None when an odd ramified
+    prime already decided the verdict.
     """
 
     status: str
@@ -364,14 +365,18 @@ class WeilTorsionData:
 
     tower is the compositum of the two curves' 2-division fields over the
     quadratic extension, as a tower over Q; component_degrees are the two
-    relative 2-division degrees over that extension.
+    relative 2-division degrees over that extension.  The odd primes
+    ramifying in the quadratic extension are computed on first access.
     """
 
     tower: FieldTower
     quadratic: FieldTower
     degree_over_quadratic: int
     component_degrees: tuple
-    quadratic_odd_ramified: tuple
+
+    @property
+    def quadratic_odd_ramified(self) -> tuple:
+        return tuple(sorted(odd_ramified_primes(self.quadratic)))
 
 
 def weil_torsion_data(W: WeilRestrictionInput) -> WeilTorsionData:
@@ -402,13 +407,35 @@ def weil_torsion_data(W: WeilRestrictionInput) -> WeilTorsionData:
         degree_over_quadratic=tower.absolute_degree
         // quadratic.absolute_degree,
         component_degrees=degrees,
-        quadratic_odd_ramified=tuple(sorted(odd_ramified_primes(quadratic))),
     )
 
 
 def two_torsion_field_weil(W: WeilRestrictionInput) -> FieldTower:
     """Compositum 2-division field of the curve and its conjugate twist."""
     return weil_torsion_data(W).tower
+
+
+def defining_polynomials(item) -> list[UniPoly]:
+    """Rational polynomials whose splitting field over Q is the 2-division
+    field.
+
+    The model polynomial (both cubics for a product; for a restriction the
+    conjugate-product sextic and x^2 - D), plus the base field's modulus
+    when the base is not Q.  Their splitting field is Galois over Q, so it
+    is its own Galois closure.
+    """
+    if isinstance(item, EllipticInput):
+        polys = [item.cubic]
+    elif isinstance(item, JacobianInput):
+        polys = [item.poly]
+    elif isinstance(item, ProductInput):
+        polys = [item.first.cubic, item.second.cubic]
+    else:
+        polys = [_norm_polynomial(item), UniPoly.of(-item.radicand, 0, 1)]
+    modulus = BASE_FIELD_POLYS[item.base]
+    if modulus is not None:
+        polys.append(UniPoly.from_list(list(modulus)))
+    return polys
 
 
 def factor_degree_vector(C: JacobianInput) -> tuple:
@@ -620,10 +647,13 @@ def _capped(steps: list, screen, torsion_degree, exc) -> Verdict:
 def classify(item) -> Verdict:
     """Verdict with certificate for any supported input shape.
 
-    Computes the 2-division field, tests its odd ramification, and when
-    that is empty decides by whether the Galois closure degree over Q is a
-    power of 2.  Resource caps yield an unknown verdict carrying the
-    partial certificate.
+    Computes the 2-division field as a tower, tests its odd ramification,
+    and when that is empty decides by whether the Galois closure degree
+    over Q is a power of 2.  The field is the splitting field over Q of the
+    rational defining_polynomials, hence Galois over Q: its odd primes are
+    those ramifying in the fields of their irreducible factors, and its
+    closure degree is the tower's absolute degree.  Resource caps yield an
+    unknown verdict carrying the partial certificate.
     """
     for kind, screen_stage, tower_stage in _STAGES:
         if isinstance(item, kind):
@@ -640,7 +670,8 @@ def classify(item) -> Verdict:
     torsion_degree = tower.absolute_degree // base.absolute_degree
 
     try:
-        ramified = tuple(sorted(odd_ramified_primes(tower)))
+        ramified = tuple(sorted(
+            splitting_field_odd_ramified(defining_polynomials(item))))
     except ResourceCapError as exc:
         return _capped(steps, screen, torsion_degree, exc)
     steps.append(_computed(
@@ -654,10 +685,8 @@ def classify(item) -> Verdict:
         return Verdict(NOT_HEAVENLY, tuple(steps), torsion_degree, None,
                        screen)
 
-    try:
-        is_2power, closure = galois_closure_is_2power(tower)
-    except ResourceCapError as exc:
-        return _capped(steps, screen, torsion_degree, exc)
+    closure = tower.absolute_degree
+    is_2power = closure & (closure - 1) == 0
     steps.append(_computed(
         "Galois closure degree over Q of the 2-division field",
         closure_degree=closure, power_of_two=is_2power))

@@ -20,7 +20,7 @@ from .documents import (
 from .errors import InputError, ResourceCapError
 from .factorization import factor_over_q
 from .polynomials import format_polynomial, parse_polynomial, squarefree_part
-from .ramification import odd_ramified_primes
+from .ramification import splitting_field_odd_ramified
 from .towers import splitting_tower
 from .verifier import CHECK_IDS, run_all, run_check
 
@@ -158,7 +158,9 @@ def _tool_splitting_degree(expr: str) -> None:
 
 def _tool_ramification(expr: str) -> None:
     f = squarefree_part(parse_polynomial(expr))
-    primes = sorted(odd_ramified_primes(splitting_tower(f)))
+    if f.degree < 1:
+        raise InputError("cannot split a constant polynomial")
+    primes = sorted(splitting_field_odd_ramified([f]))
     print("{" + ", ".join(str(p) for p in primes) + "}")
 
 

@@ -5,6 +5,10 @@ primitive element; each odd prime dividing the polynomial discriminant is
 then decided by a three-step ladder: odd valuation, Dedekind's criterion,
 and (when the power order is not p-maximal) enlargement to a p-maximal
 order in the style of the Round-2 algorithm.
+
+A splitting field over Q needs no tower at all: a prime ramifies in it
+exactly when it ramifies in the field of one root of some irreducible
+factor, so the ladder runs on those small factors instead.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from .factorization import (
     _mod_mul,
     _nullspace_mod_p,
     _squarefree_mod,
+    factor_over_q,
 )
 from .integers import odd_prime_divisors, valuation
 from .polynomials import UniPoly, discriminant, make_monic_integral
@@ -39,6 +44,22 @@ def odd_ramified_primes(tower: FieldTower) -> set[int]:
     if not tower.levels:
         return set()
     return _odd_ramified_of_polynomial(primitive_element(tower))
+
+
+def splitting_field_odd_ramified(polys) -> set[int]:
+    """Odd primes ramifying in the splitting field over Q of rational polys.
+
+    The splitting field is the compositum of the Galois closures of the
+    fields Q[x]/(g), g running over the irreducible factors, and a prime
+    ramifies in a compositum, or in a Galois closure, exactly when it
+    ramifies in one of the fields it is built from.
+    """
+    out = set()
+    for f in polys:
+        for g, _ in factor_over_q(f):
+            if g.degree >= 2:
+                out |= _odd_ramified_of_polynomial(g)
+    return out
 
 
 def unramified_away_2(tower: FieldTower) -> bool:

@@ -1,9 +1,12 @@
 """Classification pipeline tests: inputs, torsion fields, screens, verdicts."""
 
+import json
 import random
+from pathlib import Path
 
 import pytest
 
+import heavenly.towers as towers
 from heavenly.classify import (
     AXIOM,
     COMPUTED,
@@ -17,6 +20,7 @@ from heavenly.classify import (
     WeilRestrictionInput,
     classify,
     closure_degree_bound,
+    defining_polynomials,
     factor_degree_vector,
     gl4_deduction,
     screen_good_reduction,
@@ -26,9 +30,21 @@ from heavenly.classify import (
     two_torsion_field_weil,
     weil_torsion_data,
 )
+from heavenly.documents import input_from_document
 from heavenly.errors import InputError
-from heavenly.polynomials import UniPoly, discriminant
-from heavenly.towers import base_field, splitting_degree
+from heavenly.polynomials import UniPoly, discriminant, squarefree_part
+from heavenly.ramification import (
+    odd_ramified_primes,
+    splitting_field_odd_ramified,
+)
+from heavenly.towers import (
+    base_field,
+    galois_closure_is_2power,
+    splitting_degree,
+    splitting_tower,
+)
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 X5_MINUS_X = UniPoly.of(0, -1, 0, 0, 0, 1)
 X5_PLUS_X = UniPoly.of(0, 1, 0, 0, 0, 1)
@@ -299,15 +315,30 @@ def test_weil_verdict_ramified_step():
     assert quad_steps[0].value("primes") == (3,)
 
 
-def test_resource_cap_yields_unknown():
-    # two unrelated full-symmetric cubics over Q(sqrt3): the compositum
-    # reaches absolute degree 72, past the ramification analysis cap
-    w = WeilRestrictionInput.of("Q", 3, ((-1, -1), (-1, 0), (0, 0), (1, 0)))
-    verdict = classify(w)
+TWO_CUBIC_WEIL = ((-1, -1), (-1, 0), (0, 0), (1, 0))
+
+
+def test_resource_cap_yields_unknown(monkeypatch):
+    # two unrelated full-symmetric cubics over Q(sqrt3); with the norm
+    # degree cap lowered, factoring the conjugate cubic over the curve's
+    # 2-division field stops the tower before its degree is known
+    monkeypatch.setattr(towers, "NORM_DEGREE_CAP", 24)
+    verdict = classify(WeilRestrictionInput.of("Q", 3, TWO_CUBIC_WEIL))
     assert verdict.status == UNKNOWN
-    assert verdict.torsion_degree == 72
+    assert verdict.torsion_degree is None
     assert verdict.closure_degree is None
     assert "resource cap" in verdict.steps[-1].description
+    assert "norm degree" in verdict.steps[-1].value("detail")
+
+
+def test_degree_72_weil_decides_at_the_quadratic_step():
+    # the same input uncapped: a degree-72 field, decided from the small
+    # rational factors of its defining polynomial rather than left unknown
+    verdict = classify(WeilRestrictionInput.of("Q", 3, TWO_CUBIC_WEIL))
+    assert verdict.status == NOT_HEAVENLY
+    assert verdict.torsion_degree == 72
+    assert verdict.closure_degree is None
+    assert verdict.steps[-1].value("witness_prime") == 3
 
 
 def test_classify_deterministic():
@@ -402,3 +433,79 @@ def test_step_value_lookup():
     with pytest.raises(KeyError):
         steps[0].value("missing")
     assert not steps[0].has_value("missing")
+
+
+# ---------------------------------------------------------------------------
+# The 2-division field is the splitting field over Q of the defining
+# polynomials: the factor-wise ramification and the tower degree agree with
+# the tower-based odd_ramified_primes and Galois closure.
+
+
+_TOWERS = {
+    EllipticInput: two_torsion_field_elliptic,
+    JacobianInput: two_torsion_field_jacobian,
+    ProductInput: two_torsion_field_product,
+    WeilRestrictionInput: two_torsion_field_weil,
+}
+
+# name: (odd ramified primes, absolute degree = Galois closure degree)
+SPLITTING_FIELD_TABLE = {
+    "elliptic_32a2": ((), 1),
+    "elliptic_64a1": ((), 1),
+    "elliptic_x3_minus_2": ((3,), 6),
+    "jacobian_x5_minus_x": ((), 2),
+    "jacobian_x5_plus_x": ((), 4),
+    "jacobian_x6_minus_1": ((3,), 2),
+    "product_32a2_64a1": ((), 1),
+    "weil_sqrt2": ((), 8),
+    "weil_sqrt_minus_1": ((3,), 4),
+    "x^3-x over Q(i)": ((), 2),
+    "x^5-x over Q(sqrt2)": ((), 4),
+    "x^3-2 over Q(i)": ((3,), 12),
+}
+
+# galois_closure_is_2power folds this degree-12 field to a primitive
+# element and hits the recombination cap splitting it, after about a minute
+_CLOSURE_TOO_SLOW = {"x^3-2 over Q(i)"}
+
+
+def _splitting_field_items():
+    items = {}
+    for path in sorted(CORPUS.glob("*.json")):
+        items[path.stem] = input_from_document(
+            json.loads(path.read_text(encoding="utf-8")))
+    items["x^3-x over Q(i)"] = EllipticInput("Q(i)", CURVE_32A2)
+    items["x^5-x over Q(sqrt2)"] = JacobianInput("Q(sqrt2)", X5_MINUS_X)
+    items["x^3-2 over Q(i)"] = EllipticInput("Q(i)", X3_MINUS_2)
+    return items
+
+
+def test_splitting_field_matches_tower_ramification_and_closure():
+    items = _splitting_field_items()
+    assert set(items) == set(SPLITTING_FIELD_TABLE)
+    for name, item in items.items():
+        primes, degree = SPLITTING_FIELD_TABLE[name]
+        polys = defining_polynomials(item)
+        tower = _TOWERS[type(item)](item)
+        assert tuple(sorted(splitting_field_odd_ramified(polys))) == primes, \
+            name
+        assert tuple(sorted(odd_ramified_primes(tower))) == primes, name
+        assert tower.absolute_degree == degree, name
+        product = UniPoly.one()
+        for f in polys:
+            product = product * f
+        assert splitting_tower(squarefree_part(product)).absolute_degree \
+            == degree, name
+        if name not in _CLOSURE_TOO_SLOW:
+            assert galois_closure_is_2power(tower)[1] == degree, name
+
+
+def test_classify_reports_the_tower_degree_as_closure_degree():
+    for name, item in _splitting_field_items().items():
+        verdict = classify(item)
+        primes, degree = SPLITTING_FIELD_TABLE[name]
+        ramified = [s for s in verdict.steps if s.has_value("primes")
+                    and "2-division field" in s.description]
+        assert ramified[-1].value("primes") == primes, name
+        if verdict.status == HEAVENLY:
+            assert verdict.closure_degree == degree, name

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import heavenly.cli as cli
+import heavenly.towers as towers
 from heavenly.cli import main
 from heavenly.verifier import CHECK_IDS, LemmaReport
 
@@ -90,7 +91,10 @@ def test_classify_unreadable_file(capsys, tmp_path):
     assert "cannot read" in capsys.readouterr().err
 
 
-def test_classify_resource_cap_exit(capsys, tmp_path):
+def test_classify_resource_cap_exit(capsys, tmp_path, monkeypatch):
+    # the lowered norm degree cap stops this input's tower; uncapped it
+    # decides not_heavenly at the quadratic step
+    monkeypatch.setattr(towers, "NORM_DEGREE_CAP", 24)
     path = write_doc(tmp_path / "cap.json", CAP_DOC)
     target = tmp_path / "cap.cert.json"
     assert main(["classify", str(path), "--out", str(target)]) == 3
@@ -163,6 +167,18 @@ def test_tool_ramification(capsys):
     assert capsys.readouterr().out.strip() == "{5}"
     assert main(["tool", "ramification", "x^2+1"]) == 0
     assert capsys.readouterr().out.strip() == "{}"
+
+
+def test_tool_ramification_reads_rational_factors(capsys):
+    # an S6 sextic: its splitting field has degree 720, but the answer
+    # comes from the discriminant -101*431 of the sextic itself
+    assert main(["tool", "ramification", "x^6+x+1"]) == 0
+    assert capsys.readouterr().out.strip() == "{101, 431}"
+
+
+def test_tool_ramification_rejects_constants(capsys):
+    assert main(["tool", "ramification", "7"]) == 2
+    assert "constant" in capsys.readouterr().err
 
 
 def test_tool_rejects_floats(capsys):

@@ -13,6 +13,7 @@ from heavenly.ramification import (
     _odd_ramified_of_polynomial,
     _p_maximal_index_valuation,
     odd_ramified_primes,
+    splitting_field_odd_ramified,
     unramified_away_2,
 )
 from heavenly.towers import base_field, extend, splitting_tower
@@ -92,6 +93,31 @@ def test_seventh_cyclotomic_ramified_at_7():
 
 def test_disc_23_cubic():
     assert _odd_ramified_of_polynomial(parse_polynomial("x^3-x-1")) == {23}
+
+
+def test_splitting_field_reads_rational_factors():
+    cases = [
+        ("x^6+x+1", {101, 431}),          # disc -101*431
+        ("x^5-x-1", {19, 151}),           # disc 19*151
+        ("x^5-2", {5}),
+        ("x^2-45", {5}),
+        ("x^4+1", set()),
+        ("x^3-x", set()),                 # linear factors only
+    ]
+    for text, expected in cases:
+        assert splitting_field_odd_ramified([parse_polynomial(text)]) == \
+            expected, text
+    pieces = [parse_polynomial("x^2-5"), parse_polynomial("x^4+6*x^2+9"),
+              parse_polynomial("x^2+1")]
+    assert splitting_field_odd_ramified(pieces) == {3, 5}
+    assert splitting_field_odd_ramified([]) == set()
+
+
+def test_splitting_field_agrees_with_its_tower():
+    for text in ("x^4-2", "x^3-2", "x^3-x-1", "x^4-8*x^2+15"):
+        f = parse_polynomial(text)
+        assert splitting_field_odd_ramified([f]) == \
+            odd_ramified_primes(splitting_tower(f)), text
 
 
 def test_degree_cap_enforced():
