@@ -1,11 +1,16 @@
 """Factorization of univariate polynomials over Q.
 
 The route is classical Zassenhaus: reduce to a monic squarefree integer
-polynomial, factor it modulo the smallest odd prime keeping it squarefree
-(Berlekamp, fully deterministic), Hensel-lift the modular factors past the
-Mignotte coefficient bound, and recombine subsets in ascending size order.
-Returned factors are monic over Q, sorted by (degree, coefficient tuple),
-with multiplicities.
+polynomial and take the factor degrees, by distinct-degree factorization,
+modulo each of the first few odd primes keeping it squarefree. A divisor's
+degree must be a subset sum of the factor degrees at every one of them, so
+when only 0 and the full degree survive the polynomial is irreducible and
+nothing is lifted. Otherwise factor it modulo the prime with the fewest
+factors (Berlekamp, fully deterministic), Hensel-lift the modular factors
+past the Mignotte coefficient bound, and recombine subsets in ascending
+size order, skipping those whose degree no prime allows. Returned factors
+are monic over Q, sorted by (degree, coefficient tuple), with
+multiplicities.
 
 The mod-p layer works on plain int lists (ascending coefficients, trimmed).
 It is internal but also feeds the ramification machinery, which needs mod-p
@@ -30,9 +35,20 @@ from .polynomials import (
 # toolkit's degree range.
 RECOMBINATION_CAP = 5_000_000
 
+# Good primes whose factor degrees are intersected before lifting (Musser
+# 1975; Cohen, GTM 138, section 3.5.3). With three, the irreducible
+# degree-72 norm met in the 2-division tower of a two-cubic Weil
+# restriction over Q(sqrt 6) is lifted with 18 factors mod 7 and recombined
+# in 3.3 s; with five, with 12 factors mod 31 in 0.2 s. No count helps when
+# every prime gives the same degree pattern, as for Swinnerton-Dyer
+# polynomials.
+_DEGREE_SET_PRIMES = 5
+
 
 # ---------------------------------------------------------------------------
-# Arithmetic in Fp[x] on int lists.
+# Arithmetic in Fp[x] on int lists. Addition, subtraction, multiplication
+# and division by a monic polynomial are valid over any Z/m, and Hensel
+# lifting uses them there.
 
 
 def _trim(f: list[int]) -> list[int]:
@@ -65,26 +81,28 @@ def _mod_mul(f, g, p):
         if a == 0:
             continue
         for j, b in enumerate(g):
-            out[i + j] = (out[i + j] + a * b) % p
-    return _trim(out)
+            out[i + j] += a * b
+    return _trim([c % p for c in out])
 
 
 def _mod_divmod(f, g, p):
     if not g:
         raise ZeroDivisionError("polynomial division by zero")
-    f = [c % p for c in f]
+    f = list(f)
     d = len(g) - 1
     inv_lc = pow(g[-1], -1, p)
+    low = g[:d]
     q = [0] * max(len(f) - d, 0)
+    # Entries are reduced mod p only when read, so the inner loop does
+    # plain integer arithmetic; the leading term cancels by construction.
     for k in range(len(f) - 1, d - 1, -1):
-        c = f[k]
+        c = f[k] * inv_lc % p
         if c == 0:
             continue
-        c = c * inv_lc % p
         q[k - d] = c
-        for j, b in enumerate(g):
-            f[k - d + j] = (f[k - d + j] - c * b) % p
-    return _trim(q), _trim(f[:d])
+        for j, b in enumerate(low, k - d):
+            f[j] -= c * b
+    return _trim(q), _trim([c % p for c in f[:d]])
 
 
 def _mod_gcd(f, g, p):
@@ -148,17 +166,68 @@ def _nullspace_mod_p(m: list[list[int]], p: int) -> list[list[int]]:
     return basis
 
 
+def _frobenius_columns(f: list[int], p: int) -> list[list[int]]:
+    """x^(kp) mod (f, p) for 0 <= k < deg f, each padded to deg f entries.
+
+    These are the columns of the Frobenius matrix of Fp[x]/(f), f monic.
+    Each column is the previous one times x^p: by p shift-and-reduce steps
+    (cost p*n) for small p, otherwise by one product with x^p mod f (cost
+    n^2). Timed in pure Python, the two cross over near p = 2n.
+    """
+    n = len(f) - 1
+    col = [1] + [0] * (n - 1)
+    cols = [col]
+    xp = None if p < 2 * n else _mod_pow_mod([0, 1], p, f, p)
+    for _ in range(n - 1):
+        if xp is None:
+            for _ in range(p):
+                top = col[-1] % p
+                col = [0] + col[:-1]
+                if top:
+                    col = [c - top * a for c, a in zip(col, f)]
+            col = [c % p for c in col]
+        else:
+            col = _mod_divmod(_mod_mul(col, xp, p), f, p)[1]
+            col = col + [0] * (n - len(col))
+        cols.append(col)
+    return cols
+
+
+def _distinct_degree_parts(f: list[int],
+                           p: int) -> list[tuple[int, list[int]]]:
+    """(d, product of the degree-d factors) of squarefree monic f over Fp.
+
+    Distinct-degree factorization: after i Frobenius steps h = x^(p^i)
+    mod f, and gcd(rest, h - x) is the product of the degree-i factors,
+    since all factors of lower degree are already divided out of rest.
+    """
+    rest = [c % p for c in f]
+    cols = _frobenius_columns(rest, p)
+    parts: list[tuple[int, list[int]]] = []
+    h = [0, 1]
+    i = 0
+    while 2 * (i + 1) <= len(rest) - 1:
+        i += 1
+        acc = [0] * len(cols)
+        for hj, col in zip(h, cols):
+            if hj:
+                acc = [a + hj * c for a, c in zip(acc, col)]
+        h = _trim([c % p for c in acc])
+        g = _mod_gcd(rest, _mod_sub(h, [0, 1], p), p)
+        if len(g) > 1:
+            parts.append((i, g))
+            rest = _mod_divmod(rest, g, p)[0]
+    if len(rest) > 1:
+        parts.append((len(rest) - 1, rest))
+    return parts
+
+
 def _berlekamp_split(f: list[int], p: int) -> list[list[int]]:
     """Irreducible factors of squarefree monic f over Fp (deterministic)."""
     n = len(f) - 1
     if n <= 1:
         return [f]
-    xp = _mod_pow_mod([0, 1], p, f, p)
-    cols = []
-    power = [1]
-    for _ in range(n):
-        cols.append(power + [0] * (n - len(power)))
-        power = _mod_divmod(_mod_mul(power, xp, p), f, p)[1]
+    cols = _frobenius_columns(f, p)
     frob_minus_id = [
         [(cols[j][i] - (1 if i == j else 0)) % p for j in range(n)]
         for i in range(n)
@@ -257,48 +326,6 @@ def _factor_mod_p_rec(f, p, mult, out):
 # All factors are monic, so divisions stay exact over Z/m.
 
 
-def _zx_add(f, g, m):
-    n = max(len(f), len(g))
-    return _trim(
-        [((f[i] if i < len(f) else 0) + (g[i] if i < len(g) else 0)) % m
-         for i in range(n)]
-    )
-
-
-def _zx_sub(f, g, m):
-    n = max(len(f), len(g))
-    return _trim(
-        [((f[i] if i < len(f) else 0) - (g[i] if i < len(g) else 0)) % m
-         for i in range(n)]
-    )
-
-
-def _zx_mul(f, g, m):
-    if not f or not g:
-        return []
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a == 0:
-            continue
-        for j, b in enumerate(g):
-            out[i + j] = (out[i + j] + a * b) % m
-    return _trim(out)
-
-
-def _zx_divmod_monic(f, g, m):
-    f = [c % m for c in f]
-    d = len(g) - 1
-    q = [0] * max(len(f) - d, 0)
-    for k in range(len(f) - 1, d - 1, -1):
-        c = f[k]
-        if c == 0:
-            continue
-        q[k - d] = c
-        for j, b in enumerate(g):
-            f[k - d + j] = (f[k - d + j] - c * b) % m
-    return _trim(q), _trim(f[:d])
-
-
 def _xgcd_mod_p(f, g, p):
     """(s, t) with s*f + t*g = 1 over Fp, deg s < deg g, deg t < deg f."""
     r0, r1 = _trim([c % p for c in f]), _trim([c % p for c in g])
@@ -318,14 +345,15 @@ def _xgcd_mod_p(f, g, p):
 def _hensel_step(f, g, h, s, t, m):
     """Lift f = g*h with s*g + t*h = 1 from mod m to mod m^2."""
     mm = m * m
-    e = _zx_sub(f, _zx_mul(g, h, mm), mm)
-    q, r = _zx_divmod_monic(_zx_mul(s, e, mm), h, mm)
-    g1 = _zx_add(g, _zx_add(_zx_mul(t, e, mm), _zx_mul(q, g, mm), mm), mm)
-    h1 = _zx_add(h, r, mm)
-    b = _zx_sub(_zx_add(_zx_mul(s, g1, mm), _zx_mul(t, h1, mm), mm), [1], mm)
-    c, d = _zx_divmod_monic(_zx_mul(s, b, mm), h1, mm)
-    s1 = _zx_sub(s, d, mm)
-    t1 = _zx_sub(t, _zx_add(_zx_mul(t, b, mm), _zx_mul(c, g1, mm), mm), mm)
+    e = _mod_sub(f, _mod_mul(g, h, mm), mm)
+    q, r = _mod_divmod(_mod_mul(s, e, mm), h, mm)
+    g1 = _mod_add(g, _mod_add(_mod_mul(t, e, mm), _mod_mul(q, g, mm), mm), mm)
+    h1 = _mod_add(h, r, mm)
+    b = _mod_sub(_mod_add(_mod_mul(s, g1, mm), _mod_mul(t, h1, mm), mm),
+                 [1], mm)
+    c, d = _mod_divmod(_mod_mul(s, b, mm), h1, mm)
+    s1 = _mod_sub(s, d, mm)
+    t1 = _mod_sub(t, _mod_add(_mod_mul(t, b, mm), _mod_mul(c, g1, mm), mm), mm)
     return g1, h1, s1, t1
 
 
@@ -409,19 +437,43 @@ def _squarefree_mod(f: list[int], p: int) -> bool:
 
 def _factor_monic_squarefree_int(f: list[int]) -> list[list[int]]:
     """Monic irreducible integer factors of a monic squarefree int poly."""
-    if len(f) - 1 <= 1:
+    n = len(f) - 1
+    if n <= 1:
         return [f]
-    # Smallest odd prime keeping f squarefree; exists since f is squarefree
-    # over Q and only primes dividing the discriminant fail.
+    # Bit d of `allowed` is set while every prime tried so far admits a
+    # divisor of degree d, i.e. d is a subset sum of its factor degrees.
+    # Good primes exist since f is squarefree over Q and only primes
+    # dividing the discriminant fail.
+    allowed = (1 << (n + 1)) - 1
     p = 3
-    while not _squarefree_mod(f, p):
+    best = None
+    for _ in range(_DEGREE_SET_PRIMES):
+        while not _squarefree_mod(f, p):
+            p = _next_odd_prime(p)
+        parts = _distinct_degree_parts(f, p)
+        count = 0
+        sums = 1
+        for d, g in parts:
+            for _ in range((len(g) - 1) // d):
+                sums |= sums << d
+                count += 1
+        allowed &= sums
+        if allowed == 1 | 1 << n:
+            return [f]
+        if best is None or count < best[0]:
+            best = (count, p, parts)
         p = _next_odd_prime(p)
-    modular = [fac for fac, _ in _factor_mod_p_lists(f, p)]
-    if len(modular) == 1:
-        return [f]
+    _, p, parts = best
+    # Only parts holding several factors of one degree need splitting.
+    modular = sorted(
+        (fac for d, g in parts
+         for fac in ([g] if len(g) - 1 == d else _berlekamp_split(g, p))),
+        key=lambda fac: (len(fac), fac),
+    )
     target = _mignotte_target(f)
     m = _modulus_for(p, target)
     lifted = _hensel_lift_tree([c % m for c in f], modular, p, target)
+    degree = [len(g) - 1 for g in lifted]
 
     remaining = list(range(len(lifted)))
     current = f
@@ -434,8 +486,11 @@ def _factor_monic_squarefree_int(f: list[int]) -> list[list[int]]:
             tested += 1
             if tested > RECOMBINATION_CAP:
                 raise ResourceCapError(
-                    f"factor recombination exceeded {RECOMBINATION_CAP} subsets"
+                    f"factor recombination exceeded {RECOMBINATION_CAP} "
+                    f"subsets (degree {n}, {len(lifted)} factors mod {p})"
                 )
+            if not allowed >> sum(degree[i] for i in combo) & 1:
+                continue
             # Cheap screen: a true divisor's constant term divides f(0).
             if current[0] != 0:
                 const = 1
@@ -446,7 +501,7 @@ def _factor_monic_squarefree_int(f: list[int]) -> list[list[int]]:
                     continue
             prod = [1]
             for i in combo:
-                prod = _zx_mul(prod, lifted[i], m)
+                prod = _mod_mul(prod, lifted[i], m)
             cand = [_symmetric(c, m) for c in prod]
             q, r = _int_divmod_monic(current, cand)
             if not r:

@@ -476,13 +476,17 @@ def _factor_squarefree_chain(chain, f):
     if len(chain) == 1:
         rational = UniPoly.from_list(f)
         return [list(g.coeffs) for g, _ in factor_over_q(rational)]
+    # The descent takes norms of degree deg times the level degrees, top
+    # level first; refuse before computing any of them if one is too big.
+    reached = deg
+    for level in reversed(chain[1:]):
+        reached *= level.degree
+        if reached > NORM_DEGREE_CAP:
+            raise ResourceCapError(
+                f"norm degree {reached} exceeds cap {NORM_DEGREE_CAP}"
+            )
     B = F.base
-    ext_deg = F.degree
-    norm_deg = deg * ext_deg
-    if norm_deg > NORM_DEGREE_CAP:
-        raise ResourceCapError(
-            f"norm degree {norm_deg} exceeds cap {NORM_DEGREE_CAP}"
-        )
+    norm_deg = deg * F.degree
     alpha = F.generator()
     for k in _shift_values(200):
         shift = F.mul(F.from_fraction(Fraction(-k)), alpha)

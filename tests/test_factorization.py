@@ -3,8 +3,11 @@
 from fractions import Fraction
 from itertools import product
 
+import pytest
 import random
 
+import heavenly.factorization as factorization
+from heavenly.errors import ResourceCapError
 from heavenly.polynomials import UniPoly, poly_gcd
 from heavenly.factorization import (
     factor_mod_p,
@@ -156,3 +159,62 @@ def test_swinnerton_dyer_quartic():
     # reducible mod every prime; exercises the recombination path.
     f = P(1, 0, -10, 0, 1)
     assert factor_over_q(f) == [(f, 1)]
+
+
+def test_swinnerton_dyer_cap_names_the_size_reached(monkeypatch):
+    # x^4 - 10x^2 + 1 splits into two quadratics at every good prime, so
+    # degree sets cannot prune it and recombination tries both of them
+    monkeypatch.setattr(factorization, "RECOMBINATION_CAP", 1)
+    with pytest.raises(ResourceCapError) as exc:
+        factor_over_q(P(1, 0, -10, 0, 1))
+    assert str(exc.value) == (
+        "factor recombination exceeded 1 subsets (degree 4, 2 factors mod 5)"
+    )
+
+
+def test_degree_sets_prove_s5_quintic_irreducible_without_lifting(
+        monkeypatch):
+    # x^5 - 2x + 3 has factor degrees (1, 2, 2) mod 3, (1, 4) mod 5 and
+    # (2, 3) mod 7: no prime keeps it irreducible, but the only degree
+    # common to all three subset-sum sets is 5
+    def no_lifting(*args):
+        raise AssertionError("Hensel lifting reached")
+
+    monkeypatch.setattr(factorization, "_hensel_lift_tree", no_lifting)
+    f = P(3, -2, 0, 0, 0, 1)
+    assert factor_over_q(f) == [(f, 1)]
+
+
+def _sympy_irreducible(sympy, rng):
+    x = sympy.Symbol("x")
+    while True:
+        deg = rng.randrange(1, 9)
+        coeffs = [rng.randrange(1, 4)] + [rng.randrange(-9, 10)
+                                          for _ in range(deg)]
+        if sympy.Poly(coeffs, x).is_irreducible:
+            return P(*reversed(coeffs))
+
+
+def _sympy_factor_list(sympy, f):
+    x = sympy.Symbol("x")
+    poly = sympy.Poly([int(c) for c in reversed(f.coeffs)], x)
+    out = [(P(*(int(c) for c in reversed(g.all_coeffs()))).monic(), mult)
+           for g, mult in poly.factor_list()[1]]
+    return sorted(out, key=lambda t: (t[0].degree, t[0].coeffs))
+
+
+def test_factor_over_q_agrees_with_sympy_on_random_products():
+    # products of 2-3 irreducible integer polynomials of degree <= 8,
+    # non-monic ones included; sympy's factor_list is the oracle
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(59)
+    for _ in range(40):
+        f = UniPoly.one()
+        for _ in range(rng.randrange(2, 4)):
+            f = f * _sympy_irreducible(sympy, rng)
+        facs = factor_over_q(f)
+        rebuilt = UniPoly.one()
+        for g, mult in facs:
+            rebuilt = rebuilt * g**mult
+        assert rebuilt == f.monic()
+        assert facs == _sympy_factor_list(sympy, f)

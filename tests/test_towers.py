@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 import random
 
+import heavenly.towers as towers
 from heavenly.errors import (
     InputError,
     ReducibleExtensionError,
@@ -155,6 +156,21 @@ def test_splitting_tower_cap():
         splitting_tower(P(-2, 0, 0, 0, 1), degree_cap=4)
     assert exc.value.partial is not None
     assert exc.value.partial.absolute_degree == 4
+
+
+def test_norm_degree_cap_fires_before_any_norm(monkeypatch):
+    # x^3 - 2 over Q(zeta8) descends through norms of degree 6, then 12;
+    # with the cap at 8 the second is refused before the first is computed
+    zeta8 = extend(base_field("Q(i)"), P(-2, 0, 1))
+
+    def no_norms(*args):
+        raise AssertionError("norm computed before the cap check")
+
+    monkeypatch.setattr(towers, "NORM_DEGREE_CAP", 8)
+    monkeypatch.setattr(towers, "_norm_poly", no_norms)
+    with pytest.raises(ResourceCapError,
+                       match=r"^norm degree 12 exceeds cap 8$"):
+        factor_over_tower(zeta8, P(-2, 0, 0, 1))
 
 
 def test_primitive_element_frozen():
