@@ -387,8 +387,7 @@ def weil_torsion_data(W: WeilRestrictionInput) -> WeilTorsionData:
 
     def embed(pair):
         a, b = pair
-        return K.add(K.from_fraction(a),
-                     K.mul(K.from_fraction(b), K.generator()))
+        return K.add(K.from_fraction(a), K.scale(K.generator(), b))
 
     original = [embed(pair) for pair in W.cubic]
     conjugate = [embed((a, -b)) for a, b in W.cubic]

@@ -2,15 +2,16 @@
 
 The route is classical Zassenhaus: reduce to a monic squarefree integer
 polynomial and take the factor degrees, by distinct-degree factorization,
-modulo each of the first few odd primes keeping it squarefree. A divisor's
-degree must be a subset sum of the factor degrees at every one of them, so
-when only 0 and the full degree survive the polynomial is irreducible and
-nothing is lifted. Otherwise factor it modulo the prime with the fewest
-factors (Berlekamp, fully deterministic), Hensel-lift the modular factors
-past the Mignotte coefficient bound, and recombine subsets in ascending
-size order, skipping those whose degree no prime allows. Returned factors
-are monic over Q, sorted by (degree, coefficient tuple), with
-multiplicities.
+modulo each of the first few odd primes keeping it squarefree, stopping
+early once some prime shows at most four factors and a further prime adds
+no degree information. A divisor's degree must be a subset sum of the
+factor degrees at every one of them, so when only 0 and the full degree
+survive the polynomial is irreducible and nothing is lifted. Otherwise
+factor it modulo the prime with the fewest factors (Berlekamp, fully
+deterministic), Hensel-lift the modular factors past the Mignotte
+coefficient bound, and recombine subsets in ascending size order, skipping
+those whose degree no prime allows. Returned factors are monic over Q,
+sorted by (degree, coefficient tuple), with multiplicities.
 
 The mod-p layer works on plain int lists (ascending coefficients, trimmed).
 It is internal but also feeds the ramification machinery, which needs mod-p
@@ -43,6 +44,13 @@ RECOMBINATION_CAP = 5_000_000
 # every prime gives the same degree pattern, as for Swinnerton-Dyer
 # polynomials.
 _DEGREE_SET_PRIMES = 5
+
+# Stop taking primes once one shows at most this many modular factors and
+# the latest prime left the degree set unchanged: recombination then tests
+# at most ten subsets, so a further prime would cost more than it can save.
+# After a prime that narrows the set (the first always does) the next is
+# taken, since it may prove f irreducible without lifting.
+_FEW_MODULAR_FACTORS = 4
 
 
 # ---------------------------------------------------------------------------
@@ -457,11 +465,14 @@ def _factor_monic_squarefree_int(f: list[int]) -> list[list[int]]:
             for _ in range((len(g) - 1) // d):
                 sums |= sums << d
                 count += 1
+        narrowed = best is None or allowed & sums != allowed
         allowed &= sums
         if allowed == 1 | 1 << n:
             return [f]
         if best is None or count < best[0]:
             best = (count, p, parts)
+        if best[0] <= _FEW_MODULAR_FACTORS and not narrowed:
+            break
         p = _next_odd_prime(p)
     _, p, parts = best
     # Only parts holding several factors of one degree need splitting.

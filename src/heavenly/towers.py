@@ -2,9 +2,15 @@
 
 A tower is a sequence of levels; level i is a monic polynomial, irreducible
 over the field generated by the levels below, stored as a tuple of that
-field's elements in ascending degree order.  Elements of a tower field are
-nested tuples: a height-0 element is a Fraction, and an element one level up
-is a fixed-length tuple of elements below (length = level degree).
+field's elements in ascending degree order.  An element of Q is a Fraction.
+An element of a field of height at least 1 is a pair (nums, den) in lowest
+terms: a flat tuple of integers, one per power-basis element of the whole
+tower, over one positive denominator.  Coordinate i*b + j, with b the
+degree of the field below, belongs to the i-th power of the top generator
+times the j-th basis element below, so the coefficients over the field
+below are consecutive slices, and flatten lists nums/den as Fractions.
+Products are integer convolutions reduced level by level; rational scalars
+touch only nums and den.
 
 Factoring over a tower runs on norms: shift the variable by multiples of the
 top generator until the resultant with the top minimal polynomial (the norm,
@@ -18,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import InputError, ReducibleExtensionError, ResourceCapError
 from .factorization import factor_over_q
@@ -36,7 +42,17 @@ BASE_FIELD_POLYS = {
 
 
 # ---------------------------------------------------------------------------
-# Field arithmetic: Q and iterated extensions, elements as nested tuples.
+# Field arithmetic: Q and iterated extensions, elements as integer vectors.
+
+
+def _lowest_terms(nums, den: int) -> tuple:
+    """The element nums/den, den > 0, with the common factor divided out."""
+    if den == 1:
+        return (tuple(nums), 1)
+    g = gcd(*nums, den)
+    if g == 1:
+        return (tuple(nums), den)
+    return (tuple([x // g for x in nums]), den // g)
 
 
 class RationalField:
@@ -45,15 +61,27 @@ class RationalField:
     degree = 1
     absolute_degree = 1
     base = None
+    # integer products at this height carry no denominator
+    _product_den = 1
+
+    _ZERO = Fraction(0)
+    _ONE = Fraction(1)
 
     def zero(self):
-        return Fraction(0)
+        return self._ZERO
 
     def one(self):
-        return Fraction(1)
+        return self._ONE
 
     def from_fraction(self, q: Fraction):
         return Fraction(q)
+
+    def parts(self, a):
+        """(numerators, denominator) of a in lowest terms."""
+        return ((a.numerator,), a.denominator)
+
+    def from_parts(self, nums, den: int):
+        return Fraction(nums[0], den)
 
     def add(self, a, b):
         return a + b
@@ -67,13 +95,17 @@ class RationalField:
     def mul(self, a, b):
         return a * b
 
+    def scale(self, a, q):
+        """a times the rational (or integer) q."""
+        return a * q
+
     def inv(self, a):
         if a == 0:
             raise InputError("division by zero")
         return 1 / a
 
     def is_zero(self, a):
-        return a == 0
+        return not a
 
     def flatten(self, a):
         return (a,)
@@ -85,8 +117,18 @@ RATIONAL = RationalField()
 class ExtensionField:
     """The field below, extended by a root of a monic minimal polynomial.
 
-    Elements are tuples of `degree` elements of the base field, ascending
-    powers of the generator.
+    An element is a pair (nums, den): nums is a tuple of absolute_degree
+    integers and den a positive integer with no factor common to all of
+    nums, so equal elements are equal pairs.  The element is nums/den in
+    the flattened power basis: coordinate i*b + j, with b the absolute
+    degree of the field below, belongs to the i-th power of this level's
+    generator times the j-th basis element of the field below.  Its
+    coordinates over the field below are read with coords and written with
+    from_coords.
+
+    Products are integer convolutions reduced by each level's modulus, the
+    modulus scaled to integer coefficients by the least common denominator
+    of its coefficients; rational scalars act on nums and den directly.
     """
 
     def __init__(self, base, modulus: tuple):
@@ -96,79 +138,231 @@ class ExtensionField:
             raise InputError("extension modulus must be monic")
         self.base = base
         self.modulus = tuple(modulus)
-        self.degree = len(modulus) - 1
-        self.absolute_degree = base.absolute_degree * self.degree
+        self.degree = d = len(modulus) - 1
+        self._width = width = base.absolute_degree
+        self.absolute_degree = n = width * d
+        self._zero = ((0,) * n, 1)
+        self._one = ((1,) + (0,) * (n - 1), 1)
+        # y^d = -(1/M) * sum_j m_j y^j with integer vectors m_j; terms keep
+        # the nonzero m_j, with an integer multiplier when m_j is rational
+        parts = [base.parts(c) for c in modulus[:-1]]
+        M = lcm(*(den for _, den in parts))
+        below = base._product_den
+        terms = []
+        for j, (nums, den) in enumerate(parts):
+            if any(nums):
+                vec = [x * (M // den) for x in nums]
+                multiplier = None if any(vec[1:]) else vec[0] * below
+                terms.append((j, vec, multiplier))
+        self._reduce_terms = tuple(terms)
+        # each of the d - 1 reduction steps scales the partial product by
+        # _step; an integer product a*b stands for (a*b) / _product_den
+        self._step = below * M
+        self._product_den = below * self._step ** (d - 1)
 
     def zero(self):
-        return tuple(self.base.zero() for _ in range(self.degree))
+        return self._zero
 
     def one(self):
-        return (self.base.one(),) + tuple(
-            self.base.zero() for _ in range(self.degree - 1)
-        )
+        return self._one
 
     def generator(self):
-        coords = [self.base.zero() for _ in range(self.degree)]
-        coords[1] = self.base.one()
-        return tuple(coords)
+        nums = [0] * self.absolute_degree
+        nums[self._width] = 1
+        return (tuple(nums), 1)
 
     def from_fraction(self, q: Fraction):
-        return (self.base.from_fraction(q),) + tuple(
-            self.base.zero() for _ in range(self.degree - 1)
-        )
+        q = Fraction(q)
+        return ((q.numerator,) + self._zero[0][1:], q.denominator)
 
     def from_base(self, c):
-        return (c,) + tuple(self.base.zero() for _ in range(self.degree - 1))
+        nums, den = self.base.parts(c)
+        return (tuple(nums) + self._zero[0][self._width:], den)
+
+    def parts(self, a):
+        """(numerators, denominator) of a in lowest terms."""
+        return a
+
+    def from_parts(self, nums, den: int):
+        return _lowest_terms(nums, den)
+
+    def coords(self, a) -> list:
+        """The coefficients of a over the field below, ascending powers."""
+        nums, den = a
+        w = self._width
+        B = self.base
+        return [B.from_parts(nums[i * w:(i + 1) * w], den)
+                for i in range(self.degree)]
+
+    def from_coords(self, coords):
+        """The element with the given coefficients over the field below."""
+        B = self.base
+        parts = [B.parts(c) for c in coords]
+        parts += [B.parts(B.zero())] * (self.degree - len(parts))
+        den = lcm(*(d for _, d in parts))
+        nums = []
+        for part, d in parts:
+            f = den // d
+            nums.extend(part if f == 1 else [x * f for x in part])
+        # some coefficient with den's full power of each prime is in lowest
+        # terms, so nums and den share no factor
+        return (tuple(nums), den)
 
     def add(self, a, b):
-        return tuple(self.base.add(x, y) for x, y in zip(a, b))
+        an, ad = a
+        bn, bd = b
+        if ad == bd:
+            return _lowest_terms([x + y for x, y in zip(an, bn)], ad)
+        g = gcd(ad, bd)
+        fa, fb = bd // g, ad // g
+        return _lowest_terms([x * fa + y * fb for x, y in zip(an, bn)],
+                             ad * fa)
 
     def sub(self, a, b):
-        return tuple(self.base.sub(x, y) for x, y in zip(a, b))
+        return self.add(a, self.neg(b))
 
     def neg(self, a):
-        return tuple(self.base.neg(x) for x in a)
+        nums, den = a
+        return (tuple([-x for x in nums]), den)
 
     def mul(self, a, b):
-        B = self.base
+        an, ad = a
+        bn, bd = b
+        if not (any(an) and any(bn)):
+            return self._zero
+        return _lowest_terms(self._int_mul(an, bn),
+                             ad * bd * self._product_den)
+
+    def scale(self, a, q):
+        """a times the rational (or integer) q."""
+        num = q.numerator
+        if not num:
+            return self._zero
+        nums, den = a
+        return _lowest_terms([x * num for x in nums], den * q.denominator)
+
+    def _int_mul(self, a, b) -> list:
+        """Integer vector c with a*b = c / _product_den, for integer a, b."""
         d = self.degree
-        prod = [B.zero() for _ in range(2 * d - 1)]
-        for i, x in enumerate(a):
-            if B.is_zero(x):
+        w = self._width
+        step = self._step
+        if w == 1:
+            prod = [0] * (2 * d - 1)
+            for i, x in enumerate(a):
+                if x:
+                    for j, y in enumerate(b):
+                        prod[i + j] += x * y
+            for k in range(2 * d - 2, d - 1, -1):
+                c = prod[k]
+                if step != 1:
+                    prod[:k] = [v * step for v in prod[:k]]
+                if c:
+                    for j, _, m in self._reduce_terms:
+                        prod[k - d + j] -= c * m
+            return prod[:d]
+        B = self.base
+        pieces_a = [(i, a[i * w:(i + 1) * w]) for i in range(d)]
+        pieces_b = [(j, s) for j, s in
+                    ((j, b[j * w:(j + 1) * w]) for j in range(d)) if any(s)]
+        prod = [None] * (2 * d - 1)
+        for i, x in pieces_a:
+            if not any(x):
                 continue
-            for j, y in enumerate(b):
-                prod[i + j] = B.add(prod[i + j], B.mul(x, y))
-        # reduce modulo the monic modulus
+            for j, y in pieces_b:
+                v = B._int_mul(x, y)
+                acc = prod[i + j]
+                prod[i + j] = v if acc is None else [
+                    p + q for p, q in zip(acc, v)]
         for k in range(2 * d - 2, d - 1, -1):
             c = prod[k]
-            if B.is_zero(c):
+            if step != 1:
+                prod[:k] = [None if acc is None else [v * step for v in acc]
+                            for acc in prod[:k]]
+            if c is None or not any(c):
                 continue
-            prod[k] = B.zero()
-            for j in range(self.degree):
-                prod[k - d + j] = B.sub(prod[k - d + j],
-                                        B.mul(c, self.modulus[j]))
-        return tuple(prod[:d])
+            for j, vec, m in self._reduce_terms:
+                v = B._int_mul(c, vec) if m is None else [x * m for x in c]
+                acc = prod[k - d + j]
+                prod[k - d + j] = [-x for x in v] if acc is None else [
+                    p - q for p, q in zip(acc, v)]
+        out = []
+        for acc in prod[:d]:
+            out.extend([0] * w if acc is None else acc)
+        return out
 
     def inv(self, a):
+        """By Cayley-Hamilton: 1/a = sum_j (-1)^j e_{d-1-j} a^j / e_d, with
+        e_k the elementary symmetric functions of a's conjugates over the
+        field below, so each level inverts once in the field below."""
         if self.is_zero(a):
             raise InputError("division by zero")
         B = self.base
-        g, s = _gp_half_xgcd(B, _gp_trim(B, list(a)), list(self.modulus))
-        if len(g) != 1:
+        coords = self.coords(a)
+        if all(B.is_zero(c) for c in coords[1:]):
+            return self.from_base(B.inv(coords[0]))
+        d = self.degree
+        powers, e = self._conjugate_symmetric(a)
+        if B.is_zero(e[d]):
             raise InputError("element not invertible; modulus is reducible")
-        scale = B.inv(g[0])
-        coords = [B.mul(scale, c) for c in s]
-        coords += [B.zero()] * (self.degree - len(coords))
-        return tuple(coords[:self.degree])
+        acc = self.zero()
+        for j in range(d):
+            term = self.mul(self.from_base(e[d - 1 - j]), powers[j])
+            acc = self.sub(acc, term) if j % 2 else self.add(acc, term)
+        return self.mul(self.from_base(B.inv(e[d])), acc)
+
+    def norm(self, a):
+        """The product of a's conjugates over the field below."""
+        B = self.base
+        coords = self.coords(a)
+        if all(B.is_zero(c) for c in coords[1:]):
+            return _gp_pow_elem(B, coords[0], self.degree)
+        return self._conjugate_symmetric(a)[1][self.degree]
+
+    def _conjugate_symmetric(self, a) -> tuple[list, list]:
+        """a^0, ..., a^d and the elementary symmetric functions e_0, ...,
+        e_d of a's conjugates over the field below, from the traces of a's
+        powers."""
+        powers = [self.one(), a]
+        while len(powers) <= self.degree:
+            powers.append(self.mul(powers[-1], a))
+        traces = self._generator_power_traces()
+        e = _elementary_symmetric(self.base, [self._trace(x, traces)
+                                              for x in powers[1:]])
+        return powers, e
+
+    def _trace(self, a, traces):
+        """Trace of a over the field below, given the generator's."""
+        B = self.base
+        acc = B.zero()
+        for c, t in zip(self.coords(a), traces):
+            acc = B.add(acc, B.mul(c, t))
+        return acc
+
+    def _generator_power_traces(self) -> list:
+        """Traces of y^0, ..., y^(d-1) for the generator y: the power sums of
+        the modulus roots, by Newton's identities."""
+        B = self.base
+        d = self.degree
+        # e_k = (-1)^k m_{d-k} for the monic modulus m
+        e = [B.one()] + [
+            B.neg(self.modulus[d - k]) if k % 2 else self.modulus[d - k]
+            for k in range(1, d)]
+        # p_k = (-1)^(k-1) k e_k + sum_{i=1}^{k-1} (-1)^(i-1) e_i p_{k-i}
+        sums = [B.from_fraction(Fraction(d))]
+        for k in range(1, d):
+            acc = B.scale(e[k], k if k % 2 else -k)
+            for i in range(1, k):
+                term = B.mul(e[i], sums[k - i])
+                acc = B.add(acc, term) if i % 2 else B.sub(acc, term)
+            sums.append(acc)
+        return sums
 
     def is_zero(self, a):
-        return all(self.base.is_zero(x) for x in a)
+        return not any(a[0])
 
     def flatten(self, a):
-        out = []
-        for x in a:
-            out.extend(self.base.flatten(x))
-        return tuple(out)
+        nums, den = a
+        return tuple(Fraction(x, den) for x in nums)
 
 
 # ---------------------------------------------------------------------------
@@ -181,36 +375,6 @@ def _gp_trim(F, f: list) -> list:
     return f
 
 
-def _gp_zero_pad(F, f: list, n: int) -> list:
-    return f + [F.zero()] * (n - len(f))
-
-
-def _gp_add(F, f, g):
-    n = max(len(f), len(g))
-    a = _gp_zero_pad(F, list(f), n)
-    b = _gp_zero_pad(F, list(g), n)
-    return _gp_trim(F, [F.add(x, y) for x, y in zip(a, b)])
-
-
-def _gp_sub(F, f, g):
-    n = max(len(f), len(g))
-    a = _gp_zero_pad(F, list(f), n)
-    b = _gp_zero_pad(F, list(g), n)
-    return _gp_trim(F, [F.sub(x, y) for x, y in zip(a, b)])
-
-
-def _gp_mul(F, f, g):
-    if not f or not g:
-        return []
-    prod = [F.zero() for _ in range(len(f) + len(g) - 1)]
-    for i, x in enumerate(f):
-        if F.is_zero(x):
-            continue
-        for j, y in enumerate(g):
-            prod[i + j] = F.add(prod[i + j], F.mul(x, y))
-    return _gp_trim(F, prod)
-
-
 def _gp_scale(F, f, c):
     return _gp_trim(F, [F.mul(c, x) for x in f])
 
@@ -221,12 +385,13 @@ def _gp_divmod(F, f, g):
     rem = list(f)
     if len(rem) < len(g):
         return [], _gp_trim(F, rem)
-    inv_lc = F.inv(g[-1])
+    one = F.one()
+    inv_lc = None if g[-1] == one else F.inv(g[-1])
     q = [F.zero() for _ in range(len(rem) - len(g) + 1)]
     for k in range(len(rem) - 1, len(g) - 2, -1):
         if F.is_zero(rem[k]):
             continue
-        c = F.mul(rem[k], inv_lc)
+        c = rem[k] if inv_lc is None else F.mul(rem[k], inv_lc)
         q[k - (len(g) - 1)] = c
         for j in range(len(g)):
             rem[k - (len(g) - 1) + j] = F.sub(
@@ -253,16 +418,15 @@ def _gp_rescale(F, f):
     num_g = 0
     den_l = 1
     for c in f:
-        for q in F.flatten(c):
-            num_g = gcd(num_g, q.numerator)
-            den_l = den_l * q.denominator // gcd(den_l, q.denominator)
+        nums, den = F.parts(c)
+        num_g = gcd(num_g, *nums)
+        den_l = lcm(den_l, den)
     if num_g == 0:
         return f
     scale = Fraction(den_l, num_g)
     if scale == 1:
         return f
-    s = F.from_fraction(scale)
-    return [F.mul(s, c) for c in f]
+    return [F.scale(c, scale) for c in f]
 
 
 def _gp_gcd(F, f, g):
@@ -278,19 +442,21 @@ def _gp_gcd(F, f, g):
     return _gp_monic(F, a)
 
 
-def _gp_half_xgcd(F, f, g):
-    """(gcd, s) with s*f = gcd mod g; enough for inverses mod g."""
-    r0, r1 = list(f), list(g)
-    s0, s1 = [F.one()], []
-    while r1:
-        q, r = _gp_divmod(F, r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, _gp_sub(F, s0, _gp_mul(F, q, s1))
-    return r0, s0
+def _elementary_symmetric(F, sums) -> list:
+    """e_0, ..., e_n from the power sums p_1, ..., p_n by Newton's
+    identities: k e_k = sum_{i=1}^k (-1)^(i-1) e_{k-i} p_i."""
+    e = [F.one()]
+    for k in range(1, len(sums) + 1):
+        acc = F.zero()
+        for i in range(1, k + 1):
+            term = F.mul(e[k - i], sums[i - 1])
+            acc = F.add(acc, term) if i % 2 else F.sub(acc, term)
+        e.append(F.scale(acc, Fraction(1, k)))
+    return e
 
 
 def _gp_deriv(F, f):
-    out = [F.mul(F.from_fraction(Fraction(k)), f[k]) for k in range(1, len(f))]
+    out = [F.scale(f[k], k) for k in range(1, len(f))]
     return _gp_trim(F, out)
 
 
@@ -304,10 +470,14 @@ def _gp_eval(F, f, x):
 def _gp_taylor_shift(F, f, c):
     """f(x + c) by Horner in the linear polynomial x + c."""
     out: list = []
-    linear = [c, F.one()]
     for coeff in reversed(f):
-        out = _gp_add(F, _gp_mul(F, out, linear), [coeff])
-    return out
+        # out * (x + c) + coeff
+        nxt = [F.mul(c, x) for x in out] + [F.zero()]
+        for i, x in enumerate(out):
+            nxt[i + 1] = F.add(nxt[i + 1], x)
+        nxt[0] = F.add(nxt[0], coeff)
+        out = nxt
+    return _gp_trim(F, out)
 
 
 def _gp_pow_elem(F, a, e: int):
@@ -321,57 +491,26 @@ def _gp_pow_elem(F, a, e: int):
     return acc
 
 
-def _gp_resultant(F, f, g):
-    """Res(f, g) over the field F, Euclidean recurrence."""
-    if not f or not g:
-        raise InputError("resultant requires nonzero polynomials")
-    a, b = list(f), list(g)
-    acc = F.one()
-    negate = False
-    while True:
-        da, db = len(a) - 1, len(b) - 1
-        if db == 0:
-            acc = F.mul(acc, _gp_pow_elem(F, b[0], da))
-            break
-        if da == 0:
-            acc = F.mul(acc, _gp_pow_elem(F, a[0], db))
-            break
-        if da < db:
-            if (da * db) % 2 == 1:
-                negate = not negate
-            a, b = b, a
-            continue
-        r = _gp_divmod(F, a, b)[1]
-        if not r:
-            return F.zero()
-        acc = F.mul(acc, _gp_pow_elem(F, b[-1], da - (len(r) - 1)))
-        if (da * db) % 2 == 1:
-            negate = not negate
-        a, b = b, r
-    return F.neg(acc) if negate else acc
-
-
-def _gp_interpolate(F, points):
-    """Lagrange interpolation through [(x, y)] pairs, Newton form."""
-    xs = [x for x, _ in points]
-    coeffs: list = []
+def _gp_interpolate(F, xs, ys):
+    """Interpolation through distinct integer nodes xs with values ys in F,
+    Newton form; node differences act as rational scalars."""
     # divided differences
-    table = [y for _, y in points]
+    table = list(ys)
     dd = [table[0]]
-    for level in range(1, len(points)):
-        nxt = []
-        for i in range(len(table) - 1):
-            num = F.sub(table[i + 1], table[i])
-            den = F.sub(xs[i + level], xs[i])
-            nxt.append(F.mul(num, F.inv(den)))
-        table = nxt
+    for level in range(1, len(xs)):
+        table = [F.scale(F.sub(table[i + 1], table[i]),
+                         Fraction(1, xs[i + level] - xs[i]))
+                 for i in range(len(table) - 1)]
         dd.append(table[0])
-    # expand Newton form
-    coeffs = []
+    # expand Newton form: coeffs * (x - xs[k]) + dd[k]
+    coeffs: list = []
     for k in range(len(dd) - 1, -1, -1):
-        coeffs = _gp_add(F, _gp_mul(F, coeffs,
-                                    [F.neg(xs[k]), F.one()]), [dd[k]])
-    return coeffs
+        nxt = [F.scale(c, -xs[k]) for c in coeffs] + [F.zero()]
+        for i, c in enumerate(coeffs):
+            nxt[i + 1] = F.add(nxt[i + 1], c)
+        nxt[0] = F.add(nxt[0], dd[k])
+        coeffs = nxt
+    return _gp_trim(F, coeffs)
 
 
 def _gp_squarefree(F, f):
@@ -489,9 +628,9 @@ def _factor_squarefree_chain(chain, f):
     norm_deg = deg * F.degree
     alpha = F.generator()
     for k in _shift_values(200):
-        shift = F.mul(F.from_fraction(Fraction(-k)), alpha)
+        shift = F.scale(alpha, -k)
         g = _gp_taylor_shift(F, f, shift)  # g(x) = f(x - k*alpha)
-        norm = _norm_poly(B, F.modulus, g, norm_deg)
+        norm = _norm_poly(F, g, norm_deg)
         if not _gp_squarefree(B, norm):
             continue
         sub_factors = _factor_squarefree_chain(chain[:-1], norm)
@@ -517,30 +656,26 @@ def _shift_values(limit: int):
         yield -k
 
 
-def _norm_poly(B, modulus, g, norm_deg):
-    """Res_y(modulus(y), g(x) with the generator written as y), monic.
+def _norm_poly(F, g, norm_deg):
+    """Res_y(modulus(y), g(x) with the generator written as y), monic, for
+    g over the extension F; the result is over F.base.
 
     Evaluation-interpolation over x: the modulus is monic, so the resultant
-    at each rational node is the product of g's values at the modulus roots,
-    and the interpolated polynomial is monic of degree norm_deg.
+    at each integer node t is the norm of g(t) from F to F.base, and the
+    interpolated polynomial is monic of degree norm_deg.
     """
+    B = F.base
     nodes = []
     values = []
     t = 0
     while len(nodes) < norm_deg + 1:
-        x0 = B.from_fraction(Fraction(t))
-        # h(y) = sum_i rep_y(g_i) * x0^i
-        h: list = []
-        x_power = B.one()
-        for c in g:
-            rep = _gp_trim(B, list(c))
-            h = _gp_add(B, h, _gp_scale(B, rep, x_power))
-            x_power = B.mul(x_power, x0)
-        values.append(_gp_resultant(B, list(modulus), h) if h
-                      else B.zero())
-        nodes.append(x0)
+        value = F.zero()
+        for c in reversed(g):
+            value = F.add(F.scale(value, t), c)
+        values.append(F.norm(value))
+        nodes.append(t)
         t = -t if t > 0 else -t + 1
-    interp = _gp_interpolate(B, list(zip(nodes, values)))
+    interp = _gp_interpolate(B, nodes, values)
     if len(interp) - 1 != norm_deg:
         raise ArithmeticError("norm interpolation degree mismatch")
     return _gp_monic(B, interp)
@@ -682,38 +817,31 @@ def splitting_degree(f, tower: FieldTower = FieldTower(),
 # Primitive elements: fold the top two levels until one remains.
 
 
-def _fold_two_levels(B, lower, upper):
-    """One level over B whose root generates both given levels.
+def _fold_two_levels(L, upper):
+    """One level over L.base whose root generates both given levels.
 
-    lower is over B; upper is over Ext(B, lower).  Tries generators
+    L is the extension of B = L.base by the lower level; upper is over L.
+    Tries generators
     top + k*lower_generator for k = 1, 2, ...; the resultant in the lower
     variable is squarefree exactly when that combination is primitive, and
     a squarefree characteristic polynomial of full degree is the minimal
     polynomial, hence irreducible.
     """
-    d_lower = len(lower) - 1
-    d_upper = len(upper) - 1
-    m = d_lower * d_upper
+    B = L.base
+    m = L.degree * (len(upper) - 1)
     for k in range(1, 64):
         # M(x, y) = sum_i rep_y(upper_i) * (x - k*y)^i; interpolate
-        # R(x) = Res_y(lower(y), M(x, y)) through m+1 rational nodes.
+        # R(x) = Res_y(lower(y), M(x, y)) through m+1 integer nodes, where
+        # R(t) is the norm from L to B of upper(t - k*y) with y in L.
         nodes = []
         values = []
         t = 0
         while len(nodes) < m + 1:
-            x0 = B.from_fraction(Fraction(t))
-            # p(y) = M(x0, y)
-            lin = [x0, B.from_fraction(Fraction(-k))]  # x0 - k*y
-            p: list = []
-            power = [B.one()]
-            for c in upper:
-                rep = _gp_trim(B, list(c))
-                p = _gp_add(B, p, _gp_mul(B, rep, power))
-                power = _gp_mul(B, power, lin)
-            values.append(_gp_resultant(B, list(lower), p) if p else B.zero())
-            nodes.append(x0)
+            lin = L.sub(L.from_fraction(t), L.scale(L.generator(), k))
+            values.append(L.norm(_gp_eval(L, upper, lin)))
+            nodes.append(t)
             t = -t if t > 0 else -t + 1
-        folded = _gp_interpolate(B, list(zip(nodes, values)))
+        folded = _gp_interpolate(B, nodes, values)
         if len(folded) - 1 != m:
             raise ArithmeticError("fold interpolation degree mismatch")
         folded = _gp_monic(B, folded)
@@ -729,11 +857,9 @@ def primitive_element(tower: FieldTower) -> UniPoly:
     chain = field_chain(tower)
     levels = [list(lev) for lev in tower.levels]
     while len(levels) > 1:
-        B = chain[len(levels) - 2]
-        folded = _fold_two_levels(B, levels[-2], levels[-1])
+        # levels[-2] is still an original level, so chain has its field
+        folded = _fold_two_levels(chain[len(levels) - 1], levels[-1])
         levels = levels[:-2] + [folded]
-        chain = chain[: len(levels)] + [ExtensionField(chain[len(levels) - 1],
-                                                       tuple(folded))]
     return UniPoly.from_list(levels[0])
 
 
@@ -747,8 +873,8 @@ def _relative_primitive(tower: FieldTower, over: FieldTower) -> list:
     base_height = over.height
     levels = [list(lev) for lev in tower.levels[base_height:]]
     while len(levels) > 1:
-        B = chain[base_height + len(levels) - 2]
-        folded = _fold_two_levels(B, levels[-2], levels[-1])
+        folded = _fold_two_levels(chain[base_height + len(levels) - 1],
+                                  levels[-1])
         levels = levels[:-2] + [folded]
     return levels[0]
 

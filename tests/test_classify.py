@@ -466,7 +466,7 @@ SPLITTING_FIELD_TABLE = {
 
 # galois_closure_is_2power folds this degree-12 field to a primitive
 # element and splits it over its own field; that finishes with the right
-# degree, but takes 7-10 minutes on a 2-vCPU x86-64 VM
+# degree, but takes about 50 s on a 2-vCPU x86-64 VM
 _CLOSURE_TOO_SLOW = {"x^3-2 over Q(i)"}
 
 

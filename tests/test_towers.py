@@ -11,6 +11,14 @@ from heavenly.errors import (
     ReducibleExtensionError,
     ResourceCapError,
 )
+from heavenly.classify import (
+    EllipticInput,
+    JacobianInput,
+    WeilRestrictionInput,
+    two_torsion_field_elliptic,
+    two_torsion_field_jacobian,
+    two_torsion_field_weil,
+)
 from heavenly.polynomials import UniPoly, parse_polynomial
 from heavenly.factorization import is_irreducible_over_q
 from heavenly.towers import (
@@ -287,3 +295,261 @@ def test_field_chain_structure():
 def test_parse_polynomial_integration():
     f = parse_polynomial("x^4 - 2")
     assert splitting_degree(f) == 8
+
+
+# ---------------------------------------------------------------------------
+# Element arithmetic against a Fraction reference, and frozen towers.
+
+
+def random_element(F, rng):
+    """A seeded element with small numerators and denominators, built
+    coordinate by coordinate over the field below."""
+    if F.base is None:
+        return Fraction(rng.randrange(-9, 10), rng.randrange(1, 5))
+    return F.from_coords([random_element(F.base, rng)
+                          for _ in range(F.degree)])
+
+
+def flat_levels(tower):
+    """Each level's coefficients, flattened to Fractions over Q."""
+    chain = field_chain(tower)
+    return [[list(F.flatten(c)) for c in lev]
+            for F, lev in zip(chain, tower.levels)]
+
+
+def reference_mul(levels, a, b):
+    """Product of flattened elements by schoolbook multiplication and
+    reduction on Fraction lists, one level at a time."""
+    if not levels:
+        return [a[0] * b[0]]
+    below, modulus = levels[:-1], levels[-1]
+    d = len(modulus) - 1
+    w = len(a) // d
+    prod = [[Fraction(0)] * w for _ in range(2 * d - 1)]
+    for i in range(d):
+        for j in range(d):
+            term = reference_mul(below, a[i * w:(i + 1) * w],
+                                 b[j * w:(j + 1) * w])
+            prod[i + j] = [x + y for x, y in zip(prod[i + j], term)]
+    for k in range(2 * d - 2, d - 1, -1):
+        for j in range(d):
+            term = reference_mul(below, prod[k], modulus[j])
+            prod[k - d + j] = [x - y for x, y in zip(prod[k - d + j], term)]
+    return [x for piece in prod[:d] for x in piece]
+
+
+def stacked(*levels):
+    """A tower from level makers, each given the field below; irreducibility
+    is left to test_non_integral_levels_are_irreducible, so arithmetic
+    tests do not depend on factoring."""
+    tower = FieldTower()
+    for make in levels:
+        tower = FieldTower(tower.levels + (tuple(make(tower_field(tower))),))
+    return tower
+
+
+def non_integral_tower():
+    """Q(sqrt2), then z^2 + z/2 + 1, then w^2 + w/3 - z/5: two levels whose
+    moduli have non-integral coefficients."""
+    return stacked(
+        lambda Q: [Q.from_fraction(-2), Q.zero(), Q.one()],
+        lambda K: [K.one(), K.from_fraction(Fraction(1, 2)), K.one()],
+        lambda F: [F.scale(F.generator(), Fraction(-1, 5)),
+                   F.from_fraction(Fraction(1, 3)), F.one()])
+
+
+def non_integral_over_q():
+    """r^2 - r/3 + 1/2 over Q, then y^3 - r/2: non-integral from the first
+    level up."""
+    return stacked(
+        lambda Q: [Fraction(1, 2), Fraction(-1, 3), Q.one()],
+        lambda F: [F.scale(F.generator(), Fraction(-1, 2)), F.zero(),
+                   F.zero(), F.one()])
+
+
+def arithmetic_towers():
+    """Towers for the arithmetic tests, none of them built by factoring."""
+    return [("Q(i)", base_field("Q(i)")),
+            ("non-integral over Q(sqrt2)", non_integral_tower()),
+            ("non-integral over Q", non_integral_over_q()),
+            ("Weil D=3", frozen_tower("Weil D=3"))]
+
+
+def test_non_integral_levels_are_irreducible():
+    for tower in (non_integral_tower(), non_integral_over_q()):
+        rebuilt = FieldTower()
+        for level in tower.levels:
+            rebuilt = extend(rebuilt, list(level))
+        assert rebuilt == tower
+
+
+def test_tower_multiplication_matches_fraction_reference():
+    rng = random.Random(61)
+    for name, tower in arithmetic_towers():
+        F = tower_field(tower)
+        levels = flat_levels(tower)
+        for _ in range(3 if F.absolute_degree > 8 else 20):
+            a, b = random_element(F, rng), random_element(F, rng)
+            expected = reference_mul(levels, list(F.flatten(a)),
+                                     list(F.flatten(b)))
+            assert list(F.flatten(F.mul(a, b))) == expected, name
+            assert F.flatten(F.add(a, b)) == tuple(
+                x + y for x, y in zip(F.flatten(a), F.flatten(b))), name
+            q = Fraction(rng.randrange(-9, 10), rng.randrange(1, 5))
+            assert F.flatten(F.scale(a, q)) == tuple(
+                q * x for x in F.flatten(a)), name
+
+
+def test_tower_multiplication_is_a_ring_product():
+    rng = random.Random(67)
+    for name, tower in arithmetic_towers():
+        F = tower_field(tower)
+        for _ in range(4 if F.absolute_degree > 8 else 25):
+            a, b, c = (random_element(F, rng) for _ in range(3))
+            assert F.mul(F.mul(a, b), c) == F.mul(a, F.mul(b, c)), name
+            assert F.mul(a, b) == F.mul(b, a), name
+            assert F.mul(a, F.add(b, c)) == F.add(F.mul(a, b),
+                                                  F.mul(a, c)), name
+            assert F.sub(F.add(a, b), b) == a, name
+            assert F.mul(a, F.one()) == a, name
+            if not F.is_zero(a):
+                assert F.mul(a, F.inv(a)) == F.one(), name
+            # equal values are equal, hashable elements
+            assert hash(F.mul(a, b)) == hash(F.mul(b, a)), name
+
+
+def test_norm_is_multiplicative_and_a_power_on_the_base():
+    rng = random.Random(73)
+    for name, tower in arithmetic_towers():
+        F = tower_field(tower)
+        B = F.base
+        for _ in range(3 if F.absolute_degree > 8 else 15):
+            a, b = random_element(F, rng), random_element(F, rng)
+            assert F.norm(F.mul(a, b)) == B.mul(F.norm(a), F.norm(b)), name
+            c = random_element(B, rng)
+            power = B.one()
+            for _ in range(F.degree):
+                power = B.mul(power, c)
+            assert F.norm(F.from_base(c)) == power, name
+            # the norm of a + generator is (-1)^d modulus(-a) for a below
+            y = F.add(F.from_base(c), F.generator())
+            value = B.zero()
+            for coeff in reversed(F.modulus):
+                value = B.add(B.mul(value, B.neg(c)), coeff)
+            expected = value if F.degree % 2 == 0 else B.neg(value)
+            assert F.norm(y) == expected, name
+
+
+def test_tower_embeddings_round_trip():
+    rng = random.Random(71)
+    for name, tower in arithmetic_towers():
+        F = tower_field(tower)
+        B = F.base
+        for _ in range(10):
+            q = Fraction(rng.randrange(-9, 10), rng.randrange(1, 5))
+            assert F.flatten(F.from_fraction(q)) == (
+                (q,) + (Fraction(0),) * (F.absolute_degree - 1)), name
+            c = random_element(B, rng)
+            assert F.coords(F.from_base(c)) == [c] + [B.zero()] * (
+                F.degree - 1), name
+            a = random_element(F, rng)
+            assert F.from_coords(F.coords(a)) == a, name
+            assert F.flatten(a) == tuple(
+                x for coeff in F.coords(a) for x in B.flatten(coeff)), name
+
+
+def test_non_integral_level_factors_and_splits():
+    t = non_integral_tower()
+    F = tower_field(t)
+    K = F.base
+    w = F.generator()
+    z = F.from_base(K.generator())
+    assert F.mul(w, w) == F.sub(F.scale(z, Fraction(1, 5)),
+                                F.scale(w, Fraction(1, 3)))
+    # the top modulus splits over its own field, with roots w and -1/3 - w
+    facs = factor_over_tower(t, [F.from_base(c) for c in t.levels[-1]])
+    roots = {F.neg(g[0]) for g, _ in facs}
+    assert roots == {w, F.sub(F.from_fraction(Fraction(-1, 3)), w)}
+    # z^2 + z/2 + 1 has the roots z and -1/2 - z
+    facs = factor_over_tower(t, [F.from_base(K.from_base(c))
+                                 for c in t.levels[1]])
+    roots = {F.neg(g[0]) for g, _ in facs}
+    assert roots == {z, F.sub(F.from_fraction(Fraction(-1, 2)), z)}
+
+
+# Flattened FieldTower.levels of the hard set's first round, frozen from
+# the nested-Fraction implementation: per level, each coefficient as its
+# nonzero (flat index, value) pairs.  Equal levels mean equal tie-breaks.
+FROZEN_TOWERS = {
+    "x^5 - 2 over Q": ([5, 4], [
+        (((0, -2),), (), (), (), (), ((0, 1),)),
+        (((4, 1),), ((3, 1),), ((2, 1),), ((1, 1),), ((0, 1),)),
+    ]),
+    "x^3 - 2 over Q(sqrt-2)": ([2, 3, 2], [
+        (((0, 2),), (), ((0, 1),)),
+        (((0, -2),), (), (), ((0, 1),)),
+        (((4, 1),), ((2, 1),), ((0, 1),)),
+    ]),
+    "Weil D=3": ([2, 3, 2, 3, 2], [
+        (((0, -3),), (), ((0, 1),)),
+        (((0, -1), (1, -1)), ((0, -1),), (), ((0, 1),)),
+        (((0, -1), (4, 1)), ((2, 1),), ((0, 1),)),
+        (((0, -1), (1, 1)), ((0, -1),), (), ((0, 1),)),
+        (((0, -1), (24, 1)), ((12, 1),), ((0, 1),)),
+    ]),
+}
+
+
+def from_flat(F, flat):
+    """The element of F with the given flattened coordinates."""
+    if F.base is None:
+        return Fraction(flat[0])
+    w = F.base.absolute_degree
+    return F.from_coords([from_flat(F.base, flat[i * w:(i + 1) * w])
+                          for i in range(F.degree)])
+
+
+def frozen_tower(name):
+    """The tower of FROZEN_TOWERS[name], rebuilt level by level."""
+    degrees, levels = FROZEN_TOWERS[name]
+    makers = []
+    width = 1
+    for d, level in zip(degrees, levels):
+        def make(F, level=level, width=width):
+            out = []
+            for pairs in level:
+                flat = [0] * width
+                for k, q in pairs:
+                    flat[k] = q
+                out.append(from_flat(F, flat))
+            return out
+        makers.append(make)
+        width *= d
+    return stacked(*makers)
+
+
+def sparse_levels(tower):
+    return [tuple(tuple((k, q) for k, q in enumerate(coeff) if q)
+                  for coeff in lev)
+            for lev in flat_levels(tower)]
+
+
+def test_hard_round_one_towers_frozen():
+    weil = WeilRestrictionInput.of("Q", 3, ((-1, -1), (-1, 0), (0, 0), (1, 0)))
+    built = {
+        "x^5 - 2 over Q": two_torsion_field_jacobian(
+            JacobianInput("Q", P(-2, 0, 0, 0, 0, 1))),
+        "x^3 - 2 over Q(sqrt-2)": two_torsion_field_elliptic(
+            EllipticInput("Q(sqrt-2)", P(-2, 0, 0, 1))),
+        "Weil D=3": two_torsion_field_weil(weil),
+    }
+    for name, (degrees, levels) in FROZEN_TOWERS.items():
+        tower = built[name]
+        assert tower.level_degrees() == degrees, name
+        widths = [len(lev[0]) for lev in flat_levels(tower)]
+        below = 1
+        for width, d in zip(widths, degrees):
+            assert width == below, name
+            below *= d
+        assert sparse_levels(tower) == levels, name
+        assert tower == frozen_tower(name), name
