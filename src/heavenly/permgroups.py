@@ -1,10 +1,16 @@
 """Finite permutation groups by explicit element enumeration.
 
 Groups here are small (a few hundred elements at most), so every operation
-works on the full element set: closure is breadth-first multiplication,
-normality and cores are checked element by element, and subgroup enumeration
-grows closures from cyclic seeds.  No stabilizer chains, no cleverness;
-the point is that every answer is directly auditable.
+works on the full element set.  `close_generators` is breadth-first
+multiplication of `Perm`s.  The search-heavy operations (subgroup
+enumeration, normality and cores in `core_bound_check`, the pair search and
+the regular representation) run on element indices instead: a cached
+multiplication table gives the index of every product, and an inverse index
+gives conjugates as two table lookups.  Subgroups are grown from the trivial
+one by adjoining one element g at a time, a single representative for each
+right coset h*g, and the closure of <h, g> multiplies only the new elements
+by the generators found so far.  No stabilizer chains; the point is that
+every answer is directly auditable.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from functools import lru_cache
 
 from .errors import InputError, ResourceCapError
 from .integers import factorize
-from .permutations import Perm, parse_cycles
+from .permutations import Perm, compose_images, parse_cycles
 
 DEFAULT_ELEMENT_CAP = 1_000_000
 SUBGROUP_ORDER_CAP = 400
@@ -155,12 +161,44 @@ def group_from_cycles(degree: int, *cycle_strings: str) -> PermGroup:
 
 @lru_cache(maxsize=16)
 def _mult_table(group: PermGroup) -> tuple[list[list[int]], int]:
-    """(table, identity_index); table[i][j] = index of elements[i]*elements[j]."""
-    elems = group.elements
-    index = {p: k for k, p in enumerate(elems)}
-    table = [[index[a * b] for b in elems] for a in elems]
-    e_idx = index[Perm.identity(group.degree)]
+    """(table, identity_index); table[i][j] = index of elements[i]*elements[j].
+
+    Only the rows of a few generators, taken greedily in element order, are
+    composed from image tuples.  Every other row is a known row read through
+    a generator's row: elements[y] = elements[x]*s gives
+    table[y][j] = table[x][table[s][j]].
+    """
+    images = [p.images for p in group.elements]
+    index = {im: k for k, im in enumerate(images)}
+    n = len(images)
+    table: list = [None] * n
+    e_idx = index[tuple(range(1, group.degree + 1))]
+    table[e_idx] = list(range(n))
+    reached = [e_idx]
+    gens: list[int] = []
+    for s in range(n):
+        if table[s] is not None:
+            continue
+        table[s] = [index[compose_images(images[s], b)] for b in images]
+        gens.append(s)
+        reached.append(s)
+        stack = reached[:]
+        while stack:
+            row = table[stack.pop()]
+            for g in gens:
+                y = row[g]
+                if table[y] is None:
+                    table[y] = list(map(row.__getitem__, table[g]))
+                    reached.append(y)
+                    stack.append(y)
     return table, e_idx
+
+
+def right_regular_images(group: PermGroup) -> tuple[tuple[int, ...], ...]:
+    """Entry k is the index map x -> x * elements[k] on element indices:
+    the right regular representation, read off column k of the table."""
+    table, _ = _mult_table(group)
+    return tuple(zip(*table))
 
 
 @dataclass(frozen=True)
@@ -177,9 +215,12 @@ def two_generation_search(group: PermGroup,
     """Search all ordered pairs (a, b) for <a, b> = group.
 
     With require_involution, only pairs whose second entry squares to the
-    identity are examined (the identity counts).  No other pruning: the
-    search space is exactly |G|^2 ordered pairs, or |G| * #involutions with
-    the flag.
+    identity are examined (the identity counts).  Every pair is examined and
+    counted, in order: the search space is exactly |G|^2 ordered pairs, or
+    |G| * #involutions with the flag.  Since <a, b> depends only on the
+    cyclic subgroups <a> and <b>, the closure runs once per unordered pair
+    {<a>, <b>}, and later pairs with the same cyclic subgroups reuse its
+    decision.
     """
     table, e_idx = _mult_table(group)
     n = group.order
@@ -187,15 +228,39 @@ def two_generation_search(group: PermGroup,
         second = [j for j in range(n) if table[j][j] == e_idx]
     else:
         second = list(range(n))
+    cyclic = _cyclic_subgroup_ids(table, e_idx)
+    decided: dict[tuple[int, int], bool] = {}
     pairs = 0
     for i in range(n):
+        ci = cyclic[i]
         for j in second:
             pairs += 1
-            if _pair_closure_is_full(table, e_idx, i, j, n):
+            cj = cyclic[j]
+            key = (ci, cj) if ci <= cj else (cj, ci)
+            full = decided.get(key)
+            if full is None:
+                full = decided[key] = _pair_closure_is_full(
+                    table, e_idx, i, j, n)
+            if full:
                 return TwoGenerationSearch(
                     True, pairs, (group.elements[i], group.elements[j])
                 )
     return TwoGenerationSearch(False, pairs, None)
+
+
+def _cyclic_subgroup_ids(table, e_idx) -> list[int]:
+    """For each element index, a label shared exactly by the elements that
+    generate the same cyclic subgroup."""
+    labels: dict[frozenset[int], int] = {}
+    out = []
+    for i, row in enumerate(table):
+        powers = {e_idx}
+        x = i
+        while x != e_idx:
+            powers.add(x)
+            x = row[x]
+        out.append(labels.setdefault(frozenset(powers), len(labels)))
+    return out
 
 
 def _pair_closure_is_full(table, e_idx, i, j, target):
@@ -224,17 +289,24 @@ def two_generated(group: PermGroup, require_involution: bool = False) -> bool:
 # Subgroup enumeration.
 
 
-def _close_indices(seed: frozenset[int], table) -> frozenset[int]:
-    """Closure of an index set under the group multiplication."""
-    seen = set(seed)
-    stack = list(seed)
+def _adjoin(table, h: frozenset[int], gens: tuple[int, ...],
+            g: int) -> frozenset[int]:
+    """<h, g> for a subgroup h generated by gens and an element g not in h.
+
+    The coset h*g is new; closing it under right multiplication by gens and
+    g costs |<h, g>| * (#gens + 1) lookups.
+    """
+    seen = set(h)
+    stack = [table[x][g] for x in h]
+    seen.update(stack)
+    gens = gens + (g,)
     while stack:
-        x = stack.pop()
-        for y in list(seen):
-            for z in (table[x][y], table[y][x]):
-                if z not in seen:
-                    seen.add(z)
-                    stack.append(z)
+        row = table[stack.pop()]
+        for s in gens:
+            y = row[s]
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
     return frozenset(seen)
 
 
@@ -244,6 +316,7 @@ def enumerate_subgroups(group: PermGroup,
 
     Grows closures from the trivial subgroup by repeatedly adjoining single
     elements, deduplicating by element set; this reaches every subgroup.
+    Since <h, g> = <h, x*g> for x in h, one g per right coset h*g is tried.
     """
     if group.order > max_order:
         raise InputError(
@@ -254,16 +327,21 @@ def enumerate_subgroups(group: PermGroup,
     n = group.order
     trivial = frozenset({e_idx})
     known = {trivial}
-    frontier = [trivial]
+    frontier: list[tuple[frozenset[int], tuple[int, ...]]] = [(trivial, ())]
     while frontier:
-        h = frontier.pop()
+        h, gens = frontier.pop()
+        covered = bytearray(n)
+        for x in h:
+            covered[x] = 1
         for g in range(n):
-            if g in h:
+            if covered[g]:
                 continue
-            grown = _close_indices(h | {g}, table)
+            for x in h:
+                covered[table[x][g]] = 1
+            grown = _adjoin(table, h, gens, g)
             if grown not in known:
                 known.add(grown)
-                frontier.append(grown)
+                frontier.append((grown, gens + (g,)))
     out = []
     for idx_set in known:
         elems = tuple(sorted((group.elements[i] for i in idx_set),
@@ -339,6 +417,20 @@ class CoreBoundReport:
     # each violation: (|H|, |N|, core index, bound)
 
 
+def _conjugates(table, inverse, h, g):
+    """The indices of g^-1 * x * g for x in the index set h."""
+    row = table[inverse[g]]
+    return (table[row[x]][g] for x in h)
+
+
+def _normal_core(table, inverse, h: frozenset[int]) -> frozenset[int]:
+    """The intersection of all conjugates of the index set h."""
+    core = h
+    for g in range(len(table)):
+        core = core.intersection(_conjugates(table, inverse, h, g))
+    return core
+
+
 def core_bound_check(group: PermGroup) -> CoreBoundReport:
     """Check [G : core_G(H)] <= d * m^d for every chain H <| N <| G.
 
@@ -348,21 +440,31 @@ def core_bound_check(group: PermGroup) -> CoreBoundReport:
     if group.order > SUBGROUP_ORDER_CAP:
         raise InputError("core bound check capped at order 400")
     subs = enumerate_subgroups(group)
-    normal_in_g = [n for n in subs if n.is_normal_in(group)]
+    table, e_idx = _mult_table(group)
+    inverse = [row.index(e_idx) for row in table]
+    index = {p: k for k, p in enumerate(group.elements)}
+    sets = [frozenset(index[p] for p in h.elements) for h in subs]
+
+    def is_normal(h, ambient):
+        return all(y in h for g in ambient
+                   for y in _conjugates(table, inverse, h, g))
+
     chains = 0
     violations = []
-    for n_sub in normal_in_g:
-        inner = [h for h in subs if h.is_subgroup_of(n_sub)
-                 and h.is_normal_in(n_sub)]
-        d = group.order // n_sub.order
-        for h in inner:
-            m = n_sub.order // h.order
+    for n_set in sets:
+        if not is_normal(n_set, range(group.order)):
+            continue
+        d = group.order // len(n_set)
+        for h_set in sets:
+            if not (h_set <= n_set and is_normal(h_set, n_set)):
+                continue
+            m = len(n_set) // len(h_set)
             chains += 1
-            core = h.normal_core_in(group)
-            core_index = group.order // core.order
+            core = _normal_core(table, inverse, h_set)
+            core_index = group.order // len(core)
             bound = d * m**d
             if core_index > bound:
-                violations.append((h.order, n_sub.order, core_index, bound))
+                violations.append((len(h_set), len(n_set), core_index, bound))
     return CoreBoundReport(chains, tuple(violations))
 
 

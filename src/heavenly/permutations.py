@@ -45,13 +45,13 @@ class Perm:
         """Left-to-right composition: apply self first, then other."""
         if self.degree != other.degree:
             raise InputError("composition of permutations of unequal degree")
-        return Perm(tuple(other.images[i - 1] for i in self.images))
+        return _unchecked(compose_images(self.images, other.images))
 
     def inverse(self) -> "Perm":
         out = [0] * self.degree
         for i, img in enumerate(self.images, start=1):
             out[img - 1] = i
-        return Perm(tuple(out))
+        return _unchecked(tuple(out))
 
     def is_identity(self) -> bool:
         return all(img == i for i, img in enumerate(self.images, start=1))
@@ -91,6 +91,19 @@ class Perm:
 
     def __repr__(self) -> str:
         return f"Perm({format_cycles(self)}, degree={self.degree})"
+
+
+def compose_images(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """Image tuple of a then b, for image tuples of equal length."""
+    return tuple(map(((0,) + b).__getitem__, a))
+
+
+def _unchecked(images: tuple[int, ...]) -> Perm:
+    """A Perm without the permutation check, for images already known valid
+    (products and inverses of validated permutations)."""
+    p = object.__new__(Perm)
+    object.__setattr__(p, "images", images)
+    return p
 
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")

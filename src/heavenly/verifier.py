@@ -21,6 +21,7 @@ from .permgroups import (
     core_bound_check,
     enumerate_subgroups,
     group_from_cycles,
+    right_regular_images,
     s3_times_s3,
     subdirect_products_s3,
     sylow_two_subgroup_s8,
@@ -208,7 +209,7 @@ _CURVE_64A1 = UniPoly.of(0, -4, 0, 1)
 
 def _compose(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     """Composite of index maps: first apply a, then b."""
-    return tuple(b[a[i]] for i in range(len(a)))
+    return tuple(map(b.__getitem__, a))
 
 
 def _close_tuples(generators: list[tuple[int, ...]]) -> set[tuple[int, ...]]:
@@ -237,16 +238,14 @@ def verify_dim272() -> LemmaReport:
     c.expect("is_two_group", group.is_p_group(), False)
     # The regular action permutes element indices; the Perm type caps its
     # degree too low for 272 points, so compose plain index tuples here.
-    elems = group.elements
-    index = {p: k for k, p in enumerate(elems)}
-    regular = {g: tuple(index[x * g] for x in elems) for g in elems}
+    regular = right_regular_images(group)
+    position = {p: k for k, p in enumerate(group.elements)}
     identity = tuple(range(group.order))
     c.expect("regular_degree", group.order, 272)
-    c.expect("regular_distinct_images",
-             len(set(regular.values())), group.order)
+    c.expect("regular_distinct_images", len(set(regular)), group.order)
     c.expect("regular_kernel_size",
-             sum(1 for t in regular.values() if t == identity), 1)
-    image = _close_tuples([regular[g] for g in group.generators])
+             sum(1 for t in regular if t == identity), 1)
+    image = _close_tuples([regular[position[g]] for g in group.generators])
     c.expect("regular_image_order", len(image), 272)
     for name, cubic in (("32a2", _CURVE_32A2), ("64a1", _CURVE_64A1)):
         tower = two_torsion_field_elliptic(EllipticInput("Q", cubic))

@@ -3,6 +3,7 @@
 import pytest
 import random
 
+from heavenly import permgroups
 from heavenly.errors import InputError, ResourceCapError
 from heavenly.permutations import Perm, parse_cycles
 from heavenly.permgroups import (
@@ -13,6 +14,7 @@ from heavenly.permgroups import (
     enumerate_subgroups,
     group_from_cycles,
     has_subgroup_of_index,
+    right_regular_images,
     s3_times_s3,
     subdirect_products_s3,
     sylow_two_subgroup_s8,
@@ -201,3 +203,164 @@ def test_conjugate_subgroup():
     c = h.conjugate_subgroup(parse_cycles("(2 3)", 4))
     assert c.order == 2
     assert parse_cycles("(1 3)", 4) in c
+
+
+# ---------------------------------------------------------------------------
+# The index-table operations against references built from Perm products.
+
+
+SMALL_GROUPS = {
+    "s4": lambda: sym(4),
+    "d4": lambda: group_from_cycles(4, "(1 2 3 4)", "(1 3)"),
+    "q8": lambda: group_from_cycles(8, "(1 2 3 4)(5 6 7 8)",
+                                    "(1 5 3 7)(2 8 4 6)"),
+    "a4": lambda: group_from_cycles(4, "(1 2 3)", "(2 3 4)"),
+    "c2_cubed": lambda: group_from_cycles(6, "(1 2)", "(3 4)", "(5 6)"),
+    "s3xs3": s3_times_s3,
+}
+
+
+def reference_table(group):
+    index = {p: k for k, p in enumerate(group.elements)}
+    return [[index[a * b] for b in group.elements] for a in group.elements]
+
+
+def reference_subgroups(group):
+    """The quadratic closure that adjoins every element g to every subgroup."""
+    table = reference_table(group)
+
+    def close(seed):
+        seen = set(seed)
+        stack = list(seed)
+        while stack:
+            x = stack.pop()
+            for y in list(seen):
+                for z in (table[x][y], table[y][x]):
+                    if z not in seen:
+                        seen.add(z)
+                        stack.append(z)
+        return frozenset(seen)
+
+    identity = group.elements.index(Perm.identity(group.degree))
+    known = {frozenset({identity})}
+    frontier = list(known)
+    while frontier:
+        h = frontier.pop()
+        for g in range(group.order):
+            grown = close(h | {g})
+            if grown not in known:
+                known.add(grown)
+                frontier.append(grown)
+    return sorted(
+        (len(s), tuple(sorted(group.elements[i].images for i in s)))
+        for s in known)
+
+
+def test_mult_table_is_cached_for_traced_runs():
+    assert callable(permgroups._mult_table.cache_info)
+
+
+@pytest.mark.parametrize("group", [
+    PermGroup.trivial(3), sym(3).stabilizer_of(1), sym(4),
+    sylow_two_subgroup_s8(), affine_group_f17(),
+], ids=["trivial", "stabilizer", "s4", "octic", "affine"])
+def test_mult_table_matches_perm_products(group):
+    table, e_idx = permgroups._mult_table(group)
+    assert table == reference_table(group)
+    assert group.elements[e_idx].is_identity()
+
+
+def test_right_regular_images_are_right_multiplication():
+    group = affine_group_f17()
+    index = {p: k for k, p in enumerate(group.elements)}
+    regular = right_regular_images(group)
+    for k in (0, 1, 100, 271):
+        g = group.elements[k]
+        assert regular[k] == tuple(index[x * g] for x in group.elements)
+
+
+@pytest.mark.parametrize("name,count", [
+    ("s4", 30), ("d4", 10), ("q8", 6), ("a4", 10), ("c2_cubed", 16),
+    ("s3xs3", 60),
+])
+def test_enumerate_subgroups_matches_quadratic_closure(name, count):
+    group = SMALL_GROUPS[name]()
+    subs = enumerate_subgroups(group)
+    found = [(h.order, tuple(p.images for p in h.elements)) for h in subs]
+    assert len(found) == count
+    assert found == reference_subgroups(group)
+    assert all(h.generators == h.elements for h in subs)
+
+
+def reference_core_bound(group):
+    subs = enumerate_subgroups(group)
+    chains = 0
+    violations = []
+    for n_sub in subs:
+        if not n_sub.is_normal_in(group):
+            continue
+        d = group.order // n_sub.order
+        for h in subs:
+            if not (h.is_subgroup_of(n_sub) and h.is_normal_in(n_sub)):
+                continue
+            m = n_sub.order // h.order
+            chains += 1
+            core_index = group.order // h.normal_core_in(group).order
+            if core_index > d * m**d:
+                violations.append((h.order, n_sub.order, core_index, d * m**d))
+    return chains, tuple(violations)
+
+
+@pytest.mark.parametrize("name", ["s4", "s3xs3"])
+def test_core_bound_matches_perm_reference_on_every_subgroup(name):
+    for sub in enumerate_subgroups(SMALL_GROUPS[name]()):
+        report = core_bound_check(sub)
+        assert (report.chains_checked, report.violations) == \
+            reference_core_bound(sub)
+
+
+@pytest.mark.parametrize("name", ["s4", "s3xs3"])
+def test_index_cores_match_normal_core_in(name):
+    group = SMALL_GROUPS[name]()
+    table, e_idx = permgroups._mult_table(group)
+    inverse = [row.index(e_idx) for row in table]
+    index = {p: k for k, p in enumerate(group.elements)}
+    for h in enumerate_subgroups(group):
+        h_set = frozenset(index[p] for p in h.elements)
+        core = permgroups._normal_core(table, inverse, h_set)
+        assert core == {index[p] for p in h.normal_core_in(group).elements}
+
+
+@pytest.mark.parametrize("name,chains", [
+    ("s4", 13), ("d4", 22), ("c2_cubed", 66), ("s3xs3", 46),
+])
+def test_core_bound_chain_counts(name, chains):
+    report = core_bound_check(SMALL_GROUPS[name]())
+    assert report.chains_checked == chains
+    assert report.violations == ()
+
+
+def reference_pair_search(group, require_involution):
+    second = [b for b in group.elements
+              if not require_involution or b.is_involution()]
+    pairs = 0
+    for a in group.elements:
+        for b in second:
+            pairs += 1
+            if close_generators([a, b]).order == group.order:
+                return True, pairs, (a, b)
+    return False, pairs, None
+
+
+@pytest.mark.parametrize("name,expected", [
+    ("s4", (True, 33)), ("d4", (True, 11)), ("q8", (True, 13)),
+    ("a4", (True, 16)), ("s3xs3", (True, 268)), ("c2_cubed", (False, 64)),
+])
+def test_pair_search_matches_uncached_reference(name, expected):
+    group = SMALL_GROUPS[name]()
+    for require_involution in (False, True):
+        result = two_generation_search(group, require_involution)
+        assert (result.generates, result.pairs_examined, result.witness) == \
+            reference_pair_search(group, require_involution)
+    plain = two_generation_search(group)
+    assert (plain.generates, plain.pairs_examined) == expected

@@ -100,3 +100,33 @@ def test_cycles_structure():
     p = parse_cycles("(1 4)(2 3 5)", 5)
     assert p.cycles() == [(1, 4), (2, 3, 5)]
     assert p.order() == 6
+
+
+def test_constructor_still_validates():
+    with pytest.raises(InputError):
+        Perm((1, 1, 2))
+    with pytest.raises(InputError):
+        Perm(tuple(range(1, 19)))  # degree 18, past the cap
+    with pytest.raises(InputError):
+        parse_cycles("(1 2)", 18)
+
+
+def test_products_and_inverses_equal_validated_perms():
+    rng = random.Random(29)
+    for _ in range(300):
+        n = rng.randrange(1, MAX_DEGREE + 1)
+        p, q = (Perm(tuple(rng.sample(range(1, n + 1), n))) for _ in range(2))
+        product = p * q
+        assert product == Perm(tuple(q(p(i)) for i in range(1, n + 1)))
+        assert hash(product) == hash(Perm(product.images))
+        inverse = p.inverse()
+        expected = [0] * n
+        for i in range(1, n + 1):
+            expected[p(i) - 1] = i
+        assert inverse == Perm(tuple(expected))
+        assert type(product) is Perm and type(inverse) is Perm
+
+
+def test_unequal_degree_product_raises():
+    with pytest.raises(InputError):
+        Perm.identity(3) * Perm.identity(4)
