@@ -1,14 +1,15 @@
-"""Odd ramified primes of a number field given as an explicit tower.
+"""Odd ramified primes of number fields given by rational polynomials.
 
-Every tower is reduced to a monic integral defining polynomial via its
-primitive element; each odd prime dividing the polynomial discriminant is
-then decided by a three-step ladder: odd valuation, Dedekind's criterion,
-and (when the power order is not p-maximal) enlargement to a p-maximal
-order in the style of the Round-2 algorithm.
+Each odd prime dividing a polynomial discriminant is decided by a
+three-step ladder: odd valuation, Dedekind's criterion, and (when the power
+order is not p-maximal) enlargement to a p-maximal order in the style of
+the Round-2 algorithm.
 
 A splitting field over Q needs no tower at all: a prime ramifies in it
 exactly when it ramifies in the field of one root of some irreducible
-factor, so the ladder runs on those small factors instead.
+factor, so the ladder runs on those small factors instead.  A tower
+ramifies where its Galois closure does, and that closure is the splitting
+field of its level moduli's norms to Q, so a tower reduces to that case.
 """
 
 from __future__ import annotations
@@ -28,22 +29,26 @@ from .factorization import (
 )
 from .integers import odd_prime_divisors, valuation
 from .polynomials import UniPoly, discriminant, make_monic_integral
-from .towers import FieldTower, primitive_element
+from .towers import FieldTower, _norm_poly, field_chain
 
-RAMIFICATION_DEGREE_CAP = 64
 ENLARGEMENT_CAP = 64
 
 
 def odd_ramified_primes(tower: FieldTower) -> set[int]:
-    """The set of odd primes dividing the field discriminant."""
-    if tower.absolute_degree > RAMIFICATION_DEGREE_CAP:
-        raise ResourceCapError(
-            f"ramification analysis degree {tower.absolute_degree} exceeds "
-            f"cap {RAMIFICATION_DEGREE_CAP}"
-        )
-    if not tower.levels:
-        return set()
-    return _odd_ramified_of_polynomial(primitive_element(tower))
+    """The set of odd primes dividing the field discriminant.
+
+    A field ramifies at the same primes as its Galois closure, which is the
+    splitting field over Q of the level moduli's norms to Q: the roots of
+    each norm are the conjugates of that level's generator.
+    """
+    chain = field_chain(tower)
+    norms = []
+    for height, modulus in enumerate(tower.levels):
+        g = list(modulus)
+        for F in reversed(chain[1:height + 1]):
+            g = _norm_poly(F, g, (len(g) - 1) * F.degree)
+        norms.append(UniPoly.from_list(g))
+    return splitting_field_odd_ramified(norms)
 
 
 def splitting_field_odd_ramified(polys) -> set[int]:

@@ -16,8 +16,8 @@ Factoring over a tower runs on norms: shift the variable by multiples of the
 top generator until the resultant with the top minimal polynomial (the norm,
 computed by evaluation and interpolation over the subfield) is squarefree,
 factor that norm one level down recursively, and pull factors back up with
-gcds.  Primitive elements come from the same resultant trick, folding the
-top two levels until one remains.
+gcds.  The same norms, taken level by level down to Q, give rational
+polynomials whose splitting field is the tower's Galois closure.
 """
 
 from __future__ import annotations
@@ -460,13 +460,6 @@ def _gp_deriv(F, f):
     return _gp_trim(F, out)
 
 
-def _gp_eval(F, f, x):
-    acc = F.zero()
-    for c in reversed(f):
-        acc = F.add(F.mul(acc, x), c)
-    return acc
-
-
 def _gp_taylor_shift(F, f, c):
     """f(x + c) by Horner in the linear polynomial x + c."""
     out: list = []
@@ -813,124 +806,6 @@ def splitting_degree(f, tower: FieldTower = FieldTower(),
     return result.absolute_degree // tower.absolute_degree
 
 
-# ---------------------------------------------------------------------------
-# Primitive elements: fold the top two levels until one remains.
-
-
-def _fold_two_levels(L, upper):
-    """One level over L.base whose root generates both given levels.
-
-    L is the extension of B = L.base by the lower level; upper is over L.
-    Tries generators
-    top + k*lower_generator for k = 1, 2, ...; the resultant in the lower
-    variable is squarefree exactly when that combination is primitive, and
-    a squarefree characteristic polynomial of full degree is the minimal
-    polynomial, hence irreducible.
-    """
-    B = L.base
-    m = L.degree * (len(upper) - 1)
-    for k in range(1, 64):
-        # M(x, y) = sum_i rep_y(upper_i) * (x - k*y)^i; interpolate
-        # R(x) = Res_y(lower(y), M(x, y)) through m+1 integer nodes, where
-        # R(t) is the norm from L to B of upper(t - k*y) with y in L.
-        nodes = []
-        values = []
-        t = 0
-        while len(nodes) < m + 1:
-            lin = L.sub(L.from_fraction(t), L.scale(L.generator(), k))
-            values.append(L.norm(_gp_eval(L, upper, lin)))
-            nodes.append(t)
-            t = -t if t > 0 else -t + 1
-        folded = _gp_interpolate(B, nodes, values)
-        if len(folded) - 1 != m:
-            raise ArithmeticError("fold interpolation degree mismatch")
-        folded = _gp_monic(B, folded)
-        if _gp_squarefree(B, folded):
-            return folded
-    raise ArithmeticError("no primitive shift found in 64 attempts")
-
-
-def primitive_element(tower: FieldTower) -> UniPoly:
-    """Monic irreducible over Q whose root generates the whole tower."""
-    if tower.height == 0:
-        raise InputError("height-0 tower has no primitive element polynomial")
-    chain = field_chain(tower)
-    levels = [list(lev) for lev in tower.levels]
-    while len(levels) > 1:
-        # levels[-2] is still an original level, so chain has its field
-        folded = _fold_two_levels(chain[len(levels) - 1], levels[-1])
-        levels = levels[:-2] + [folded]
-    return UniPoly.from_list(levels[0])
-
-
-# ---------------------------------------------------------------------------
-# Compositum and Galois closure.
-
-
-def _relative_primitive(tower: FieldTower, over: FieldTower) -> list:
-    """Single polynomial over `over` generating `tower` above it."""
-    chain = field_chain(tower)
-    base_height = over.height
-    levels = [list(lev) for lev in tower.levels[base_height:]]
-    while len(levels) > 1:
-        folded = _fold_two_levels(chain[base_height + len(levels) - 1],
-                                  levels[-1])
-        levels = levels[:-2] + [folded]
-    return levels[0]
-
-
-def compositum_tower(k1: FieldTower, k2: FieldTower,
-                     over: FieldTower) -> FieldTower:
-    """A compositum of k1 and k2 over a common prefix tower.
-
-    Folds k2 above `over` to a single relative polynomial, factors it over
-    k1, and extends k1 by the first factor of maximal degree (no extension
-    when a linear factor is maximal, i.e. k2 embeds into k1 already).
-    """
-    if not (k1.extends(over) and k2.extends(over)):
-        raise InputError("compositum requires both towers to extend the base")
-    if k2.height == over.height:
-        return k1
-    if k1.height == over.height:
-        return k2
-    rel = _relative_primitive(k2, over)
-    chain1 = field_chain(k1)
-    lifted = _embed_up(field_chain(over), chain1, rel)
-    F = chain1[-1]
-    facs = factor_over_tower(k1, lifted)
-    best = max(len(g) - 1 for g, _ in facs)
-    if best == 1:
-        return k1
-    chosen = min((g for g, _ in facs if len(g) - 1 == best),
-                 key=lambda h: flatten_poly(F, h))
-    return _extend_unchecked(k1, chosen)
-
-
-def compositum_degree(k1: FieldTower, k2: FieldTower,
-                      over: FieldTower) -> int:
-    """Degree of the compositum of k1 and k2 over the common base tower."""
-    comp = compositum_tower(k1, k2, over)
-    if over.absolute_degree == 0 or comp.absolute_degree % over.absolute_degree:
-        raise ArithmeticError("compositum degree not divisible by base")
-    return comp.absolute_degree // over.absolute_degree
-
-
-def galois_closure_is_2power(tower: FieldTower,
-                             degree_cap: int = SPLITTING_DEGREE_CAP
-                             ) -> tuple[bool, int]:
-    """Whether the Galois closure over Q has 2-power degree, and that degree.
-
-    Computes the splitting tower over Q of the tower's primitive element
-    polynomial; the closure degree is its absolute degree.
-    """
-    if tower.height == 0:
-        return True, 1
-    mu = primitive_element(tower)
-    closure = splitting_tower(mu, FieldTower(), degree_cap)
-    d = closure.absolute_degree
-    return (d & (d - 1)) == 0, d
-
-
 __all__ = [
     "NORM_DEGREE_CAP",
     "SPLITTING_DEGREE_CAP",
@@ -947,8 +822,4 @@ __all__ = [
     "extend",
     "splitting_tower",
     "splitting_degree",
-    "primitive_element",
-    "compositum_tower",
-    "compositum_degree",
-    "galois_closure_is_2power",
 ]

@@ -2,13 +2,9 @@
 
 import random
 
-import pytest
-
-from heavenly.errors import ResourceCapError
 from heavenly.integers import factorize, odd_prime_divisors
 from heavenly.polynomials import UniPoly, discriminant, parse_polynomial
 from heavenly.ramification import (
-    RAMIFICATION_DEGREE_CAP,
     _dedekind_is_p_maximal,
     _odd_ramified_of_polynomial,
     _p_maximal_index_valuation,
@@ -16,7 +12,14 @@ from heavenly.ramification import (
     splitting_field_odd_ramified,
     unramified_away_2,
 )
-from heavenly.towers import base_field, extend, splitting_tower
+from heavenly.towers import (
+    BASE_FIELD_POLYS,
+    _extend_unchecked,
+    base_field,
+    extend,
+    splitting_tower,
+    tower_field,
+)
 
 
 def tower_of(text):
@@ -114,22 +117,40 @@ def test_splitting_field_reads_rational_factors():
 
 
 def test_splitting_field_agrees_with_its_tower():
-    for text in ("x^4-2", "x^3-2", "x^3-x-1", "x^4-8*x^2+15"):
+    for text in ("x^4-2", "x^3-2", "x^3-x-1", "x^4-8*x^2+15", "x^4+x+1"):
         f = parse_polynomial(text)
         assert splitting_field_odd_ramified([f]) == \
             odd_ramified_primes(splitting_tower(f)), text
 
 
-def test_degree_cap_enforced():
-    from heavenly.towers import _extend_unchecked, tower_field
-
+def test_degree_128_tower_over_sqrt2_decides():
+    # Q(2^(1/128)): seven quadratic levels, ramified only above 2
     K = base_field("Q(sqrt2)")
-    while K.absolute_degree <= RAMIFICATION_DEGREE_CAP:
+    while K.absolute_degree < 128:
         F = tower_field(K)
         K = _extend_unchecked(K, [F.neg(F.generator()), F.zero(), F.one()])
-    assert K.absolute_degree == 128
-    with pytest.raises(ResourceCapError):
-        odd_ramified_primes(K)
+    assert K.level_degrees() == [2] * 7
+    assert odd_ramified_primes(K) == set()
+
+
+def test_splitting_towers_over_bases_match_rational_factors():
+    # the splitting tower of f over a quadratic base is the splitting field
+    # of f and the base modulus over Q
+    rng = random.Random(20261018)
+    for tag in ("Q", "Q(i)", "Q(sqrt2)", "Q(sqrt-2)"):
+        modulus = BASE_FIELD_POLYS[tag]
+        extra = [] if modulus is None else [UniPoly.from_list(list(modulus))]
+        trials = 0
+        while trials < 10:
+            degree = rng.randint(2, 4)
+            f = UniPoly.of(*[rng.randint(-5, 5) for _ in range(degree)],
+                           rng.randint(1, 2))
+            if discriminant(f) == 0:
+                continue
+            tower = splitting_tower(f, base_field(tag))
+            assert odd_ramified_primes(tower) == \
+                splitting_field_odd_ramified([f] + extra), (tag, f)
+            trials += 1
 
 
 def test_quadratic_fields_match_squarefree_part_oracle():

@@ -1,4 +1,4 @@
-"""Extension towers: factoring, splitting fields, primitive elements."""
+"""Extension towers: field arithmetic, factoring, splitting fields."""
 
 from fractions import Fraction
 
@@ -20,19 +20,14 @@ from heavenly.classify import (
     two_torsion_field_weil,
 )
 from heavenly.polynomials import UniPoly, parse_polynomial
-from heavenly.factorization import is_irreducible_over_q
 from heavenly.towers import (
     FieldTower,
     base_field,
-    compositum_degree,
-    compositum_tower,
     extend,
     factor_over_tower,
     field_chain,
-    galois_closure_is_2power,
     is_irreducible_over_tower,
     lift_to_field,
-    primitive_element,
     splitting_degree,
     splitting_tower,
     tower_field,
@@ -179,74 +174,6 @@ def test_norm_degree_cap_fires_before_any_norm(monkeypatch):
     with pytest.raises(ResourceCapError,
                        match=r"^norm degree 12 exceeds cap 8$"):
         factor_over_tower(zeta8, P(-2, 0, 0, 1))
-
-
-def test_primitive_element_frozen():
-    assert primitive_element(base_field("Q(i)")) == P(1, 0, 1)
-    zeta8 = extend(base_field("Q(sqrt2)"), P(1, 0, 1))
-    mu = primitive_element(zeta8)
-    assert mu == P(9, 0, -2, 0, 1)  # minimal polynomial of sqrt2 + i
-    assert is_irreducible_over_q(mu)
-    with pytest.raises(InputError):
-        primitive_element(base_field("Q"))
-
-
-def test_primitive_element_degree_matches():
-    t = splitting_tower(P(-2, 0, 0, 1))
-    mu = primitive_element(t)
-    assert mu.degree == t.absolute_degree == 6
-    assert is_irreducible_over_q(mu)
-    assert splitting_degree(mu) == 6
-
-
-def test_galois_closure_frozen():
-    assert galois_closure_is_2power(base_field("Q")) == (True, 1)
-    assert galois_closure_is_2power(base_field("Q(i)")) == (True, 2)
-    quartic_root_2 = extend(base_field("Q"), P(-2, 0, 0, 0, 1))
-    assert galois_closure_is_2power(quartic_root_2) == (True, 8)
-    cbrt2 = extend(base_field("Q"), P(-2, 0, 0, 1))
-    assert galois_closure_is_2power(cbrt2) == (False, 6)
-
-
-def test_compositum_frozen():
-    q = base_field("Q")
-    qi = base_field("Q(i)")
-    qsqrt2 = base_field("Q(sqrt2)")
-    assert compositum_degree(qi, qi, q) == 2
-    assert compositum_degree(qi, qsqrt2, q) == 4
-    assert compositum_degree(qsqrt2, qi, q) == 4
-    assert compositum_degree(qi, q, q) == 2
-    assert compositum_degree(q, qi, q) == 2
-
-
-def test_compositum_of_splitting_towers():
-    q = base_field("Q")
-    t1 = splitting_tower(P(0, -1, 0, 1))   # x^3 - x: trivial
-    t2 = splitting_tower(P(-2, 0, 0, 1))   # x^3 - 2: degree 6
-    assert compositum_degree(t1, t2, q) == 6
-    comp = compositum_tower(t2, t2, q)
-    assert comp.absolute_degree == 6  # idempotent for a normal tower
-
-
-def test_compositum_requires_common_base():
-    with pytest.raises(InputError):
-        compositum_tower(base_field("Q(i)"), base_field("Q(sqrt2)"),
-                         base_field("Q(i)"))
-
-
-def test_compositum_invariants():
-    q = base_field("Q")
-    towers = [
-        base_field("Q(i)"),
-        base_field("Q(sqrt2)"),
-        extend(base_field("Q"), P(-2, 0, 0, 1)),
-        splitting_tower(P(1, 0, 0, 0, 1)),
-    ]
-    for k1 in towers:
-        for k2 in towers:
-            d = compositum_degree(k1, k2, q)
-            assert d <= k1.absolute_degree * k2.absolute_degree
-            assert d % k1.absolute_degree == 0
 
 
 def test_factor_over_tower_random_products():
