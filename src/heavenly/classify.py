@@ -24,7 +24,7 @@ from .polynomials import (
     make_monic_integral,
     squarefree_part,
 )
-from .ramification import odd_ramified_primes, splitting_field_odd_ramified
+from .ramification import splitting_field_odd_ramified
 from .towers import (
     BASE_FIELD_POLYS,
     FieldTower,
@@ -376,7 +376,12 @@ class WeilTorsionData:
 
     @property
     def quadratic_odd_ramified(self) -> tuple:
-        return tuple(sorted(odd_ramified_primes(self.quadratic)))
+        # the quadratic step's levels have rational coefficients, and the
+        # step is their splitting field over Q
+        chain = field_chain(self.quadratic)
+        return tuple(sorted(splitting_field_odd_ramified(
+            UniPoly.from_list([K.flatten(c)[0] for c in level])
+            for K, level in zip(chain, self.quadratic.levels))))
 
 
 def weil_torsion_data(W: WeilRestrictionInput) -> WeilTorsionData:
@@ -431,10 +436,13 @@ def defining_polynomials(item) -> list[UniPoly]:
         polys = [item.first.cubic, item.second.cubic]
     else:
         polys = [_norm_polynomial(item), UniPoly.of(-item.radicand, 0, 1)]
-    modulus = BASE_FIELD_POLYS[item.base]
-    if modulus is not None:
-        polys.append(UniPoly.from_list(list(modulus)))
-    return polys
+    return polys + _base_modulus(item.base)
+
+
+def _base_modulus(base: str) -> list[UniPoly]:
+    """The base field's modulus over Q, or nothing for Q itself."""
+    modulus = BASE_FIELD_POLYS[base]
+    return [] if modulus is None else [UniPoly.from_list(list(modulus))]
 
 
 def factor_degree_vector(C: JacobianInput) -> tuple:
@@ -599,8 +607,10 @@ def _weil_screen(W: WeilRestrictionInput, steps: list) -> str:
         base=W.base, radicand=str(W.radicand),
         cubic=_pair_poly_text(W.cubic),
         conjugate=_pair_poly_text(tuple((a, -b) for a, b in W.cubic))))
-    quadratic = extend(base_field(W.base), UniPoly.of(-W.radicand, 0, 1))
-    ramified = tuple(sorted(odd_ramified_primes(quadratic)))
+    # the quadratic step is the splitting field of x^2 - D and the base
+    # modulus, so its odd primes are read off those, with no tower
+    ramified = tuple(sorted(splitting_field_odd_ramified(
+        [UniPoly.of(-W.radicand, 0, 1)] + _base_modulus(W.base))))
     steps.append(_computed(
         "odd primes ramifying in the quadratic step",
         primes=ramified))

@@ -16,22 +16,47 @@ Factoring over a tower runs on norms: shift the variable by multiples of the
 top generator until the resultant with the top minimal polynomial (the norm,
 computed by evaluation and interpolation over the subfield) is squarefree,
 factor that norm one level down recursively, and pull factors back up with
-gcds.  The same norms, taken level by level down to Q, give rational
-polynomials whose splitting field is the tower's Galois closure.
+gcds.  The shift is chosen modulo a prime p above NORM_DEGREE_CAP: a root
+mod p of each level modulus maps the subfield's p-integral elements to F_p,
+the image of each candidate norm is interpolated there, and the first shift
+whose image is squarefree is the one whose exact norm is computed, since
+the norm is monic and a squarefree image proves it squarefree.  Only when
+no shift in a small budget passes does the exact squarefree test decide.
+The same norms, taken level by level down to Q, give rational polynomials
+whose splitting field is the tower's Galois closure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from itertools import count, islice
 from math import gcd, lcm
 
 from .errors import InputError, ReducibleExtensionError, ResourceCapError
-from .factorization import factor_over_q
+from .factorization import (
+    _mod_divmod,
+    _mod_gcd,
+    _mod_pow_mod,
+    _mod_sub,
+    _squarefree_mod,
+    _trim,
+    factor_over_q,
+)
+from .integers import is_probable_prime
 from .polynomials import UniPoly, poly_gcd
 
 NORM_DEGREE_CAP = 192
 SPLITTING_DEGREE_CAP = 512
+
+# Norm descent screens its first _SCREEN_SHIFTS candidate shifts modulo
+# each of up to _SCREEN_PRIMES primes in turn, found among the first
+# _SCREEN_SCAN primes above NORM_DEGREE_CAP; when none is certified there,
+# the exact squarefree test decides.
+_SCREEN_PRIMES = 3
+_SCREEN_SCAN = 64
+_SCREEN_SHIFTS = 24
 
 BASE_FIELD_POLYS = {
     "Q": None,
@@ -486,24 +511,34 @@ def _gp_pow_elem(F, a, e: int):
 
 def _gp_interpolate(F, xs, ys):
     """Interpolation through distinct integer nodes xs with values ys in F,
-    Newton form; node differences act as rational scalars."""
-    # divided differences
-    table = list(ys)
-    dd = [table[0]]
+    Newton form, on integer vectors: each divided-difference column is one
+    denominator over integer numerators, with one gcd per column."""
+    parts = [F.parts(y) for y in ys]
+    den = lcm(*(d for _, d in parts))
+    column = [[x * (den // d) for x in nums] for nums, d in parts]
+    dd = [(column[0], den)]
     for level in range(1, len(xs)):
-        table = [F.scale(F.sub(table[i + 1], table[i]),
-                         Fraction(1, xs[i + level] - xs[i]))
-                 for i in range(len(table) - 1)]
-        dd.append(table[0])
-    # expand Newton form: coeffs * (x - xs[k]) + dd[k]
+        steps = [xs[i + level] - xs[i] for i in range(len(column) - 1)]
+        m = lcm(*steps)
+        column = [[(b - a) * (m // step) for a, b in zip(lo, hi)]
+                  for lo, hi, step in zip(column, column[1:], steps)]
+        den *= m
+        g = gcd(den, *(x for vec in column for x in vec))
+        if g > 1:
+            column = [[x // g for x in vec] for vec in column]
+            den //= g
+        dd.append((column[0], den))
+    # expand Newton form, coeffs * (x - xs[k]) + dd[k], over one denominator
+    top = lcm(*(d for _, d in dd))
     coeffs: list = []
     for k in range(len(dd) - 1, -1, -1):
-        nxt = [F.scale(c, -xs[k]) for c in coeffs] + [F.zero()]
-        for i, c in enumerate(coeffs):
-            nxt[i + 1] = F.add(nxt[i + 1], c)
-        nxt[0] = F.add(nxt[0], dd[k])
+        nxt = [[0] * len(dd[k][0])] + coeffs
+        for i, vec in enumerate(coeffs):
+            nxt[i] = [a - xs[k] * b for a, b in zip(nxt[i], vec)]
+        nums, d = dd[k]
+        nxt[0] = [a + b * (top // d) for a, b in zip(nxt[0], nums)]
         coeffs = nxt
-    return _gp_trim(F, coeffs)
+    return _gp_trim(F, [F.from_parts(vec, top) for vec in coeffs])
 
 
 def _gp_squarefree(F, f):
@@ -620,11 +655,12 @@ def _factor_squarefree_chain(chain, f):
     B = F.base
     norm_deg = deg * F.degree
     alpha = F.generator()
-    for k in _shift_values(200):
+    certified = _screened_shift(chain, f, norm_deg)
+    for k in _shift_values(200) if certified is None else [certified]:
         shift = F.scale(alpha, -k)
         g = _gp_taylor_shift(F, f, shift)  # g(x) = f(x - k*alpha)
         norm = _norm_poly(F, g, norm_deg)
-        if not _gp_squarefree(B, norm):
+        if certified is None and not _gp_squarefree(B, norm):
             continue
         sub_factors = _factor_squarefree_chain(chain[:-1], norm)
         unshift = F.neg(shift)
@@ -647,6 +683,156 @@ def _shift_values(limit: int):
     for k in range(1, limit):
         yield k
         yield -k
+
+
+# ---------------------------------------------------------------------------
+# Screening shifts modulo a prime.
+#
+# Let B be the field below the top level, R its power-basis elements whose
+# denominators are prime to p, and alpha a root of the top modulus m.  When
+# p divides no denominator of any level modulus, each level is monic over
+# the ring below it, so R is a ring, and a root r_i mod p of each level
+# modulus in turn (its coefficients mapped through the roots chosen below)
+# defines a ring map phi: R -> F_p sending the i-th generator to r_i.  For
+# g(x) = f(x - k*alpha) with coefficients over R, the norm
+# N = Res_y(m, g) is monic, so phi(N) = Res_y(phi(m), phi(g)) keeps its
+# degree and phi(disc N) = disc phi(N): a squarefree phi(N) proves N
+# squarefree.
+
+
+def _root_mod(f: list, p: int):
+    """A root in F_p of the monic f, or None.  The product of f's linear
+    factors, gcd(f, x^p - x), is split by gcd((x + a)^((p-1)/2) - 1, .)
+    for a = 0, 1, ... until one linear factor is left."""
+    x = [0, 1]
+    h = _mod_gcd(f, _mod_sub(_mod_pow_mod(x, p, f, p), x, p), p)
+    for a in range(p):
+        if len(h) <= 2:
+            break
+        w = _mod_gcd(h, _mod_sub(_mod_pow_mod([a, 1], (p - 1) // 2, h, p),
+                                 [1], p), p)
+        if 2 <= len(w) < len(h):
+            h = min(w, _mod_divmod(h, w, p)[0], key=len)
+    return -h[0] % p if len(h) == 2 else None
+
+
+def _map_mod(basis, nums, den: int, p: int):
+    """phi(nums/den) for a power-basis vector, given phi on the basis; None
+    if p divides den."""
+    if den % p == 0:
+        return None
+    return sum(x * v for x, v in zip(nums, basis)) * pow(den, -1, p) % p
+
+
+@lru_cache(maxsize=256)
+def _screen_maps(levels: tuple) -> tuple:
+    """Up to _SCREEN_PRIMES triples (p, basis, modulus): a ring map phi
+    from the field below the top level to F_p, as the images of its power
+    basis, and the top modulus under phi.  Primes exceed NORM_DEGREE_CAP,
+    so F_p has a distinct node for every point a norm is interpolated on.
+    """
+    chain = field_chain(FieldTower(levels))
+    out = []
+    primes = (q for q in count(NORM_DEGREE_CAP + 1) if is_probable_prime(q))
+    for p in islice(primes, _SCREEN_SCAN):
+        if len(out) >= _SCREEN_PRIMES:
+            break
+        basis = [1]
+        for K in chain[1:]:
+            modulus = [_map_mod(basis, *K.base.parts(c), p)
+                       for c in K.modulus]
+            if None in modulus:
+                break
+            if K is chain[-1]:
+                out.append((p, tuple(basis), tuple(modulus)))
+                break
+            r = _root_mod(modulus, p)
+            if r is None:
+                break
+            # coordinate i*b + j is the i-th power of the generator times
+            # the j-th basis element below
+            basis = [pow(r, i, p) * v % p for i in range(K.degree)
+                     for v in basis]
+    return tuple(out)
+
+
+def _screened_shift(chain, f, norm_deg):
+    """The first of the first _SCREEN_SHIFTS shifts k whose norm, for
+    g(x) = f(x - k*alpha), a screen prime proves squarefree, or None."""
+    F = chain[-1]
+    b = F.base.absolute_degree
+    for p, basis, modulus in _screen_maps(tuple(K.modulus
+                                                for K in chain[1:])):
+        parts = [F.parts(c) for c in f]
+        if p <= norm_deg or any(den % p == 0 for _, den in parts):
+            continue
+        # phi of each coefficient of f, a polynomial in the top generator
+        image = [[_map_mod(basis, nums[i * b:(i + 1) * b], den, p)
+                  for i in range(F.degree)] for nums, den in parts]
+        for k in islice(_shift_values(200), _SCREEN_SHIFTS):
+            if _screen_norm(p, modulus, image, k, norm_deg):
+                return k
+    return None
+
+
+def _resultant_mod(a: list, b: list, p: int) -> int:
+    """Res(a, b) over F_p by the Euclidean recurrence
+    Res(a, b) = (-1)^(deg a deg b) lc(b)^(deg a - deg r) Res(b, r)."""
+    acc = 1
+    while True:
+        da, db = len(a) - 1, len(b) - 1
+        if db < 0:
+            return 0
+        if db == 0:
+            return acc * pow(b[0], da, p) % p
+        r = _mod_divmod(a, b, p)[1]
+        if not r:
+            return 0
+        acc = acc * pow(b[-1], da - len(r) + 1, p) % p
+        if da * db % 2:
+            acc = -acc
+        a, b = b, r
+
+
+def _interpolate_mod(values: list, p: int) -> list:
+    """The polynomial over F_p of degree below len(values) taking
+    values[t] at t = 0, 1, ..., in Newton form."""
+    table = list(values)
+    dd = [table[0]]
+    for level in range(1, len(values)):
+        inv = pow(level, -1, p)
+        table = [(hi - lo) * inv % p for lo, hi in zip(table, table[1:])]
+        dd.append(table[0])
+    coeffs: list = []
+    for k in range(len(dd) - 1, -1, -1):
+        nxt = [0] + coeffs
+        for i, c in enumerate(coeffs):
+            nxt[i] -= k * c
+        nxt[0] += dd[k]
+        coeffs = [c % p for c in nxt]
+    return _trim(coeffs)
+
+
+def _screen_norm(p, modulus, image, k, norm_deg) -> bool:
+    """True when phi(N) is squarefree for N the norm of f(x - k*alpha),
+    which proves N squarefree; phi(N) is interpolated from its values
+    Res_y(phi(m), phi(f)(t - k*y)) at t = 0, ..., norm_deg."""
+    n = len(modulus) - 1
+    values = []
+    for t in range(norm_deg + 1):
+        # Horner in (F_p[y] / phi(m))[x]: acc * (t - k*y) + c
+        acc = [0] * n
+        for c in reversed(image):
+            top = acc[-1] * k
+            acc = [t * acc[0] + c[0]] + [
+                t * acc[i] - k * acc[i - 1] + c[i] for i in range(1, n)]
+            if top:
+                acc = [(x + top * m) % p for x, m in zip(acc, modulus)]
+            else:
+                acc = [x % p for x in acc]
+        values.append(_resultant_mod(list(modulus), _trim(acc), p))
+    norm = _interpolate_mod(values, p)
+    return len(norm) == norm_deg + 1 and _squarefree_mod(norm, p)
 
 
 def _norm_poly(F, g, norm_deg):

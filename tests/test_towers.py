@@ -1,6 +1,9 @@
 """Extension towers: field arithmetic, factoring, splitting fields."""
 
+import hashlib
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import random
@@ -14,11 +17,14 @@ from heavenly.errors import (
 from heavenly.classify import (
     EllipticInput,
     JacobianInput,
+    ProductInput,
     WeilRestrictionInput,
     two_torsion_field_elliptic,
     two_torsion_field_jacobian,
+    two_torsion_field_product,
     two_torsion_field_weil,
 )
+from heavenly.documents import input_from_document
 from heavenly.polynomials import UniPoly, parse_polynomial
 from heavenly.towers import (
     FieldTower,
@@ -480,3 +486,171 @@ def test_hard_round_one_towers_frozen():
             below *= d
         assert sparse_levels(tower) == levels, name
         assert tower == frozen_tower(name), name
+
+
+# ---------------------------------------------------------------------------
+# Screening norm-descent shifts modulo a prime.
+
+
+def embed_to(chain, height, c):
+    """c from chain[height] embedded in chain[-1]."""
+    for F in chain[height + 1:]:
+        c = F.from_base(c)
+    return c
+
+
+def test_screen_map_is_a_ring_map():
+    rng = random.Random(79)
+    for tower in (non_integral_tower(), non_integral_over_q()):
+        F = tower_field(tower)
+        # a dummy top level, so the maps cover the whole tower field
+        top = (F.from_fraction(-3), F.zero(), F.one())
+        maps = towers._screen_maps(tower.levels + (top,))
+        assert len(maps) == towers._SCREEN_PRIMES
+        chain = field_chain(tower)
+        for p, basis, modulus in maps:
+            assert p > towers.NORM_DEGREE_CAP
+            assert modulus == (p - 3, 0, 1)
+
+            def phi(a):
+                # None when p divides a's denominator
+                return towers._map_mod(basis, *a, p)
+
+            assert phi(F.one()) == 1
+            for height, K in enumerate(chain[1:], 1):
+                root = phi(embed_to(chain, height, K.generator()))
+                value = 0
+                for c in reversed(K.modulus):
+                    value = (value * root + phi(
+                        embed_to(chain, height - 1, c))) % p
+                assert value == 0
+            checked = 0
+            while checked < 25:
+                a, b = random_element(F, rng), random_element(F, rng)
+                if None in (phi(a), phi(b), phi(F.mul(a, b))):
+                    continue
+                assert phi(F.mul(a, b)) == phi(a) * phi(b) % p
+                assert phi(F.add(a, b)) == (phi(a) + phi(b)) % p
+                checked += 1
+
+
+def screen_fields():
+    weil_quadratic = extend(base_field("Q"), P(-3, 0, 1))
+    return [("Q", base_field("Q")), ("Q(i)", base_field("Q(i)")),
+            ("Q(sqrt2)", base_field("Q(sqrt2)")),
+            ("Q(sqrt-2)", base_field("Q(sqrt-2)")),
+            ("Weil D=3 quadratic", weil_quadratic)]
+
+
+def random_squarefree(F, rng):
+    """A monic squarefree product of two or three small random factors."""
+    while True:
+        parts = []
+        for _ in range(rng.randrange(2, 4)):
+            deg = rng.randrange(1, 4)
+            parts.append([random_element(F, rng) for _ in range(deg)]
+                         + [F.one()])
+        f = gp_product(F, parts)
+        if len(towers._gp_gcd(F, f, towers._gp_deriv(F, f))) == 1:
+            return f
+
+
+def test_screened_and_exact_descent_agree(monkeypatch):
+    rng = random.Random(83)
+    inputs = []
+    for name, tower in screen_fields():
+        F = tower_field(tower)
+        inputs += [(name, tower, random_squarefree(F, rng))
+                   for _ in range(4)]
+    certified = []
+    screen = towers._screen_norm
+
+    def counted(*args):
+        ok = screen(*args)
+        certified.append(ok)
+        return ok
+
+    monkeypatch.setattr(towers, "_screen_norm", counted)
+    screened = [factor_over_tower(t, f) for _, t, f in inputs]
+    assert any(certified)
+    exact_tests = []
+    squarefree = towers._gp_squarefree
+
+    def exact(*args):
+        exact_tests.append(1)
+        return squarefree(*args)
+
+    monkeypatch.setattr(towers, "_gp_squarefree", exact)
+    monkeypatch.setattr(towers, "_SCREEN_PRIMES", 0)
+    towers._screen_maps.cache_clear()
+    try:
+        for (name, tower, f), expected in zip(inputs, screened):
+            assert factor_over_tower(tower, f) == expected, name
+    finally:
+        towers._screen_maps.cache_clear()
+    assert exact_tests
+
+
+def test_screen_never_certifies_a_power_norm(monkeypatch):
+    # f over the base field: at shift 0 the norm is f^2, not squarefree
+    cases = []
+    for name, tower in screen_fields()[1:]:
+        chain = field_chain(tower)
+        f = lift_to_field(chain[-1], P(-2, 0, 0, 1))
+        assert len(towers._screen_maps(tower.levels)) == \
+            towers._SCREEN_PRIMES, name
+        assert towers._screened_shift(chain, f, 6) not in (0, None), name
+        cases.append((name, chain, f))
+    # with one shift per prime, every screen prime sees only shift 0
+    monkeypatch.setattr(towers, "_SCREEN_SHIFTS", 1)
+    for name, chain, f in cases:
+        assert towers._screened_shift(chain, f, 6) is None, name
+
+
+# ---------------------------------------------------------------------------
+# Every 2-division tower the benchmarks build, frozen as one digest.
+
+
+def _hard_documents():
+    """The 18 generic hard-set inputs: x^5 - a over Q, x^3 - a over three
+    quadratic bases, and the two-cubic Weil restrictions."""
+    docs = [{"kind": "jacobian", "base_field": "Q",
+             "poly": [-a, 0, 0, 0, 0, 1]} for a in (2, 3, 5, 6, 7)]
+    docs += [{"kind": "elliptic", "base_field": base, "cubic": [-a, 0, 0, 1]}
+             for base in ("Q(sqrt-2)", "Q(i)", "Q(sqrt2)")
+             for a in (2, 3, 5)]
+    docs += [{"kind": "weil_restriction", "base_field": "Q", "D": d,
+              "cubic": ["-1-s", "-1", "0", "1"]} for d in (3, 5, 6, 7)]
+    return docs
+
+
+def _two_division_tower(item):
+    for kind, build in ((EllipticInput, two_torsion_field_elliptic),
+                        (JacobianInput, two_torsion_field_jacobian),
+                        (ProductInput, two_torsion_field_product),
+                        (WeilRestrictionInput, two_torsion_field_weil)):
+        if isinstance(item, kind):
+            return build(item)
+    raise AssertionError(f"no tower for {item!r}")
+
+
+# SHA-256 of the flattened levels of the 27 towers below, frozen from the
+# implementation that took an exact norm for every candidate shift.
+TOWER_DIGEST = (
+    "3dc06c63af4575a3c4a13e79dfca44cfc7878e4e9d109ac261e94abc4ea22c6b")
+
+
+def test_two_division_towers_digest():
+    corpus = sorted(Path(__file__).resolve().parents[1].glob(
+        "corpus/*.json"))
+    docs = _hard_documents() + [json.loads(p.read_text(encoding="utf-8"))
+                                for p in corpus]
+    assert len(docs) == 27
+    lines = []
+    for doc in docs:
+        tower = _two_division_tower(input_from_document(doc))
+        levels = [[[str(q) for q in coeff] for coeff in lev]
+                  for lev in flat_levels(tower)]
+        lines.append(json.dumps([doc, levels], sort_keys=True))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == TOWER_DIGEST
