@@ -22,8 +22,15 @@ the image of each candidate norm is interpolated there, and the first shift
 whose image is squarefree is the one whose exact norm is computed, since
 the norm is monic and a squarefree image proves it squarefree.  Only when
 no shift in a small budget passes does the exact squarefree test decide.
-The same norms, taken level by level down to Q, give rational polynomials
-whose splitting field is the tower's Galois closure.
+When the norm is irreducible one level down, so is the polynomial, and no
+gcd pulls it back.  The same norms, taken level by level down to Q, give
+rational polynomials whose splitting field is the tower's Galois closure.
+
+A splitting tower adjoins a root theta of an irreducible h over K.  For a
+cubic or quartic h, how h/(x - theta) factors over K(theta) follows from
+Gal(h) over K, read off the discriminant and the Kappe-Warren resolvent
+cubic with factoring over K only; a D4 quartic, and every other degree,
+is refactored over K(theta).
 """
 
 from __future__ import annotations
@@ -663,6 +670,10 @@ def _factor_squarefree_chain(chain, f):
         if certified is None and not _gp_squarefree(B, norm):
             continue
         sub_factors = _factor_squarefree_chain(chain[:-1], norm)
+        if len(sub_factors) == 1:
+            # the norm of a factor of f divides the norm of f, so an
+            # irreducible norm leaves f irreducible (Trager 1976)
+            return [list(f)]
         unshift = F.neg(shift)
         out = []
         for nj in sub_factors:
@@ -927,6 +938,95 @@ def _extend_unchecked(tower: FieldTower, gp: list) -> FieldTower:
 
 
 # ---------------------------------------------------------------------------
+# Galois groups of cubics and quartics (Kappe-Warren 1989; Cohen GTM 138
+# §6.3).  The discriminant and the resolvent use only mul, add and scale,
+# so they run over Q (RATIONAL) as over any tower field.
+
+
+def _sum(F, terms):
+    acc = F.zero()
+    for t in terms:
+        acc = F.add(acc, t)
+    return acc
+
+
+def _cubic_discriminant(F, h):
+    """Discriminant of the monic cubic h = x^3 + p x^2 + q x + s over F:
+    p^2 q^2 - 4 q^3 - 4 p^3 s - 27 s^2 + 18 p q s."""
+    s, q, p = h[0], h[1], h[2]
+    pq = F.mul(p, q)
+    return _sum(F, (F.mul(pq, pq),
+                    F.scale(F.mul(F.mul(q, q), q), -4),
+                    F.scale(F.mul(F.mul(F.mul(p, p), p), s), -4),
+                    F.scale(F.mul(s, s), -27),
+                    F.scale(F.mul(pq, s), 18)))
+
+
+def _quartic_resolvent(F, h):
+    """The resolvent cubic x^3 - b x^2 + (ac - 4d) x - (a^2 d - 4bd + c^2)
+    of the monic quartic h = x^4 + a x^3 + b x^2 + c x + d over F, whose
+    roots are r1 r2 + r3 r4 and its conjugates; it has h's discriminant."""
+    d, c, b, a = h[0], h[1], h[2], h[3]
+    return [_sum(F, (F.scale(F.mul(F.mul(a, a), d), -1),
+                     F.scale(F.mul(b, d), 4),
+                     F.scale(F.mul(c, c), -1))),
+            F.add(F.mul(a, c), F.scale(d, -4)),
+            F.scale(b, -1),
+            F.one()]
+
+
+def _is_square(tower: FieldTower, delta) -> bool:
+    """Whether delta is a square in the tower field: x^2 - delta factors
+    there, through norms of degree 2 [K:Q] at most."""
+    F = tower_field(tower)
+    if F.is_zero(delta):
+        return True
+    return len(factor_over_tower(tower, [F.neg(delta), F.zero(),
+                                         F.one()])) == 2
+
+
+def _galois_class(tower: FieldTower, h):
+    """Gal(h) over the tower field K, for a monic irreducible h over K.
+
+    A cubic is "C3" when its discriminant is a square in K, else "S3".  A
+    quartic follows Kappe-Warren on its resolvent cubic R over K: no root
+    in K gives "A4/S4", three give "V4"; with exactly one root r, the
+    discriminant D of h is not a square, and the group is "C4" when
+    x^2 - r x + d and x^2 + a x + (b - r) both split over K(sqrt D), else
+    "D4".  Other degrees give None.
+    """
+    F = tower_field(tower)
+    if len(h) - 1 == 3:
+        return "C3" if _is_square(tower, _cubic_discriminant(F, h)) else "S3"
+    if len(h) - 1 != 4:
+        return None
+    resolvent = _quartic_resolvent(F, h)
+    roots = [F.neg(g[0]) for g, _ in factor_over_tower(tower, resolvent)
+             if len(g) == 2]
+    if not roots:
+        return "A4/S4"
+    if len(roots) == 3:
+        return "V4"
+    r = roots[0]
+    D = _cubic_discriminant(F, resolvent)
+    d, b, a = h[0], h[2], h[3]
+    # a quadratic of discriminant e splits over K(sqrt D) when e = 0 or
+    # e = (u + v sqrt D)^2 with u v = 0: when e or e D is a square in K
+    for e in (F.add(F.mul(r, r), F.scale(d, -4)),
+              F.add(F.mul(a, a), F.scale(F.sub(b, r), -4))):
+        if not (_is_square(tower, e) or _is_square(tower, F.mul(e, D))):
+            return "D4"
+    return "C4"
+
+
+# Groups whose root stabilisers are transitive on the other roots, so the
+# cofactor h/(x - theta) stays irreducible over K(theta), and groups of
+# order deg h, so K(theta) is the splitting field and the cofactor splits.
+_COFACTOR_IRREDUCIBLE = frozenset({"S3", "A4/S4"})
+_COFACTOR_SPLITS = frozenset({"C3", "V4", "C4"})
+
+
+# ---------------------------------------------------------------------------
 # Splitting towers.
 
 
@@ -937,9 +1037,15 @@ def splitting_tower(f, tower: FieldTower = FieldTower(),
     Repeatedly extends by a largest-degree irreducible factor (ties broken
     by coefficient order) until every root lies in the tower.  Each adjoined
     generator is divided off synthetically, so later stages only refactor
-    cofactors of strictly smaller degree, never f itself.  Raises a resource
-    error carrying the partial tower when the absolute degree would exceed
-    the cap.
+    cofactors of strictly smaller degree, never f itself.  When the adjoined
+    factor h is a cubic or quartic over the field K below, its cofactor is
+    settled from Gal(h) over K instead (see _galois_class), through norms
+    of the resolvent and of x^2 - delta over K rather than of the cofactor
+    over K(theta): it stays irreducible for S3, A4 and S4, and splits into
+    linears for C3, V4 and C4.  A D4 cofactor is a linear times an
+    irreducible quadratic, which the general refactoring finds.  Raises a
+    resource error carrying the partial tower when the absolute degree
+    would exceed the cap.
     """
     if degree_cap < 1:
         raise InputError("degree cap must be at least 1")
@@ -962,6 +1068,7 @@ def splitting_tower(f, tower: FieldTower = FieldTower(),
                 f"splitting tower degree {new_degree} exceeds cap "
                 f"{degree_cap}", partial=current,
             )
+        group = _galois_class(current, chosen)
         current = _extend_unchecked(current, chosen)
         NF = tower_field(current)
         refactor = []
@@ -975,9 +1082,11 @@ def splitting_tower(f, tower: FieldTower = FieldTower(),
             raise ArithmeticError(
                 "adjoined generator is not a root of its minimal polynomial"
             )
-        if len(cofactor) - 1 >= 2:
-            refactor.append(cofactor)
         pending = []
+        if group in _COFACTOR_IRREDUCIBLE:
+            pending.append(cofactor)
+        elif group not in _COFACTOR_SPLITS and len(cofactor) - 1 >= 2:
+            refactor.append(cofactor)
         for h in refactor:
             for irr, _ in factor_over_tower(current, h):
                 if len(irr) - 1 >= 2:

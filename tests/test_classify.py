@@ -327,7 +327,8 @@ def test_resource_cap_yields_unknown(monkeypatch):
     assert verdict.torsion_degree is None
     assert verdict.closure_degree is None
     assert "resource cap" in verdict.steps[-1].description
-    assert "norm degree" in verdict.steps[-1].value("detail")
+    assert verdict.steps[-1].value("detail") == \
+        "norm degree 36 exceeds cap 24"
 
 
 def test_degree_72_weil_decides_at_the_quadratic_step():

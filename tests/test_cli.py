@@ -101,6 +101,8 @@ def test_classify_resource_cap_exit(capsys, tmp_path, monkeypatch):
     doc = json.loads(target.read_text(encoding="utf-8"))
     assert doc["verdict"]["status"] == "unknown"
     assert "resource cap" in doc["certificate"][-1]["description"]
+    assert doc["certificate"][-1]["values"]["detail"] == \
+        "norm degree 36 exceeds cap 24"
 
 
 def test_classify_batch(capsys, tmp_path):
@@ -158,8 +160,12 @@ def test_tool_factor_shows_multiplicity(capsys):
 
 
 def test_tool_splitting_degree(capsys):
+    # a D4 quartic's cofactor is refactored over the new level; a C4
+    # quartic's is settled by the resolvent test over Q
     assert main(["tool", "splitting-degree", "x^4-2"]) == 0
     assert capsys.readouterr().out.strip() == "8"
+    assert main(["tool", "splitting-degree", "x^4+x^3+x^2+x+1"]) == 0
+    assert capsys.readouterr().out.strip() == "4"
 
 
 def test_tool_ramification(capsys):

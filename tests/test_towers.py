@@ -25,7 +25,7 @@ from heavenly.classify import (
     two_torsion_field_weil,
 )
 from heavenly.documents import input_from_document
-from heavenly.polynomials import UniPoly, parse_polynomial
+from heavenly.polynomials import UniPoly, parse_polynomial, poly_gcd
 from heavenly.towers import (
     FieldTower,
     base_field,
@@ -654,3 +654,132 @@ def test_two_division_towers_digest():
         lines.append(json.dumps([doc, levels], sort_keys=True))
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == TOWER_DIGEST
+
+
+# ---------------------------------------------------------------------------
+# Splitting towers settle a cubic or quartic level's cofactor from its
+# Galois group over the field below.
+
+
+def reference_splitting_tower(f, tower):
+    """splitting_tower as a plain loop that refactors every cofactor over
+    the enlarged field with factor_over_tower."""
+    current = tower
+    pending = [g for g, _ in factor_over_tower(current, f) if len(g) > 2]
+    while pending:
+        F = tower_field(current)
+        pending.sort(key=lambda h: (-(len(h) - 1), towers.flatten_poly(F, h)))
+        chosen = pending.pop(0)
+        current = FieldTower(current.levels + (tuple(chosen),))
+        NF = tower_field(current)
+        lifted = [[NF.from_base(c) for c in h] for h in pending + [chosen]]
+        theta = [NF.neg(NF.generator()), NF.one()]
+        lifted[-1] = towers._gp_divmod(NF, lifted[-1], theta)[0]
+        pending = [g for h in lifted for g, _ in factor_over_tower(current, h)
+                   if len(g) > 2]
+    return current
+
+
+NAMED_GROUPS = {
+    "S3": "x^3 - 2",
+    "C3": "x^3 - 3*x + 1",
+    "S4": "x^4 + x + 1",
+    "A4": "x^4 + 8*x + 12",
+    "D4": "x^4 - 2",
+    "C4": "x^4 + x^3 + x^2 + x + 1",
+    "V4": "x^4 + 1",
+}
+
+BASE_TAGS = ("Q", "Q(i)", "Q(sqrt2)", "Q(sqrt-2)")
+
+
+def seeded_squarefree(rng, deg):
+    while True:
+        f = UniPoly.of(*[rng.randrange(-3, 4) for _ in range(deg)], 1)
+        if poly_gcd(f, f.derivative()).degree == 0:
+            return f
+
+
+def test_galois_class_of_named_polynomials_over_q():
+    for name, text in NAMED_GROUPS.items():
+        h = lift_to_field(towers.RATIONAL, parse_polynomial(text))
+        expected = "A4/S4" if name in ("A4", "S4") else name
+        assert towers._galois_class(FieldTower(), h) == expected, name
+
+
+def test_splitting_tower_matches_refactoring_reference():
+    rng = random.Random(89)
+    polys = [parse_polynomial(text) for text in NAMED_GROUPS.values()]
+    polys += [seeded_squarefree(rng, deg) for deg in (3, 3, 4, 4)]
+    for tag in BASE_TAGS:
+        base = base_field(tag)
+        for f in polys:
+            assert splitting_tower(f, base) == \
+                reference_splitting_tower(f, base), (tag, f)
+
+
+def test_galois_class_agrees_with_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(97)
+    names = {"A4/S4": {"A4", "S4"}, "V4": {"V"}, "C4": {"C4"},
+             "D4": {"D4"}}
+    seen = set()
+    checked = 0
+    while checked < 45:
+        if checked % 3 == 0:
+            coeffs = [rng.randrange(-6, 7) for _ in range(4)] + [1]
+        elif checked % 3 == 1:
+            # biquadratics x^4 + b x^2 + d, whose groups lie in D4; a
+            # square d gives V4
+            d = rng.choice((rng.randrange(-12, 13), rng.randrange(1, 4) ** 2))
+            coeffs = [d, 0, rng.randrange(-6, 7), 0, 1]
+        else:
+            # shifts of x^4 + 5x^2 + 5 and x^4 + x^3 + x^2 + x + 1, cyclic
+            base = rng.choice((x**4 + 5 * x**2 + 5, x**4 + x**3 + x**2 + x + 1))
+            shifted = sympy.Poly(base.subs(x, x + rng.randrange(-3, 4)), x)
+            coeffs = [int(c) for c in reversed(shifted.all_coeffs())]
+        poly = sympy.Poly(list(reversed(coeffs)), x)
+        if not poly.is_irreducible:
+            continue
+        group, _ = sympy.galois_group(poly, by_name=True)
+        label = towers._galois_class(FieldTower(),
+                                     [Fraction(c) for c in coeffs])
+        assert group.name in names[label], (coeffs, label, group)
+        seen.add(label)
+        checked += 1
+    assert seen == set(names)
+    checked = 0
+    while checked < 20:
+        coeffs = [rng.randrange(-9, 10) for _ in range(3)] + [1]
+        if rng.randrange(2):
+            # x^3 - 3x + c has discriminant 27 (4 - c^2): cyclic for c = 1
+            coeffs = [rng.choice((-1, 1, 2, 3)), -3, 0, 1]
+        poly = sympy.Poly(list(reversed(coeffs)), x)
+        if not poly.is_irreducible:
+            continue
+        group, _ = sympy.galois_group(poly)
+        label = towers._galois_class(FieldTower(),
+                                     [Fraction(c) for c in coeffs])
+        assert (label == "C3") == (group.order() == 3), (coeffs, label)
+        seen.add(label)
+        checked += 1
+    assert {"C3", "S3"} <= seen
+
+
+def test_two_division_towers_take_no_rational_norm_above_36(monkeypatch):
+    # the quadratic cofactor over the Weil D=3 field of degree 36, and the
+    # cubic cofactor over the degree-20 field of x^5 - 2, are settled by
+    # discriminants and resolvents over the field below
+    factor = towers.factor_over_q
+
+    def capped(f):
+        if f.degree > 36:
+            raise AssertionError(f"rational norm of degree {f.degree}")
+        return factor(f)
+
+    monkeypatch.setattr(towers, "factor_over_q", capped)
+    weil = WeilRestrictionInput.of("Q", 3, ((-1, -1), (-1, 0), (0, 0), (1, 0)))
+    assert two_torsion_field_weil(weil).absolute_degree == 72
+    jacobian = JacobianInput("Q", P(-2, 0, 0, 0, 0, 1))
+    assert two_torsion_field_jacobian(jacobian).absolute_degree == 20
