@@ -443,6 +443,19 @@ def _squarefree_mod(f: list[int], p: int) -> bool:
     return len(_mod_gcd(fp, d, p)) == 1
 
 
+def _divisor_degrees(parts) -> tuple[int, int]:
+    """(sums, count) for a distinct-degree factorization: bit d of sums is
+    set when d is a subset sum of the factor degrees, and count is the
+    number of factors."""
+    sums = 1
+    count = 0
+    for d, g in parts:
+        for _ in range((len(g) - 1) // d):
+            sums |= sums << d
+            count += 1
+    return sums, count
+
+
 def _factor_monic_squarefree_int(f: list[int]) -> list[list[int]]:
     """Monic irreducible integer factors of a monic squarefree int poly."""
     n = len(f) - 1
@@ -459,12 +472,7 @@ def _factor_monic_squarefree_int(f: list[int]) -> list[list[int]]:
         while not _squarefree_mod(f, p):
             p = _next_odd_prime(p)
         parts = _distinct_degree_parts(f, p)
-        count = 0
-        sums = 1
-        for d, g in parts:
-            for _ in range((len(g) - 1) // d):
-                sums |= sums << d
-                count += 1
+        sums, count = _divisor_degrees(parts)
         narrowed = best is None or allowed & sums != allowed
         allowed &= sums
         if allowed == 1 | 1 << n:
@@ -533,7 +541,7 @@ def _provably_squarefree(f: UniPoly) -> bool:
 
     deg gcd over Q never exceeds deg gcd mod p when p keeps the leading
     coefficient, so a single squarefree reduction proves squarefreeness
-    and spares the exact gcd on large inputs.
+    and spares the exact gcd.
     """
     ints = monic_integral_with_scale(f)[0].integer_coefficients()
     p = 3
@@ -551,7 +559,7 @@ def squarefree_decomposition(f: UniPoly) -> list[tuple[UniPoly, int]]:
     f = f.monic()
     if f.degree < 1:
         return []
-    if f.degree > 12 and _provably_squarefree(f):
+    if _provably_squarefree(f):
         return [(f, 1)]
     out = []
     g = poly_gcd(f, f.derivative())

@@ -26,6 +26,16 @@ When the norm is irreducible one level down, so is the polynomial, and no
 gcd pulls it back.  The same norms, taken level by level down to Q, give
 rational polynomials whose splitting field is the tower's Galois closure.
 
+The same primes carry two certificates that skip the descent.  Where each
+level modulus, the top one included, has a simple root mod p, those roots
+map the whole field to F_p through a prime of degree 1 at which the
+power-basis order is regular, and a monic factor of f maps to a factor of
+its image.  So when the images of f at the screen primes are squarefree and
+their factor-degree patterns, intersected as over Q, leave no divisor
+degree but 0 and deg f, f is irreducible with no norm taken; and a
+squarefree image proves f squarefree, so Yun's algorithm is skipped.
+Outputs never depend on which route decided them.
+
 A splitting tower adjoins a root theta of an irreducible h over K.  For a
 cubic or quartic h, how h/(x - theta) factors over K(theta) follows from
 Gal(h) over K, read off the discriminant and the Kappe-Warren resolvent
@@ -43,6 +53,9 @@ from math import gcd, lcm
 
 from .errors import InputError, ReducibleExtensionError, ResourceCapError
 from .factorization import (
+    _distinct_degree_parts,
+    _divisor_degrees,
+    _mod_deriv,
     _mod_divmod,
     _mod_gcd,
     _mod_pow_mod,
@@ -60,7 +73,9 @@ SPLITTING_DEGREE_CAP = 512
 # Norm descent screens its first _SCREEN_SHIFTS candidate shifts modulo
 # each of up to _SCREEN_PRIMES primes in turn, found among the first
 # _SCREEN_SCAN primes above NORM_DEGREE_CAP; when none is certified there,
-# the exact squarefree test decides.
+# the exact squarefree test decides.  The same primes certify irreducible
+# and squarefree inputs before any descent; with none, every factoring over
+# a tower takes the exact path.
 _SCREEN_PRIMES = 3
 _SCREEN_SCAN = 64
 _SCREEN_SHIFTS = 24
@@ -659,6 +674,8 @@ def _factor_squarefree_chain(chain, f):
             raise ResourceCapError(
                 f"norm degree {reached} exceeds cap {NORM_DEGREE_CAP}"
             )
+    if _certified_irreducible(chain, f):
+        return [list(f)]
     B = F.base
     norm_deg = deg * F.degree
     alpha = F.generator()
@@ -697,7 +714,7 @@ def _shift_values(limit: int):
 
 
 # ---------------------------------------------------------------------------
-# Screening shifts modulo a prime.
+# Screen primes: shifts, irreducibility and squarefreeness modulo a prime.
 #
 # Let B be the field below the top level, R its power-basis elements whose
 # denominators are prime to p, and alpha a root of the top modulus m.  When
@@ -709,14 +726,31 @@ def _shift_values(limit: int):
 # N = Res_y(m, g) is monic, so phi(N) = Res_y(phi(m), phi(g)) keeps its
 # degree and phi(disc N) = disc phi(N): a squarefree phi(N) proves N
 # squarefree.
+#
+# Each r_i is a simple root, phi(m_i')(r_i) != 0.  Then P = ker phi is an
+# unramified prime of degree 1 at which R is regular: localized at P, each
+# level is a discrete valuation ring with uniformizer p, since
+# m_i(y) = 0 = m_i(r) + (y - r)(m_i'(r) + (y - r)(...)) with the last factor
+# a unit puts y - r in pR.  That ring is integrally closed, so it holds the
+# coefficients of every monic factor over the field of a monic f over R, and
+# phi extends to it.  A factorization f = g h therefore maps to
+# phi(f) = phi(g) phi(h) with the same degrees: when phi(f) is squarefree,
+# the degree of every divisor of f is a subset sum of the degrees of
+# phi(f)'s irreducible factors, as over Q (Cohen, GTM 138, section 3.5).
+# The same primes carry such a map of the whole field when the top
+# modulus's image has a simple root too.
 
 
 def _root_mod(f: list, p: int):
-    """A root in F_p of the monic f, or None.  The product of f's linear
-    factors, gcd(f, x^p - x), is split by gcd((x + a)^((p-1)/2) - 1, .)
-    for a = 0, 1, ... until one linear factor is left."""
+    """A simple root in F_p of the monic f, or None.  The product of f's
+    linear factors, gcd(f, x^p - x), less those shared with f', is split
+    by gcd((x + a)^((p-1)/2) - 1, .) for a = 0, 1, ... until one linear
+    factor is left."""
     x = [0, 1]
     h = _mod_gcd(f, _mod_sub(_mod_pow_mod(x, p, f, p), x, p), p)
+    repeated = _mod_gcd(h, _mod_deriv(f, p), p)
+    if len(repeated) > 1:
+        h = _mod_divmod(h, repeated, p)[0]
     for a in range(p):
         if len(h) <= 2:
             break
@@ -737,11 +771,15 @@ def _map_mod(basis, nums, den: int, p: int):
 
 @lru_cache(maxsize=256)
 def _screen_maps(levels: tuple) -> tuple:
-    """Up to _SCREEN_PRIMES triples (p, basis, modulus): a ring map phi
-    from the field below the top level to F_p, as the images of its power
-    basis, and the top modulus under phi.  Primes exceed NORM_DEGREE_CAP,
-    so F_p has a distinct node for every point a norm is interpolated on.
+    """Up to _SCREEN_PRIMES entries (p, basis, modulus, whole): a ring map
+    phi from the field below the top level to F_p through simple roots, as
+    the images of its power basis, the top modulus under phi, and phi
+    extended to the whole field by a simple root of that image, or None
+    when it has none.  Primes exceed NORM_DEGREE_CAP, so F_p has a distinct
+    node for every point a norm is interpolated on.
     """
+    if not levels:
+        return ()  # Q: factor_over_q has its own primes
     chain = field_chain(FieldTower(levels))
     out = []
     primes = (q for q in count(NORM_DEGREE_CAP + 1) if is_probable_prime(q))
@@ -754,17 +792,56 @@ def _screen_maps(levels: tuple) -> tuple:
                        for c in K.modulus]
             if None in modulus:
                 break
-            if K is chain[-1]:
-                out.append((p, tuple(basis), tuple(modulus)))
-                break
             r = _root_mod(modulus, p)
+            if K is chain[-1]:
+                whole = None if r is None else _basis_images(basis, r, K, p)
+                out.append((p, tuple(basis), tuple(modulus), whole))
+                break
             if r is None:
                 break
-            # coordinate i*b + j is the i-th power of the generator times
-            # the j-th basis element below
-            basis = [pow(r, i, p) * v % p for i in range(K.degree)
-                     for v in basis]
+            basis = _basis_images(basis, r, K, p)
     return tuple(out)
+
+
+def _basis_images(basis, r: int, K, p: int) -> tuple:
+    """phi on K's power basis, given phi on the basis below and the image r
+    of K's generator: coordinate i*b + j is the i-th power of the generator
+    times the j-th basis element below."""
+    return tuple(pow(r, i, p) * v % p for i in range(K.degree)
+                 for v in basis)
+
+
+def _tower_key(chain) -> tuple:
+    return tuple(K.modulus for K in chain[1:])
+
+
+def _whole_field_images(chain, f):
+    """(p, phi(f)) for each screen prime with a map phi of the whole field
+    chain[-1] under which f's coefficients are defined."""
+    parts = [chain[-1].parts(c) for c in f]
+    for p, _, _, whole in _screen_maps(_tower_key(chain)):
+        if whole is not None and all(den % p for _, den in parts):
+            yield p, [_map_mod(whole, nums, den, p) for nums, den in parts]
+
+
+def _certified_irreducible(chain, f) -> bool:
+    """Whether the factor degrees of phi(f) at the screen primes leave the
+    monic f no divisor degree but 0 and deg f, which proves f irreducible."""
+    deg = len(f) - 1
+    allowed = (1 << (deg + 1)) - 1
+    for p, image in _whole_field_images(chain, f):
+        if _squarefree_mod(image, p):
+            allowed &= _divisor_degrees(_distinct_degree_parts(image, p))[0]
+            if allowed == 1 | 1 << deg:
+                return True
+    return False
+
+
+def _certified_squarefree(chain, f) -> bool:
+    """Whether phi(f) is squarefree at some screen prime, which proves the
+    monic f squarefree, since phi(disc f) = disc phi(f)."""
+    return any(_squarefree_mod(image, p)
+               for p, image in _whole_field_images(chain, f))
 
 
 def _screened_shift(chain, f, norm_deg):
@@ -772,8 +849,7 @@ def _screened_shift(chain, f, norm_deg):
     g(x) = f(x - k*alpha), a screen prime proves squarefree, or None."""
     F = chain[-1]
     b = F.base.absolute_degree
-    for p, basis, modulus in _screen_maps(tuple(K.modulus
-                                                for K in chain[1:])):
+    for p, basis, modulus, _ in _screen_maps(_tower_key(chain)):
         parts = [F.parts(c) for c in f]
         if p <= norm_deg or any(den % p == 0 for _, den in parts):
             continue
@@ -903,8 +979,12 @@ def factor_over_tower(tower: FieldTower, f) -> list[tuple[list, int]]:
     if len(g) - 1 < 1:
         return []
     g = _gp_monic(F, g)
+    if _certified_squarefree(chain, g):
+        parts = [(g, 1)]
+    else:
+        parts = _squarefree_parts_chain(F, g)
     result = []
-    for part, mult in _squarefree_parts_chain(F, g):
+    for part, mult in parts:
         for irr in _factor_squarefree_chain(chain, part):
             result.append((irr, mult))
     result.sort(key=lambda t: flatten_poly(F, t[0]))

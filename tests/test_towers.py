@@ -503,14 +503,22 @@ def test_screen_map_is_a_ring_map():
     rng = random.Random(79)
     for tower in (non_integral_tower(), non_integral_over_q()):
         F = tower_field(tower)
-        # a dummy top level, so the maps cover the whole tower field
+        # a dummy top level, so the maps below it cover the whole tower
+        # field; the tower's own whole-field maps cover it through a root
+        # of its top modulus
         top = (F.from_fraction(-3), F.zero(), F.one())
         maps = towers._screen_maps(tower.levels + (top,))
         assert len(maps) == towers._SCREEN_PRIMES
-        chain = field_chain(tower)
-        for p, basis, modulus in maps:
+        images = []
+        for p, basis, modulus, _ in maps:
             assert p > towers.NORM_DEGREE_CAP
             assert modulus == (p - 3, 0, 1)
+            images.append((p, basis))
+        whole = [(p, w) for p, _, _, w in towers._screen_maps(tower.levels)
+                 if w is not None]
+        assert whole
+        chain = field_chain(tower)
+        for p, basis in images + whole:
 
             def phi(a):
                 # None when p divides a's denominator
@@ -518,12 +526,15 @@ def test_screen_map_is_a_ring_map():
 
             assert phi(F.one()) == 1
             for height, K in enumerate(chain[1:], 1):
+                # each generator maps to a simple root of its modulus
                 root = phi(embed_to(chain, height, K.generator()))
-                value = 0
+                value = slope = 0
                 for c in reversed(K.modulus):
+                    slope = (slope * root + value) % p
                     value = (value * root + phi(
                         embed_to(chain, height - 1, c))) % p
                 assert value == 0
+                assert slope != 0
             checked = 0
             while checked < 25:
                 a, b = random_element(F, rng), random_element(F, rng)
@@ -562,17 +573,21 @@ def test_screened_and_exact_descent_agree(monkeypatch):
         F = tower_field(tower)
         inputs += [(name, tower, random_squarefree(F, rng))
                    for _ in range(4)]
-    certified = []
-    screen = towers._screen_norm
+    inputs += certificate_inputs()
+    calls = {"_screen_norm": [], "_certified_irreducible": []}
+    for attr, seen in calls.items():
+        def counted(*args, check=getattr(towers, attr), seen=seen):
+            ok = check(*args)
+            seen.append(ok)
+            return ok
 
-    def counted(*args):
-        ok = screen(*args)
-        certified.append(ok)
-        return ok
-
-    monkeypatch.setattr(towers, "_screen_norm", counted)
+        monkeypatch.setattr(towers, attr, counted)
     screened = [factor_over_tower(t, f) for _, t, f in inputs]
-    assert any(certified)
+    assert any(calls["_screen_norm"])
+    assert any(calls["_certified_irreducible"])
+    assert not all(calls["_certified_irreducible"])
+    assert any(len(facs) == 1 and facs[0][1] == 1 for facs in screened)
+    assert any(m > 1 for facs in screened for _, m in facs)
     exact_tests = []
     squarefree = towers._gp_squarefree
 
@@ -605,6 +620,111 @@ def test_screen_never_certifies_a_power_norm(monkeypatch):
     monkeypatch.setattr(towers, "_SCREEN_SHIFTS", 1)
     for name, chain, f in cases:
         assert towers._screened_shift(chain, f, 6) is None, name
+
+
+def test_screen_maps_need_simple_roots():
+    # 193 is the first screen prime, and x^2 - 193 has the double root 0
+    # modulo 193: no map of Q(sqrt193) may send the generator there
+    sqrt193 = extend(base_field("Q"), P(-193, 0, 1))
+    F = tower_field(sqrt193)
+    assert towers._root_mod([0, 0, 1], 193) is None
+    assert towers._root_mod([0, 1, 1], 193) == 192
+    maps = towers._screen_maps(sqrt193.levels)
+    assert maps[0][0] == 193 and maps[0][3] is None
+    top = (F.from_fraction(-3), F.zero(), F.one())
+    above = towers._screen_maps(sqrt193.levels + (top,))
+    assert len(above) == towers._SCREEN_PRIMES
+    assert 193 not in [p for p, *_ in above]
+
+
+def test_whole_field_images_skip_denominators():
+    # Q(i) has whole-field maps at 193 and 197; a coefficient over 193 is
+    # not defined at the first
+    chain = field_chain(base_field("Q(i)"))
+    F = chain[-1]
+    f = [F.from_fraction(-1), F.from_fraction(Fraction(1, 193)), F.one()]
+    images = list(towers._whole_field_images(chain, f))
+    assert [p for p, _ in images] == [197]
+    assert images[0][1] == [196, pow(193, -1, 197), 1]
+
+
+def certificate_fields():
+    """The screen fields, then degree-5 and degree-12 towers; each has a
+    map of its whole field at some screen prime."""
+    fifth_root = extend(base_field("Q"), P(-2, 0, 0, 0, 0, 1))
+    split = splitting_tower(P(-2, 0, 0, 1), base_field("Q(i)"))
+    assert split.absolute_degree == 12
+    fields = screen_fields()[1:] + [("Q(2^(1/5))", fifth_root),
+                                    ("x^3 - 2 over Q(i)", split)]
+    for name, tower in fields:
+        assert any(whole is not None
+                   for *_, whole in towers._screen_maps(tower.levels)), name
+    return fields
+
+
+def random_monic(F, rng, deg):
+    return [random_element(F, rng) for _ in range(deg)] + [F.one()]
+
+
+def test_irreducibility_certificate_never_fires_on_products():
+    rng = random.Random(89)
+    for name, tower in certificate_fields():
+        chain = field_chain(tower)
+        F = chain[-1]
+        for _ in range(12):
+            degrees = [rng.randrange(1, 4) for _ in range(rng.randrange(2, 4))]
+            f = gp_product(F, [random_monic(F, rng, d) for d in degrees])
+            assert not towers._certified_irreducible(chain, f), name
+        # a product of conjugates is reducible though its image mod a
+        # screen prime may have any factor degrees
+        alpha = F.generator()
+        f = gp_product(F, [[F.neg(alpha), F.zero(), F.one()],
+                           [F.scale(alpha, -2), F.zero(), F.one()]])
+        assert not towers._certified_irreducible(chain, f), name
+    # over Q(i), with maps at 193 and 197: x^2 - 386 is x^2 modulo 193, so
+    # the image of f there is not squarefree; modulo 197 both factors of f
+    # stay irreducible
+    chain = field_chain(base_field("Q(i)"))
+    f = lift_to_field(chain[-1], P(-386, 0, 1) * P(1, -1, 0, 1))
+    assert not towers._certified_irreducible(chain, f)
+
+
+def certificate_inputs():
+    """Seeded inputs over the certificate fields: random monic polynomials,
+    mostly irreducible, products, and a square times a linear factor."""
+    rng = random.Random(97)
+    inputs = []
+    for name, tower in certificate_fields():
+        F = tower_field(tower)
+        big = F.absolute_degree > 4
+        for _ in range(2 if big else 4):
+            inputs.append((name, tower, random_monic(
+                F, rng, rng.randrange(2, 4 if big else 5))))
+        for _ in range(1 if big else 3):
+            degrees = [1, rng.randrange(1, 3)]
+            inputs.append((name, tower, gp_product(
+                F, [random_monic(F, rng, d) for d in degrees])))
+        g = random_monic(F, rng, 1)
+        inputs.append((name, tower, gp_product(
+            F, [g, g, random_monic(F, rng, 1)])))
+    return inputs
+
+
+def test_quintic_cofactor_is_irreducible_without_norms(monkeypatch):
+    # over Q(alpha), alpha^5 = a, (x^5 - a)/(x - alpha) is irreducible;
+    # modulo 193, which is 3 mod 5, its image is an irreducible quartic
+    def no_norms(*args):
+        raise AssertionError("exact norm computed")
+
+    monkeypatch.setattr(towers, "_norm_poly", no_norms)
+    for a in (2, 3, 5, 6, 7):
+        tower = extend(base_field("Q"), P(-a, 0, 0, 0, 0, 1))
+        F = tower_field(tower)
+        quintic = lift_to_field(F, P(-a, 0, 0, 0, 0, 1))
+        quartic, rem = towers._gp_divmod(
+            F, quintic, [F.neg(F.generator()), F.one()])
+        assert not rem
+        assert factor_over_tower(tower, quartic) == [(quartic, 1)], a
 
 
 # ---------------------------------------------------------------------------
