@@ -9,7 +9,7 @@ ramification, and issues the same certificate shape as for Jacobians.
 
 from fractions import Fraction
 
-from heavenly import WeilRestrictionInput, classify, weil_torsion_data
+from heavenly import WeilRestrictionInput, classify, two_division_tower
 
 # Coefficients of x^3 - s*x as (rational, irrational) pairs over s = sqrt(2).
 PAIRS = ((Fraction(0), Fraction(0)),
@@ -20,12 +20,15 @@ PAIRS = ((Fraction(0), Fraction(0)),
 
 def main():
     item = WeilRestrictionInput.of("Q", Fraction(2), PAIRS)
-    data = weil_torsion_data(item)
+    quadratic, curve, compositum = two_division_tower(item)
+    degree = quadratic.absolute_degree
     print("curve: y^2 = x^3 - s*x over Q(s), s^2 = 2")
-    print(f"  2-division degrees of the curve and its conjugate over Q(s): "
-          f"{data.component_degrees}")
-    print(f"  compositum degree over Q(s): {data.degree_over_quadratic}")
-    print(f"  compositum degree over Q:    {data.tower.absolute_degree}")
+    print(f"  2-division degree of the curve over Q(s):  "
+          f"{curve.absolute_degree // degree}")
+    print(f"  compositum with the conjugate's, over Q(s): "
+          f"{compositum.absolute_degree // degree}")
+    print(f"  compositum degree over Q:                   "
+          f"{compositum.absolute_degree}")
     print()
     verdict = classify(item)
     print(f"verdict: {verdict.status} "

@@ -33,7 +33,6 @@ from .towers import (
     extend,
     factor_over_tower,
     field_chain,
-    splitting_degree,
     splitting_tower,
     tower_field,
 )
@@ -49,6 +48,8 @@ AXIOM = "axiom"
 # per-factor bound on the closure degree over the quadratic base, by the
 # degree of the field a single Weierstrass root generates over that base
 _FACTOR_CLOSURE_BOUNDS = {1: 1, 2: 4, 4: 32}
+
+_SHAPE_ERROR = "expected an elliptic, Jacobian, product, or restriction input"
 
 
 # ---------------------------------------------------------------------------
@@ -337,86 +338,53 @@ def screen_good_reduction(f: UniPoly) -> str:
 # 2-division fields by input shape.
 
 
-def two_torsion_field_elliptic(E: EllipticInput) -> FieldTower:
-    """Splitting tower of the 2-division cubic over the curve's base field."""
-    return splitting_tower(E.cubic, base_field(E.base))
+def _model_polynomials(item) -> list[UniPoly]:
+    """The rational model polynomials of an elliptic, Jacobian or product
+    input: the cubic, the genus-2 model, or both cubics."""
+    if isinstance(item, EllipticInput):
+        return [item.cubic]
+    if isinstance(item, JacobianInput):
+        return [item.poly]
+    if isinstance(item, ProductInput):
+        return [item.first.cubic, item.second.cubic]
+    raise InputError(_SHAPE_ERROR)
 
 
-def two_torsion_field_jacobian(C: JacobianInput) -> FieldTower:
-    """Splitting tower of the Weierstrass polynomial over the base field.
+def _two_division_levels(item):
+    """Yield the start field of two_division_tower, then each T_i as soon
+    as it is built."""
+    if isinstance(item, WeilRestrictionInput):
+        start = extend(base_field(item.base),
+                       UniPoly.of(-item.radicand, 0, 1))
+        K = tower_field(start)
+        # the curve, then its conjugate twist: s replaced by -s
+        polys = [[K.add(K.from_fraction(a), K.scale(K.generator(), sign * b))
+                  for a, b in item.cubic] for sign in (1, -1)]
+    else:
+        polys = _model_polynomials(item)
+        start = base_field(item.base)
+    yield start
+    tower = start
+    for f in polys:
+        if not isinstance(f, UniPoly):      # coefficients over start
+            f = _embed_up(field_chain(start), field_chain(tower), f)
+        tower = splitting_tower(f, tower)
+        yield tower
 
-    Unordered pairs of Weierstrass points generate the 2-torsion of the
-    Jacobian, so the splitting field of the model polynomial is the full
-    2-division field; a degree-5 model has its sixth Weierstrass point
-    rational at infinity.
+
+def two_division_tower(item) -> list[FieldTower]:
+    """The 2-division field of any input shape, as a list of towers.
+
+    Returns [start, T_1, ..., T_k]: start is the base field, or its
+    quadratic step x^2 - D for a restriction, and each T_i is the
+    splitting tower over T_(i-1) of the shape's i-th polynomial: the
+    cubic; the genus-2 model; both cubics of a product; or a restriction's
+    curve and then its conjugate twist.  T_k is the 2-division field.
+    Unordered pairs of Weierstrass points generate the 2-torsion of a
+    Jacobian, so the model's splitting field is its 2-division field; a
+    degree-5 model has its sixth Weierstrass point rational at infinity.
     """
-    return splitting_tower(C.poly, base_field(C.base))
-
-
-def two_torsion_field_product(P: ProductInput) -> FieldTower:
-    """Compositum of the two factors' 2-division fields over the base."""
-    first = splitting_tower(P.first.cubic, base_field(P.base))
-    return splitting_tower(P.second.cubic, first)
-
-
-@dataclass(frozen=True)
-class WeilTorsionData:
-    """Compositum 2-division data for a conjugate pair of curves.
-
-    tower is the compositum of the two curves' 2-division fields over the
-    quadratic extension, as a tower over Q; component_degrees are the two
-    relative 2-division degrees over that extension.  The odd primes
-    ramifying in the quadratic extension are computed on first access.
-    """
-
-    tower: FieldTower
-    quadratic: FieldTower
-    degree_over_quadratic: int
-    component_degrees: tuple
-
-    @property
-    def quadratic_odd_ramified(self) -> tuple:
-        # the quadratic step's levels have rational coefficients, and the
-        # step is their splitting field over Q
-        chain = field_chain(self.quadratic)
-        return tuple(sorted(splitting_field_odd_ramified(
-            UniPoly.from_list([K.flatten(c)[0] for c in level])
-            for K, level in zip(chain, self.quadratic.levels))))
-
-
-def weil_torsion_data(W: WeilRestrictionInput) -> WeilTorsionData:
-    """2-division field of a Weil restriction, with its recorded facts."""
-    base = base_field(W.base)
-    quadratic = extend(base, UniPoly.of(-W.radicand, 0, 1))
-    K = tower_field(quadratic)
-
-    def embed(pair):
-        a, b = pair
-        return K.add(K.from_fraction(a), K.scale(K.generator(), b))
-
-    original = [embed(pair) for pair in W.cubic]
-    conjugate = [embed((a, -b)) for a, b in W.cubic]
-    first = splitting_tower(original, quadratic)
-    degrees = (first.absolute_degree // quadratic.absolute_degree,
-               splitting_degree(conjugate, quadratic))
-    for c in degrees:
-        if c not in (1, 2, 3, 6):
-            raise ArithmeticError(
-                f"cubic 2-division degree {c} outside 1, 2, 3, 6")
-    lifted = _embed_up(field_chain(quadratic), field_chain(first), conjugate)
-    tower = splitting_tower(lifted, first)
-    return WeilTorsionData(
-        tower=tower,
-        quadratic=quadratic,
-        degree_over_quadratic=tower.absolute_degree
-        // quadratic.absolute_degree,
-        component_degrees=degrees,
-    )
-
-
-def two_torsion_field_weil(W: WeilRestrictionInput) -> FieldTower:
-    """Compositum 2-division field of the curve and its conjugate twist."""
-    return weil_torsion_data(W).tower
+    return list(_two_division_levels(item))
 
 
 def defining_polynomials(item) -> list[UniPoly]:
@@ -428,14 +396,10 @@ def defining_polynomials(item) -> list[UniPoly]:
     when the base is not Q.  Their splitting field is Galois over Q, so it
     is its own Galois closure.
     """
-    if isinstance(item, EllipticInput):
-        polys = [item.cubic]
-    elif isinstance(item, JacobianInput):
-        polys = [item.poly]
-    elif isinstance(item, ProductInput):
-        polys = [item.first.cubic, item.second.cubic]
-    else:
+    if isinstance(item, WeilRestrictionInput):
         polys = [_norm_polynomial(item), UniPoly.of(-item.radicand, 0, 1)]
+    else:
+        polys = _model_polynomials(item)
     return polys + _base_modulus(item.base)
 
 
@@ -535,13 +499,6 @@ def _elliptic_screen(E: EllipticInput, steps: list) -> str:
     return outcome
 
 
-def _elliptic_tower(E: EllipticInput, steps: list):
-    base = base_field(E.base)
-    tower = two_torsion_field_elliptic(E)
-    steps.append(_tower_step(tower, base, "curve"))
-    return tower, base
-
-
 def _jacobian_screen(C: JacobianInput, steps: list) -> str:
     steps.append(_cite("GGR_TRICHOTOMY", _GGR_NOTE))
     values = {
@@ -557,16 +514,6 @@ def _jacobian_screen(C: JacobianInput, steps: list) -> str:
     steps.append(step)
     steps.append(_cite("SERRE_TATE_GOOD_REDUCTION", _SERRE_TATE_NOTE))
     return outcome
-
-
-def _jacobian_tower(C: JacobianInput, steps: list):
-    base = base_field(C.base)
-    steps.append(_computed(
-        "degrees over the base of the fields of single Weierstrass points",
-        factor_degrees=factor_degree_vector(C)))
-    tower = two_torsion_field_jacobian(C)
-    steps.append(_tower_step(tower, base, "Jacobian"))
-    return tower, base
 
 
 def _product_screen(P: ProductInput, steps: list) -> str:
@@ -587,17 +534,6 @@ def _product_screen(P: ProductInput, steps: list) -> str:
         outcome=outcome))
     steps.append(_cite("SERRE_TATE_GOOD_REDUCTION", _SERRE_TATE_NOTE))
     return outcome
-
-
-def _product_tower(P: ProductInput, steps: list):
-    base = base_field(P.base)
-    first = splitting_tower(P.first.cubic, base)
-    steps.append(_computed(
-        "2-division field of the first factor",
-        relative_degree=first.absolute_degree // base.absolute_degree))
-    tower = splitting_tower(P.second.cubic, first)
-    steps.append(_tower_step(tower, base, "product"))
-    return tower, base
 
 
 def _weil_screen(W: WeilRestrictionInput, steps: list) -> str:
@@ -624,26 +560,56 @@ def _weil_screen(W: WeilRestrictionInput, steps: list) -> str:
     return outcome
 
 
-def _weil_tower(W: WeilRestrictionInput, steps: list):
-    data = weil_torsion_data(W)
+_SCREENS = [
+    (EllipticInput, _elliptic_screen),
+    (JacobianInput, _jacobian_screen),
+    (ProductInput, _product_screen),
+    (WeilRestrictionInput, _weil_screen),
+]
+
+_TOWER_LABELS = {EllipticInput: "curve", JacobianInput: "Jacobian",
+                 ProductInput: "product"}
+
+
+def _tower_stage(item, steps: list) -> FieldTower:
+    """Build the 2-division tower, recording the shape's steps on it.
+
+    Each step is recorded as soon as the tower it reads exists, so a
+    resource cap later in the build leaves it in the partial certificate.
+    """
+    if isinstance(item, JacobianInput):
+        steps.append(_computed(
+            "degrees over the base of the fields of single Weierstrass "
+            "points",
+            factor_degrees=factor_degree_vector(item)))
+    towers = []
+    for tower in _two_division_levels(item):
+        towers.append(tower)
+        if isinstance(item, ProductInput) and len(towers) == 2:
+            steps.append(_computed(
+                "2-division field of the first factor",
+                relative_degree=tower.absolute_degree
+                // towers[0].absolute_degree))
+    start, top = towers[0], towers[-1]
+    if not isinstance(item, WeilRestrictionInput):
+        steps.append(_tower_step(top, start, _TOWER_LABELS[type(item)]))
+        return top
+    # the nontrivial automorphism of the quadratic step carries the curve's
+    # 2-division field onto its conjugate twist's, so both have degree c
+    c = towers[1].absolute_degree // start.absolute_degree
+    if c not in (1, 2, 3, 6):
+        raise ArithmeticError(
+            f"cubic 2-division degree {c} outside 1, 2, 3, 6")
     steps.append(_computed(
         "2-division degrees of the curve and its conjugate twist over the "
         "quadratic step",
-        component_degrees=data.component_degrees))
+        component_degrees=(c, c)))
     steps.append(_computed(
         "compositum 2-division field of the conjugate pair",
-        degree_over_quadratic=data.degree_over_quadratic,
-        absolute_degree=data.tower.absolute_degree,
-        level_degrees=tuple(data.tower.level_degrees())))
-    return data.tower, base_field(W.base)
-
-
-_STAGES = [
-    (EllipticInput, _elliptic_screen, _elliptic_tower),
-    (JacobianInput, _jacobian_screen, _jacobian_tower),
-    (ProductInput, _product_screen, _product_tower),
-    (WeilRestrictionInput, _weil_screen, _weil_tower),
-]
+        degree_over_quadratic=top.absolute_degree // start.absolute_degree,
+        absolute_degree=top.absolute_degree,
+        level_degrees=tuple(top.level_degrees())))
+    return top
 
 
 def _capped(steps: list, screen, torsion_degree, exc) -> Verdict:
@@ -664,19 +630,19 @@ def classify(item) -> Verdict:
     closure degree is the tower's absolute degree.  Resource caps yield an
     unknown verdict carrying the partial certificate.
     """
-    for kind, screen_stage, tower_stage in _STAGES:
+    for kind, screen_stage in _SCREENS:
         if isinstance(item, kind):
             break
     else:
-        raise InputError(
-            "expected an elliptic, Jacobian, product, or restriction input")
+        raise InputError(_SHAPE_ERROR)
     steps: list[Step] = []
     screen = screen_stage(item, steps)
     try:
-        tower, base = tower_stage(item, steps)
+        tower = _tower_stage(item, steps)
     except ResourceCapError as exc:
         return _capped(steps, screen, None, exc)
-    torsion_degree = tower.absolute_degree // base.absolute_degree
+    torsion_degree = \
+        tower.absolute_degree // base_field(item.base).absolute_degree
 
     try:
         ramified = tuple(sorted(

@@ -1110,8 +1110,7 @@ _COFACTOR_SPLITS = frozenset({"C3", "V4", "C4"})
 # Splitting towers.
 
 
-def splitting_tower(f, tower: FieldTower = FieldTower(),
-                    degree_cap: int = SPLITTING_DEGREE_CAP) -> FieldTower:
+def splitting_tower(f, tower: FieldTower = FieldTower()) -> FieldTower:
     """The minimal tower over the given one where f splits into linears.
 
     Repeatedly extends by a largest-degree irreducible factor (ties broken
@@ -1125,10 +1124,8 @@ def splitting_tower(f, tower: FieldTower = FieldTower(),
     linears for C3, V4 and C4.  A D4 cofactor is a linear times an
     irreducible quadratic, which the general refactoring finds.  Raises a
     resource error carrying the partial tower when the absolute degree
-    would exceed the cap.
+    would exceed SPLITTING_DEGREE_CAP.
     """
-    if degree_cap < 1:
-        raise InputError("degree cap must be at least 1")
     current = tower
     facs = factor_over_tower(current, f)
     if not facs:
@@ -1143,10 +1140,10 @@ def splitting_tower(f, tower: FieldTower = FieldTower(),
         pending.sort(key=lambda h: (-(len(h) - 1), flatten_poly(F, h)))
         chosen = pending.pop(0)
         new_degree = current.absolute_degree * (len(chosen) - 1)
-        if new_degree > degree_cap:
+        if new_degree > SPLITTING_DEGREE_CAP:
             raise ResourceCapError(
                 f"splitting tower degree {new_degree} exceeds cap "
-                f"{degree_cap}", partial=current,
+                f"{SPLITTING_DEGREE_CAP}", partial=current,
             )
         group = _galois_class(current, chosen)
         current = _extend_unchecked(current, chosen)
@@ -1174,10 +1171,9 @@ def splitting_tower(f, tower: FieldTower = FieldTower(),
     return current
 
 
-def splitting_degree(f, tower: FieldTower = FieldTower(),
-                     degree_cap: int = SPLITTING_DEGREE_CAP) -> int:
+def splitting_degree(f, tower: FieldTower = FieldTower()) -> int:
     """Degree of the splitting tower over the given base tower."""
-    result = splitting_tower(f, tower, degree_cap)
+    result = splitting_tower(f, tower)
     return result.absolute_degree // tower.absolute_degree
 
 

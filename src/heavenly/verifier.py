@@ -11,7 +11,7 @@ from .classify import (
     classify,
     closure_degree_bound,
     gl4_deduction,
-    two_torsion_field_elliptic,
+    two_division_tower,
 )
 from .errors import InputError
 from .integers import factorize
@@ -248,7 +248,7 @@ def verify_dim272() -> LemmaReport:
     image = _close_tuples([regular[position[g]] for g in group.generators])
     c.expect("regular_image_order", len(image), 272)
     for name, cubic in (("32a2", _CURVE_32A2), ("64a1", _CURVE_64A1)):
-        tower = two_torsion_field_elliptic(EllipticInput("Q", cubic))
+        tower = two_division_tower(EllipticInput("Q", cubic))[-1]
         c.expect(f"torsion_degree_{name}", tower.absolute_degree, 1)
     c.note("conclusion",
            "a faithful order-272 mod-2 image is not a 2-group, so the "

@@ -2,6 +2,7 @@
 
 import json
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -24,11 +25,7 @@ from heavenly.classify import (
     factor_degree_vector,
     gl4_deduction,
     screen_good_reduction,
-    two_torsion_field_elliptic,
-    two_torsion_field_jacobian,
-    two_torsion_field_product,
-    two_torsion_field_weil,
-    weil_torsion_data,
+    two_division_tower,
 )
 from heavenly.documents import input_from_document
 from heavenly.errors import InputError
@@ -39,8 +36,10 @@ from heavenly.ramification import (
 )
 from heavenly.towers import (
     base_field,
+    extend,
     splitting_degree,
     splitting_tower,
+    tower_field,
 )
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -103,9 +102,9 @@ def test_elliptic_input_validation():
 
 def test_long_weierstrass_reduction():
     e = EllipticInput.from_long_weierstrass("Q", 0, 0, 0, -1, 0)
-    assert two_torsion_field_elliptic(e).absolute_degree == 1
+    assert torsion_field_degree(e) == 1
     e = EllipticInput.from_long_weierstrass("Q", 0, 0, 0, -4, 0)
-    assert two_torsion_field_elliptic(e).absolute_degree == 1
+    assert torsion_field_degree(e) == 1
     # y^2 + y = x^3 completes to y^2 = 4x^3 + 1, split by the cube roots
     # of -1/4: a full symmetric cubic, degree 6
     e = EllipticInput.from_long_weierstrass("Q", 0, 0, 1, 0, 0)
@@ -155,44 +154,54 @@ def test_weil_input_validation():
 # 2-division fields by shape.
 
 
+def torsion_field_degree(item):
+    return two_division_tower(item)[-1].absolute_degree
+
+
 def test_elliptic_torsion_fields():
-    assert two_torsion_field_elliptic(
-        EllipticInput("Q", CURVE_32A2)).absolute_degree == 1
-    assert two_torsion_field_elliptic(
-        EllipticInput("Q", CURVE_64A1)).absolute_degree == 1
-    tower = two_torsion_field_elliptic(EllipticInput("Q", X3_MINUS_2))
-    assert tower.absolute_degree == 6
-    over_qi = two_torsion_field_elliptic(EllipticInput("Q(i)", CURVE_32A2))
-    assert over_qi.absolute_degree == 2    # the base itself
+    assert torsion_field_degree(EllipticInput("Q", CURVE_32A2)) == 1
+    assert torsion_field_degree(EllipticInput("Q", CURVE_64A1)) == 1
+    assert torsion_field_degree(EllipticInput("Q", X3_MINUS_2)) == 6
+    over_qi = two_division_tower(EllipticInput("Q(i)", CURVE_32A2))
+    assert [t.absolute_degree for t in over_qi] == [2, 2]  # the base itself
 
 
 def test_jacobian_torsion_fields():
-    t = two_torsion_field_jacobian(JacobianInput("Q", X5_MINUS_X))
-    assert t.absolute_degree == 2
-    t = two_torsion_field_jacobian(JacobianInput("Q", X5_PLUS_X))
-    assert t.absolute_degree == 4
+    assert torsion_field_degree(JacobianInput("Q", X5_MINUS_X)) == 2
+    assert torsion_field_degree(JacobianInput("Q", X5_PLUS_X)) == 4
     split = poly_from_roots(0, 1, -1, 2, -2, 3)
-    t = two_torsion_field_jacobian(JacobianInput("Q", split))
-    assert t.absolute_degree == 1
+    assert torsion_field_degree(JacobianInput("Q", split)) == 1
 
 
 def test_product_torsion_fields():
     both_rational = ProductInput(EllipticInput("Q", CURVE_32A2),
                                  EllipticInput("Q", CURVE_64A1))
-    assert two_torsion_field_product(both_rational).absolute_degree == 1
+    assert torsion_field_degree(both_rational) == 1
 
     mixed = ProductInput(EllipticInput("Q", CURVE_32A2),
                          EllipticInput("Q", X3_MINUS_2))
     swapped = ProductInput(EllipticInput("Q", X3_MINUS_2),
                            EllipticInput("Q", CURVE_32A2))
-    assert two_torsion_field_product(mixed).absolute_degree == 6
-    assert two_torsion_field_product(swapped).absolute_degree == 6
+    assert [t.absolute_degree for t in two_division_tower(mixed)] == \
+        [1, 1, 6]
+    assert [t.absolute_degree for t in two_division_tower(swapped)] == \
+        [1, 6, 6]
 
     same = ProductInput(EllipticInput("Q", X3_MINUS_2),
                         EllipticInput("Q", X3_MINUS_2))
-    alone = two_torsion_field_elliptic(EllipticInput("Q", X3_MINUS_2))
-    assert two_torsion_field_product(same).absolute_degree == \
-        alone.absolute_degree
+    assert torsion_field_degree(same) == \
+        torsion_field_degree(EllipticInput("Q", X3_MINUS_2))
+
+
+def quadratic_step_primes(verdict):
+    step, = [s for s in verdict.steps
+             if s.description == "odd primes ramifying in the quadratic step"]
+    return step.value("primes")
+
+
+def component_degrees(verdict):
+    step, = [s for s in verdict.steps if s.has_value("component_degrees")]
+    return step.value("component_degrees")
 
 
 def test_weil_self_conjugate_curve():
@@ -200,24 +209,98 @@ def test_weil_self_conjugate_curve():
     # compositum is the quadratic step times the curve's own 2-division
     # field Q(sqrt(-3))
     w = WeilRestrictionInput.of("Q", -1, ((-1, 0), (0, 0), (0, 0), (1, 0)))
-    data = weil_torsion_data(w)
-    assert data.component_degrees == (2, 2)
-    assert data.quadratic.absolute_degree == 2
-    assert data.tower.absolute_degree == 4
-    assert data.degree_over_quadratic == 2
-    assert data.quadratic_odd_ramified == ()
+    quadratic, curve, compositum = two_division_tower(w)
+    assert quadratic.absolute_degree == 2
+    assert curve.absolute_degree == 4
+    assert compositum.absolute_degree == 4
+    verdict = classify(w)
+    assert component_degrees(verdict) == (2, 2)
+    assert quadratic_step_primes(verdict) == ()
 
 
 def test_weil_irrational_curve():
     # y^2 = x^3 - sqrt(2)*x over Q(sqrt2); the conjugate is x^3 + sqrt(2)*x
     w = WeilRestrictionInput.of("Q", 2, ((0, 0), (0, -1), (0, 0), (1, 0)))
-    data = weil_torsion_data(w)
-    assert data.component_degrees == (2, 2)
-    assert data.degree_over_quadratic == 4
-    assert data.tower.absolute_degree == 8
-    assert data.quadratic_odd_ramified == ()
-    assert all(c in (1, 2, 3, 6) for c in data.component_degrees)
-    assert two_torsion_field_weil(w).absolute_degree == 8
+    towers = two_division_tower(w)
+    assert [t.absolute_degree for t in towers] == [2, 4, 8]
+    verdict = classify(w)
+    assert component_degrees(verdict) == (2, 2)
+    step, = [s for s in verdict.steps if s.has_value("degree_over_quadratic")]
+    assert step.value("degree_over_quadratic") == 4
+    assert quadratic_step_primes(verdict) == ()
+
+
+def pair_poly_mul(f, g, square):
+    """Product of two polynomials with (a, b) = a + b*s coefficients."""
+    out = [(Fraction(0), Fraction(0))] * (len(f) + len(g) - 1)
+    for i, (a, b) in enumerate(f):
+        for j, (c, d) in enumerate(g):
+            r, t = out[i + j]
+            out[i + j] = (r + a * c + b * d * square, t + a * d + b * c)
+    return out
+
+
+def seeded_weil_inputs():
+    """Per base field, a restriction of each cubic kind: split, linear
+    times quadratic, a translate of the cyclic x^3 - 3x + 1, and x^3 + a
+    with a irrational."""
+    rng = random.Random(20261018)
+    one = (1, 0)
+
+    def element():
+        return (rng.randint(-2, 2), rng.randint(-2, 2))
+
+    def linear():
+        return [element(), one]
+
+    def split():
+        return pair_poly_mul(pair_poly_mul(linear(), linear(), D),
+                             linear(), D)
+
+    def linear_times_quadratic():
+        return pair_poly_mul(linear(), [element(), element(), one], D)
+
+    def cyclic_translate():
+        # f(x + t) = ((x + t)^2 - 3)(x + t) + 1
+        t = linear()
+        square = pair_poly_mul(t, t, D)
+        square[0] = (square[0][0] - 3, square[0][1])
+        out = pair_poly_mul(square, t, D)
+        out[0] = (out[0][0] + 1, out[0][1])
+        return out
+
+    def pure():
+        return [(rng.randint(-3, 3), rng.choice((-1, 1))), (0, 0), (0, 0),
+                one]
+
+    for base, radicands in (("Q", (-1, 2, 3, 5)), ("Q(i)", (2, 3, 5)),
+                            ("Q(sqrt2)", (-1, 3, 5)),
+                            ("Q(sqrt-2)", (-1, 2, 3, 5))):
+        D = rng.choice(radicands)
+        for make in (split, linear_times_quadratic, cyclic_translate, pure):
+            while True:
+                try:
+                    yield WeilRestrictionInput.of(base, D, make())
+                    break
+                except InputError:      # a repeated root; draw again
+                    continue
+
+
+def test_conjugate_twist_has_the_curves_2_division_degree():
+    # the nontrivial automorphism of K(sqrt D)/K carries the curve's
+    # 2-division field onto its conjugate twist's
+    seen = set()
+    for w in seeded_weil_inputs():
+        quadratic = extend(base_field(w.base), UniPoly.of(-w.radicand, 0, 1))
+        K = tower_field(quadratic)
+        original, conjugate = (
+            [K.add(K.from_fraction(a), K.scale(K.generator(), sign * b))
+             for a, b in w.cubic] for sign in (1, -1))
+        c = splitting_degree(original, quadratic)
+        assert splitting_degree(conjugate, quadratic) == c, w
+        assert component_degrees(classify(w)) == (c, c), w
+        seen.add(c)
+    assert seen == {1, 2, 3, 6}
 
 
 # ---------------------------------------------------------------------------
@@ -308,10 +391,10 @@ def test_weil_verdict_ramified_step():
     assert verdict.status == NOT_HEAVENLY
     assert verdict.steps[-1].value("witness_prime") == 3
     assert "JONES_DEGREES" in verdict.axiom_ids()
-    quad_steps = [s for s in verdict.steps
-                  if "quadratic step" in s.description and
-                  s.has_value("primes")]
-    assert quad_steps[0].value("primes") == (3,)
+    assert quadratic_step_primes(verdict) == (3,)
+    # over Q(i), the quadratic step Q(i, sqrt5) ramifies at 5 alone
+    w = WeilRestrictionInput.of("Q(i)", 5, ((0, 0), (-1, 0), (0, 0), (1, 0)))
+    assert quadratic_step_primes(classify(w)) == (5,)
 
 
 TWO_CUBIC_WEIL = ((-1, -1), (-1, 0), (0, 0), (1, 0))
@@ -329,6 +412,28 @@ def test_resource_cap_yields_unknown(monkeypatch):
     assert "resource cap" in verdict.steps[-1].description
     assert verdict.steps[-1].value("detail") == \
         "norm degree 36 exceeds cap 24"
+
+
+def test_capped_certificates_keep_the_steps_of_built_towers(monkeypatch):
+    # a cap in the second cubic of a product keeps the first factor's
+    # step, and a cap in a Jacobian's only tower keeps its factor degrees
+    monkeypatch.setattr(towers, "SPLITTING_DEGREE_CAP", 6)
+    product = classify(ProductInput(
+        EllipticInput("Q", X3_MINUS_2),
+        EllipticInput("Q", UniPoly.of(-3, 0, 0, 1))))
+    jacobian = classify(JacobianInput("Q", UniPoly.of(-2, 0, 0, 0, 0, 1)))
+    cap = "resource cap reached; verdict left undecided"
+    for verdict in (product, jacobian):
+        assert verdict.status == UNKNOWN
+        assert verdict.torsion_degree is None
+        assert verdict.steps[-1].description == cap
+    first, last = product.steps[-2:]
+    assert first.description == "2-division field of the first factor"
+    assert first.value("relative_degree") == 6
+    assert last.value("detail") == "splitting tower degree 18 exceeds cap 6"
+    factors, last = jacobian.steps[-2:]
+    assert factors.value("factor_degrees") == (5, 1)
+    assert last.value("detail") == "splitting tower degree 20 exceeds cap 6"
 
 
 def test_degree_72_weil_decides_at_the_quadratic_step():
@@ -351,6 +456,8 @@ def test_classify_deterministic():
 def test_classify_rejects_other_types():
     with pytest.raises(InputError):
         classify(X5_MINUS_X)
+    with pytest.raises(InputError):
+        two_division_tower(X5_MINUS_X)
 
 
 def test_product_verdict():
@@ -441,13 +548,6 @@ def test_step_value_lookup():
 # odd_ramified_primes, and the tower degree with a splitting tower over Q.
 
 
-_TOWERS = {
-    EllipticInput: two_torsion_field_elliptic,
-    JacobianInput: two_torsion_field_jacobian,
-    ProductInput: two_torsion_field_product,
-    WeilRestrictionInput: two_torsion_field_weil,
-}
-
 # name: (odd ramified primes, absolute degree = Galois closure degree)
 SPLITTING_FIELD_TABLE = {
     "elliptic_32a2": ((), 1),
@@ -482,7 +582,7 @@ def test_splitting_field_matches_tower_ramification_and_closure():
     for name, item in items.items():
         primes, degree = SPLITTING_FIELD_TABLE[name]
         polys = defining_polynomials(item)
-        tower = _TOWERS[type(item)](item)
+        tower = two_division_tower(item)[-1]
         assert tuple(sorted(splitting_field_odd_ramified(polys))) == primes, \
             name
         assert tuple(sorted(odd_ramified_primes(tower))) == primes, name

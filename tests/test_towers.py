@@ -17,12 +17,8 @@ from heavenly.errors import (
 from heavenly.classify import (
     EllipticInput,
     JacobianInput,
-    ProductInput,
     WeilRestrictionInput,
-    two_torsion_field_elliptic,
-    two_torsion_field_jacobian,
-    two_torsion_field_product,
-    two_torsion_field_weil,
+    two_division_tower,
 )
 from heavenly.documents import input_from_document
 from heavenly.polynomials import UniPoly, parse_polynomial, poly_gcd
@@ -160,9 +156,10 @@ def test_splitting_tower_requires_squarefree():
         splitting_tower(P(1, 2, 1))
 
 
-def test_splitting_tower_cap():
+def test_splitting_tower_cap(monkeypatch):
+    monkeypatch.setattr(towers, "SPLITTING_DEGREE_CAP", 4)
     with pytest.raises(ResourceCapError) as exc:
-        splitting_tower(P(-2, 0, 0, 0, 1), degree_cap=4)
+        splitting_tower(P(-2, 0, 0, 0, 1))
     assert exc.value.partial is not None
     assert exc.value.partial.absolute_degree == 4
 
@@ -470,11 +467,11 @@ def sparse_levels(tower):
 def test_hard_round_one_towers_frozen():
     weil = WeilRestrictionInput.of("Q", 3, ((-1, -1), (-1, 0), (0, 0), (1, 0)))
     built = {
-        "x^5 - 2 over Q": two_torsion_field_jacobian(
-            JacobianInput("Q", P(-2, 0, 0, 0, 0, 1))),
-        "x^3 - 2 over Q(sqrt-2)": two_torsion_field_elliptic(
-            EllipticInput("Q(sqrt-2)", P(-2, 0, 0, 1))),
-        "Weil D=3": two_torsion_field_weil(weil),
+        "x^5 - 2 over Q": two_division_tower(
+            JacobianInput("Q", P(-2, 0, 0, 0, 0, 1)))[-1],
+        "x^3 - 2 over Q(sqrt-2)": two_division_tower(
+            EllipticInput("Q(sqrt-2)", P(-2, 0, 0, 1)))[-1],
+        "Weil D=3": two_division_tower(weil)[-1],
     }
     for name, (degrees, levels) in FROZEN_TOWERS.items():
         tower = built[name]
@@ -744,16 +741,6 @@ def _hard_documents():
     return docs
 
 
-def _two_division_tower(item):
-    for kind, build in ((EllipticInput, two_torsion_field_elliptic),
-                        (JacobianInput, two_torsion_field_jacobian),
-                        (ProductInput, two_torsion_field_product),
-                        (WeilRestrictionInput, two_torsion_field_weil)):
-        if isinstance(item, kind):
-            return build(item)
-    raise AssertionError(f"no tower for {item!r}")
-
-
 # SHA-256 of the flattened levels of the 27 towers below, frozen from the
 # implementation that took an exact norm for every candidate shift.
 TOWER_DIGEST = (
@@ -768,7 +755,7 @@ def test_two_division_towers_digest():
     assert len(docs) == 27
     lines = []
     for doc in docs:
-        tower = _two_division_tower(input_from_document(doc))
+        tower = two_division_tower(input_from_document(doc))[-1]
         levels = [[[str(q) for q in coeff] for coeff in lev]
                   for lev in flat_levels(tower)]
         lines.append(json.dumps([doc, levels], sort_keys=True))
@@ -900,6 +887,6 @@ def test_two_division_towers_take_no_rational_norm_above_36(monkeypatch):
 
     monkeypatch.setattr(towers, "factor_over_q", capped)
     weil = WeilRestrictionInput.of("Q", 3, ((-1, -1), (-1, 0), (0, 0), (1, 0)))
-    assert two_torsion_field_weil(weil).absolute_degree == 72
+    assert two_division_tower(weil)[-1].absolute_degree == 72
     jacobian = JacobianInput("Q", P(-2, 0, 0, 0, 0, 1))
-    assert two_torsion_field_jacobian(jacobian).absolute_degree == 20
+    assert two_division_tower(jacobian)[-1].absolute_degree == 20
