@@ -12,10 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
 
 from .axioms import axiom
-from .errors import InputError, ResourceCapError
+from .errors import InputError, ReducibleExtensionError, ResourceCapError
 from .integers import odd_part
 from .polynomials import (
     UniPoly,
@@ -28,9 +27,13 @@ from .ramification import splitting_field_odd_ramified
 from .towers import (
     BASE_FIELD_POLYS,
     FieldTower,
+    _cubic_discriminant,
     _embed_up,
+    _extend_unchecked,
+    _norm_poly,
+    _pair_cubic,
+    _quadratic_step,
     base_field,
-    extend,
     factor_over_tower,
     field_chain,
     splitting_tower,
@@ -193,34 +196,15 @@ class ProductInput:
         return self.first.base
 
 
-def _is_rational_square(q: Fraction) -> bool:
-    if q < 0:
-        return False
-    n, d = q.numerator, q.denominator
-    return isqrt(n) ** 2 == n and isqrt(d) ** 2 == d
-
-
-def _is_square_in_base(tag: str, q: Fraction) -> bool:
-    """Whether a rational number is a square in the tagged base field.
-
-    Squares of a + b*sqrt(d) are rational only when a = 0 or b = 0, so a
-    rational square in Q(sqrt(d)) is a rational square or d times one.
-    """
-    if q == 0 or _is_rational_square(q):
-        return True
-    poly = BASE_FIELD_POLYS[tag]
-    if poly is None:
-        return False
-    return _is_rational_square(q / -poly[0])
-
-
 @dataclass(frozen=True)
 class WeilRestrictionInput:
     """Restriction of scalars of an elliptic curve down a quadratic step.
 
     The curve is y^2 = f(x) with f a monic cubic over base(s), s^2 equal to
     the radicand; each coefficient is an (a, b) pair of rationals meaning
-    a + b*s.  The conjugate twist replaces s by -s.
+    a + b*s.  The conjugate twist replaces s by -s.  The field base(s) is
+    towers._quadratic_step, which rejects a square radicand, and
+    towers._pair_cubic writes the cubic over it.
     """
 
     base: str
@@ -228,10 +212,11 @@ class WeilRestrictionInput:
     cubic: tuple
 
     def __post_init__(self):
-        base_field(self.base)
-        if _is_square_in_base(self.base, self.radicand):
+        try:
+            start = _quadratic_step(self.base, self.radicand)
+        except ReducibleExtensionError:
             raise InputError(
-                "radicand must not be a square in the base field")
+                "radicand must not be a square in the base field") from None
         if len(self.cubic) != 4:
             raise InputError("restriction input needs a cubic polynomial")
         for pair in self.cubic:
@@ -239,8 +224,8 @@ class WeilRestrictionInput:
                 raise InputError("coefficients must be (a, b) pairs")
         if self.cubic[-1] != (Fraction(1), Fraction(0)):
             raise InputError("restriction cubic must be monic")
-        if _cubic_pair_discriminant(self.cubic, self.radicand) == \
-                (Fraction(0), Fraction(0)):
+        K = tower_field(start)
+        if K.is_zero(_cubic_discriminant(K, _pair_cubic(K, self.cubic))):
             raise InputError("restriction cubic must be squarefree")
 
     @staticmethod
@@ -250,36 +235,16 @@ class WeilRestrictionInput:
         return WeilRestrictionInput(base, Fraction(radicand), fixed)
 
 
+def _norm_polynomial(W: WeilRestrictionInput) -> UniPoly:
+    """Product of the cubic with its conjugate, a rational sextic: the
+    norm of the cubic from Q(s) to Q."""
+    # D is no square in the base field, so x^2 - D is irreducible over Q
+    K = tower_field(_extend_unchecked(FieldTower(), [-W.radicand, 0, 1]))
+    return UniPoly.from_list(_norm_poly(K, _pair_cubic(K, W.cubic), 6))
+
+
 # ---------------------------------------------------------------------------
-# Arithmetic on a + b*s pairs (s^2 rational), used before any tower exists.
-
-
-def _pair_mul(x, y, square: Fraction):
-    return (x[0] * y[0] + x[1] * y[1] * square,
-            x[0] * y[1] + x[1] * y[0])
-
-
-def _cubic_pair_discriminant(cubic, square: Fraction):
-    """Discriminant of a monic cubic with a + b*s coefficients."""
-    c, b, a = cubic[0], cubic[1], cubic[2]
-
-    def mul(*factors):
-        out = (Fraction(1), Fraction(0))
-        for f in factors:
-            out = _pair_mul(out, f, square)
-        return out
-
-    def scale(k, x):
-        return (k * x[0], k * x[1])
-
-    terms = [
-        scale(18, mul(a, b, c)),
-        scale(-4, mul(a, a, a, c)),
-        mul(a, a, b, b),
-        scale(-4, mul(b, b, b)),
-        scale(-27, mul(c, c)),
-    ]
-    return (sum(t[0] for t in terms), sum(t[1] for t in terms))
+# Certificate text of a + b*s pairs.
 
 
 def _pair_text(pair) -> str:
@@ -294,21 +259,6 @@ def _pair_text(pair) -> str:
 
 def _pair_poly_text(cubic) -> str:
     return "[" + ", ".join(_pair_text(pair) for pair in cubic) + "]"
-
-
-def _norm_polynomial(W: WeilRestrictionInput) -> UniPoly:
-    """Product of the cubic with its conjugate, a rational sextic."""
-    n = len(W.cubic)
-    rational = [Fraction(0)] * (2 * n - 1)
-    irrational = [Fraction(0)] * (2 * n - 1)
-    for i, (a1, b1) in enumerate(W.cubic):
-        for j, (a2, b2) in enumerate(W.cubic):
-            prod = _pair_mul((a1, b1), (a2, -b2), W.radicand)
-            rational[i + j] += prod[0]
-            irrational[i + j] += prod[1]
-    if any(irrational):
-        raise ArithmeticError("conjugate product must be rational")
-    return UniPoly.from_list(rational)
 
 
 # ---------------------------------------------------------------------------
@@ -354,12 +304,10 @@ def _two_division_levels(item):
     """Yield the start field of two_division_tower, then each T_i as soon
     as it is built."""
     if isinstance(item, WeilRestrictionInput):
-        start = extend(base_field(item.base),
-                       UniPoly.of(-item.radicand, 0, 1))
+        start = _quadratic_step(item.base, item.radicand)
         K = tower_field(start)
         # the curve, then its conjugate twist: s replaced by -s
-        polys = [[K.add(K.from_fraction(a), K.scale(K.generator(), sign * b))
-                  for a, b in item.cubic] for sign in (1, -1)]
+        polys = [_pair_cubic(K, item.cubic, sign) for sign in (1, -1)]
     else:
         polys = _model_polynomials(item)
         start = base_field(item.base)
@@ -392,9 +340,10 @@ def defining_polynomials(item) -> list[UniPoly]:
     field.
 
     The model polynomial (both cubics for a product; for a restriction the
-    conjugate-product sextic and x^2 - D), plus the base field's modulus
-    when the base is not Q.  Their splitting field is Galois over Q, so it
-    is its own Galois closure.
+    conjugate-product sextic, towers._norm_poly of the cubic over Q(s),
+    and x^2 - D), plus the base field's modulus when the base is not Q.
+    Their splitting field is Galois over Q, so it is its own Galois
+    closure.
     """
     if isinstance(item, WeilRestrictionInput):
         polys = [_norm_polynomial(item), UniPoly.of(-item.radicand, 0, 1)]

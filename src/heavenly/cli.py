@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
@@ -15,6 +14,7 @@ from .documents import (
     dump_document,
     input_from_document,
     output_document,
+    read_document,
     report_document,
 )
 from .errors import InputError, ResourceCapError
@@ -69,16 +69,6 @@ def cmd_verify(args) -> int:
 # classify
 
 
-def _read_document(path: Path) -> dict:
-    try:
-        with open(path, encoding="utf-8") as handle:
-            return json.load(handle)
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise InputError(f"invalid JSON in {path}: {exc}") from None
-
-
 def _write_atomic(path: Path, text: str) -> None:
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_text(text + "\n", encoding="utf-8")
@@ -109,7 +99,7 @@ def _classify_batch(in_dir: Path, out_dir: Path) -> int:
     any_invalid = False
     for path in files:
         try:
-            document = _classify_document(_read_document(path))
+            document = _classify_document(read_document(path))
         except InputError as exc:
             print(f"{path.name}: invalid ({exc})", file=sys.stderr)
             any_invalid = True
@@ -126,7 +116,7 @@ def cmd_classify(args) -> int:
     if args.dir is not None:
         return _classify_batch(Path(args.path), Path(args.dir))
     try:
-        document = _classify_document(_read_document(Path(args.path)))
+        document = _classify_document(read_document(Path(args.path)))
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

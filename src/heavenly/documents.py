@@ -16,7 +16,7 @@ from .classify import (
 )
 from .errors import InputError
 from .polynomials import UniPoly, format_polynomial
-from .towers import BASE_FIELD_POLYS
+from .towers import base_field
 from .verifier import LemmaReport
 
 DOCUMENT_FORMAT = "heavenly-certificate"
@@ -122,10 +122,8 @@ def _require_keys(doc: dict, keys: tuple[str, ...]) -> None:
 
 
 def _parse_base_field(doc: dict) -> str:
-    tag = doc.get("base_field")
-    if tag not in BASE_FIELD_POLYS:
-        known = ", ".join(sorted(BASE_FIELD_POLYS))
-        raise InputError(f"unknown base_field {tag!r}; expected one of {known}")
+    tag = doc["base_field"]
+    base_field(tag)
     return tag
 
 
@@ -189,21 +187,29 @@ def input_from_document(doc):
     if not isinstance(doc, dict):
         raise InputError("input document must be a JSON object")
     kind = doc.get("kind")
-    if kind not in _PARSERS:
+    if not isinstance(kind, str) or kind not in _PARSERS:
         known = ", ".join(INPUT_KINDS)
         raise InputError(f"unknown kind {kind!r}; expected one of {known}")
     return _PARSERS[kind](doc)
 
 
-def load_input_document(path) -> dict:
-    """Read and syntactically validate a JSON input document from a file."""
+def read_document(path):
+    """The parsed JSON of a UTF-8 file; InputError when it cannot be read,
+    is not UTF-8, or is not JSON."""
     try:
         with open(path, encoding="utf-8") as handle:
-            doc = json.load(handle)
+            return json.load(handle)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # undecodable bytes, malformed JSON, an integer past Python's digit
+        # limit, or nesting past the recursion limit
         raise InputError(f"invalid JSON in {path}: {exc}") from None
+
+
+def load_input_document(path) -> dict:
+    """Read and syntactically validate a JSON input document from a file."""
+    doc = read_document(path)
     input_from_document(doc)
     return doc
 

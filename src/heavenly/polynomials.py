@@ -358,14 +358,7 @@ def monic_integral_with_scale(f: UniPoly) -> tuple[UniPoly, Fraction]:
         raise InputError("cannot normalize the zero polynomial")
     if f.degree == 0:
         return UniPoly.one(), Fraction(1)
-    den = lcm(*[c.denominator for c in f.coeffs])
-    ints = [int(c * den) for c in f.coeffs]
-    g = 0
-    for c in ints:
-        g = gcd(g, c)
-    if ints[-1] < 0:
-        g = -g
-    ints = [c // g for c in ints]
+    ints = _primitive_ints(f)
     a = ints[-1]
     n = len(ints) - 1
     # a^(n-1) * F(x/a): coefficient of x^k becomes c_k * a^(n-1-k); the

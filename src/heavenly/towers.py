@@ -601,7 +601,7 @@ class FieldTower:
 
 def base_field(tag: str) -> FieldTower:
     """The tower for a ground field tag: Q, Q(i), Q(sqrt2), or Q(sqrt-2)."""
-    if tag not in BASE_FIELD_POLYS:
+    if not isinstance(tag, str) or tag not in BASE_FIELD_POLYS:
         known = ", ".join(sorted(BASE_FIELD_POLYS))
         raise InputError(f"unknown base field {tag!r}; expected one of {known}")
     poly = BASE_FIELD_POLYS[tag]
@@ -1015,6 +1015,19 @@ def extend(tower: FieldTower, g) -> FieldTower:
 
 def _extend_unchecked(tower: FieldTower, gp: list) -> FieldTower:
     return FieldTower(tower.levels + (tuple(gp),))
+
+
+def _quadratic_step(base: str, D) -> FieldTower:
+    """The tagged base field with a root s of x^2 - D adjoined; raises
+    ReducibleExtensionError when D is a square there."""
+    return extend(base_field(base), UniPoly.of(-D, 0, 1))
+
+
+def _pair_cubic(K, cubic, sign: int = 1) -> list:
+    """The coefficients a + sign*b*s over K, whose generator is s, of a
+    polynomial given as ascending rational (a, b) pairs."""
+    s = K.generator()
+    return [K.add(K.from_fraction(a), K.scale(s, sign * b)) for a, b in cubic]
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from heavenly.classify import (
     JacobianInput,
     ProductInput,
     WeilRestrictionInput,
+    _norm_polynomial,
     classify,
     closure_degree_bound,
     defining_polynomials,
@@ -148,6 +149,67 @@ def test_weil_input_validation():
         WeilRestrictionInput.of("Q", 2,
                                 ((0, 0), (0, 0), (0, 0), (1, 0)))  # x^3
     WeilRestrictionInput.of("Q(sqrt2)", 3, cubic)        # nonsquare is fine
+
+
+BASES = ("Q", "Q(i)", "Q(sqrt2)", "Q(sqrt-2)")
+
+
+def _fraction(c) -> Fraction:
+    return Fraction(int(c.p), int(c.q))
+
+
+def test_weil_norm_and_squarefree_test_agree_with_sympy():
+    # seeded cubics over Q(s), s^2 = D, every other one with a repeated
+    # root; the norm is Res_s(s^2 - D, f), and f is squarefree exactly when
+    # its discriminant is nonzero modulo s^2 - D
+    sympy = pytest.importorskip("sympy")
+    x, s = sympy.symbols("x s")
+    rng = random.Random(89)
+    rejected = 0
+    for k in range(60):
+        base = rng.choice(BASES)
+        D = sympy.Rational(rng.choice((3, 5, -3, 6, -7, "3/2")))  # no squares
+        modulus = s**2 - D
+        if k % 2:
+            r, t = (rng.randint(-2, 2) + rng.randint(-2, 2) * s for _ in "rt")
+            f = sympy.rem(sympy.expand((x - r)**2 * (x - t)), modulus, s)
+        else:
+            f = x**3 + sum((rng.randint(-3, 3) + rng.randint(-3, 3) * s) * x**i
+                           for i in range(3))
+        g = sympy.Poly(f, x, s)
+        pairs = [(_fraction(g.coeff_monomial(x**i)),
+                  _fraction(g.coeff_monomial(x**i * s))) for i in range(4)]
+        if g.discriminant().rem(sympy.Poly(modulus, s)).is_zero:
+            rejected += 1
+            with pytest.raises(InputError, match="squarefree"):
+                WeilRestrictionInput.of(base, _fraction(D), pairs)
+            continue
+        W = WeilRestrictionInput.of(base, _fraction(D), pairs)
+        norm = sympy.Poly(modulus, s, x).resultant(sympy.Poly(f, s, x))
+        assert _norm_polynomial(W) == UniPoly.of(
+            *map(_fraction, reversed(norm.all_coeffs())))
+    assert rejected == 30
+
+
+def test_weil_radicand_check_agrees_with_sympy():
+    # x^2 - D factors over the base exactly when the radicand is rejected
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    cubic = ((0, 0), (-1, 0), (0, 0), (1, 0))
+    radicands = (0, 1, -1, 2, -2, 3, -4, 8, -8, Fraction(9, 4),
+                 Fraction(9, 2), Fraction(-1, 2))
+    QQ = sympy.QQ
+    domains = [QQ] + [QQ.algebraic_field(root) for root in
+                      (sympy.I, sympy.sqrt(2), sympy.sqrt(-2))]
+    for base, domain in zip(BASES, domains):
+        for D in radicands:
+            poly = sympy.Poly(x**2 - sympy.Rational(D), x, domain=domain)
+            _, factors = poly.factor_list()
+            if len(factors) > 1 or factors[0][1] > 1:
+                with pytest.raises(InputError, match="square"):
+                    WeilRestrictionInput.of(base, D, cubic)
+            else:
+                WeilRestrictionInput.of(base, D, cubic)
 
 
 # ---------------------------------------------------------------------------

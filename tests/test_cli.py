@@ -1,6 +1,8 @@
 """Tests for the command-line interface."""
 
 import json
+import re
+import shutil
 from pathlib import Path
 
 import pytest
@@ -10,7 +12,10 @@ import heavenly.towers as towers
 from heavenly.cli import main
 from heavenly.verifier import CHECK_IDS, LemmaReport
 
-CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+ROOT = Path(__file__).resolve().parent.parent
+CORPUS = ROOT / "corpus"
+GOLDEN = ROOT / "bench" / "golden" / "corpus"
+ELAPSED = re.compile(r',\n  "elapsed_seconds": [^\n]*')
 
 
 def write_doc(path, doc):
@@ -19,6 +24,18 @@ def write_doc(path, doc):
 
 
 GOOD_DOC = {"kind": "elliptic", "base_field": "Q", "cubic": [0, -1, 0, 1]}
+# documents that once escaped as TypeError, UnicodeDecodeError, ValueError
+# (an integer past Python's digit limit) or RecursionError
+MALFORMED = {
+    "list_base.json": json.dumps({"kind": "elliptic", "base_field": ["Q"],
+                                  "cubic": [0, -1, 0, 1]}).encode(),
+    "list_kind.json": json.dumps({"kind": ["elliptic"], "base_field": "Q",
+                                  "cubic": [0, -1, 0, 1]}).encode(),
+    "latin1.json": b'{"kind": "elliptic", "base_field": "Q\xff"}',
+    "long_int.json": b'{"kind": "elliptic", "base_field": "Q", "cubic": [' +
+                     b"1" * 5000 + b", 0, 0, 1]}",
+    "deep.json": b"[" * 100000 + b"]" * 100000,
+}
 CAP_DOC = {"kind": "weil_restriction", "base_field": "Q", "D": 3,
            "cubic": ["-1-s", "-1", "0", "1"]}
 
@@ -135,6 +152,31 @@ def test_classify_batch_keeps_going_past_invalid_files(capsys, tmp_path):
     assert "bad.json: invalid" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_classify_malformed_document_is_invalid(capsys, tmp_path, name):
+    path = tmp_path / name
+    path.write_bytes(MALFORMED[name])
+    assert main(["classify", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_classify_batch_certifies_past_malformed_documents(capsys, tmp_path):
+    indir = tmp_path / "in"
+    outdir = tmp_path / "out"
+    indir.mkdir()
+    for name, data in MALFORMED.items():
+        (indir / ("a_" + name)).write_bytes(data)   # sorted first
+    shutil.copy(CORPUS / "weil_sqrt2.json", indir)
+    assert main(["classify", str(indir), "--dir", str(outdir)]) == 2
+    doc = json.loads((outdir / "weil_sqrt2.cert.json").read_text(
+        encoding="utf-8"))
+    assert doc["verdict"]["status"] == "heavenly"
+    assert [p.name for p in outdir.iterdir()] == ["weil_sqrt2.cert.json"]
+    err = capsys.readouterr().err
+    for name in MALFORMED:
+        assert f"a_{name}: invalid" in err
+
+
 def test_classify_batch_rejects_non_directory(capsys, tmp_path):
     path = write_doc(tmp_path / "curve.json", GOOD_DOC)
     assert main(["classify", str(path), "--dir", str(tmp_path / "o")]) == 2
@@ -220,3 +262,16 @@ def test_corpus_files_classify_with_expected_statuses(tmp_path):
         doc = json.loads((outdir / f"{stem}.cert.json").read_text(
             encoding="utf-8"))
         assert doc["verdict"]["status"] == status, stem
+
+
+def test_corpus_certificates_match_their_golden_bodies(tmp_path):
+    # certificate bytes are frozen under bench/golden/corpus; only the
+    # elapsed_seconds timing may differ
+    outdir = tmp_path / "certs"
+    assert main(["classify", str(CORPUS), "--dir", str(outdir)]) == 0
+    stems = sorted(p.stem for p in CORPUS.glob("*.json"))
+    assert len(stems) == 9
+    for stem in stems:
+        name = f"{stem}.cert.json"
+        body = ELAPSED.sub("", (outdir / name).read_text(encoding="utf-8"))
+        assert body == (GOLDEN / name).read_text(encoding="utf-8"), stem

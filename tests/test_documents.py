@@ -98,6 +98,10 @@ def test_input_document_round_trip(doc):
     "not a dict",
     {"kind": "mystery", "base_field": "Q"},
     {"kind": "elliptic", "base_field": "Q(sqrt5)", "cubic": [0, -1, 0, 1]},
+    {"kind": "elliptic", "base_field": ["Q"], "cubic": [0, -1, 0, 1]},
+    {"kind": ["elliptic"], "base_field": "Q", "cubic": [0, -1, 0, 1]},
+    {"kind": "weil_restriction", "base_field": {"Q": 1}, "D": 2,
+     "cubic": ["0", "-s", "0", "1"]},
     {"kind": "elliptic", "base_field": "Q"},
     {"kind": "elliptic", "base_field": "Q", "cubic": [0, -1, 0, 1],
      "extra": 1},
@@ -209,3 +213,7 @@ def test_load_input_document_rejects_bad_files(tmp_path):
     garbled.write_text("not json", encoding="utf-8")
     with pytest.raises(InputError):
         load_input_document(garbled)
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"kind": "elliptic", "base_field": "Q\xe9"}')
+    with pytest.raises(InputError, match="can't decode"):
+        load_input_document(latin1)
