@@ -12,9 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .axioms import axiom
-from .errors import InputError, ReducibleExtensionError, ResourceCapError
+from .errors import InputError, ResourceCapError
 from .integers import odd_part
 from .polynomials import (
     UniPoly,
@@ -29,7 +30,7 @@ from .towers import (
     FieldTower,
     _cubic_discriminant,
     _embed_up,
-    _extend_unchecked,
+    _is_square,
     _norm_poly,
     _pair_cubic,
     _quadratic_step,
@@ -203,8 +204,8 @@ class WeilRestrictionInput:
     The curve is y^2 = f(x) with f a monic cubic over base(s), s^2 equal to
     the radicand; each coefficient is an (a, b) pair of rationals meaning
     a + b*s.  The conjugate twist replaces s by -s.  The field base(s) is
-    towers._quadratic_step, which rejects a square radicand, and
-    towers._pair_cubic writes the cubic over it.
+    towers._quadratic_step, once towers._is_square has rejected a square
+    radicand, and towers._pair_cubic writes the cubic over it.
     """
 
     base: str
@@ -212,11 +213,9 @@ class WeilRestrictionInput:
     cubic: tuple
 
     def __post_init__(self):
-        try:
-            start = _quadratic_step(self.base, self.radicand)
-        except ReducibleExtensionError:
-            raise InputError(
-                "radicand must not be a square in the base field") from None
+        below = base_field(self.base)
+        if _is_square(below, tower_field(below).from_fraction(self.radicand)):
+            raise InputError("radicand must not be a square in the base field")
         if len(self.cubic) != 4:
             raise InputError("restriction input needs a cubic polynomial")
         for pair in self.cubic:
@@ -224,7 +223,7 @@ class WeilRestrictionInput:
                 raise InputError("coefficients must be (a, b) pairs")
         if self.cubic[-1] != (Fraction(1), Fraction(0)):
             raise InputError("restriction cubic must be monic")
-        K = tower_field(start)
+        K = tower_field(_quadratic_step(self.base, self.radicand))
         if K.is_zero(_cubic_discriminant(K, _pair_cubic(K, self.cubic))):
             raise InputError("restriction cubic must be squarefree")
 
@@ -234,13 +233,13 @@ class WeilRestrictionInput:
         fixed = tuple((Fraction(a), Fraction(b)) for a, b in pairs)
         return WeilRestrictionInput(base, Fraction(radicand), fixed)
 
-
-def _norm_polynomial(W: WeilRestrictionInput) -> UniPoly:
-    """Product of the cubic with its conjugate, a rational sextic: the
-    norm of the cubic from Q(s) to Q."""
-    # D is no square in the base field, so x^2 - D is irreducible over Q
-    K = tower_field(_extend_unchecked(FieldTower(), [-W.radicand, 0, 1]))
-    return UniPoly.from_list(_norm_poly(K, _pair_cubic(K, W.cubic), 6))
+    @cached_property
+    def _conjugate_product(self) -> UniPoly:
+        """Product of the cubic with its conjugate, a rational sextic: the
+        norm of the cubic from Q(s) to Q, taken once per input."""
+        # D is no square in the base field, so none in Q
+        K = tower_field(_quadratic_step("Q", self.radicand))
+        return UniPoly.from_list(_norm_poly(K, _pair_cubic(K, self.cubic), 6))
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +345,7 @@ def defining_polynomials(item) -> list[UniPoly]:
     closure.
     """
     if isinstance(item, WeilRestrictionInput):
-        polys = [_norm_polynomial(item), UniPoly.of(-item.radicand, 0, 1)]
+        polys = [item._conjugate_product, UniPoly.of(-item.radicand, 0, 1)]
     else:
         polys = _model_polynomials(item)
     return polys + _base_modulus(item.base)
@@ -501,7 +500,7 @@ def _weil_screen(W: WeilRestrictionInput, steps: list) -> str:
         primes=ramified))
     if ramified:
         steps.append(_cite("JONES_DEGREES", _C_NEQ_6_NOTE))
-    norm = make_monic_integral(squarefree_part(_norm_polynomial(W)))
+    norm = make_monic_integral(squarefree_part(W._conjugate_product))
     step, outcome = _screen_step(
         norm, "squarefree part of the conjugate-product sextic")
     steps.append(step)

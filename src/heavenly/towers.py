@@ -10,7 +10,12 @@ degree of the field below, belongs to the i-th power of the top generator
 times the j-th basis element below, so the coefficients over the field
 below are consecutive slices, and flatten lists nums/den as Fractions.
 Products are integer convolutions reduced level by level; rational scalars
-touch only nums and den.
+touch only nums and den.  Over a first level above Q, multiplication by a
+is an integer matrix C over one scalar s, so the norm of a is det C / s^d
+by Bareiss elimination and the symmetric functions of its conjugates,
+which inversion needs, come from the integer characteristic polynomial of
+C; higher levels take them from traces by Newton's identities, because
+elimination there would invert at every pivot.
 
 Factoring over a tower runs on norms: shift the variable by multiples of the
 top generator until the resultant with the top minimal polynomial (the norm,
@@ -40,16 +45,21 @@ A splitting tower adjoins a root theta of an irreducible h over K.  For a
 cubic or quartic h, how h/(x - theta) factors over K(theta) follows from
 Gal(h) over K, read off the discriminant and the Kappe-Warren resolvent
 cubic with factoring over K only; a D4 quartic, and every other degree,
-is refactored over K(theta).
+is refactored over K(theta).  The square tests those groups rest on
+descend the tower while the element lies in the field K' below the top
+level: an odd-degree level adjoins no square root, and over a quadratic
+level K'(sqrt e) an element of K' is a square exactly when it or its
+product with e is one in K'.  Any other element is tested by factoring
+x^2 - delta.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import count, islice
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 from .errors import InputError, ReducibleExtensionError, ResourceCapError
 from .factorization import (
@@ -363,19 +373,48 @@ class ExtensionField:
         coords = self.coords(a)
         if all(B.is_zero(c) for c in coords[1:]):
             return _gp_pow_elem(B, coords[0], self.degree)
+        if self._width == 1:
+            nums, den = a
+            return Fraction(_bareiss_det(self._int_matrix(nums)),
+                            (den * self._product_den) ** self.degree)
         return self._conjugate_symmetric(a)[1][self.degree]
 
+    def _int_matrix(self, nums) -> list:
+        """Integer C with multiplication by nums equal to C / _product_den
+        on the power basis, as its list of columns; transposing leaves the
+        determinant and characteristic polynomial alone."""
+        unit = [0] * self.absolute_degree
+        columns = []
+        for j in range(self.absolute_degree):
+            unit[j] = 1
+            columns.append(self._int_mul(nums, unit))
+            unit[j] = 0
+        return columns
+
     def _conjugate_symmetric(self, a) -> tuple[list, list]:
-        """a^0, ..., a^d and the elementary symmetric functions e_0, ...,
-        e_d of a's conjugates over the field below, from the traces of a's
-        powers."""
+        """a^0, ..., a^(d-1) and the elementary symmetric functions e_0, ...,
+        e_d of a's conjugates over the field below.
+
+        Over Q they come from the integer characteristic polynomial of the
+        matrix C with a = C / s, s = den * _product_den: e_k = (-1)^k c_k /
+        s^k.  Over a tower, from the traces of a's powers by Newton's
+        identities, where elimination would invert at every pivot.
+        """
+        d = self.degree
         powers = [self.one(), a]
-        while len(powers) <= self.degree:
+        while len(powers) < d:
             powers.append(self.mul(powers[-1], a))
-        traces = self._generator_power_traces()
+        if self._width == 1:
+            nums, den = a
+            s = den * self._product_den
+            c = _int_charpoly(self._int_matrix(nums))
+            return powers, [Fraction(-x if k % 2 else x, s ** k)
+                            for k, x in enumerate(c)]
+        powers.append(self.mul(powers[-1], a))
+        traces = self._generator_power_traces
         e = _elementary_symmetric(self.base, [self._trace(x, traces)
                                               for x in powers[1:]])
-        return powers, e
+        return powers[:d], e
 
     def _trace(self, a, traces):
         """Trace of a over the field below, given the generator's."""
@@ -385,6 +424,7 @@ class ExtensionField:
             acc = B.add(acc, B.mul(c, t))
         return acc
 
+    @cached_property
     def _generator_power_traces(self) -> list:
         """Traces of y^0, ..., y^(d-1) for the generator y: the power sums of
         the modulus roots, by Newton's identities."""
@@ -502,6 +542,46 @@ def _elementary_symmetric(F, sums) -> list:
     return e
 
 
+def _bareiss_det(rows) -> int:
+    """Determinant of a square integer matrix by fraction-free elimination:
+    each division by the previous pivot is exact (Bareiss 1968)."""
+    m = [list(r) for r in rows]
+    n = len(m)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if not m[k][k]:
+            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        pivot = m[k][k]
+        for i in range(k + 1, n):
+            mi, lead = m[i], m[i][k]
+            for j in range(k + 1, n):
+                mi[j] = (mi[j] * pivot - lead * m[k][j]) // prev
+        prev = pivot
+    return sign * m[-1][-1]
+
+
+def _int_charpoly(rows) -> list:
+    """c_0 = 1, c_1, ..., c_n with det(x I - A) = sum_k c_k x^(n-k) for a
+    square integer matrix A, by Faddeev-LeVerrier: M_1 = I, c_k =
+    -tr(A M_k) / k and M_(k+1) = A M_k + c_k I, every division exact."""
+    n = len(rows)
+    c = [1]
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
+    for k in range(1, n + 1):
+        am = [[sum(x * y for x, y in zip(row, col)) for col in zip(*m)]
+              for row in rows]
+        ck = -sum(am[i][i] for i in range(n)) // k
+        c.append(ck)
+        for i in range(n):
+            am[i][i] += ck
+        m = am
+    return c
+
+
 def _gp_deriv(F, f):
     out = [F.scale(f[k], k) for k in range(1, len(f))]
     return _gp_trim(F, out)
@@ -610,12 +690,14 @@ def base_field(tag: str) -> FieldTower:
     return FieldTower((poly,))
 
 
-def field_chain(tower: FieldTower) -> list:
-    """Fields from Q up to the tower's top, one per level."""
-    chain = [RATIONAL]
-    for lev in tower.levels:
-        chain.append(ExtensionField(chain[-1], lev))
-    return chain
+@lru_cache(maxsize=256)
+def field_chain(tower: FieldTower) -> tuple:
+    """Fields from Q up to the tower's top, one per level; built once per
+    tower, so each field's generator traces are computed once."""
+    if not tower.levels:
+        return (RATIONAL,)
+    below = field_chain(FieldTower(tower.levels[:-1]))
+    return below + (ExtensionField(below[-1], tower.levels[-1]),)
 
 
 def tower_field(tower: FieldTower):
@@ -1018,9 +1100,11 @@ def _extend_unchecked(tower: FieldTower, gp: list) -> FieldTower:
 
 
 def _quadratic_step(base: str, D) -> FieldTower:
-    """The tagged base field with a root s of x^2 - D adjoined; raises
-    ReducibleExtensionError when D is a square there."""
-    return extend(base_field(base), UniPoly.of(-D, 0, 1))
+    """The tagged base field with a root s of x^2 - D adjoined, for a D
+    that is no square there (see _is_square)."""
+    below = base_field(base)
+    return _extend_unchecked(below, lift_to_field(tower_field(below),
+                                                  UniPoly.of(-D, 0, 1)))
 
 
 def _pair_cubic(K, cubic, sign: int = 1) -> list:
@@ -1069,11 +1153,33 @@ def _quartic_resolvent(F, h):
 
 
 def _is_square(tower: FieldTower, delta) -> bool:
-    """Whether delta is a square in the tower field: x^2 - delta factors
-    there, through norms of degree 2 [K:Q] at most."""
+    """Whether delta is a square in the tower field K.
+
+    A delta in the field K' below the top level descends: a top level of
+    odd degree adjoins no square root, so delta is a square in K exactly
+    when it is one in K'; a top level y^2 + b y + c makes K = K'(sqrt e),
+    e = b^2 - 4c, and (u + v sqrt e)^2 lies in K' only when u v = 0, so
+    delta is a square in K exactly when delta or delta e is one in K'.  Over
+    Q the numerator and denominator are tested.  Any other delta is a
+    square exactly when x^2 - delta factors over K, through norms of degree
+    2 [K:Q] at most.
+    """
+    if not tower.levels:
+        return delta >= 0 and all(isqrt(n) ** 2 == n for n in (
+            delta.numerator, delta.denominator))
     F = tower_field(tower)
     if F.is_zero(delta):
         return True
+    B = F.base
+    low, *high = F.coords(delta)
+    if all(B.is_zero(c) for c in high):
+        below = FieldTower(tower.levels[:-1])
+        if F.degree % 2:
+            return _is_square(below, low)
+        if F.degree == 2:
+            c, b, _ = F.modulus
+            e = B.sub(B.mul(b, b), B.scale(c, 4))
+            return _is_square(below, low) or _is_square(below, B.mul(low, e))
     return len(factor_over_tower(tower, [F.neg(delta), F.zero(),
                                          F.one()])) == 2
 

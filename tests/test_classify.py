@@ -19,7 +19,6 @@ from heavenly.classify import (
     JacobianInput,
     ProductInput,
     WeilRestrictionInput,
-    _norm_polynomial,
     classify,
     closure_degree_bound,
     defining_polynomials,
@@ -186,7 +185,7 @@ def test_weil_norm_and_squarefree_test_agree_with_sympy():
             continue
         W = WeilRestrictionInput.of(base, _fraction(D), pairs)
         norm = sympy.Poly(modulus, s, x).resultant(sympy.Poly(f, s, x))
-        assert _norm_polynomial(W) == UniPoly.of(
+        assert W._conjugate_product == UniPoly.of(
             *map(_fraction, reversed(norm.all_coeffs())))
     assert rejected == 30
 
@@ -665,3 +664,23 @@ def test_classify_reports_the_tower_degree_as_closure_degree():
         assert ramified[-1].value("primes") == primes, name
         if verdict.status == HEAVENLY:
             assert verdict.closure_degree == degree, name
+
+
+# ---------------------------------------------------------------------------
+# The paper's theorem over Q as a census oracle.
+
+
+def test_plausible_census_over_q_is_heavenly():
+    # a plausible screen means a discriminant of +-2^k, so good reduction
+    # away from 2, and the paper's theorem then makes the 2-power torsion
+    # tower pro-2 and unramified away from 2; tests/data/census_q.py wrote
+    # the frozen list, and a model that is not heavenly is a defect
+    census = json.loads((Path(__file__).resolve().parent / "data"
+                         / "census_q.json").read_text(encoding="utf-8"))
+    assert census["count"] == len(census["models"]) == 38
+    for coeffs in census["models"]:
+        f = UniPoly.of(*coeffs)
+        assert screen_good_reduction(f) == PLAUSIBLE, coeffs
+        verdict = classify(JacobianInput("Q", f))
+        assert verdict.status == HEAVENLY, coeffs
+        assert verdict.screen == PLAUSIBLE, coeffs

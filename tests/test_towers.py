@@ -890,3 +890,105 @@ def test_two_division_towers_take_no_rational_norm_above_36(monkeypatch):
     assert two_division_tower(weil)[-1].absolute_degree == 72
     jacobian = JacobianInput("Q", P(-2, 0, 0, 0, 0, 1))
     assert two_division_tower(jacobian)[-1].absolute_degree == 20
+
+
+# ---------------------------------------------------------------------------
+# Square tests that descend the tower, and norms over Q on integer matrices.
+
+
+def square_oracle_fields():
+    """The fields of absolute degree at most 12 along the 2-division towers
+    of the four hard Weil members, x^3 - 2 over Q(i) and x^5 - 2 over Q.
+    Above that, one exact factoring of x^2 - delta can take seconds; the
+    degree-36 and degree-72 Weil fields add a cubic and a quadratic level,
+    both kinds the fields below already have."""
+    docs = [doc for doc in _hard_documents()
+            if doc["kind"] == "weil_restriction"]
+    docs += [{"kind": "elliptic", "base_field": "Q(i)", "cubic": [-2, 0, 0, 1]},
+             {"kind": "jacobian", "base_field": "Q",
+              "poly": [-2, 0, 0, 0, 0, 1]}]
+    fields = []
+    for doc in docs:
+        top = two_division_tower(input_from_document(doc))[-1]
+        for height in range(1, top.height + 1):
+            tower = FieldTower(top.levels[:height])
+            if tower.absolute_degree <= 12:
+                fields.append((doc, tower))
+    return fields
+
+
+def nonzero_element(F, rng):
+    while True:
+        a = random_element(F, rng)
+        if not F.is_zero(a):
+            return a
+
+
+def test_is_square_agrees_with_factoring():
+    rng = random.Random(101)
+    outcomes = set()
+    checked = 0
+    for doc, tower in square_oracle_fields():
+        chain = field_chain(tower)
+        F = chain[-1]
+        deltas = []
+        for height, K in enumerate(chain):
+            gamma = nonzero_element(K, rng)
+            deltas += [(height, nonzero_element(K, rng)),
+                       (height, K.mul(gamma, gamma))]
+            if K.base is not None and K.degree == 2:
+                # gamma^2 e is a square in K = K'(sqrt e) for gamma in K'
+                B = K.base
+                c, b, _ = K.modulus
+                e = B.sub(B.mul(b, b), B.scale(c, 4))
+                gamma = nonzero_element(B, rng)
+                deltas.append((height, K.from_base(
+                    B.mul(B.mul(gamma, gamma), e))))
+        for height, delta in deltas:
+            delta = embed_to(chain, height, delta)
+            factors = factor_over_tower(tower, [F.neg(delta), F.zero(),
+                                                F.one()])
+            expected = len(factors) == 2
+            assert towers._is_square(tower, delta) == expected, (doc, height)
+            outcomes.add((height < tower.height, expected))
+            checked += 1
+    assert checked == 114
+    # squares and non-squares, drawn from the top field and from below it
+    assert outcomes == {(True, True), (True, False), (False, True),
+                        (False, False)}
+
+
+def random_rational_modulus(rng, degree):
+    """A monic irreducible rational polynomial, often with denominators."""
+    while True:
+        coeffs = [Fraction(rng.randrange(-6, 7), rng.choice((1, 1, 2, 3)))
+                  for _ in range(degree)] + [Fraction(1)]
+        f = UniPoly.of(*coeffs)
+        if is_irreducible_over_tower(FieldTower(), f):
+            return coeffs
+
+
+def test_width_one_norm_and_inverse_agree_with_sympy():
+    sympy = pytest.importorskip("sympy")
+    y = sympy.Symbol("y")
+    rng = random.Random(103)
+    integral = 0
+    for degree in (2, 3, 4, 5) * 3:
+        modulus = random_rational_modulus(rng, degree)
+        integral += all(c.denominator == 1 for c in modulus)
+        F = tower_field(FieldTower((tuple(modulus),)))
+        m = sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                        for c in reversed(modulus)], y)
+        for _ in range(4):
+            nums = [rng.randrange(-9, 10) for _ in range(degree)]
+            if not any(nums[1:]):
+                nums[1] = 1
+            den = rng.randrange(1, 6)
+            a = F.from_parts(nums, den)
+            A = sympy.Poly(list(reversed(nums)), y)
+            expected = sympy.resultant(m, A) / den ** degree
+            assert F.norm(a) == Fraction(int(sympy.numer(expected)),
+                                         int(sympy.denom(expected))), \
+                (modulus, nums, den)
+            assert F.mul(a, F.inv(a)) == F.one(), (modulus, nums, den)
+    assert 0 < integral < 12
