@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .axioms import axiom
+from .axioms import MUST_BE_2POWER, apply_harbater, apply_small_degree, axiom
 from .errors import InputError, ResourceCapError
 from .integers import odd_part
 from .polynomials import (
@@ -613,7 +613,7 @@ def classify(item) -> Verdict:
     steps.append(_computed(
         "Galois closure degree over Q of the 2-division field",
         closure_degree=closure, power_of_two=is_2power))
-    if closure < 272:
+    if apply_harbater(closure) == MUST_BE_2POWER:
         steps.append(_cite("HARBATER_272", _HARBATER_NOTE))
     steps.append(_cite("PRO2_TOWER", _PRO2_NOTE))
     if is_2power:
@@ -666,5 +666,6 @@ def gl4_deduction() -> tuple[Step, ...]:
         _computed(
             "conclusion, dependent on the citation above: every 2-torsion "
             "point field degree is a power of 2",
-            axiom_dependent=True, point_field_degrees=(1, 2, 4, 8)),
+            axiom_dependent=True, point_field_degrees=tuple(
+                d for d in range(1, nonzero + 1) if apply_small_degree(d))),
     )

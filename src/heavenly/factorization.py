@@ -20,7 +20,6 @@ factorizations with multiplicities.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
 from math import isqrt
 

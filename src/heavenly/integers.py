@@ -1,8 +1,8 @@
 """Integer helpers: valuations, primality, and factorization.
 
 Discriminants of the polynomials handled here can run to dozens of digits,
-so trial division alone is not enough; factorization falls back to Brent's
-variant of Pollard rho after stripping small primes.  Everything is
+so trial division alone is not enough; factorization falls back to Pollard
+rho with Floyd's cycle finding after stripping small primes.  Everything is
 deterministic: the rho "random" walk uses a fixed constant sequence.
 """
 

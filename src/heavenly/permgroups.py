@@ -116,8 +116,7 @@ class PermGroup:
         return PermGroup(self.degree, elems, elems)
 
 
-def close_generators(generators: list[Perm],
-                     element_cap: int = DEFAULT_ELEMENT_CAP) -> PermGroup:
+def close_generators(generators: list[Perm]) -> PermGroup:
     """The group generated by the given permutations.
 
     Breadth-first closure under right multiplication by generators; the
@@ -139,9 +138,10 @@ def close_generators(generators: list[Perm],
             for g in generators:
                 y = x * g
                 if y not in seen:
-                    if len(seen) >= element_cap:
+                    if len(seen) >= DEFAULT_ELEMENT_CAP:
                         raise ResourceCapError(
-                            f"group closure exceeded {element_cap} elements"
+                            f"group closure exceeded {DEFAULT_ELEMENT_CAP} "
+                            "elements"
                         )
                     seen.add(y)
                     new_frontier.append(y)
@@ -310,17 +310,16 @@ def _adjoin(table, h: frozenset[int], gens: tuple[int, ...],
     return frozenset(seen)
 
 
-def enumerate_subgroups(group: PermGroup,
-                        max_order: int = SUBGROUP_ORDER_CAP) -> list[PermGroup]:
+def enumerate_subgroups(group: PermGroup) -> list[PermGroup]:
     """All subgroups, ascending by order with a deterministic tiebreak.
 
     Grows closures from the trivial subgroup by repeatedly adjoining single
     elements, deduplicating by element set; this reaches every subgroup.
     Since <h, g> = <h, x*g> for x in h, one g per right coset h*g is tried.
     """
-    if group.order > max_order:
+    if group.order > SUBGROUP_ORDER_CAP:
         raise InputError(
-            f"subgroup enumeration capped at order {max_order}; "
+            f"subgroup enumeration capped at order {SUBGROUP_ORDER_CAP}; "
             f"group has order {group.order}"
         )
     table, e_idx = _mult_table(group)
@@ -438,7 +437,8 @@ def core_bound_check(group: PermGroup) -> CoreBoundReport:
     over subgroups of N that are normal in N.
     """
     if group.order > SUBGROUP_ORDER_CAP:
-        raise InputError("core bound check capped at order 400")
+        raise InputError(
+            f"core bound check capped at order {SUBGROUP_ORDER_CAP}")
     subs = enumerate_subgroups(group)
     table, e_idx = _mult_table(group)
     inverse = [row.index(e_idx) for row in table]

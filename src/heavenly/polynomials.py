@@ -305,41 +305,14 @@ def has_rational_root(f: UniPoly) -> bool:
 
 
 def rational_roots(f: UniPoly) -> list[Fraction]:
-    """All rational roots (without multiplicity), by the p/q divisor test."""
+    """All rational roots (without multiplicity), ascending: the roots of
+    f's linear factors over Q."""
+    # factorization imports this module, so it is imported here
+    from .factorization import factor_over_q
+
     if f.is_zero:
         raise InputError("rational roots of the zero polynomial")
-    roots = []
-    cs = list(f.coeffs)
-    mult = 0
-    while cs and cs[0] == 0:
-        cs.pop(0)
-        mult += 1
-    if mult:
-        roots.append(Fraction(0))
-    g = UniPoly.from_list(cs)
-    if g.degree < 1:
-        return roots
-    den = lcm(*[c.denominator for c in g.coeffs])
-    ints = [int(c * den) for c in g.coeffs]
-    a0, an = abs(ints[0]), abs(ints[-1])
-    for p in _divisors(a0):
-        for q in _divisors(an):
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                if g.evaluate(cand) == 0 and cand not in roots:
-                    roots.append(cand)
-    return sorted(roots)
-
-
-def _divisors(n: int) -> list[int]:
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
+    return sorted(-g.coeffs[0] for g, _ in factor_over_q(f) if g.degree == 1)
 
 
 def make_monic_integral(f: UniPoly) -> UniPoly:

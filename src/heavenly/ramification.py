@@ -24,7 +24,6 @@ from .factorization import (
     _mod_gcd,
     _mod_mul,
     _nullspace_mod_p,
-    _squarefree_mod,
     factor_over_q,
 )
 from .integers import odd_prime_divisors, valuation
@@ -90,9 +89,9 @@ def _is_ramified_at(f: UniPoly, p: int, v: int) -> bool:
     # the square of the order index, so the field discriminant keeps p
     if v % 2 == 1:
         return True
+    # p divides disc f, so f mod p is never squarefree: a p-maximal power
+    # order has p in its discriminant, and so has the field
     fl = [int(c) for c in f.coeffs]
-    if _squarefree_mod(fl, p):
-        return False
     if _dedekind_is_p_maximal(fl, p):
         return True
     k = _p_maximal_index_valuation(fl, p)

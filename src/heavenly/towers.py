@@ -12,10 +12,10 @@ below are consecutive slices, and flatten lists nums/den as Fractions.
 Products are integer convolutions reduced level by level; rational scalars
 touch only nums and den.  Over a first level above Q, multiplication by a
 is an integer matrix C over one scalar s, so the norm of a is det C / s^d
-by Bareiss elimination and the symmetric functions of its conjugates,
-which inversion needs, come from the integer characteristic polynomial of
-C; higher levels take them from traces by Newton's identities, because
-elimination there would invert at every pivot.
+by Bareiss elimination; higher levels take norms, and every level takes
+the symmetric functions of a's conjugates that inversion needs, from
+traces by Newton's identities, because elimination over a tower would
+invert at every pivot.
 
 Factoring over a tower runs on norms: shift the variable by multiples of the
 top generator until the resultant with the top minimal polynomial (the norm,
@@ -369,10 +369,6 @@ class ExtensionField:
 
     def norm(self, a):
         """The product of a's conjugates over the field below."""
-        B = self.base
-        coords = self.coords(a)
-        if all(B.is_zero(c) for c in coords[1:]):
-            return _gp_pow_elem(B, coords[0], self.degree)
         if self._width == 1:
             nums, den = a
             return Fraction(_bareiss_det(self._int_matrix(nums)),
@@ -382,7 +378,7 @@ class ExtensionField:
     def _int_matrix(self, nums) -> list:
         """Integer C with multiplication by nums equal to C / _product_den
         on the power basis, as its list of columns; transposing leaves the
-        determinant and characteristic polynomial alone."""
+        determinant alone."""
         unit = [0] * self.absolute_degree
         columns = []
         for j in range(self.absolute_degree):
@@ -393,24 +389,13 @@ class ExtensionField:
 
     def _conjugate_symmetric(self, a) -> tuple[list, list]:
         """a^0, ..., a^(d-1) and the elementary symmetric functions e_0, ...,
-        e_d of a's conjugates over the field below.
-
-        Over Q they come from the integer characteristic polynomial of the
-        matrix C with a = C / s, s = den * _product_den: e_k = (-1)^k c_k /
-        s^k.  Over a tower, from the traces of a's powers by Newton's
-        identities, where elimination would invert at every pivot.
+        e_d of a's conjugates over the field below, from the traces of a's
+        powers by Newton's identities at every level.
         """
         d = self.degree
         powers = [self.one(), a]
-        while len(powers) < d:
+        while len(powers) <= d:
             powers.append(self.mul(powers[-1], a))
-        if self._width == 1:
-            nums, den = a
-            s = den * self._product_den
-            c = _int_charpoly(self._int_matrix(nums))
-            return powers, [Fraction(-x if k % 2 else x, s ** k)
-                            for k, x in enumerate(c)]
-        powers.append(self.mul(powers[-1], a))
         traces = self._generator_power_traces
         e = _elementary_symmetric(self.base, [self._trace(x, traces)
                                               for x in powers[1:]])
@@ -564,24 +549,6 @@ def _bareiss_det(rows) -> int:
     return sign * m[-1][-1]
 
 
-def _int_charpoly(rows) -> list:
-    """c_0 = 1, c_1, ..., c_n with det(x I - A) = sum_k c_k x^(n-k) for a
-    square integer matrix A, by Faddeev-LeVerrier: M_1 = I, c_k =
-    -tr(A M_k) / k and M_(k+1) = A M_k + c_k I, every division exact."""
-    n = len(rows)
-    c = [1]
-    m = [[int(i == j) for j in range(n)] for i in range(n)]
-    for k in range(1, n + 1):
-        am = [[sum(x * y for x, y in zip(row, col)) for col in zip(*m)]
-              for row in rows]
-        ck = -sum(am[i][i] for i in range(n)) // k
-        c.append(ck)
-        for i in range(n):
-            am[i][i] += ck
-        m = am
-    return c
-
-
 def _gp_deriv(F, f):
     out = [F.scale(f[k], k) for k in range(1, len(f))]
     return _gp_trim(F, out)
@@ -598,17 +565,6 @@ def _gp_taylor_shift(F, f, c):
         nxt[0] = F.add(nxt[0], coeff)
         out = nxt
     return _gp_trim(F, out)
-
-
-def _gp_pow_elem(F, a, e: int):
-    acc = F.one()
-    base = a
-    while e:
-        if e & 1:
-            acc = F.mul(acc, base)
-        base = F.mul(base, base)
-        e >>= 1
-    return acc
 
 
 def _gp_interpolate(F, xs, ys):
@@ -860,8 +816,6 @@ def _screen_maps(levels: tuple) -> tuple:
     when it has none.  Primes exceed NORM_DEGREE_CAP, so F_p has a distinct
     node for every point a norm is interpolated on.
     """
-    if not levels:
-        return ()  # Q: factor_over_q has its own primes
     chain = field_chain(FieldTower(levels))
     out = []
     primes = (q for q in count(NORM_DEGREE_CAP + 1) if is_probable_prime(q))
@@ -1051,11 +1005,15 @@ def factor_over_tower(tower: FieldTower, f) -> list[tuple[list, int]]:
     """Monic irreducible factors over the tower field, with multiplicities.
 
     f may be a UniPoly over Q or a coefficient list of tower elements.
-    The product of factor^multiplicity equals f up to a constant.
+    The product of factor^multiplicity equals f up to a constant.  Over Q
+    the factors are factor_over_q's, whose order is flatten_poly's.
     """
     chain = field_chain(tower)
     F = chain[-1]
     g = _as_gpoly(F, f)
+    if not tower.levels:
+        return [(list(h.coeffs), mult)
+                for h, mult in factor_over_q(UniPoly.from_list(g))]
     if not g:
         raise InputError("cannot factor the zero polynomial")
     if len(g) - 1 < 1:

@@ -48,11 +48,11 @@ def test_closure_order_independent():
         assert close_generators(shuffled) == reference
 
 
-def test_closure_cap():
+def test_closure_cap(monkeypatch):
+    monkeypatch.setattr(permgroups, "DEFAULT_ELEMENT_CAP", 1000)
     with pytest.raises(ResourceCapError):
         close_generators(
             [parse_cycles("(1 2)", 8), parse_cycles("(1 2 3 4 5 6 7 8)", 8)],
-            element_cap=1000,
         )
 
 

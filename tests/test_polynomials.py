@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 import random
+import time
 
 from heavenly.errors import InputError
 from heavenly.polynomials import (
@@ -130,6 +131,39 @@ def test_rational_roots():
     assert rational_roots(h) == [Fraction(1, 2)]
     assert has_rational_root(f)
     assert not has_rational_root(P(1, 0, 1))
+
+
+def random_rational_poly(rng, degree):
+    coeffs = [Fraction(rng.randrange(-12, 13), rng.randrange(1, 6))
+              for _ in range(degree)]
+    return UniPoly.from_list(coeffs + [Fraction(rng.randrange(1, 7),
+                                                rng.randrange(1, 4))])
+
+
+def test_rational_roots_agree_with_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(137)
+    for _ in range(40):
+        f = P(Fraction(rng.choice((-5, -1, 2, 3)), rng.randrange(1, 4)))
+        for _ in range(rng.randrange(0, 4)):
+            f = f * random_rational_poly(rng, 1) ** rng.randrange(1, 3)
+        for _ in range(rng.randrange(0, 3)):
+            f = f * random_rational_poly(rng, rng.randrange(2, 5))
+        expected = sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                               for c in reversed(f.coeffs)], x).ground_roots()
+        assert rational_roots(f) == sorted(
+            Fraction(int(sympy.numer(r)), int(sympy.denom(r)))
+            for r in expected), f
+    with pytest.raises(InputError, match="rational roots of the zero"):
+        rational_roots(UniPoly.zero())
+
+
+def test_rational_roots_of_a_large_constant_are_fast():
+    start = time.perf_counter()
+    assert rational_roots(P(-10 ** 40, 0, 1)) == [Fraction(-10 ** 20),
+                                                 Fraction(10 ** 20)]
+    assert time.perf_counter() - start < 1
 
 
 def test_make_monic_integral_frozen():

@@ -1,0 +1,89 @@
+"""Source hygiene of the package, checked on its syntax trees.
+
+Every imported name is used (or re-exported through __all__), and every
+private function, class, method and module constant is read somewhere in
+the package, so dead code left behind by a deletion shows up here.
+"""
+
+import ast
+from pathlib import Path
+
+SOURCE = Path(__file__).resolve().parents[1] / "src" / "heavenly"
+
+
+def _trees():
+    return {path.name: ast.parse(path.read_text(), filename=str(path))
+            for path in sorted(SOURCE.glob("*.py"))}
+
+
+def _loaded(tree) -> set[str]:
+    """Names read as variables or as attributes anywhere in the tree."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx,
+                                                            ast.Load):
+            out.add(node.attr)
+    return out
+
+
+def _exported(tree) -> set[str]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def _imported(tree):
+    """(line, bound name) for every import, __future__ aside."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.asname or alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield node.lineno, alias.asname or alias.name
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _private_definitions(tree):
+    """(line, name) for private module functions, classes and constants,
+    and for private methods of module classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.lineno, node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            for t in targets:
+                if isinstance(t, ast.Name):
+                    yield node.lineno, t.id
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    yield item.lineno, item.name
+
+
+def test_every_import_is_used():
+    unused = []
+    for name, tree in _trees().items():
+        used = _loaded(tree) | _exported(tree)
+        unused += [f"{name}:{line} {bound}"
+                   for line, bound in _imported(tree) if bound not in used]
+    assert not unused, "imported but never used: " + ", ".join(unused)
+
+
+def test_every_private_definition_is_read():
+    trees = _trees()
+    loaded = set().union(*(_loaded(tree) for tree in trees.values()))
+    unread = [f"{name}:{line} {defined}"
+              for name, tree in trees.items()
+              for line, defined in _private_definitions(tree)
+              if _is_private(defined) and defined not in loaded]
+    assert not unread, "defined but never read: " + ", ".join(unread)

@@ -21,6 +21,7 @@ from heavenly.classify import (
     two_division_tower,
 )
 from heavenly.documents import input_from_document
+from heavenly.factorization import factor_over_q
 from heavenly.polynomials import UniPoly, parse_polynomial, poly_gcd
 from heavenly.towers import (
     FieldTower,
@@ -196,6 +197,42 @@ def test_factor_over_tower_random_products():
         assert rebuilt == f
         for g, _ in facs:
             assert is_irreducible_over_tower(t, g)
+
+
+def test_factoring_over_q_as_a_tower_is_factor_over_q():
+    # height 0 answers with factor_over_q; the route every higher tower
+    # takes, Yun's algorithm and then the squarefree factoring of each part
+    # over Q, sorted by flatten_poly, gives the same list
+    rng = random.Random(131)
+    Q = towers.RATIONAL
+    cases = [P(5), P(Fraction(-2, 3))]
+    for _ in range(40):
+        f = P(Fraction(rng.choice((-3, 1, 2, 5)), rng.randrange(1, 4)))
+        for _ in range(rng.randrange(1, 4)):
+            coeffs = [Fraction(rng.randrange(-4, 5), rng.randrange(1, 4))
+                      for _ in range(rng.randrange(1, 4))]
+            g = UniPoly.from_list(coeffs + [Fraction(rng.randrange(1, 4))])
+            f = f * g ** rng.randrange(1, 4)
+        cases.append(f)
+    assert any(m > 1 for f in cases for _, m in factor_over_q(f))
+    for f in cases:
+        expected = [(list(g.coeffs), m) for g, m in factor_over_q(f)]
+        assert factor_over_tower(FieldTower(), f) == expected, f
+        assert factor_over_tower(FieldTower(), list(f.coeffs)) == expected
+        if f.degree < 1:
+            assert expected == []
+            continue
+        generic = [(g, m) for part, m in towers._squarefree_parts_chain(
+                       Q, towers._gp_monic(Q, list(f.coeffs)))
+                   for g in towers._factor_squarefree_chain((Q,), part)]
+        generic.sort(key=lambda t: towers.flatten_poly(Q, t[0]))
+        assert generic == expected, f
+    with pytest.raises(InputError) as q_error:
+        factor_over_q(UniPoly.zero())
+    for zero in (UniPoly.zero(), [Fraction(0)]):
+        with pytest.raises(InputError) as tower_error:
+            factor_over_tower(FieldTower(), zero)
+        assert str(tower_error.value) == str(q_error.value)
 
 
 def test_splitting_degree_divides_factorial():
