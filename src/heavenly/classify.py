@@ -280,7 +280,11 @@ def screen_good_reduction(f: UniPoly) -> str:
     if d.denominator != 1:
         raise ArithmeticError("integral polynomial with fractional "
                               "discriminant")
-    return PLAUSIBLE if odd_part(abs(int(d))) == 1 else UNKNOWN
+    return _screen_outcome(int(d))
+
+
+def _screen_outcome(d: int) -> str:
+    return PLAUSIBLE if odd_part(abs(d)) == 1 else UNKNOWN
 
 
 # ---------------------------------------------------------------------------
@@ -420,9 +424,9 @@ _C_NEQ_6_NOTE = (
 )
 
 
-def _screen_step(f: UniPoly, label: str) -> tuple[Step, str]:
-    outcome = screen_good_reduction(f)
-    d = int(discriminant(f))
+def _screen_step(d: int, label: str) -> tuple[Step, str]:
+    """The screen on a model polynomial, given its integer discriminant."""
+    outcome = _screen_outcome(d)
     return _computed(
         f"good-reduction screen on the {label}",
         discriminant=d, odd_part=odd_part(abs(d)), outcome=outcome), outcome
@@ -437,11 +441,11 @@ def _tower_step(tower: FieldTower, base: FieldTower, label: str) -> Step:
 
 
 def _elliptic_screen(E: EllipticInput, steps: list) -> str:
+    d = int(discriminant(E.cubic))
     steps.append(_computed(
         "normalized elliptic model y^2 = f(x)",
-        base=E.base, polynomial=format_polynomial(E.cubic),
-        discriminant=int(discriminant(E.cubic))))
-    step, outcome = _screen_step(E.cubic, "2-division cubic")
+        base=E.base, polynomial=format_polynomial(E.cubic), discriminant=d))
+    step, outcome = _screen_step(d, "2-division cubic")
     steps.append(step)
     steps.append(_cite("SERRE_TATE_GOOD_REDUCTION", _SERRE_TATE_NOTE))
     return outcome
@@ -449,16 +453,17 @@ def _elliptic_screen(E: EllipticInput, steps: list) -> str:
 
 def _jacobian_screen(C: JacobianInput, steps: list) -> str:
     steps.append(_cite("GGR_TRICHOTOMY", _GGR_NOTE))
+    d = int(discriminant(C.poly))
     values = {
         "base": C.base,
         "polynomial": format_polynomial(C.poly),
         "degree": C.poly.degree,
-        "discriminant": int(discriminant(C.poly)),
+        "discriminant": d,
     }
     if C.poly.degree == 5:
         values["rational_infinite_weierstrass_point"] = True
     steps.append(_computed("normalized genus-2 model y^2 = f(x)", **values))
-    step, outcome = _screen_step(C.poly, "Weierstrass polynomial")
+    step, outcome = _screen_step(d, "Weierstrass polynomial")
     steps.append(step)
     steps.append(_cite("SERRE_TATE_GOOD_REDUCTION", _SERRE_TATE_NOTE))
     return outcome
@@ -471,8 +476,10 @@ def _product_screen(P: ProductInput, steps: list) -> str:
         base=P.base,
         first=format_polynomial(P.first.cubic),
         second=format_polynomial(P.second.cubic)))
-    first_step, first = _screen_step(P.first.cubic, "first factor")
-    second_step, second = _screen_step(P.second.cubic, "second factor")
+    first_step, first = _screen_step(int(discriminant(P.first.cubic)),
+                                     "first factor")
+    second_step, second = _screen_step(int(discriminant(P.second.cubic)),
+                                       "second factor")
     steps.append(first_step)
     steps.append(second_step)
     outcome = PLAUSIBLE if (first, second) == (PLAUSIBLE, PLAUSIBLE) \
@@ -502,7 +509,8 @@ def _weil_screen(W: WeilRestrictionInput, steps: list) -> str:
         steps.append(_cite("JONES_DEGREES", _C_NEQ_6_NOTE))
     norm = make_monic_integral(squarefree_part(W._conjugate_product))
     step, outcome = _screen_step(
-        norm, "squarefree part of the conjugate-product sextic")
+        int(discriminant(norm)),
+        "squarefree part of the conjugate-product sextic")
     steps.append(step)
     steps.append(_cite("SERRE_TATE_GOOD_REDUCTION", _SERRE_TATE_NOTE))
     return outcome

@@ -75,6 +75,12 @@ def _write_atomic(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
+def _write_failed(path, exc: OSError) -> int:
+    print(f"error: cannot write {path}: {exc.strerror or exc}",
+          file=sys.stderr)
+    return EXIT_INVALID
+
+
 def _classify_document(doc: dict) -> dict:
     start = time.perf_counter()
     verdict = classify(input_from_document(doc))
@@ -94,7 +100,10 @@ def _classify_batch(in_dir: Path, out_dir: Path) -> int:
     if not files:
         print(f"error: no .json files under {in_dir}", file=sys.stderr)
         return EXIT_INVALID
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        return _write_failed(out_dir, exc)
     worst = EXIT_OK
     any_invalid = False
     for path in files:
@@ -105,7 +114,10 @@ def _classify_batch(in_dir: Path, out_dir: Path) -> int:
             any_invalid = True
             continue
         target = out_dir / (path.stem + ".cert.json")
-        _write_atomic(target, dump_document(document))
+        try:
+            _write_atomic(target, dump_document(document))
+        except OSError as exc:
+            return _write_failed(target, exc)
         status = document["verdict"]["status"]
         print(f"{path.name}: {status} -> {target.name}")
         worst = max(worst, _status_exit(status))
@@ -125,7 +137,10 @@ def cmd_classify(args) -> int:
         return EXIT_CAPPED
     text = dump_document(document)
     if args.out is not None:
-        _write_atomic(Path(args.out), text)
+        try:
+            _write_atomic(Path(args.out), text)
+        except OSError as exc:
+            return _write_failed(args.out, exc)
     else:
         print(text)
     return _status_exit(document["verdict"]["status"])

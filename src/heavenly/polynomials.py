@@ -371,7 +371,10 @@ def parse_polynomial(text: str) -> UniPoly:
         if m.group("num") is None:
             coef = Fraction(1)
         else:
-            coef = Fraction(int(m.group("num")), int(m.group("den") or 1))
+            den = int(m.group("den") or 1)
+            if not den:
+                raise InputError(f"zero denominator in {term!r}")
+            coef = Fraction(int(m.group("num")), den)
         if m.group("sign"):
             coef = -coef
         exp = int(m.group("exp") or 1) if m.group("x") else 0

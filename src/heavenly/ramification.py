@@ -3,7 +3,11 @@
 Each odd prime dividing a polynomial discriminant is decided by a
 three-step ladder: odd valuation, Dedekind's criterion, and (when the power
 order is not p-maximal) enlargement to a p-maximal order in the style of
-the Round-2 algorithm.
+the Round-2 algorithm.  The enlargement multiplies in Q[x]/(f) with the
+field arithmetic of `towers`, and it needs no cap: with v the valuation
+of the polynomial discriminant, v = 2k + v_p(d_K) for the index valuation
+k, and each enlarging round adds at least 1 to k, so at most v/2 + 1
+rounds run.
 
 A splitting field over Q needs no tower at all: a prime ramifies in it
 exactly when it ramifies in the field of one root of some irreducible
@@ -14,10 +18,9 @@ field of its level moduli's norms to Q, so a tower reduces to that case.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
-from .errors import InputError, ResourceCapError
+from .errors import InputError
 from .factorization import (
     _factor_mod_p_lists,
     _mod_divmod,
@@ -28,9 +31,13 @@ from .factorization import (
 )
 from .integers import odd_prime_divisors, valuation
 from .polynomials import UniPoly, discriminant, make_monic_integral
-from .towers import FieldTower, _norm_poly, field_chain
-
-ENLARGEMENT_CAP = 64
+from .towers import (
+    RATIONAL,
+    ExtensionField,
+    FieldTower,
+    _norm_poly,
+    field_chain,
+)
 
 
 def odd_ramified_primes(tower: FieldTower) -> set[int]:
@@ -94,17 +101,8 @@ def _is_ramified_at(f: UniPoly, p: int, v: int) -> bool:
     fl = [int(c) for c in f.coeffs]
     if _dedekind_is_p_maximal(fl, p):
         return True
-    k = _p_maximal_index_valuation(fl, p)
+    k = _p_maximal_index_valuation(fl, p, v)
     return v - 2 * k > 0
-
-
-def _int_mul(f: list[int], g: list[int]) -> list[int]:
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] += a * b
-    return out
 
 
 def _dedekind_is_p_maximal(fl: list[int], p: int) -> bool:
@@ -118,8 +116,8 @@ def _dedekind_is_p_maximal(fl: list[int], p: int) -> bool:
     for gi, _ in _factor_mod_p_lists(fbar, p):
         gbar = _mod_mul(gbar, gi, p)
     hbar = _mod_divmod(fbar, gbar, p)[0]
-    gh = _int_mul(gbar, hbar)
-    gh += [0] * (len(fl) - len(gh))
+    # T is read mod p only, so g*h is needed mod p^2; it is monic of degree n
+    gh = _mod_mul(gbar, hbar, p * p)
     t = [(a - b) // p for a, b in zip(gh, fl)]
     u = _mod_gcd([c % p for c in t], gbar, p)
     u = _mod_gcd(u, hbar, p)
@@ -129,40 +127,21 @@ def _dedekind_is_p_maximal(fl: list[int], p: int) -> bool:
 # ---------------------------------------------------------------------------
 # p-maximal order enlargement.  An order containing Z[alpha] is held as an
 # upper-triangular integer basis matrix W over a common denominator den:
-# row i is the power-basis numerator of the i-th basis element.
+# row i is the power-basis numerator of the i-th basis element, and its
+# elements multiply as elements of the field Q[x]/(f).
 
 
-def _mul_mod_f(u: list, v: list, fl: list[int]) -> list:
-    n = len(fl) - 1
-    t = [Fraction(0)] * (2 * n - 1)
-    for i, a in enumerate(u):
-        if a:
-            for j, b in enumerate(v):
-                if b:
-                    t[i + j] += a * b
-    for k in range(2 * n - 2, n - 1, -1):
-        c = t[k]
-        if c:
-            t[k] = 0
-            for j in range(n):
-                t[k - n + j] -= c * fl[j]
-    return t[:n]
-
-
-def _solve_basis(W: list[list[int]], den: int, vec: list) -> list[int]:
-    """Integer coordinates of a power-basis vector in the basis W/den."""
-    n = len(W)
-    x: list[Fraction] = []
-    for j in range(n):
-        s = den * vec[j]
-        for i in range(j):
-            if W[i][j]:
-                s -= x[i] * W[i][j]
-        x.append(Fraction(s, W[j][j]))
-    for c in x:
-        if c.denominator != 1:
+def _solve_basis(W: list[list[int]], den: int, a) -> list[int]:
+    """Integer coordinates of the field element a in the basis W/den."""
+    nums, d = a
+    x: list[int] = []
+    for j in range(len(W)):
+        s = den * nums[j] - d * sum(x[i] * W[i][j] for i in range(j))
+        c, r = divmod(s, d * W[j][j])
+        if r:
             raise ArithmeticError("element does not lie in the order")
-    return [int(c) for c in x]
+        x.append(c)
+    return x
 
 
 def _hnf(rows: list[list[int]], n: int) -> list[list[int]]:
@@ -198,64 +177,46 @@ def _hnf(rows: list[list[int]], n: int) -> list[list[int]]:
     return a[:n]
 
 
-def _coord_mul(a, b, table, p, n):
-    out = [0] * n
-    for i, ai in enumerate(a):
-        if ai:
-            ti = table[i]
-            for j, bj in enumerate(b):
-                if bj:
-                    c = ai * bj % p
-                    row = ti[j]
-                    for k in range(n):
-                        if row[k]:
-                            out[k] = (out[k] + c * row[k]) % p
-    return out
+def _frobenius_coords(K, W, den, a, q, p) -> list[int]:
+    """Coordinates mod p of a^q in the basis W/den, by square-and-multiply
+    in O/pO: each product is reduced mod p in the order's coordinates."""
+    def reduced(x):
+        c = [t % p for t in _solve_basis(W, den, x)]
+        return c, K.from_parts([sum(ci * w for ci, w in zip(c, col))
+                                for col in zip(*W)], den)
+
+    coords, result = None, None
+    while q:
+        if q & 1:
+            coords, result = reduced(a if result is None
+                                     else K.mul(result, a))
+        q >>= 1
+        if q:
+            a = reduced(K.mul(a, a))[1]
+    return coords
 
 
-def _coord_pow(a, e, table, p, n):
-    result = None
-    base = a
-    while e:
-        if e & 1:
-            result = base if result is None else _coord_mul(
-                result, base, table, p, n
-            )
-        e >>= 1
-        if e:
-            base = _coord_mul(base, base, table, p, n)
-    return result
+def _p_maximal_index_valuation(fl: list[int], p: int, v: int) -> int:
+    """v_p of the index of Z[alpha] in a p-maximal order containing it.
 
-
-def _p_maximal_index_valuation(fl: list[int], p: int) -> int:
-    """v_p of the index of Z[alpha] in a p-maximal order containing it."""
+    v = v_p(disc f) = 2k + v_p(d_K) bounds the index valuation k by v/2,
+    and each enlarging round adds at least 1 to k.
+    """
     n = len(fl) - 1
+    K = ExtensionField(RATIONAL, tuple(map(RATIONAL.from_fraction, fl)))
     W = [[int(i == j) for j in range(n)] for i in range(n)]
     den = 1
     index_val = 0
-    for _ in range(ENLARGEMENT_CAP):
-        basis = [
-            [Fraction(W[i][j], den) for j in range(n)] for i in range(n)
-        ]
-        # multiplication table of the order in its own coordinates, mod p
-        table = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                prod = _mul_mod_f(basis[i], basis[j], fl)
-                row.append([c % p for c in _solve_basis(W, den, prod)])
-            table.append(row)
+    for _ in range(v // 2 + 1):
+        basis = [K.from_parts(row, den) for row in W]
         # radical of pO in O/pO: kernel of x -> x^q for the least p-power
         # q >= n, as a matrix on rows b_i -> b_i^q
         q = p
         while q < n:
             q *= p
-        M = []
-        for i in range(n):
-            unit = [int(t == i) for t in range(n)]
-            M.append(_coord_pow(unit, q, table, p, n))
+        M = [_frobenius_coords(K, W, den, b, q, p) for b in basis]
         kernel = _nullspace_mod_p([list(col) for col in zip(*M)], p)
-        rad_rows = [[c % p for c in v] for v in kernel]
+        rad_rows = [[c % p for c in r] for r in kernel]
         R = _hnf(rad_rows + [[p * int(i == j) for j in range(n)]
                              for i in range(n)], n)
         # multiplier condition: y * gamma_j in p*I for every ideal basis row
@@ -264,19 +225,10 @@ def _p_maximal_index_valuation(fl: list[int], p: int) -> int:
             for j in range(n)
         ]
         constraints = []
-        coords_cache = []
-        for i in range(n):
-            per_i = []
-            for j in range(n):
-                gamma = [Fraction(V[j][t], den) for t in range(n)]
-                prod = _mul_mod_f(basis[i], gamma, fl)
-                per_i.append(_solve_basis(V, den, prod))
-            coords_cache.append(per_i)
         for j in range(n):
-            for el in range(n):
-                constraints.append(
-                    [coords_cache[i][j][el] % p for i in range(n)]
-                )
+            gamma = K.from_parts(V[j], den)
+            per_i = [_solve_basis(V, den, K.mul(b, gamma)) for b in basis]
+            constraints += [[c[el] % p for c in per_i] for el in range(n)]
         y_basis = _nullspace_mod_p(constraints, p)
         growth = len(y_basis)
         if growth == 0:
@@ -300,7 +252,6 @@ def _p_maximal_index_valuation(fl: list[int], p: int) -> int:
             den //= g
             newW = [[c // g for c in row] for row in newW]
         W = _hnf(newW, n)
-    raise ResourceCapError(
-        f"maximal order enlargement at p={p} did not stabilize within "
-        f"{ENLARGEMENT_CAP} steps"
+    raise ArithmeticError(
+        f"order enlargement at p={p} passed the discriminant bound {v // 2}"
     )

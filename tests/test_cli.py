@@ -183,6 +183,22 @@ def test_classify_batch_rejects_non_directory(capsys, tmp_path):
     assert "not a directory" in capsys.readouterr().err
 
 
+def test_classify_to_missing_directory_is_invalid(capsys, tmp_path):
+    path = write_doc(tmp_path / "curve.json", GOOD_DOC)
+    target = tmp_path / "missing_dir" / "curve.cert.json"
+    assert main(["classify", str(path), "--out", str(target)]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot write")
+
+
+def test_classify_batch_into_a_file_is_invalid(capsys, tmp_path):
+    indir = tmp_path / "in"
+    indir.mkdir()
+    write_doc(indir / "a.json", GOOD_DOC)
+    taken = write_doc(tmp_path / "taken", GOOD_DOC)
+    assert main(["classify", str(indir), "--dir", str(taken)]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot write")
+
+
 def test_classify_batch_rejects_empty_directory(capsys, tmp_path):
     indir = tmp_path / "empty"
     indir.mkdir()
@@ -227,6 +243,11 @@ def test_tool_ramification_reads_rational_factors(capsys):
 def test_tool_ramification_rejects_constants(capsys):
     assert main(["tool", "ramification", "7"]) == 2
     assert "constant" in capsys.readouterr().err
+
+
+def test_tool_rejects_zero_denominators(capsys):
+    assert main(["tool", "factor", "1/0*x + 1"]) == 2
+    assert capsys.readouterr().err.startswith("error: zero denominator")
 
 
 def test_tool_rejects_floats(capsys):

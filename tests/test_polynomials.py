@@ -201,7 +201,8 @@ def test_parse_polynomial():
 
 
 def test_parse_polynomial_rejects():
-    for bad in ["", "x^", "2x", "1.5*x", "x**2", "x^2 +", "* x", "y+1", "3*", "x^-2"]:
+    for bad in ["", "x^", "2x", "1.5*x", "x**2", "x^2 +", "* x", "y+1", "3*", "x^-2",
+                "1/0*x", "x^2 - 3/0"]:
         with pytest.raises(InputError):
             parse_polynomial(bad)
 

@@ -2,10 +2,12 @@
 
 import random
 
-from heavenly.integers import factorize, odd_prime_divisors
+from heavenly.factorization import is_irreducible_over_q
+from heavenly.integers import factorize, odd_prime_divisors, valuation
 from heavenly.polynomials import UniPoly, discriminant, parse_polynomial
 from heavenly.ramification import (
     _dedekind_is_p_maximal,
+    _is_ramified_at,
     _odd_ramified_of_polynomial,
     _p_maximal_index_valuation,
     odd_ramified_primes,
@@ -76,8 +78,39 @@ def test_twelfth_cyclotomic_ramified_at_3_with_maximal_order():
 def test_scaled_twelfth_cyclotomic_needs_deep_enlargement():
     # root 3*zeta12: same field, index 3^6, several enlargement rounds
     f = parse_polynomial("x^4-9*x^2+81")
-    assert _p_maximal_index_valuation([81, 0, -9, 0, 1], 3) == 6
+    assert _p_maximal_index_valuation([81, 0, -9, 0, 1], 3, 14) == 6
     assert _odd_ramified_of_polynomial(f) == {3}
+
+
+def test_scaled_root_adds_its_index_to_the_enlargement():
+    # f(x) = s^n g(x/s) has root s*alpha, and Z[s*alpha] has index
+    # s^(n(n-1)/2) in Z[alpha]: Round-2 on f must find exactly that much
+    # more index, and p must ramify in both fields or in neither.
+    # Dedekind's criterion must agree with Round-2 on both.
+    rng = random.Random(20261018)
+    trials = 0
+    while trials < 48:
+        n = rng.randint(2, 6)
+        g = [rng.randint(-5, 5) for _ in range(n)] + [1]
+        G = UniPoly.of(*g)
+        if discriminant(G) == 0 or not is_irreducible_over_q(G):
+            continue
+        p, e = rng.choice((3, 5, 7)), rng.randint(1, 2)
+        s = p ** e
+        F = UniPoly.of(*[c * s ** (n - i) for i, c in enumerate(g)])
+        f = [int(c) for c in F.coeffs]
+        v_g = valuation(int(discriminant(G)), p)
+        v_f = valuation(int(discriminant(F)), p)
+        assert v_f == v_g + e * n * (n - 1), (g, p, e)
+        k_g = _p_maximal_index_valuation(g, p, v_g)
+        assert _p_maximal_index_valuation(f, p, v_f) == \
+            k_g + e * n * (n - 1) // 2, (g, p, e)
+        assert not _dedekind_is_p_maximal(f, p), (g, p, e)
+        if v_g:
+            assert _dedekind_is_p_maximal(g, p) == (k_g == 0), (g, p)
+        assert _is_ramified_at(F, p, v_f) == \
+            (v_g > 0 and _is_ramified_at(G, p, v_g)), (g, p, e)
+        trials += 1
 
 
 def test_cube_root_2_ramified_at_3():

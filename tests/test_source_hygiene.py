@@ -1,8 +1,9 @@
 """Source hygiene of the package, checked on its syntax trees.
 
-Every imported name is used (or re-exported through __all__), and every
+Every imported name is used (or re-exported through __all__), every
 private function, class, method and module constant is read somewhere in
-the package, so dead code left behind by a deletion shows up here.
+the package, and so is every public upper-case module constant, so dead
+code and dead settings left behind by a deletion show up here.
 """
 
 import ast
@@ -52,18 +53,24 @@ def _is_private(name: str) -> bool:
     return name.startswith("_") and not name.startswith("__")
 
 
-def _private_definitions(tree):
-    """(line, name) for private module functions, classes and constants,
-    and for private methods of module classes."""
+def _module_constants(tree):
+    """(line, name) for every name a module-level assignment binds."""
     for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            yield node.lineno, node.name
-        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) \
                 else [node.target]
             for t in targets:
                 if isinstance(t, ast.Name):
                     yield node.lineno, t.id
+
+
+def _private_definitions(tree):
+    """(line, name) for private module functions, classes and constants,
+    and for private methods of module classes."""
+    yield from _module_constants(tree)
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.lineno, node.name
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, ast.FunctionDef):
@@ -87,3 +94,14 @@ def test_every_private_definition_is_read():
               for line, defined in _private_definitions(tree)
               if _is_private(defined) and defined not in loaded]
     assert not unread, "defined but never read: " + ", ".join(unread)
+
+
+def test_every_public_constant_is_read():
+    trees = _trees()
+    loaded = set().union(*(_loaded(tree) for tree in trees.values()))
+    unread = [f"{name}:{line} {defined}"
+              for name, tree in trees.items()
+              for line, defined in _module_constants(tree)
+              if not _is_private(defined) and defined.isupper()
+              and defined not in loaded]
+    assert not unread, "public constant never read: " + ", ".join(unread)
