@@ -378,7 +378,10 @@ def factor_degree_vector(C: JacobianInput) -> tuple:
 def closure_degree_bound(degrees) -> int:
     """Closure-degree bound over Q for a 2-division field over a quadratic
     base, from the descending factor-degree vector of the sextic."""
-    vec = tuple(int(d) for d in degrees)
+    vec = tuple(degrees)
+    # a bool is an int to Python, but never a factor degree
+    if any(type(d) is not int for d in vec):
+        raise InputError("factor degrees must be ints")
     if not vec or list(vec) != sorted(vec, reverse=True):
         raise InputError("factor degrees must be sorted descending")
     if any(d not in _FACTOR_CLOSURE_BOUNDS for d in vec):

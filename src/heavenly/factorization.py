@@ -7,20 +7,21 @@ early once some prime shows at most four factors and a further prime adds
 no degree information. A divisor's degree must be a subset sum of the
 factor degrees at every one of them, so when only 0 and the full degree
 survive the polynomial is irreducible and nothing is lifted. Otherwise
-factor it modulo the prime with the fewest factors (Berlekamp, fully
-deterministic), Hensel-lift the modular factors past the Mignotte
+split it modulo the prime with the fewest factors (Cantor-Zassenhaus on
+fixed probes), Hensel-lift the modular factors past the Mignotte
 coefficient bound, and recombine subsets in ascending size order, skipping
 those whose degree no prime allows. Returned factors are monic over Q,
 sorted by (degree, coefficient tuple), with multiplicities.
 
 The mod-p layer works on plain int lists (ascending coefficients, trimmed).
 It is internal but also feeds the ramification machinery, which needs mod-p
-factorizations with multiplicities.
+factorizations with multiplicities; every split there is the same
+distinct-degree factorization, then Cantor-Zassenhaus, at a cost in log p.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, count
 from math import isqrt
 
 from .errors import InputError, ResourceCapError
@@ -143,32 +144,36 @@ def _mod_monic(f, p):
     return [c * inv % p for c in f]
 
 
-def _nullspace_mod_p(m: list[list[int]], p: int) -> list[list[int]]:
-    """Basis of the kernel of the matrix m over Fp (row-major)."""
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
+def _rref_mod_p(m: list[list[int]], p: int) -> tuple[list, list[int]]:
+    """(rows, pivots): the reduced row echelon form of m over Fp, entries
+    in [0, p), one row per pivot column, pivot columns ascending."""
     a = [row[:] for row in m]
-    pivots: dict[int, int] = {}
-    rank = 0
-    for c in range(cols):
-        pr = next((r for r in range(rank, rows) if a[r][c] % p), None)
+    pivots: list[int] = []
+    for c in range(len(m[0]) if m else 0):
+        rank = len(pivots)
+        pr = next((r for r in range(rank, len(a)) if a[r][c] % p), None)
         if pr is None:
             continue
         a[rank], a[pr] = a[pr], a[rank]
         inv = pow(a[rank][c], -1, p)
         a[rank] = [x * inv % p for x in a[rank]]
-        for r in range(rows):
+        for r in range(len(a)):
             if r != rank and a[r][c] % p:
                 f = a[r][c]
                 a[r] = [(x - f * y) % p for x, y in zip(a[r], a[rank])]
-        pivots[c] = rank
-        rank += 1
+        pivots.append(c)
+    return a[:len(pivots)], pivots
+
+
+def _nullspace_mod_p(m: list[list[int]], p: int) -> list[list[int]]:
+    """Basis of the kernel of the matrix m over Fp (row-major)."""
+    cols = range(len(m[0]) if m else 0)
+    a, pivots = _rref_mod_p(m, p)
     basis = []
-    for fc in (c for c in range(cols) if c not in pivots):
-        v = [0] * cols
-        v[fc] = 1
-        for c, r in pivots.items():
-            v[c] = (-a[r][fc]) % p
+    for fc in (c for c in cols if c not in pivots):
+        v = [int(c == fc) for c in cols]
+        for r, c in enumerate(pivots):
+            v[c] = -a[r][fc] % p
         basis.append(v)
     return basis
 
@@ -229,46 +234,53 @@ def _distinct_degree_parts(f: list[int],
     return parts
 
 
-def _berlekamp_split(f: list[int], p: int) -> list[list[int]]:
-    """Irreducible factors of squarefree monic f over Fp (deterministic)."""
-    n = len(f) - 1
-    if n <= 1:
-        return [f]
-    cols = _frobenius_columns(f, p)
-    frob_minus_id = [
-        [(cols[j][i] - (1 if i == j else 0)) % p for j in range(n)]
-        for i in range(n)
-    ]
-    basis = _nullspace_mod_p(frob_minus_id, p)
-    r = len(basis)
-    if r == 1:
-        return [f]
-    factors = [f]
-    for v in basis:
-        if len(factors) == r:
-            break
-        vpoly = _trim([c % p for c in v])
-        if len(vpoly) <= 1:
-            continue  # constants never separate factors
-        refined = []
-        for g in factors:
-            if len(g) - 1 == 1:
-                refined.append(g)
-                continue
-            rem = g
-            for a in range(p):
-                if len(rem) - 1 < 2:
-                    break
-                d = _mod_gcd(rem, _mod_sub(vpoly, [a], p), p)
-                if 1 <= len(d) - 1 < len(rem) - 1:
-                    refined.append(d)
-                    rem = _mod_divmod(rem, d, p)[0]
-            if len(rem) - 1 >= 1:
-                refined.append(_mod_monic(rem, p))
-        factors = refined
-    if len(factors) != r:
-        raise ArithmeticError("Berlekamp split incomplete")
-    return factors
+def _probes(p: int):
+    """x, x + 1, ..., then every higher degree in order: the base-p digits
+    of p, p + 1, ...  For p = 2 only x, x^3, x^5, ...: the trace is
+    additive with Tr(t^2) = Tr(t), so these separate all the others do."""
+    if p == 2:
+        for j in count(1, 2):
+            yield [0] * j + [1]
+    for n in count(p):
+        t = []
+        while n:
+            n, digit = divmod(n, p)
+            t.append(digit)
+        yield t
+
+
+def _equal_degree_split(g: list[int], d: int, p: int) -> list[list[int]]:
+    """Irreducible factors of squarefree monic g over Fp, all of degree d,
+    in the order the probes isolate them (Cantor-Zassenhaus, 1981).
+
+    A probe t separates the factors on which t^((p^d - 1)/2) is 1, or for
+    p = 2 the trace t + t^2 + ... + t^(2^(d-1)) is 0, from the rest.  One
+    that leaves h whole acts alike on all factors of h and of its later
+    pieces, and some t of degree below deg g separates any two factors.
+    """
+    done: list[list[int]] = []
+    pending = [g]
+    e = (p ** d - 1) // 2
+    for t in _probes(p):
+        done += [h for h in pending if len(h) - 1 == d]
+        pending = [h for h in pending if len(h) - 1 > d]
+        if not pending:
+            return done
+        if len(t) >= len(g):
+            raise ArithmeticError("equal-degree split did not finish")
+        split = []
+        for h in pending:
+            if p == 2:
+                acc = power = _mod_divmod(t, h, p)[1]
+                for _ in range(d - 1):
+                    power = _mod_divmod(_mod_mul(power, power, p), h, p)[1]
+                    acc = _mod_add(acc, power, p)
+            else:
+                acc = _mod_sub(_mod_pow_mod(t, e, h, p), [1], p)
+            w = _mod_gcd(h, acc, p)
+            split += [w, _mod_divmod(h, w, p)[0]] if 1 < len(w) < len(h) \
+                else [h]
+        pending = split
 
 
 def _reduce_mod_p(f: UniPoly, p: int) -> list[int]:
@@ -313,8 +325,9 @@ def _factor_mod_p_rec(f, p, mult, out):
         g = [f[i] for i in range(0, len(f), p)]
         _factor_mod_p_rec(g, p, mult * p, out)
         return
-    sqfree = _mod_divmod(f, _mod_gcd(f, d, p), p)[0]
-    for piece in _berlekamp_split(_mod_monic(sqfree, p), p):
+    sqfree = _mod_monic(_mod_divmod(f, _mod_gcd(f, d, p), p)[0], p)
+    for piece in (piece for deg, part in _distinct_degree_parts(sqfree, p)
+                  for piece in _equal_degree_split(part, deg, p)):
         key = tuple(piece)
         e = 0
         while True:
@@ -484,8 +497,7 @@ def _factor_monic_squarefree_int(f: list[int]) -> list[list[int]]:
     _, p, parts = best
     # Only parts holding several factors of one degree need splitting.
     modular = sorted(
-        (fac for d, g in parts
-         for fac in ([g] if len(g) - 1 == d else _berlekamp_split(g, p))),
+        (fac for d, g in parts for fac in _equal_degree_split(g, d, p)),
         key=lambda fac: (len(fac), fac),
     )
     target = _mignotte_target(f)

@@ -261,34 +261,40 @@ def squarefree_part(f: UniPoly) -> UniPoly:
     return (f // poly_gcd(f, f.derivative())).monic()
 
 
-def resultant(f: UniPoly, g: UniPoly) -> Fraction:
-    """Res(f, g), exact, via the Euclidean remainder recurrence.
+def _bareiss_det(rows) -> int:
+    """Determinant of a square integer matrix by fraction-free elimination:
+    each division by the previous pivot is exact (Bareiss 1968)."""
+    m = [list(r) for r in rows]
+    n = len(m)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if not m[k][k]:
+            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        pivot = m[k][k]
+        for i in range(k + 1, n):
+            mi, lead = m[i], m[i][k]
+            for j in range(k + 1, n):
+                mi[j] = (mi[j] * pivot - lead * m[k][j]) // prev
+        prev = pivot
+    return sign * m[-1][-1] if n else 1
 
-    Uses Res(f, g) = lc(f)^(deg g - deg r) * (-1)^(deg f * deg g) * Res(f... )
-    in the swapped form: after f = qg + r, Res(g, f) = lc(g)^(deg f - deg r)
-    * Res(g, r), together with the sign of the swap.
-    """
+
+def resultant(f: UniPoly, g: UniPoly) -> Fraction:
+    """Res(f, g), exact: with f = c F and g = d G for primitive integer F
+    and G, c^(deg g) d^(deg f) times the Bareiss determinant of the
+    Sylvester matrix of F and G, which is empty, so 1, for two constants."""
     if f.is_zero or g.is_zero:
         raise InputError("resultant requires nonzero polynomials")
-    a, b = f, g
-    acc = Fraction(1)
-    while True:
-        if b.degree == 0:
-            return acc * b.leading_coefficient ** a.degree
-        if a.degree == 0:
-            return acc * a.leading_coefficient ** b.degree
-        if a.degree < b.degree:
-            if (a.degree * b.degree) % 2 == 1:
-                acc = -acc
-            a, b = b, a
-        r = a % b
-        if r.is_zero:
-            return Fraction(0)
-        acc *= b.leading_coefficient ** (a.degree - r.degree)
-        if (a.degree * b.degree) % 2 == 1:
-            acc = -acc
-        # Res(a, b) = (-1)^(deg a * deg b) Res(b, a) and a == r mod b.
-        a, b = b, r
+    m, n = f.degree, g.degree
+    a, b = _primitive_ints(f)[::-1], _primitive_ints(g)[::-1]
+    rows = ([[0] * i + a + [0] * (n - 1 - i) for i in range(n)]
+            + [[0] * i + b + [0] * (m - 1 - i) for i in range(m)])
+    return (_bareiss_det(rows) * (f.leading_coefficient / a[0]) ** n
+            * (g.leading_coefficient / b[0]) ** m)
 
 
 def discriminant(f: UniPoly) -> Fraction:

@@ -7,7 +7,8 @@ the Round-2 algorithm.  The enlargement multiplies in Q[x]/(f) with the
 field arithmetic of `towers`, and it needs no cap: with v the valuation
 of the polynomial discriminant, v = 2k + v_p(d_K) for the index valuation
 k, and each enlarging round adds at least 1 to k, so at most v/2 + 1
-rounds run.
+rounds run.  Its ideal and multiplier lattices contain pZ^n, so their
+Hermite bases are read off reduced echelon forms mod p.
 
 A splitting field over Q needs no tower at all: a prime ramifies in it
 exactly when it ramifies in the field of one root of some irreducible
@@ -27,6 +28,7 @@ from .factorization import (
     _mod_gcd,
     _mod_mul,
     _nullspace_mod_p,
+    _rref_mod_p,
     factor_over_q,
 )
 from .integers import odd_prime_divisors, valuation
@@ -144,37 +146,14 @@ def _solve_basis(W: list[list[int]], den: int, a) -> list[int]:
     return x
 
 
-def _hnf(rows: list[list[int]], n: int) -> list[list[int]]:
-    """Row Hermite form: upper triangular, positive diagonal, reduced."""
-    a = [list(r) for r in rows if any(r)]
-    piv = 0
-    for col in range(n):
-        while True:
-            nz = [r for r in range(piv, len(a)) if a[r][col]]
-            if not nz:
-                break
-            r_min = min(nz, key=lambda r: abs(a[r][col]))
-            a[piv], a[r_min] = a[r_min], a[piv]
-            done = True
-            for r in range(piv + 1, len(a)):
-                if a[r][col]:
-                    q = a[r][col] // a[piv][col]
-                    a[r] = [x - q * y for x, y in zip(a[r], a[piv])]
-                    if a[r][col]:
-                        done = False
-            if done:
-                break
-        if piv < len(a) and a[piv][col]:
-            if a[piv][col] < 0:
-                a[piv] = [-x for x in a[piv]]
-            for r in range(piv):
-                q = a[r][col] // a[piv][col]
-                if q:
-                    a[r] = [x - q * y for x, y in zip(a[r], a[piv])]
-            piv += 1
-    if piv != n:
-        raise ArithmeticError("lattice basis is not full rank")
-    return a[:n]
+def _lattice_mod_p(rows: list[list[int]], p: int, n: int) -> list[list[int]]:
+    """Hermite basis of the lattice spanned by rows and pZ^n: the reduced
+    echelon form of rows mod p at each pivot column, p*e_c at every other
+    column c.  It is upper triangular with each diagonal entry 1 or p."""
+    echelon, pivots = _rref_mod_p(rows, p)
+    by_pivot = dict(zip(pivots, echelon))
+    return [by_pivot.get(c, [p * (i == c) for i in range(n)])
+            for c in range(n)]
 
 
 def _frobenius_coords(K, W, den, a, q, p) -> list[int]:
@@ -215,10 +194,8 @@ def _p_maximal_index_valuation(fl: list[int], p: int, v: int) -> int:
         while q < n:
             q *= p
         M = [_frobenius_coords(K, W, den, b, q, p) for b in basis]
-        kernel = _nullspace_mod_p([list(col) for col in zip(*M)], p)
-        rad_rows = [[c % p for c in r] for r in kernel]
-        R = _hnf(rad_rows + [[p * int(i == j) for j in range(n)]
-                             for i in range(n)], n)
+        R = _lattice_mod_p(_nullspace_mod_p([list(col) for col in zip(*M)],
+                                            p), p, n)
         # multiplier condition: y * gamma_j in p*I for every ideal basis row
         V = [
             [sum(R[j][t] * W[t][col] for t in range(n)) for col in range(n)]
@@ -234,24 +211,25 @@ def _p_maximal_index_valuation(fl: list[int], p: int, v: int) -> int:
         if growth == 0:
             return index_val
         index_val += growth
-        J = _hnf(
-            [[c % p for c in y] for y in y_basis]
-            + [[p * int(i == j) for j in range(n)] for i in range(n)],
-            n,
-        )
-        newW = [
+        J = _lattice_mod_p(y_basis, p, n)
+        W = [
             [sum(J[i][t] * W[t][col] for t in range(n)) for col in range(n)]
             for i in range(n)
         ]
         den *= p
         g = den
-        for row in newW:
+        for row in W:
             for c in row:
                 g = gcd(g, c)
         if g > 1:
             den //= g
-            newW = [[c // g for c in row] for row in newW]
-        W = _hnf(newW, n)
+            W = [[c // g for c in row] for row in W]
+        # J*W is upper triangular with a positive diagonal, so its Hermite
+        # form only reduces the entries above the diagonal
+        for c in range(n):
+            for r in range(c):
+                m = W[r][c] // W[c][c]
+                W[r] = [x - m * y for x, y in zip(W[r], W[c])]
     raise ArithmeticError(
         f"order enlargement at p={p} passed the discriminant bound {v // 2}"
     )

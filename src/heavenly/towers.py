@@ -65,6 +65,7 @@ from .errors import InputError, ReducibleExtensionError, ResourceCapError
 from .factorization import (
     _distinct_degree_parts,
     _divisor_degrees,
+    _equal_degree_split,
     _mod_deriv,
     _mod_divmod,
     _mod_gcd,
@@ -75,7 +76,7 @@ from .factorization import (
     factor_over_q,
 )
 from .integers import is_probable_prime
-from .polynomials import UniPoly, poly_gcd
+from .polynomials import UniPoly, _bareiss_det, poly_gcd
 
 NORM_DEGREE_CAP = 192
 SPLITTING_DEGREE_CAP = 512
@@ -527,28 +528,6 @@ def _elementary_symmetric(F, sums) -> list:
     return e
 
 
-def _bareiss_det(rows) -> int:
-    """Determinant of a square integer matrix by fraction-free elimination:
-    each division by the previous pivot is exact (Bareiss 1968)."""
-    m = [list(r) for r in rows]
-    n = len(m)
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if not m[k][k]:
-            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
-            if swap is None:
-                return 0
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            mi, lead = m[i], m[i][k]
-            for j in range(k + 1, n):
-                mi[j] = (mi[j] * pivot - lead * m[k][j]) // prev
-        prev = pivot
-    return sign * m[-1][-1]
-
-
 def _gp_deriv(F, f):
     out = [F.scale(f[k], k) for k in range(1, len(f))]
     return _gp_trim(F, out)
@@ -780,23 +759,15 @@ def _shift_values(limit: int):
 
 
 def _root_mod(f: list, p: int):
-    """A simple root in F_p of the monic f, or None.  The product of f's
-    linear factors, gcd(f, x^p - x), less those shared with f', is split
-    by gcd((x + a)^((p-1)/2) - 1, .) for a = 0, 1, ... until one linear
-    factor is left."""
+    """A simple root in F_p of the monic f, or None: the first root of
+    gcd(f, x^p - x), the product of f's linear factors, less those shared
+    with f', as `_equal_degree_split` orders them."""
     x = [0, 1]
     h = _mod_gcd(f, _mod_sub(_mod_pow_mod(x, p, f, p), x, p), p)
     repeated = _mod_gcd(h, _mod_deriv(f, p), p)
     if len(repeated) > 1:
         h = _mod_divmod(h, repeated, p)[0]
-    for a in range(p):
-        if len(h) <= 2:
-            break
-        w = _mod_gcd(h, _mod_sub(_mod_pow_mod([a, 1], (p - 1) // 2, h, p),
-                                 [1], p), p)
-        if 2 <= len(w) < len(h):
-            h = min(w, _mod_divmod(h, w, p)[0], key=len)
-    return -h[0] % p if len(h) == 2 else None
+    return -_equal_degree_split(h, 1, p)[0][0] % p if len(h) > 1 else None
 
 
 def _map_mod(basis, nums, den: int, p: int):

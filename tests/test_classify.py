@@ -2,6 +2,7 @@
 
 import json
 import random
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -567,6 +568,12 @@ def test_closure_degree_bound_rejects():
         closure_degree_bound((4, 4))                    # wrong total
     with pytest.raises(InputError):
         closure_degree_bound(())
+    with pytest.raises(InputError):
+        closure_degree_bound(("a",))                    # not a number
+    with pytest.raises(InputError):
+        closure_degree_bound((4.0, 2.0))                # floats, not ints
+    with pytest.raises(InputError):
+        closure_degree_bound((True, 1, 1, 1, 1, 1))     # a bool is no degree
 
 
 def test_quadratic_base_closure_within_bound():
@@ -670,13 +677,17 @@ def test_classify_reports_the_tower_degree_as_closure_degree():
 # The paper's theorem over Q as a census oracle.
 
 
+def _census():
+    return json.loads((Path(__file__).resolve().parent / "data"
+                       / "census_q.json").read_text(encoding="utf-8"))
+
+
 def test_plausible_census_over_q_is_heavenly():
     # a plausible screen means a discriminant of +-2^k, so good reduction
     # away from 2, and the paper's theorem then makes the 2-power torsion
     # tower pro-2 and unramified away from 2; tests/data/census_q.py wrote
     # the frozen list, and a model that is not heavenly is a defect
-    census = json.loads((Path(__file__).resolve().parent / "data"
-                         / "census_q.json").read_text(encoding="utf-8"))
+    census = _census()
     assert census["count"] == len(census["models"]) == 38
     for coeffs in census["models"]:
         f = UniPoly.of(*coeffs)
@@ -684,3 +695,44 @@ def test_plausible_census_over_q_is_heavenly():
         verdict = classify(JacobianInput("Q", f))
         assert verdict.status == HEAVENLY, coeffs
         assert verdict.screen == PLAUSIBLE, coeffs
+
+
+def test_plausible_products_and_restrictions_over_q_are_heavenly():
+    # more surfaces over Q with good reduction away from 2: products of two
+    # plausible cubics, and restrictions from Q(i), Q(sqrt2) and Q(sqrt-2)
+    # whose conjugate-product screen is plausible; a seeded sample of each
+    # frozen list keeps the test short
+    census = _census()
+    cubics = census["cubics"]["models"]
+    restrictions = census["weil_restrictions"]["models"]
+    assert census["cubics"]["count"] == len(cubics) == 108
+    assert census["weil_restrictions"]["count"] == len(restrictions) == 312
+    rng = random.Random(15)
+    for _ in range(30):
+        first, second = (EllipticInput("Q", UniPoly.of(*c))
+                         for c in rng.sample(cubics, 2))
+        verdict = classify(ProductInput(first, second))
+        assert verdict.status == HEAVENLY, (first, second)
+        assert verdict.screen == PLAUSIBLE, (first, second)
+    for radicand, pairs in rng.sample(restrictions, 30):
+        verdict = classify(WeilRestrictionInput.of("Q", radicand, pairs))
+        assert verdict.status == HEAVENLY, (radicand, pairs)
+        assert verdict.screen == PLAUSIBLE, (radicand, pairs)
+
+
+def test_dedekind_criterion_at_a_large_prime_is_fast():
+    # y^2 = (x - A)^2 (x - B) + p^2 at p = 1000003: the cubic is (x - A)^2
+    # (x - B) mod p, so the ramification ladder factors it modulo a large
+    # prime, which must not scan Fp
+    p = 1000003
+    x = UniPoly.of(0, 1)
+    f = (x - UniPoly.of(p // 2)) ** 2 * (x - UniPoly.of(p // 3)) \
+        + UniPoly.of(p * p)
+    start = time.perf_counter()
+    verdict = classify(EllipticInput("Q", f))
+    assert time.perf_counter() - start < 1.0
+    assert verdict.status == NOT_HEAVENLY
+    assert verdict.torsion_degree == 6
+    ramified = [s for s in verdict.steps if s.has_value("primes")
+                and "2-division field" in s.description]
+    assert ramified[-1].value("primes") == (5, 1307, 4723, 19889, 30211)

@@ -5,6 +5,7 @@ from itertools import product
 
 import pytest
 import random
+import time
 
 import heavenly.factorization as factorization
 from heavenly.errors import ResourceCapError
@@ -77,6 +78,59 @@ def test_factor_mod_p_reconstructs():
         diff = prod_poly - f
         assert all(c.denominator == 1 and c.numerator % p == 0
                    for c in diff.coeffs)
+
+
+def _sympy_factor_mod_p(sympy, coeffs, p):
+    """sympy's factorization over Fp, monic, sorted as factor_mod_p sorts."""
+    x = sympy.Symbol("x")
+    poly = sympy.Poly(list(reversed(coeffs)), x, modulus=p)
+    out = []
+    for g, mult in poly.factor_list()[1]:
+        ascending = [int(c) % p for c in reversed(g.all_coeffs())]
+        inv = pow(ascending[-1], -1, p)
+        out.append(([c * inv % p for c in ascending], mult))
+    return sorted(out, key=lambda t: (len(t[0]), t[0]))
+
+
+def test_factor_mod_p_agrees_with_sympy():
+    # seeded polynomials with repeated factors and non-unit leading
+    # coefficients; for p < 100 one in five is x^(p^k) - x, the product of
+    # every monic irreducible of degree dividing k, which gives the
+    # equal-degree split many factors of one degree
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(15)
+    cases = 0
+    for p in (2, 3, 5, 7, 11, 193, 1000003):
+        for i in range(60):
+            if i % 5 == 0 and p < 100:
+                k = rng.choice([k for k in range(1, 8) if p ** k <= 128]
+                               or [1])
+                coeffs = [0, -1] + [0] * (p ** k - 2) + [1]
+            else:
+                coeffs = [rng.randint(-9, 9) for _ in range(rng.randint(1, 8))]
+                coeffs.append(rng.choice([1, 2, 3]))
+                for _ in range(rng.choice([0, 0, 1, 2])):
+                    a = rng.randint(-3, 3)  # times (x + a)^2
+                    for _ in range(2):
+                        coeffs = [a * c + d for c, d in
+                                  zip(coeffs + [0], [0] + coeffs)]
+            if coeffs[-1] % p == 0:
+                coeffs[-1] += 1
+            assert factor_mod_p(P(*coeffs), p) == \
+                _sympy_factor_mod_p(sympy, coeffs, p), (p, coeffs)
+            cases += 1
+    assert cases == 420
+
+
+def test_factor_mod_p_at_a_large_prime_is_fast():
+    # the split of the linear factors takes probes, not a scan of Fp
+    p = 10**9 + 7
+    r1, r2, r3 = p // 2, p // 3, p // 5
+    f = P(-r1, 1) ** 2 * P(-r2, 1) * P(-r3, 1)
+    start = time.perf_counter()
+    facs = factor_mod_p(f, p)
+    assert time.perf_counter() - start < 1.0
+    assert facs == [([p - r1, 1], 2), ([p - r2, 1], 1), ([p - r3, 1], 1)]
 
 
 def test_squarefree_decomposition():

@@ -103,6 +103,31 @@ def test_resultant_multiplicative():
         assert resultant(f, g * h) == resultant(f, g) * resultant(f, h)
 
 
+def test_resultant_is_the_sylvester_determinant():
+    # sympy's Sylvester matrix is the oracle, not sympy.resultant, which
+    # swaps its arguments' order for some degree pairs; rational
+    # coefficients, constants and two constants (the empty matrix) included
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.subresultants_qq_zz import sylvester
+
+    x = sympy.Symbol("x")
+    rng = random.Random(15)
+
+    def rational_poly(degree):
+        coeffs = [Fraction(rng.randint(-9, 9), rng.choice([1, 1, 2, 3, 7]))
+                  for _ in range(degree)]
+        return P(*coeffs, Fraction(rng.choice([-3, -1, 1, 2, 5]),
+                                   rng.choice([1, 2, 3])))
+
+    degrees = [(0, 0), (0, 3), (4, 0)] + [
+        (rng.randint(0, 6), rng.randint(0, 6)) for _ in range(197)]
+    for m, n in degrees:
+        f, g = rational_poly(m), rational_poly(n)
+        fs, gs = (sum(sympy.Rational(c.numerator, c.denominator) * x**k
+                      for k, c in enumerate(h.coeffs)) for h in (f, g))
+        assert resultant(f, g) == sylvester(fs, gs, x).det(), (f, g)
+
+
 def test_discriminant_frozen():
     assert discriminant(P(0, -1, 0, 1)) == 4       # x^3 - x
     assert discriminant(P(0, -1, 0, 0, 0, 1)) == -256  # x^5 - x

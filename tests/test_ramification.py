@@ -8,6 +8,7 @@ from heavenly.polynomials import UniPoly, discriminant, parse_polynomial
 from heavenly.ramification import (
     _dedekind_is_p_maximal,
     _is_ramified_at,
+    _lattice_mod_p,
     _odd_ramified_of_polynomial,
     _p_maximal_index_valuation,
     odd_ramified_primes,
@@ -111,6 +112,46 @@ def test_scaled_root_adds_its_index_to_the_enlargement():
         assert _is_ramified_at(F, p, v_f) == \
             (v_g > 0 and _is_ramified_at(G, p, v_g)), (g, p, e)
         trials += 1
+
+
+def _rank_mod_p(rows, p):
+    """Rank over Fp by plain elimination, independent of the package."""
+    rows = [[c % p for c in r] for r in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in rows if r[col]), None)
+        if pivot is None:
+            continue
+        rows.remove(pivot)
+        inv = pow(pivot[col], -1, p)
+        rows = [[(a - r[col] * inv * b) % p for a, b in zip(r, pivot)]
+                for r in rows]
+        rank += 1
+    return rank
+
+
+def test_lattice_mod_p_is_the_hermite_basis():
+    # the basis of span(rows) + pZ^n is upper triangular with diagonal
+    # entries 1 or p, lies in that lattice, and has index p^(n - rank) in
+    # Z^n, so it spans the whole lattice
+    rng = random.Random(15)
+    for _ in range(200):
+        p = rng.choice((3, 5, 7))
+        n = rng.randint(1, 6)
+        rows = [[rng.randint(-2 * p, 2 * p) for _ in range(n)]
+                for _ in range(rng.randint(0, n + 1))]
+        if rows and rng.random() < 0.3:
+            rows.append([a + 2 * b for a, b in zip(rows[0], rows[-1])])
+        basis = _lattice_mod_p(rows, p, n)
+        assert len(basis) == n
+        rank = _rank_mod_p(rows, p)
+        det = 1
+        for i, row in enumerate(basis):
+            assert all(c == 0 for c in row[:i]), (rows, p)
+            assert row[i] in (1, p), (rows, p)
+            assert _rank_mod_p(rows + [row], p) == rank, (rows, p)
+            det *= row[i]
+        assert det == p ** (n - rank), (rows, p)
 
 
 def test_cube_root_2_ramified_at_3():
