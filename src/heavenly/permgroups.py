@@ -1,40 +1,52 @@
 """Finite permutation groups by explicit element enumeration.
 
 Groups here are small (a few hundred elements at most), so every operation
-works on the full element set.  `close_generators` is breadth-first
-multiplication of `Perm`s.  The search-heavy operations (subgroup
-enumeration, normality and cores in `core_bound_check`, the pair search and
-the regular representation) run on element indices instead: a cached
-multiplication table gives the index of every product, and an inverse index
-gives conjugates as two table lookups.  Subgroups are grown from the trivial
-one by adjoining one element g at a time, a single representative for each
-right coset h*g, and the closure of <h, g> multiplies only the new elements
-by the generators found so far.  No stabilizer chains; the point is that
-every answer is directly auditable.
+works on the full element set.  A group keeps its elements in ascending
+order of image tuples, so equal groups have equal element tuples and an
+element index means the same permutation in every table cached per group.
+`close_generators` is a depth-first closure of image tuples.  The
+search-heavy operations (subgroup enumeration, normality and cores in
+`core_bound_check`, the pair search and the regular representation) run on
+element indices instead: a cached multiplication table gives the index of
+every product, and an inverse index gives conjugates as two table lookups.
+Three subgroup facts keep those searches short: a pair whose closure stops
+short of G settles every pair of cyclic subgroups inside that closure;
+normality and cores need conjugation by generators only; and the subgroups
+of a subgroup H of G are the members of G's lattice that lie in H, so a
+lattice is enumerated once per ambient group.  No stabilizer chains; the
+point is that every answer is directly auditable.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import attrgetter
 
 from .errors import InputError, ResourceCapError
 from .integers import factorize
-from .permutations import Perm, compose_images, parse_cycles
+from .permutations import Perm, _unchecked, compose_images, parse_cycles
 
 DEFAULT_ELEMENT_CAP = 1_000_000
 SUBGROUP_ORDER_CAP = 400
 
+_images = attrgetter("images")
+
 
 class PermGroup:
-    """A concrete permutation group: degree, generators, all elements."""
+    """A concrete permutation group: degree, generators, all elements.
+
+    The elements are stored in ascending order of image tuples, whatever
+    order they are given in.
+    """
 
     def __init__(self, degree: int, generators: tuple[Perm, ...],
                  elements: tuple[Perm, ...]):
         self.degree = degree
         self.generators = generators
-        self.elements = elements
-        self._element_set = frozenset(elements)
+        self.elements = tuple(sorted(elements, key=_images))
+        self._element_set = frozenset(self.elements)
 
     @staticmethod
     def trivial(degree: int) -> "PermGroup":
@@ -73,9 +85,8 @@ class PermGroup:
         """The point stabilizer, as an explicit group."""
         if not 1 <= point <= self.degree:
             raise InputError(f"point {point} outside 1..{self.degree}")
-        elems = tuple(sorted((g for g in self.elements if g(point) == point),
-                             key=lambda p: p.images))
-        return PermGroup(self.degree, elems, elems)
+        return _explicit(self.degree,
+                         [g for g in self.elements if g(point) == point])
 
     def is_transitive(self) -> bool:
         return len(self.orbit_of(1)) == self.degree
@@ -98,8 +109,7 @@ class PermGroup:
         for g in ambient.elements:
             gi = g.inverse()
             core &= {gi * h * g for h in self._element_set}
-        elems = tuple(sorted(core, key=lambda p: p.images))
-        return PermGroup(self.degree, elems, elems)
+        return _explicit(self.degree, core)
 
     def is_p_group(self) -> bool:
         """True when the order is a prime power (trivial group included)."""
@@ -111,43 +121,53 @@ class PermGroup:
 
     def conjugate_subgroup(self, g: Perm) -> "PermGroup":
         gi = g.inverse()
-        elems = tuple(sorted((gi * h * g for h in self.elements),
-                             key=lambda p: p.images))
-        return PermGroup(self.degree, elems, elems)
+        return _explicit(self.degree, [gi * h * g for h in self.elements])
+
+
+def _explicit(degree: int, elements) -> PermGroup:
+    """The group on a known element set, each element listed as a generator."""
+    group = PermGroup(degree, (), elements)
+    group.generators = group.elements
+    return group
+
+
+def close_images(generators: list[tuple[int, ...]]) -> set[tuple[int, ...]]:
+    """Image tuples of the group generated by the given image tuples.
+
+    The tuples are 1-based images of equal length, composed left to right
+    by `compose_images`, with no cap on the length.  Closure is depth-first
+    under right multiplication by generators, from the identity, so the
+    result is independent of generator order.  Raises when the element
+    count would exceed the cap.
+    """
+    identity = tuple(range(1, len(generators[0]) + 1))
+    seen = {identity}
+    stack = [identity]
+    while stack:
+        x = stack.pop()
+        for g in generators:
+            y = compose_images(x, g)
+            if y not in seen:
+                if len(seen) >= DEFAULT_ELEMENT_CAP:
+                    raise ResourceCapError(
+                        f"group closure exceeded {DEFAULT_ELEMENT_CAP} "
+                        "elements"
+                    )
+                seen.add(y)
+                stack.append(y)
+    return seen
 
 
 def close_generators(generators: list[Perm]) -> PermGroup:
-    """The group generated by the given permutations.
-
-    Breadth-first closure under right multiplication by generators; the
-    result is independent of generator order.  Raises when the element count
-    would exceed the cap.
-    """
+    """The group generated by the given permutations (see `close_images`)."""
     if not generators:
         raise InputError("close_generators needs at least one generator")
     degree = generators[0].degree
     for g in generators:
         if g.degree != degree:
             raise InputError("generators act on different point sets")
-    identity = Perm.identity(degree)
-    seen = {identity}
-    frontier = [identity]
-    while frontier:
-        new_frontier = []
-        for x in frontier:
-            for g in generators:
-                y = x * g
-                if y not in seen:
-                    if len(seen) >= DEFAULT_ELEMENT_CAP:
-                        raise ResourceCapError(
-                            f"group closure exceeded {DEFAULT_ELEMENT_CAP} "
-                            "elements"
-                        )
-                    seen.add(y)
-                    new_frontier.append(y)
-        frontier = new_frontier
-    elems = tuple(sorted(seen, key=lambda p: p.images))
-    return PermGroup(degree, tuple(generators), elems)
+    images = close_images([g.images for g in generators])
+    return PermGroup(degree, tuple(generators), map(_unchecked, images))
 
 
 def group_from_cycles(degree: int, *cycle_strings: str) -> PermGroup:
@@ -217,10 +237,12 @@ def two_generation_search(group: PermGroup,
     With require_involution, only pairs whose second entry squares to the
     identity are examined (the identity counts).  Every pair is examined and
     counted, in order: the search space is exactly |G|^2 ordered pairs, or
-    |G| * #involutions with the flag.  Since <a, b> depends only on the
-    cyclic subgroups <a> and <b>, the closure runs once per unordered pair
-    {<a>, <b>}, and later pairs with the same cyclic subgroups reuse its
-    decision.
+    |G| * #involutions with the flag.  <a, b> depends only on the cyclic
+    subgroups <a> and <b>, and when it is a proper subgroup K, every pair of
+    cyclic subgroups inside K generates a subgroup of K, so that pair is
+    settled too.  Settled pairs are kept as one bitmask of cyclic-subgroup
+    labels per label, filled as closures run, and their closures are
+    skipped.
     """
     table, e_idx = _mult_table(group)
     n = group.order
@@ -229,23 +251,24 @@ def two_generation_search(group: PermGroup,
     else:
         second = list(range(n))
     cyclic = _cyclic_subgroup_ids(table, e_idx)
-    decided: dict[tuple[int, int], bool] = {}
-    pairs = 0
+    second_labels = [cyclic[j] for j in second]
+    settled = [0] * n
     for i in range(n):
         ci = cyclic[i]
-        for j in second:
-            pairs += 1
-            cj = cyclic[j]
-            key = (ci, cj) if ci <= cj else (cj, ci)
-            full = decided.get(key)
-            if full is None:
-                full = decided[key] = _pair_closure_is_full(
-                    table, e_idx, i, j, n)
-            if full:
+        for pos, cj in enumerate(second_labels):
+            if settled[ci] >> cj & 1:
+                continue
+            j = second[pos]
+            closure = _pair_closure(table, e_idx, i, j)
+            if len(closure) == n:
                 return TwoGenerationSearch(
-                    True, pairs, (group.elements[i], group.elements[j])
-                )
-    return TwoGenerationSearch(False, pairs, None)
+                    True, i * len(second) + pos + 1,
+                    (group.elements[i], group.elements[j]))
+            labels = {cyclic[x] for x in closure}
+            inside = sum(1 << c for c in labels)
+            for c in labels:
+                settled[c] |= inside
+    return TwoGenerationSearch(False, n * len(second), None)
 
 
 def _cyclic_subgroup_ids(table, e_idx) -> list[int]:
@@ -263,21 +286,17 @@ def _cyclic_subgroup_ids(table, e_idx) -> list[int]:
     return out
 
 
-def _pair_closure_is_full(table, e_idx, i, j, target):
-    seen = bytearray(target)
-    seen[e_idx] = 1
+def _pair_closure(table, e_idx, i, j) -> set[int]:
+    """The element indices of <elements[i], elements[j]>."""
+    seen = {e_idx}
     stack = [e_idx]
-    count = 1
     while stack:
-        x = stack.pop()
-        row = table[x]
-        for g in (i, j):
-            y = row[g]
-            if not seen[y]:
-                seen[y] = 1
-                count += 1
+        row = table[stack.pop()]
+        for y in (row[i], row[j]):
+            if y not in seen:
+                seen.add(y)
                 stack.append(y)
-    return count == target
+    return seen
 
 
 def two_generated(group: PermGroup, require_involution: bool = False) -> bool:
@@ -310,44 +329,100 @@ def _adjoin(table, h: frozenset[int], gens: tuple[int, ...],
     return frozenset(seen)
 
 
+class _Lattice:
+    """All subgroups of one group, on its multiplication table's indices.
+
+    Members are in `enumerate_subgroups` order, so the group itself is the
+    last.  Member k has the index set sets[k], the generating index tuple
+    gens[k] it was grown from, and the explicit group groups[k], whose
+    generators are all of its elements; position maps each explicit group
+    back to its member number.
+    """
+
+    def __init__(self, group: PermGroup):
+        table, e_idx = _mult_table(group)
+        n = group.order
+        trivial = frozenset({e_idx})
+        found = {trivial: ()}
+        frontier = [trivial]
+        while frontier:
+            h = frontier.pop()
+            gens = found[h]
+            covered = bytearray(n)
+            for x in h:
+                covered[x] = 1
+            for g in range(n):
+                if covered[g]:
+                    continue
+                for x in h:
+                    covered[table[x][g]] = 1
+                grown = _adjoin(table, h, gens, g)
+                if grown not in found:
+                    found[grown] = gens + (g,)
+                    frontier.append(grown)
+        groups = {h: _explicit(group.degree, [group.elements[i] for i in h])
+                  for h in found}
+        self.sets = sorted(found, key=lambda h: (
+            len(h), tuple(map(_images, groups[h].elements))))
+        self.gens = [found[h] for h in self.sets]
+        self.groups = [groups[h] for h in self.sets]
+        self.position = {g: k for k, g in enumerate(self.groups)}
+        self.table = table
+        self.inverse = [row.index(e_idx) for row in table]
+        self._below: dict[int, list[int]] = {}
+
+    def below(self, k: int) -> list[int]:
+        """The members inside member k, in order (k itself is the last)."""
+        out = self._below.get(k)
+        if out is None:
+            h = self.sets[k]
+            out = self._below[k] = [j for j in range(k + 1)
+                                    if self.sets[j] <= h]
+        return out
+
+    def is_normal(self, k: int, n: int) -> bool:
+        """Whether member k, inside member n, is normal in it: s^-1 K s is
+        inside K for every generator s of n."""
+        h = self.sets[k]
+        return all(y in h for s in self.gens[n]
+                   for y in _conjugates(self.table, self.inverse, h, s))
+
+
+_LATTICES: deque[_Lattice] = deque(maxlen=16)
+
+
+def _lattice_of(group: PermGroup) -> tuple[_Lattice, int]:
+    """A lattice with the group as a member, and its member number.
+
+    The last 16 enumerated groups keep their lattices; a group that is a
+    member of one of them is looked up there, by element set.
+    """
+    for lattice in _LATTICES:
+        k = lattice.position.get(group)
+        if k is not None:
+            return lattice, k
+    lattice = _Lattice(group)
+    _LATTICES.append(lattice)
+    return lattice, len(lattice.sets) - 1
+
+
 def enumerate_subgroups(group: PermGroup) -> list[PermGroup]:
     """All subgroups, ascending by order with a deterministic tiebreak.
 
     Grows closures from the trivial subgroup by repeatedly adjoining single
     elements, deduplicating by element set; this reaches every subgroup.
     Since <h, g> = <h, x*g> for x in h, one g per right coset h*g is tried.
+    The subgroups of H <= G are exactly the subgroups of G that lie in H,
+    so a group inside a recently enumerated group is read off that group's
+    lattice instead of being enumerated again.
     """
     if group.order > SUBGROUP_ORDER_CAP:
         raise InputError(
             f"subgroup enumeration capped at order {SUBGROUP_ORDER_CAP}; "
             f"group has order {group.order}"
         )
-    table, e_idx = _mult_table(group)
-    n = group.order
-    trivial = frozenset({e_idx})
-    known = {trivial}
-    frontier: list[tuple[frozenset[int], tuple[int, ...]]] = [(trivial, ())]
-    while frontier:
-        h, gens = frontier.pop()
-        covered = bytearray(n)
-        for x in h:
-            covered[x] = 1
-        for g in range(n):
-            if covered[g]:
-                continue
-            for x in h:
-                covered[table[x][g]] = 1
-            grown = _adjoin(table, h, gens, g)
-            if grown not in known:
-                known.add(grown)
-                frontier.append((grown, gens + (g,)))
-    out = []
-    for idx_set in known:
-        elems = tuple(sorted((group.elements[i] for i in idx_set),
-                             key=lambda p: p.images))
-        out.append(PermGroup(group.degree, elems, elems))
-    out.sort(key=lambda h: (h.order, tuple(p.images for p in h.elements)))
-    return out
+    lattice, top = _lattice_of(group)
+    return [lattice.groups[k] for k in lattice.below(top)]
 
 
 def has_subgroup_of_index(group: PermGroup, m: int) -> bool:
@@ -422,49 +497,55 @@ def _conjugates(table, inverse, h, g):
     return (table[row[x]][g] for x in h)
 
 
-def _normal_core(table, inverse, h: frozenset[int]) -> frozenset[int]:
-    """The intersection of all conjugates of the index set h."""
+def _normal_core(table, inverse, gens, h: frozenset[int]) -> frozenset[int]:
+    """The normal core of the index set h in the group generated by gens.
+
+    That core is the largest subgroup of h that every generator normalizes:
+    the fixed point of C <- C & s^-1 C s over the generators s.
+    """
     core = h
-    for g in range(len(table)):
-        core = core.intersection(_conjugates(table, inverse, h, g))
-    return core
+    while True:
+        size = len(core)
+        for s in gens:
+            core = core.intersection(_conjugates(table, inverse, core, s))
+        if len(core) == size:
+            return core
 
 
 def core_bound_check(group: PermGroup) -> CoreBoundReport:
     """Check [G : core_G(H)] <= d * m^d for every chain H <| N <| G.
 
     Here d = [G:N] and m = [N:H]; N runs over normal subgroups of G and H
-    over subgroups of N that are normal in N.
+    over subgroups of N that are normal in N.  The chains are read off the
+    lattice that `enumerate_subgroups` uses, and conjugation is by
+    generators only: N <| G exactly when s^-1 N s lies in N for every
+    generator s of G, and normality in N and the core work the same way.
     """
     if group.order > SUBGROUP_ORDER_CAP:
         raise InputError(
             f"core bound check capped at order {SUBGROUP_ORDER_CAP}")
     subs = enumerate_subgroups(group)
-    table, e_idx = _mult_table(group)
-    inverse = [row.index(e_idx) for row in table]
-    index = {p: k for k, p in enumerate(group.elements)}
-    sets = [frozenset(index[p] for p in h.elements) for h in subs]
-
-    def is_normal(h, ambient):
-        return all(y in h for g in ambient
-                   for y in _conjugates(table, inverse, h, g))
-
+    lattice, top = _lattice_of(group)
+    order = group.order
     chains = 0
     violations = []
-    for n_set in sets:
-        if not is_normal(n_set, range(group.order)):
+    for n in map(lattice.position.__getitem__, subs):
+        if not lattice.is_normal(n, top):
             continue
-        d = group.order // len(n_set)
-        for h_set in sets:
-            if not (h_set <= n_set and is_normal(h_set, n_set)):
+        n_order = len(lattice.sets[n])
+        d = order // n_order
+        for k in lattice.below(n):
+            if not lattice.is_normal(k, n):
                 continue
-            m = len(n_set) // len(h_set)
+            h_order = len(lattice.sets[k])
+            m = n_order // h_order
             chains += 1
-            core = _normal_core(table, inverse, h_set)
-            core_index = group.order // len(core)
+            core = _normal_core(lattice.table, lattice.inverse,
+                                lattice.gens[top], lattice.sets[k])
+            core_index = order // len(core)
             bound = d * m**d
             if core_index > bound:
-                violations.append((len(h_set), len(n_set), core_index, bound))
+                violations.append((h_order, n_order, core_index, bound))
     return CoreBoundReport(chains, tuple(violations))
 
 

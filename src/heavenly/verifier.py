@@ -18,6 +18,7 @@ from .integers import factorize
 from .permgroups import (
     PermGroup,
     affine_group_f17,
+    close_images,
     core_bound_check,
     enumerate_subgroups,
     group_from_cycles,
@@ -207,26 +208,6 @@ _CURVE_32A2 = UniPoly.of(0, -1, 0, 1)
 _CURVE_64A1 = UniPoly.of(0, -4, 0, 1)
 
 
-def _compose(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    """Composite of index maps: first apply a, then b."""
-    return tuple(map(b.__getitem__, a))
-
-
-def _close_tuples(generators: list[tuple[int, ...]]) -> set[tuple[int, ...]]:
-    """Closure of index maps under composition, from the identity."""
-    identity = tuple(range(len(generators[0])))
-    seen = {identity}
-    frontier = [identity]
-    while frontier:
-        x = frontier.pop()
-        for g in generators:
-            y = _compose(x, g)
-            if y not in seen:
-                seen.add(y)
-                frontier.append(y)
-    return seen
-
-
 def verify_dim272() -> LemmaReport:
     """The degree-272 witness: a faithful regular action of a non-2-group
     whose 2-division fields sit inside Q."""
@@ -237,7 +218,7 @@ def verify_dim272() -> LemmaReport:
              tuple(sorted(factorize(group.order).items())), ((2, 4), (17, 1)))
     c.expect("is_two_group", group.is_p_group(), False)
     # The regular action permutes element indices; the Perm type caps its
-    # degree too low for 272 points, so compose plain index tuples here.
+    # degree too low for 272 points, so close plain image tuples here.
     regular = right_regular_images(group)
     position = {p: k for k, p in enumerate(group.elements)}
     identity = tuple(range(group.order))
@@ -245,7 +226,8 @@ def verify_dim272() -> LemmaReport:
     c.expect("regular_distinct_images", len(set(regular)), group.order)
     c.expect("regular_kernel_size",
              sum(1 for t in regular if t == identity), 1)
-    image = _close_tuples([regular[position[g]] for g in group.generators])
+    image = close_images([tuple(k + 1 for k in regular[position[g]])
+                          for g in group.generators])
     c.expect("regular_image_order", len(image), 272)
     for name, cubic in (("32a2", _CURVE_32A2), ("64a1", _CURVE_64A1)):
         tower = two_division_tower(EllipticInput("Q", cubic))[-1]

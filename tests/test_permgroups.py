@@ -2,6 +2,7 @@
 
 import pytest
 import random
+from collections import deque
 
 from heavenly import permgroups
 from heavenly.errors import InputError, ResourceCapError
@@ -260,6 +261,22 @@ def test_mult_table_is_cached_for_traced_runs():
     assert callable(permgroups._mult_table.cache_info)
 
 
+def test_tables_follow_the_element_order_of_each_group():
+    # equal groups given in different element orders must not share one
+    # group's element indices through the cached table
+    g1 = group_from_cycles(4, "(1 2)", "(1 2 3 4)")
+    g2 = PermGroup(4, g1.generators, tuple(reversed(g1.elements)))
+    right_regular_images(g1)
+    index = {p: k for k, p in enumerate(g2.elements)}
+    regular = right_regular_images(g2)
+    for k, g in enumerate(g2.elements):
+        assert regular[k] == tuple(index[x * g] for x in g2.elements)
+    result = two_generation_search(g2)
+    assert (result.generates, result.pairs_examined, result.witness) == \
+        reference_pair_search(g2, False)
+    assert close_generators(list(result.witness)) == g2
+
+
 @pytest.mark.parametrize("group", [
     PermGroup.trivial(3), sym(3).stabilizer_of(1), sym(4),
     sylow_two_subgroup_s8(), affine_group_f17(),
@@ -311,7 +328,7 @@ def reference_core_bound(group):
     return chains, tuple(violations)
 
 
-@pytest.mark.parametrize("name", ["s4", "s3xs3"])
+@pytest.mark.parametrize("name", sorted(SMALL_GROUPS))
 def test_core_bound_matches_perm_reference_on_every_subgroup(name):
     for sub in enumerate_subgroups(SMALL_GROUPS[name]()):
         report = core_bound_check(sub)
@@ -325,9 +342,10 @@ def test_index_cores_match_normal_core_in(name):
     table, e_idx = permgroups._mult_table(group)
     inverse = [row.index(e_idx) for row in table]
     index = {p: k for k, p in enumerate(group.elements)}
+    gens = [index[p] for p in group.generators]
     for h in enumerate_subgroups(group):
         h_set = frozenset(index[p] for p in h.elements)
-        core = permgroups._normal_core(table, inverse, h_set)
+        core = permgroups._normal_core(table, inverse, gens, h_set)
         assert core == {index[p] for p in h.normal_core_in(group).elements}
 
 
@@ -364,3 +382,90 @@ def test_pair_search_matches_uncached_reference(name, expected):
             reference_pair_search(group, require_involution)
     plain = two_generation_search(group)
     assert (plain.generates, plain.pairs_examined) == expected
+
+
+def cyclic_pair_reference(group, require_involution):
+    """The pair search with one closure per unordered pair of cyclic
+    subgroups, its decision reused by later pairs; also the closure count."""
+    table = reference_table(group)
+    e = group.elements.index(Perm.identity(group.degree))
+    n = group.order
+
+    def powers(i):
+        out = {e}
+        x = i
+        while x != e:
+            out.add(x)
+            x = table[x][i]
+        return frozenset(out)
+
+    def closure_order(i, j):
+        seen = {e}
+        stack = [e]
+        while stack:
+            x = stack.pop()
+            for y in (table[x][i], table[x][j]):
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+        return len(seen)
+
+    cyclic = [powers(i) for i in range(n)]
+    second = [j for j in range(n)
+              if not require_involution or table[j][j] == e]
+    decided = {}
+    pairs = 0
+    for i in range(n):
+        for j in second:
+            pairs += 1
+            key = frozenset((cyclic[i], cyclic[j]))
+            if key not in decided:
+                decided[key] = closure_order(i, j) == n
+            if decided[key]:
+                return (True, pairs, (group.elements[i], group.elements[j]),
+                        len(decided))
+    return False, pairs, None, len(decided)
+
+
+@pytest.mark.parametrize("require_involution", [False, True])
+def test_pruned_pair_search_matches_cyclic_pair_reference(require_involution):
+    group = sylow_two_subgroup_s8()
+    result = two_generation_search(group, require_involution)
+    generates, pairs, witness, _ = cyclic_pair_reference(
+        group, require_involution)
+    assert (result.generates, result.pairs_examined, result.witness) == \
+        (generates, pairs, witness)
+
+
+def test_pair_search_closes_far_fewer_pairs_than_cyclic_pairs(monkeypatch):
+    group = sylow_two_subgroup_s8()
+    *_, cyclic_pairs = cyclic_pair_reference(group, False)
+    assert cyclic_pairs == 3403
+    closures = []
+    original = permgroups._pair_closure
+
+    def counting(*args):
+        closures.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(permgroups, "_pair_closure", counting)
+    assert not two_generation_search(group).generates
+    assert not two_generation_search(group, require_involution=True).generates
+    assert 0 < len(closures) < cyclic_pairs // 5
+
+
+def test_subgroups_read_off_an_ambient_lattice_match_the_reference():
+    for h in enumerate_subgroups(s3_times_s3()):
+        found = [(k.order, tuple(p.images for p in k.elements))
+                 for k in enumerate_subgroups(h)]
+        assert found == reference_subgroups(h)
+
+
+def test_each_ambient_lattice_is_enumerated_once(monkeypatch):
+    monkeypatch.setattr(permgroups, "_LATTICES", deque(maxlen=16))
+    ambient = s3_times_s3()
+    for sub in enumerate_subgroups(ambient):
+        core_bound_check(sub)
+        has_subgroup_of_index(sub, 3)
+    subdirect_products_s3()
+    assert len(permgroups._LATTICES) == 1

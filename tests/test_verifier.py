@@ -1,7 +1,11 @@
 """Tests for the one-command re-verification suite."""
 
+import json
+from pathlib import Path
+
 import pytest
 
+from heavenly.documents import report_document
 from heavenly.errors import InputError
 from heavenly.verifier import (
     BOUND_ROWS,
@@ -142,6 +146,20 @@ def test_evidence_is_reproducible():
         second = run_check(lemma)
         assert first.evidence == second.evidence
         assert first.passed == second.passed
+
+
+GOLDEN_VERIFY = (Path(__file__).resolve().parents[1] / "bench" / "golden"
+                 / "verify.json")
+
+
+@pytest.mark.parametrize("lemma", CHECK_IDS)
+def test_check_evidence_matches_its_golden_copy(lemma):
+    # report evidence is frozen under bench/golden/verify.json; only the
+    # elapsed_seconds timing may differ
+    doc = report_document(run_check(lemma))
+    doc.pop("elapsed_seconds")
+    golden = json.loads(GOLDEN_VERIFY.read_text(encoding="utf-8"))
+    assert doc == golden[lemma]
 
 
 def test_run_check_rejects_unknown_id():
