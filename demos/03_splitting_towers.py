@@ -2,15 +2,17 @@
 
 A splitting tower stacks one irreducible extension at a time until the
 polynomial falls apart into linear factors; its absolute degree is the
-order of the Galois group.  Odd ramified primes are then read off the
-tower with Dedekind's criterion plus order enlargement where needed --
-x^2 - 45 is the classic case where the naive discriminant lies about 3.
+order of the Galois group.  The tower is the polynomial's splitting field
+over Q, so its odd ramified primes are read off the polynomial itself:
+Dedekind's criterion on each irreducible factor, plus order enlargement
+where needed -- x^2 - 45 is the classic case where the naive discriminant
+lies about 3.
 """
 
 from heavenly import (
     UniPoly,
     factor_over_tower,
-    odd_ramified_primes,
+    splitting_field_odd_ramified,
     splitting_tower,
 )
 from heavenly.polynomials import format_polynomial
@@ -28,7 +30,7 @@ def main():
     for poly in SAMPLES:
         tower = splitting_tower(poly)
         factors = factor_over_tower(tower, poly)
-        primes = sorted(odd_ramified_primes(tower))
+        primes = sorted(splitting_field_odd_ramified([poly]))
         print(f"{format_polynomial(poly):12s}"
               f"  splitting degree {tower.absolute_degree:2d}"
               f"  linear factors {sum(m for _, m in factors):2d}"

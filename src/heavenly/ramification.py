@@ -10,11 +10,10 @@ k, and each enlarging round adds at least 1 to k, so at most v/2 + 1
 rounds run.  Its ideal and multiplier lattices contain pZ^n, so their
 Hermite bases are read off reduced echelon forms mod p.
 
-A splitting field over Q needs no tower at all: a prime ramifies in it
-exactly when it ramifies in the field of one root of some irreducible
-factor, so the ladder runs on those small factors instead.  A tower
-ramifies where its Galois closure does, and that closure is the splitting
-field of its level moduli's norms to Q, so a tower reduces to that case.
+Every field the package asks about is the splitting field over Q of
+rational polynomials, and a prime ramifies in it exactly when it ramifies
+in the field of one root of some irreducible factor, so the ladder runs
+on those small factors alone.
 """
 
 from __future__ import annotations
@@ -33,30 +32,7 @@ from .factorization import (
 )
 from .integers import odd_prime_divisors, valuation
 from .polynomials import UniPoly, discriminant, make_monic_integral
-from .towers import (
-    RATIONAL,
-    ExtensionField,
-    FieldTower,
-    _norm_poly,
-    field_chain,
-)
-
-
-def odd_ramified_primes(tower: FieldTower) -> set[int]:
-    """The set of odd primes dividing the field discriminant.
-
-    A field ramifies at the same primes as its Galois closure, which is the
-    splitting field over Q of the level moduli's norms to Q: the roots of
-    each norm are the conjugates of that level's generator.
-    """
-    chain = field_chain(tower)
-    norms = []
-    for height, modulus in enumerate(tower.levels):
-        g = list(modulus)
-        for F in reversed(chain[1:height + 1]):
-            g = _norm_poly(F, g, (len(g) - 1) * F.degree)
-        norms.append(UniPoly.from_list(g))
-    return splitting_field_odd_ramified(norms)
+from .towers import RATIONAL, ExtensionField
 
 
 def splitting_field_odd_ramified(polys) -> set[int]:
@@ -73,11 +49,6 @@ def splitting_field_odd_ramified(polys) -> set[int]:
             if g.degree >= 2:
                 out |= _odd_ramified_of_polynomial(g)
     return out
-
-
-def unramified_away_2(tower: FieldTower) -> bool:
-    """True iff no odd prime ramifies in the tower's field."""
-    return not odd_ramified_primes(tower)
 
 
 def _odd_ramified_of_polynomial(f: UniPoly) -> set[int]:

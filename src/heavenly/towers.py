@@ -28,8 +28,7 @@ whose image is squarefree is the one whose exact norm is computed, since
 the norm is monic and a squarefree image proves it squarefree.  Only when
 no shift in a small budget passes does the exact squarefree test decide.
 When the norm is irreducible one level down, so is the polynomial, and no
-gcd pulls it back.  The same norms, taken level by level down to Q, give
-rational polynomials whose splitting field is the tower's Galois closure.
+gcd pulls it back.
 
 The same primes carry two certificates that skip the descent.  Where each
 level modulus, the top one included, has a simple root mod p, those roots

@@ -216,7 +216,7 @@ def verify_dim272() -> LemmaReport:
     c.expect("order", group.order, 272)
     c.expect("order_factorization",
              tuple(sorted(factorize(group.order).items())), ((2, 4), (17, 1)))
-    c.expect("is_two_group", group.is_p_group(), False)
+    c.expect("is_two_group", group.p_group_prime() == 2, False)
     # The regular action permutes element indices; the Perm type caps its
     # degree too low for 272 points, so close plain image tuples here.
     regular = right_regular_images(group)

@@ -24,7 +24,7 @@ from heavenly.permgroups import (
 )
 from heavenly.permutations import Perm
 from heavenly.polynomials import UniPoly, discriminant, resultant
-from heavenly.ramification import odd_ramified_primes
+from heavenly.ramification import splitting_field_odd_ramified
 from heavenly.towers import factor_over_tower, splitting_tower
 from heavenly.verifier import (
     verify_corebound,
@@ -180,8 +180,7 @@ def test_criterion_09_odd_ramified_primes():
             (UniPoly.of(1, 0, 0, 0, 1), set()),
         )
         for poly, expected in cases:
-            tower = splitting_tower(poly)
-            assert odd_ramified_primes(tower) == expected, poly
+            assert splitting_field_odd_ramified([poly]) == expected, poly
 
 
 def _random_poly(rng: random.Random, max_degree: int,

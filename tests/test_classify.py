@@ -1,5 +1,6 @@
 """Classification pipeline tests: inputs, torsion fields, screens, verdicts."""
 
+import importlib
 import json
 import random
 import time
@@ -29,12 +30,9 @@ from heavenly.classify import (
     two_division_tower,
 )
 from heavenly.documents import input_from_document
-from heavenly.errors import InputError
+from heavenly.errors import InputError, ResourceCapError
 from heavenly.polynomials import UniPoly, discriminant, squarefree_part
-from heavenly.ramification import (
-    odd_ramified_primes,
-    splitting_field_odd_ramified,
-)
+from heavenly.ramification import splitting_field_odd_ramified
 from heavenly.towers import (
     base_field,
     extend,
@@ -44,6 +42,8 @@ from heavenly.towers import (
 )
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+# the package re-exports the function classify under the module's name
+CLASSIFY_MODULE = importlib.import_module("heavenly.classify")
 
 X5_MINUS_X = UniPoly.of(0, -1, 0, 0, 0, 1)
 X5_PLUS_X = UniPoly.of(0, 1, 0, 0, 0, 1)
@@ -417,6 +417,45 @@ def test_flagship_elliptic_x3_minus_2():
     assert verdict.steps[-1].value("witness_prime") == 3
 
 
+def test_closure_degree_not_a_power_of_2_decides_not_heavenly(monkeypatch):
+    # with no odd ramified prime reported, the S3 field of x^3 - 2 reaches
+    # the closure-degree verdict: degree 6 is not a power of 2
+    monkeypatch.setattr(CLASSIFY_MODULE, "splitting_field_odd_ramified",
+                        lambda polys: set())
+    verdict = classify(EllipticInput("Q", X3_MINUS_2))
+    assert verdict.status == NOT_HEAVENLY
+    assert verdict.torsion_degree == 6
+    assert verdict.closure_degree == 6
+    closure = next(s for s in verdict.steps if s.has_value("power_of_two"))
+    assert closure.value("power_of_two") is False
+    assert verdict.axiom_ids() == (
+        "SERRE_TATE_GOOD_REDUCTION", "HARBATER_272", "PRO2_TOWER")
+    last = verdict.steps[-1]
+    assert last.values == (("status", NOT_HEAVENLY), ("closure_degree", 6))
+
+
+def test_cap_in_the_ramification_stage_keeps_the_torsion_degree(
+        monkeypatch):
+    # the tower is built before the ramification stage runs, so a cap
+    # there still reports the torsion degree and the tower's step
+    message = "factor recombination exceeded 1 subsets"
+
+    def capped(polys):
+        raise ResourceCapError(message)
+
+    monkeypatch.setattr(CLASSIFY_MODULE, "splitting_field_odd_ramified",
+                        capped)
+    verdict = classify(EllipticInput("Q", X3_MINUS_2))
+    assert verdict.status == UNKNOWN
+    assert verdict.torsion_degree == 6
+    assert verdict.closure_degree is None
+    tower_steps = [s for s in verdict.steps if s.has_value("relative_degree")]
+    assert [s.value("relative_degree") for s in tower_steps] == [6]
+    last = verdict.steps[-1]
+    assert last.description == "resource cap reached; verdict left undecided"
+    assert last.values == (("detail", message),)
+
+
 def test_elliptic_degree_invariants():
     cases = [
         ("Q", CURVE_32A2, HEAVENLY, 1),
@@ -612,8 +651,8 @@ def test_step_value_lookup():
 
 # ---------------------------------------------------------------------------
 # The 2-division field is the splitting field over Q of the defining
-# polynomials: the factor-wise ramification agrees with the tower-based
-# odd_ramified_primes, and the tower degree with a splitting tower over Q.
+# polynomials: their factor-wise ramification gives the frozen primes, and
+# the tower degree agrees with a splitting tower over Q.
 
 
 # name: (odd ramified primes, absolute degree = Galois closure degree)
@@ -653,7 +692,6 @@ def test_splitting_field_matches_tower_ramification_and_closure():
         tower = two_division_tower(item)[-1]
         assert tuple(sorted(splitting_field_odd_ramified(polys))) == primes, \
             name
-        assert tuple(sorted(odd_ramified_primes(tower))) == primes, name
         assert tower.absolute_degree == degree, name
         product = UniPoly.one()
         for f in polys:

@@ -226,6 +226,14 @@ def test_tool_splitting_degree(capsys):
     assert capsys.readouterr().out.strip() == "4"
 
 
+def test_tool_exits_3_on_a_resource_cap(capsys, monkeypatch):
+    monkeypatch.setattr(towers, "SPLITTING_DEGREE_CAP", 4)
+    assert main(["tool", "splitting-degree", "x^3 - 2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: splitting tower degree 6 exceeds cap 4\n"
+
+
 def test_tool_ramification(capsys):
     assert main(["tool", "ramification", "x^2-5"]) == 0
     assert capsys.readouterr().out.strip() == "{5}"

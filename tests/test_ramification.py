@@ -2,6 +2,7 @@
 
 import random
 
+from heavenly.classify import _base_modulus
 from heavenly.factorization import is_irreducible_over_q
 from heavenly.integers import factorize, odd_prime_divisors, valuation
 from heavenly.polynomials import UniPoly, discriminant, parse_polynomial
@@ -11,61 +12,50 @@ from heavenly.ramification import (
     _lattice_mod_p,
     _odd_ramified_of_polynomial,
     _p_maximal_index_valuation,
-    odd_ramified_primes,
     splitting_field_odd_ramified,
-    unramified_away_2,
-)
-from heavenly.towers import (
-    BASE_FIELD_POLYS,
-    _extend_unchecked,
-    base_field,
-    extend,
-    splitting_tower,
-    tower_field,
 )
 
 
-def tower_of(text):
-    return extend(base_field("Q"), parse_polynomial(text))
+def odd_primes_of(*texts):
+    return splitting_field_odd_ramified(
+        [parse_polynomial(text) for text in texts])
 
 
 def test_rationals_have_no_odd_ramification():
-    assert odd_ramified_primes(base_field("Q")) == set()
-    assert unramified_away_2(base_field("Q"))
+    assert splitting_field_odd_ramified(_base_modulus("Q")) == set()
 
 
 def test_gaussian_integers_unramified_away_2():
-    assert odd_ramified_primes(base_field("Q(i)")) == set()
+    assert splitting_field_odd_ramified(_base_modulus("Q(i)")) == set()
 
 
 def test_all_four_base_quadratics_unramified_away_2():
     for tag in ("Q(i)", "Q(sqrt2)", "Q(sqrt-2)"):
-        assert unramified_away_2(base_field(tag)), tag
+        assert not splitting_field_odd_ramified(_base_modulus(tag)), tag
 
 
 def test_sqrt5_ramified_at_5():
-    assert odd_ramified_primes(tower_of("x^2-5")) == {5}
+    assert odd_primes_of("x^2-5") == {5}
 
 
 def test_sqrt45_is_sqrt5_in_disguise():
     # 3^2 divides the polynomial discriminant 180, but the order is not
     # 3-maximal and enlargement removes the 3 entirely
-    assert odd_ramified_primes(tower_of("x^2-45")) == {5}
+    assert odd_primes_of("x^2-45") == {5}
 
 
 def test_sqrt_minus_3_ramified_at_3():
-    assert odd_ramified_primes(tower_of("x^2+3")) == {3}
-    assert not unramified_away_2(tower_of("x^2+3"))
+    assert odd_primes_of("x^2+3") == {3}
 
 
 def test_eighth_roots_of_unity_unramified_away_2():
-    zeta8 = splitting_tower(parse_polynomial("x^4+1"))
-    assert unramified_away_2(zeta8)
+    assert not odd_primes_of("x^4+1")
 
 
 def test_sqrt2_i_tower_unramified_away_2():
-    K = extend(base_field("Q(sqrt2)"), parse_polynomial("x^2+1"))
-    assert odd_ramified_primes(K) == set()
+    # Q(sqrt2)(i) is the splitting field of x^2 + 1 and the base modulus
+    assert splitting_field_odd_ramified(
+        [parse_polynomial("x^2+1")] + _base_modulus("Q(sqrt2)")) == set()
 
 
 def test_twelfth_cyclotomic_ramified_at_3_with_maximal_order():
@@ -155,7 +145,7 @@ def test_lattice_mod_p_is_the_hermite_basis():
 
 
 def test_cube_root_2_ramified_at_3():
-    assert odd_ramified_primes(tower_of("x^3-2")) == {3}
+    assert odd_primes_of("x^3-2") == {3}
 
 
 def test_fifth_cyclotomic_ramified_at_5():
@@ -190,41 +180,55 @@ def test_splitting_field_reads_rational_factors():
     assert splitting_field_odd_ramified([]) == set()
 
 
+# Odd ramified primes of splitting towers, frozen from the ramification of
+# their Galois closures (the norms of the level moduli to Q) at a time when
+# that route and the factor-wise route agreed on every entry.
+SPLITTING_TOWER_PRIMES = {
+    "x^4-2": set(),
+    "x^3-2": {3},
+    "x^3-x-1": {23},
+    "x^4-8*x^2+15": {3, 5},
+    "x^4+x+1": {229},
+}
+
+SPLITTING_TOWER_OVER_BASE_PRIMES = {
+    "Q": [(), (3,), (3,), (37,), (3,), (379,), (), (3, 929), (5, 7, 181),
+          ()],
+    "Q(i)": [(15923,), (7537,), (700499,), (13, 1747), (), (3, 2063),
+             (3, 5, 6173), (971,), (431,), (41,)],
+    "Q(sqrt2)": [(), (3, 37, 421), (7, 157), (101,), (5,), (3, 7),
+                 (3, 31069), (19, 23), (), (3, 13577)],
+    "Q(sqrt-2)": [(5, 1663), (1087,), (3,), (3, 1217), (53,), (5, 809),
+                  (19, 199), (), (11, 17), (11,)],
+}
+
+
 def test_splitting_field_agrees_with_its_tower():
-    for text in ("x^4-2", "x^3-2", "x^3-x-1", "x^4-8*x^2+15", "x^4+x+1"):
-        f = parse_polynomial(text)
-        assert splitting_field_odd_ramified([f]) == \
-            odd_ramified_primes(splitting_tower(f)), text
+    for text, expected in SPLITTING_TOWER_PRIMES.items():
+        assert odd_primes_of(text) == expected, text
 
 
 def test_degree_128_tower_over_sqrt2_decides():
-    # Q(2^(1/128)): seven quadratic levels, ramified only above 2
-    K = base_field("Q(sqrt2)")
-    while K.absolute_degree < 128:
-        F = tower_field(K)
-        K = _extend_unchecked(K, [F.neg(F.generator()), F.zero(), F.one()])
-    assert K.level_degrees() == [2] * 7
-    assert odd_ramified_primes(K) == set()
+    # Q(2^(1/128)), seven quadratic levels over Q(sqrt2), is the splitting
+    # field over Q of x^128 - 2 and x^2 - 2: ramified only above 2
+    assert odd_primes_of("x^128-2", "x^2-2") == set()
 
 
 def test_splitting_towers_over_bases_match_rational_factors():
     # the splitting tower of f over a quadratic base is the splitting field
     # of f and the base modulus over Q
     rng = random.Random(20261018)
-    for tag in ("Q", "Q(i)", "Q(sqrt2)", "Q(sqrt-2)"):
-        modulus = BASE_FIELD_POLYS[tag]
-        extra = [] if modulus is None else [UniPoly.from_list(list(modulus))]
-        trials = 0
-        while trials < 10:
+    for tag, expected in SPLITTING_TOWER_OVER_BASE_PRIMES.items():
+        got = []
+        while len(got) < 10:
             degree = rng.randint(2, 4)
             f = UniPoly.of(*[rng.randint(-5, 5) for _ in range(degree)],
                            rng.randint(1, 2))
             if discriminant(f) == 0:
                 continue
-            tower = splitting_tower(f, base_field(tag))
-            assert odd_ramified_primes(tower) == \
-                splitting_field_odd_ramified([f] + extra), (tag, f)
-            trials += 1
+            got.append(tuple(sorted(
+                splitting_field_odd_ramified([f] + _base_modulus(tag)))))
+        assert got == expected, tag
 
 
 def test_quadratic_fields_match_squarefree_part_oracle():

@@ -5,8 +5,10 @@ from pathlib import Path
 
 import pytest
 
+import heavenly.verifier as verifier
 from heavenly.documents import report_document
 from heavenly.errors import InputError
+from heavenly.permgroups import group_from_cycles
 from heavenly.verifier import (
     BOUND_ROWS,
     CHECK_IDS,
@@ -108,6 +110,16 @@ def test_dim272_report():
     assert report.value("regular_image_order") == 272
     assert report.value("torsion_degree_32a2") == 1
     assert report.value("torsion_degree_64a1") == 1
+
+
+def test_dim272_two_group_flag_needs_the_prime_2(monkeypatch):
+    # a group of odd prime-power order is a p-group but not a 2-group
+    cycle = "(" + " ".join(str(i) for i in range(1, 18)) + ")"
+    cyclic = group_from_cycles(17, cycle)
+    monkeypatch.setattr(verifier, "affine_group_f17", lambda: cyclic)
+    report = verify_dim272()
+    assert report.value("order") == 17
+    assert report.value("is_two_group") is False
 
 
 def test_gl4_report():
