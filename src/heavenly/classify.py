@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 from .axioms import MUST_BE_2POWER, apply_harbater, apply_small_degree, axiom
 from .errors import InputError, ResourceCapError
@@ -31,7 +30,6 @@ from .towers import (
     _cubic_discriminant,
     _embed_up,
     _is_square,
-    _norm_poly,
     _pair_cubic,
     _quadratic_step,
     base_field,
@@ -205,7 +203,9 @@ class WeilRestrictionInput:
     the radicand; each coefficient is an (a, b) pair of rationals meaning
     a + b*s.  The conjugate twist replaces s by -s.  The field base(s) is
     towers._quadratic_step, once towers._is_square has rejected a square
-    radicand, and towers._pair_cubic writes the cubic over it.
+    radicand, and towers._pair_cubic writes the cubic over it.  The
+    product of the curve's cubic with its twist's needs no field: it is
+    the rational sextic _conjugate_product.
     """
 
     base: str
@@ -233,13 +233,14 @@ class WeilRestrictionInput:
         fixed = tuple((Fraction(a), Fraction(b)) for a, b in pairs)
         return WeilRestrictionInput(base, Fraction(radicand), fixed)
 
-    @cached_property
+    @property
     def _conjugate_product(self) -> UniPoly:
-        """Product of the cubic with its conjugate, a rational sextic: the
-        norm of the cubic from Q(s) to Q, taken once per input."""
-        # D is no square in the base field, so none in Q
-        K = tower_field(_quadratic_step("Q", self.radicand))
-        return UniPoly.from_list(_norm_poly(K, _pair_cubic(K, self.cubic), 6))
+        """Product of the cubic A + s*B with its conjugate A - s*B, for the
+        rational polynomials A and B of its a-parts and b-parts: the
+        rational sextic A^2 - D*B^2."""
+        A = UniPoly.from_list([a for a, _ in self.cubic])
+        B = UniPoly.from_list([b for _, b in self.cubic])
+        return A * A - (B * B).scale(self.radicand)
 
 
 # ---------------------------------------------------------------------------
@@ -343,8 +344,8 @@ def defining_polynomials(item) -> list[UniPoly]:
     field.
 
     The model polynomial (both cubics for a product; for a restriction the
-    conjugate-product sextic, towers._norm_poly of the cubic over Q(s),
-    and x^2 - D), plus the base field's modulus when the base is not Q.
+    conjugate-product sextic A^2 - D*B^2 of its cubic A + s*B, and
+    x^2 - D), plus the base field's modulus when the base is not Q.
     Their splitting field is Galois over Q, so it is its own Galois
     closure.
     """
@@ -450,7 +451,6 @@ def _elliptic_screen(E: EllipticInput, steps: list) -> str:
         base=E.base, polynomial=format_polynomial(E.cubic), discriminant=d))
     step, outcome = _screen_step(d, "2-division cubic")
     steps.append(step)
-    steps.append(_cite("SERRE_TATE_GOOD_REDUCTION", _SERRE_TATE_NOTE))
     return outcome
 
 
@@ -468,7 +468,6 @@ def _jacobian_screen(C: JacobianInput, steps: list) -> str:
     steps.append(_computed("normalized genus-2 model y^2 = f(x)", **values))
     step, outcome = _screen_step(d, "Weierstrass polynomial")
     steps.append(step)
-    steps.append(_cite("SERRE_TATE_GOOD_REDUCTION", _SERRE_TATE_NOTE))
     return outcome
 
 
@@ -490,7 +489,6 @@ def _product_screen(P: ProductInput, steps: list) -> str:
     steps.append(_computed(
         "combined screen: plausible only when both factors are",
         outcome=outcome))
-    steps.append(_cite("SERRE_TATE_GOOD_REDUCTION", _SERRE_TATE_NOTE))
     return outcome
 
 
@@ -515,7 +513,6 @@ def _weil_screen(W: WeilRestrictionInput, steps: list) -> str:
         int(discriminant(norm)),
         "squarefree part of the conjugate-product sextic")
     steps.append(step)
-    steps.append(_cite("SERRE_TATE_GOOD_REDUCTION", _SERRE_TATE_NOTE))
     return outcome
 
 
@@ -596,6 +593,7 @@ def classify(item) -> Verdict:
         raise InputError(_SHAPE_ERROR)
     steps: list[Step] = []
     screen = screen_stage(item, steps)
+    steps.append(_cite("SERRE_TATE_GOOD_REDUCTION", _SERRE_TATE_NOTE))
     try:
         tower = _tower_stage(item, steps)
     except ResourceCapError as exc:

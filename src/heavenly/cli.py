@@ -6,6 +6,7 @@ import argparse
 import os
 import sys
 import time
+from contextlib import suppress
 from pathlib import Path
 
 from .axioms import all_axioms
@@ -71,8 +72,14 @@ def cmd_verify(args) -> int:
 
 def _write_atomic(path: Path, text: str) -> None:
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text + "\n", encoding="utf-8")
-    os.replace(tmp, path)
+    try:
+        tmp.write_text(text + "\n", encoding="utf-8")
+        os.replace(tmp, path)
+    except OSError:
+        # the original error is the one to report
+        with suppress(OSError):
+            tmp.unlink(missing_ok=True)
+        raise
 
 
 def _write_failed(path, exc: OSError) -> int:

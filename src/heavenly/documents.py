@@ -15,7 +15,7 @@ from .classify import (
     classify,
 )
 from .errors import InputError
-from .polynomials import UniPoly, format_polynomial
+from .polynomials import UniPoly, format_polynomial, parse_polynomial
 from .towers import base_field
 from .verifier import LemmaReport
 
@@ -61,39 +61,17 @@ def encode_rational(q: Fraction) -> int | str:
     return f"{q.numerator}/{q.denominator}"
 
 
-_UNSIGNED_RATIONAL = re.compile(r"^\d+(/\d+)?$")
-
-
 def parse_quadratic_pair(text: str) -> tuple[Fraction, Fraction]:
-    """(a, b) from an 'a+b*s' string over the quadratic generator s."""
-    if not isinstance(text, str):
+    """(a, b) from an 'a+b*s' string over the quadratic generator s: a
+    polynomial in s of degree at most 1, in parse_polynomial's grammar
+    without exponents."""
+    if not isinstance(text, str) or "x" in text or "^" in text:
         raise InputError(f"expected an 'a+b*s' string, got {text!r}")
-    compact = text.replace(" ", "")
-    if not compact:
-        raise InputError("empty coefficient entry")
-    terms = re.findall(r"[+-]?[^+-]+", compact)
-    if "".join(terms) != compact:
-        raise InputError(f"cannot parse coefficient entry {text!r}")
-    rational = Fraction(0)
-    irrational = Fraction(0)
-    for term in terms:
-        sign = 1
-        body = term
-        if body[0] in "+-":
-            sign = -1 if body[0] == "-" else 1
-            body = body[1:]
-        try:
-            if body == "s":
-                irrational += sign
-            elif body.endswith("*s") and _UNSIGNED_RATIONAL.match(body[:-2]):
-                irrational += sign * Fraction(body[:-2])
-            elif _UNSIGNED_RATIONAL.match(body):
-                rational += sign * Fraction(body)
-            else:
-                raise InputError(f"cannot parse coefficient entry {text!r}")
-        except ZeroDivisionError:
-            raise InputError(f"zero denominator in {text!r}") from None
-    return rational, irrational
+    try:
+        f = parse_polynomial(text.replace("s", "x"))
+    except InputError:
+        raise InputError(f"cannot parse coefficient entry {text!r}") from None
+    return f.coefficient(0), f.coefficient(1)
 
 
 def format_quadratic_pair(pair: tuple[Fraction, Fraction]) -> str:

@@ -75,8 +75,8 @@ def test_screen_examples():
 def test_screen_rejects_bad_inputs():
     with pytest.raises(InputError):
         screen_good_reduction(UniPoly.of(0, 0, 1))       # double root
-    with pytest.raises(InputError):
-        screen_good_reduction(UniPoly.of("1/2", 1))      # non-integral
+    with pytest.raises(InputError, match="integral"):
+        screen_good_reduction(UniPoly.of(Fraction(1, 2), 1))
     with pytest.raises(InputError):
         screen_good_reduction(UniPoly.of(3))             # constant
 
@@ -99,6 +99,10 @@ def test_elliptic_input_validation():
         EllipticInput("Q", UniPoly.of(0, 0, 0, 1))       # triple root
     with pytest.raises(InputError):
         EllipticInput("Q(sqrt5)", CURVE_32A2)            # unknown base
+    with pytest.raises(InputError, match="monic"):
+        EllipticInput("Q", UniPoly.of(0, -1, 0, 2))
+    with pytest.raises(InputError, match="integral"):
+        EllipticInput("Q", UniPoly.of(Fraction(1, 2), -1, 0, 1))
 
 
 def test_long_weierstrass_reduction():
@@ -148,6 +152,10 @@ def test_weil_input_validation():
     with pytest.raises(InputError):
         WeilRestrictionInput.of("Q", 2,
                                 ((0, 0), (0, 0), (0, 0), (1, 0)))  # x^3
+    with pytest.raises(InputError, match="cubic polynomial"):
+        WeilRestrictionInput("Q", Fraction(2), cubic[1:])
+    with pytest.raises(InputError, match="pairs"):
+        WeilRestrictionInput("Q", Fraction(2), cubic[:3] + ((1,),))
     WeilRestrictionInput.of("Q(sqrt2)", 3, cubic)        # nonsquare is fine
 
 
@@ -393,6 +401,20 @@ def test_flagship_jacobian_x5_minus_x():
         "GGR_TRICHOTOMY", "SERRE_TATE_GOOD_REDUCTION",
         "HARBATER_272", "PRO2_TOWER"}
     heavenly_certificate_ok(verdict)
+
+
+def test_corpus_certificates_cite_serre_tate_once_after_the_screen():
+    kinds = set()
+    for path in sorted(CORPUS.glob("*.json")):
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        kinds.add(doc["kind"])
+        steps = classify(input_from_document(doc)).steps
+        cited = [i for i, step in enumerate(steps) if step.kind == AXIOM
+                 and step.value("axiom_id") == "SERRE_TATE_GOOD_REDUCTION"]
+        screens = [i for i, step in enumerate(steps)
+                   if step.has_value("outcome")]
+        assert cited == [screens[-1] + 1], path.name
+    assert kinds == {"elliptic", "jacobian", "product", "weil_restriction"}
 
 
 def test_flagship_jacobian_x5_plus_x():
@@ -756,6 +778,26 @@ def test_plausible_products_and_restrictions_over_q_are_heavenly():
         verdict = classify(WeilRestrictionInput.of("Q", radicand, pairs))
         assert verdict.status == HEAVENLY, (radicand, pairs)
         assert verdict.screen == PLAUSIBLE, (radicand, pairs)
+
+
+def test_conjugate_product_is_the_norm_from_q_of_s():
+    # A^2 - D*B^2 against the norm of the cubic A + s*B from Q(s) to Q,
+    # taken as a resultant by towers._norm_poly, for every census
+    # restriction over every base where it is a valid input
+    compared = 0
+    for radicand, pairs in _census()["weil_restrictions"]["models"]:
+        K = tower_field(towers._quadratic_step("Q", Fraction(radicand)))
+        cubic = tuple((Fraction(a), Fraction(b)) for a, b in pairs)
+        norm = UniPoly.from_list(
+            towers._norm_poly(K, towers._pair_cubic(K, cubic), 6))
+        for base in BASES:
+            try:
+                W = WeilRestrictionInput.of(base, radicand, pairs)
+            except InputError:
+                continue
+            assert W._conjugate_product == norm, (base, radicand, pairs)
+            compared += 1
+    assert compared == 936
 
 
 def test_dedekind_criterion_at_a_large_prime_is_fast():

@@ -199,6 +199,29 @@ def test_classify_batch_into_a_file_is_invalid(capsys, tmp_path):
     assert capsys.readouterr().err.startswith("error: cannot write")
 
 
+def test_classify_onto_a_directory_leaves_no_temporary_file(capsys,
+                                                            tmp_path):
+    path = write_doc(tmp_path / "curve.json", GOOD_DOC)
+    target = tmp_path / "taken"
+    target.mkdir()
+    assert main(["classify", str(path), "--out", str(target)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {target}")
+    assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_classify_batch_onto_a_directory_leaves_no_temporary_file(
+        capsys, tmp_path):
+    indir = tmp_path / "in"
+    indir.mkdir()
+    write_doc(indir / "a.json", GOOD_DOC)
+    outdir = tmp_path / "out"
+    target = outdir / "a.cert.json"
+    target.mkdir(parents=True)
+    assert main(["classify", str(indir), "--dir", str(outdir)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {target}")
+    assert not list(outdir.glob("*.tmp"))
+
+
 def test_classify_batch_rejects_empty_directory(capsys, tmp_path):
     indir = tmp_path / "empty"
     indir.mkdir()

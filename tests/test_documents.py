@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from heavenly.classify import EllipticInput, classify
+from heavenly.classify import COMPUTED, EllipticInput, Step, Verdict, classify
 from heavenly.documents import (
     document_from_input,
     dump_document,
@@ -22,7 +22,7 @@ from heavenly.documents import (
 )
 from heavenly.errors import InputError
 from heavenly.polynomials import UniPoly
-from heavenly.verifier import verify_bounds
+from heavenly.verifier import LemmaReport, verify_bounds
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -62,20 +62,35 @@ def test_encode_rational_keeps_small_ints_and_strings_large_ones():
 
 
 def test_quadratic_pair_grammar():
+    # a + b*s entries are polynomials of degree at most 1 in s, in the
+    # grammar of parse_polynomial without exponents; terms may repeat
     cases = {
         "s": (0, 1), "-s": (0, -1), "2*s": (0, 2), "1+2*s": (1, 2),
         "1-s": (1, -1), "-1/2+3/4*s": (Fraction(-1, 2), Fraction(3, 4)),
         "0": (0, 0), " 1 + 2*s ": (1, 2), "-1": (-1, 0),
+        "1+1": (2, 0), "+s": (0, 1), "1/2*s": (0, Fraction(1, 2)),
+        "s-s": (0, 0), "0*s": (0, 0), "2*s+3*s-1": (-1, 5),
+        "1 / 2 * s": (0, Fraction(1, 2)), "-0/7": (0, 0), "007*s": (0, 7),
+        "s+1-2/4": (Fraction(1, 2), 1),
     }
     for text, (a, b) in cases.items():
         assert parse_quadratic_pair(text) == (Fraction(a), Fraction(b))
 
 
 @pytest.mark.parametrize("bad", ["2s", "s*2", "--1", "", "1.5", "x",
-                                 "1+*s", "1/0", "s+t", 3])
+                                 "1+*s", "1/0", "s+t", 3,
+                                 "s^0", "s^1", "s^2", "2*s*s", "sqrt2",
+                                 "s-", "+", "-", " ", "1-+s", "++s", "s*",
+                                 "*s", "1/2/3*s", "1/*s", "/2", "x+s",
+                                 "1+x", "2*x", None, ("1", "s")])
 def test_quadratic_pair_rejects(bad):
     with pytest.raises(InputError):
         parse_quadratic_pair(bad)
+
+
+def test_quadratic_pair_strips_surrounding_whitespace():
+    # as parse_rational does for a scalar entry
+    assert parse_quadratic_pair("\t1+s\n") == (Fraction(1), Fraction(1))
 
 
 def test_quadratic_pair_format_round_trip():
@@ -92,6 +107,11 @@ def test_input_document_round_trip(doc):
     item = input_from_document(doc)
     back = document_from_input(item)
     assert input_from_document(back) == item
+
+
+def test_document_from_input_rejects_other_objects():
+    with pytest.raises(InputError, match="not a classifier input"):
+        document_from_input(object())
 
 
 @pytest.mark.parametrize("doc", [
@@ -165,6 +185,31 @@ def test_tuple_values_become_lists():
     degrees = next(entry for entry in doc["certificate"]
                    if "factor_degrees" in entry["values"])
     assert degrees["values"]["factor_degrees"] == [2, 1, 1, 1, 1]
+
+
+@pytest.mark.parametrize("value, encoded", [
+    (Fraction(-3, 4), "-3/4"),
+    (Fraction(6), 6),
+    (UniPoly.of(-2, 0, 1), "x^2 - 2"),
+    (frozenset({7, 3, 5}), [3, 5, 7]),
+])
+def test_step_and_evidence_values_encode(value, encoded):
+    verdict = Verdict("heavenly", (Step(COMPUTED, "a step", (("v", value),)),),
+                      1, 1, "plausible")
+    doc = output_document(ELLIPTIC_DOC, verdict, 0.0)
+    assert doc["certificate"][0]["values"]["v"] == encoded
+    report = report_document(LemmaReport("demo", True, 0.0, (("v", value),)))
+    assert report["evidence"][0]["value"] == encoded
+
+
+def test_unencodable_values_are_rejected():
+    verdict = Verdict("heavenly", (Step(COMPUTED, "a step",
+                                        (("v", object()),)),),
+                      1, 1, "plausible")
+    with pytest.raises(InputError, match="cannot encode"):
+        output_document(ELLIPTIC_DOC, verdict, 0.0)
+    with pytest.raises(InputError, match="cannot encode"):
+        report_document(LemmaReport("demo", True, 0.0, (("v", object()),)))
 
 
 @pytest.mark.parametrize("doc", [ELLIPTIC_DOC, JACOBIAN_DOC, PRODUCT_DOC,

@@ -104,6 +104,22 @@ def test_scaled_root_adds_its_index_to_the_enlargement():
         trials += 1
 
 
+def test_enlargement_brings_its_basis_to_lowest_terms():
+    # irreducible sextics whose enlarged order, after one multiplier step,
+    # has a basis whose entries share a factor with its denominator; the
+    # scaled root p*alpha adds n(n-1)/2 = 15 to the index valuation
+    for text, p, v in (("x^6-8*x^5-x^4-x^3-x^2-7*x-8", 5, 6),
+                       ("x^6-x^5+9*x^4-3*x^3+9*x+9", 3, 8)):
+        f = parse_polynomial(text)
+        assert is_irreducible_over_q(f), text
+        fl = [int(c) for c in f.coeffs]
+        assert valuation(int(discriminant(f)), p) == v, text
+        assert _p_maximal_index_valuation(fl, p, v) == 2, text
+        assert _is_ramified_at(f, p, v), text
+        scaled = [c * p ** (6 - i) for i, c in enumerate(fl)]
+        assert _p_maximal_index_valuation(scaled, p, v + 30) == 17, text
+
+
 def _rank_mod_p(rows, p):
     """Rank over Fp by plain elimination, independent of the package."""
     rows = [[c % p for c in r] for r in rows]
