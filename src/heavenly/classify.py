@@ -21,6 +21,7 @@ from .polynomials import (
     discriminant,
     format_polynomial,
     make_monic_integral,
+    memo_scope,
     squarefree_part,
 )
 from .ramification import splitting_field_odd_ramified
@@ -585,7 +586,17 @@ def classify(item) -> Verdict:
     those ramifying in the fields of their irreducible factors, and its
     closure degree is the tower's absolute degree.  Resource caps yield an
     unknown verdict carrying the partial certificate.
+
+    The call runs in its own polynomials.memo_scope: a discriminant or
+    factoring asked for again within the call is not recomputed, and no
+    answer is kept after it returns, so the verdict depends only on the
+    input and the caps in force.
     """
+    with memo_scope():
+        return _classify(item)
+
+
+def _classify(item) -> Verdict:
     for kind, screen_stage in _SCREENS:
         if isinstance(item, kind):
             break

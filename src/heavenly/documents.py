@@ -28,7 +28,7 @@ INPUT_KINDS = ("elliptic", "jacobian", "product", "weil_restriction")
 # larger integers travel as decimal strings.
 _EXACT_INT_LIMIT = 2 ** 53
 
-_RATIONAL_TEXT = re.compile(r"^[+-]?\d+(/\d+)?$")
+_RATIONAL_TEXT = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 # ---------------------------------------------------------------------------
@@ -43,7 +43,7 @@ def parse_rational(value) -> Fraction:
         return Fraction(value)
     if isinstance(value, str):
         text = value.strip()
-        if not _RATIONAL_TEXT.match(text):
+        if not _RATIONAL_TEXT.fullmatch(text):
             raise InputError(f"not an integer or fraction string: {value!r}")
         try:
             return Fraction(text)

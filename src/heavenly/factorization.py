@@ -28,6 +28,7 @@ from .errors import InputError, ResourceCapError
 from .integers import is_probable_prime
 from .polynomials import (
     UniPoly,
+    memoized,
     monic_integral_with_scale,
     poly_gcd,
 )
@@ -591,8 +592,15 @@ def factor_over_q(f: UniPoly) -> list[tuple[UniPoly, int]]:
     """Irreducible monic factors of f over Q with multiplicities.
 
     The product of factor^multiplicity times a rational constant equals f;
-    the list is sorted by (degree, coefficient tuple).
+    the list is sorted by (degree, coefficient tuple).  Inside a
+    polynomials.memo_scope each f is factored once; every call gets a new
+    list.
     """
+    return list(memoized(("factor_over_q", f),
+                         lambda: tuple(_factor_over_q(f))))
+
+
+def _factor_over_q(f: UniPoly) -> list[tuple[UniPoly, int]]:
     if f.is_zero:
         raise InputError("cannot factor the zero polynomial")
     if f.degree < 1:

@@ -8,6 +8,8 @@ are exact and allocation-light; nothing here ever touches floating point.
 from __future__ import annotations
 
 import re
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -297,8 +299,53 @@ def resultant(f: UniPoly, g: UniPoly) -> Fraction:
             * (g.leading_coefficient / b[0]) ** m)
 
 
+# The answers of the innermost memo_scope, keyed by function and exact
+# input, or None outside every scope.
+_MEMO: ContextVar[dict | None] = ContextVar("heavenly_memo", default=None)
+
+
+@contextmanager
+def memo_scope():
+    """Keep each exact answer asked for inside the scope until it ends.
+
+    Inside, discriminant, factorization.factor_over_q and
+    towers.factor_over_tower compute an answer once per exact input and
+    then return the stored one; outside every scope they compute each
+    time.  A scope starts empty and drops its answers on exit, so no
+    answer, and no cap in force when it was computed, outlives the scope.
+    """
+    token = _MEMO.set({})
+    try:
+        yield
+    finally:
+        _MEMO.reset(token)
+
+
+def memoized(key, compute):
+    """compute(), or inside a memo_scope the answer stored under key.
+
+    The answer is stored only when compute returns, so errors, resource
+    caps among them, propagate on every call; it must be immutable, as
+    every caller in the scope shares it.
+    """
+    memo = _MEMO.get()
+    if memo is None:
+        return compute()
+    answer = memo.get(key, _MISSING)
+    if answer is _MISSING:
+        answer = memo[key] = compute()
+    return answer
+
+
+_MISSING = object()
+
+
 def discriminant(f: UniPoly) -> Fraction:
     """disc(f) = (-1)^(n(n-1)/2) Res(f, f') / lc(f), for deg f >= 1."""
+    return memoized(("discriminant", f), lambda: _discriminant(f))
+
+
+def _discriminant(f: UniPoly) -> Fraction:
     n = f.degree
     if n < 1:
         raise InputError("discriminant requires degree >= 1")
@@ -348,10 +395,11 @@ def monic_integral_with_scale(f: UniPoly) -> tuple[UniPoly, Fraction]:
     return out, Fraction(a)
 
 
+# one term, matched whole; digits are ASCII only
 _TERM_RE = re.compile(
-    r"^(?P<sign>-)?"
-    r"(?:(?P<num>\d+)(?:/(?P<den>\d+))?(?P<star>\*)?)?"
-    r"(?P<x>x(?:\^(?P<exp>\d+))?)?$"
+    r"(?P<sign>-)?"
+    r"(?:(?P<num>[0-9]+)(?:/(?P<den>[0-9]+))?(?P<star>\*)?)?"
+    r"(?P<x>x(?:\^(?P<exp>[0-9]+))?)?"
 )
 
 
@@ -367,7 +415,7 @@ def parse_polynomial(text: str) -> UniPoly:
         s = s[1:]
     coeffs: dict[int, Fraction] = {}
     for term in s.split("+"):
-        m = _TERM_RE.match(term) if term else None
+        m = _TERM_RE.fullmatch(term) if term else None
         if not m or (m.group("num") is None and m.group("x") is None):
             raise InputError(f"bad term {term!r} in {text!r}")
         if m.group("num") and m.group("x") and not m.group("star"):

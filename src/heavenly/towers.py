@@ -20,10 +20,13 @@ invert at every pivot.
 Factoring over a tower runs on norms: shift the variable by multiples of the
 top generator until the resultant with the top minimal polynomial (the norm,
 computed by evaluation and interpolation over the subfield) is squarefree,
-factor that norm one level down recursively, and pull factors back up with
-gcds.  The shift is chosen modulo a prime p above NORM_DEGREE_CAP: a root
-mod p of each level modulus maps the subfield's p-integral elements to F_p,
-the image of each candidate norm is interpolated there, and the first shift
+factor that norm one level down recursively, and pull factors back up: the
+factors of the norm are the norms of the factors over the field, one to
+one (Trager 1976), so a gcd with the shifted polynomial finds each but the
+last, and the last is what remains after dividing the others out.  The
+shift is chosen modulo a prime p above NORM_DEGREE_CAP: a root mod p of
+each level modulus maps the subfield's p-integral elements to F_p, the
+image of each candidate norm is interpolated there, and the first shift
 whose image is squarefree is the one whose exact norm is computed, since
 the norm is monic and a squarefree image proves it squarefree.  Only when
 no shift in a small budget passes does the exact squarefree test decide.
@@ -75,7 +78,7 @@ from .factorization import (
     factor_over_q,
 )
 from .integers import is_probable_prime
-from .polynomials import UniPoly, _bareiss_det, poly_gcd
+from .polynomials import UniPoly, _bareiss_det, memoized, poly_gcd
 
 NORM_DEGREE_CAP = 192
 SPLITTING_DEGREE_CAP = 512
@@ -707,17 +710,22 @@ def _factor_squarefree_chain(chain, f):
             # the norm of a factor of f divides the norm of f, so an
             # irreducible norm leaves f irreducible (Trager 1976)
             return [list(f)]
-        unshift = F.neg(shift)
-        out = []
-        for nj in sub_factors:
-            lifted = [F.from_base(c) for c in nj]
-            common = _gp_gcd(F, g, lifted)
-            if len(common) - 1 >= 1:
-                out.append(_gp_monic(F, _gp_taylor_shift(F, common, unshift)))
-        out.sort(key=lambda h: flatten_poly(F, h))
-        total = sum(len(h) - 1 for h in out)
-        if total != deg:
+        # each factor of the norm is the norm of one factor of g (Trager
+        # 1976): a gcd finds each but the last, which is what remains of g
+        found = []
+        rest = g
+        for nj in sub_factors[:-1]:
+            common = _gp_gcd(F, rest, [F.from_base(c) for c in nj])
+            rest, remainder = _gp_divmod(F, rest, common)
+            if len(common) < 2 or remainder:
+                raise ArithmeticError("norm descent lost factors")
+            found.append(common)
+        if len(rest) < 2:
             raise ArithmeticError("norm descent lost factors")
+        unshift = F.neg(shift)
+        out = [_gp_monic(F, _gp_taylor_shift(F, h, unshift))
+               for h in found + [rest]]
+        out.sort(key=lambda h: flatten_poly(F, h))
         return out
     raise ArithmeticError("no squarefree shift found for separable input")
 
@@ -786,27 +794,37 @@ def _screen_maps(levels: tuple) -> tuple:
     when it has none.  Primes exceed NORM_DEGREE_CAP, so F_p has a distinct
     node for every point a norm is interpolated on.
     """
-    chain = field_chain(FieldTower(levels))
     out = []
     primes = (q for q in count(NORM_DEGREE_CAP + 1) if is_probable_prime(q))
     for p in islice(primes, _SCREEN_SCAN):
         if len(out) >= _SCREEN_PRIMES:
             break
-        basis = [1]
-        for K in chain[1:]:
-            modulus = [_map_mod(basis, *K.base.parts(c), p)
-                       for c in K.modulus]
-            if None in modulus:
-                break
-            r = _root_mod(modulus, p)
-            if K is chain[-1]:
-                whole = None if r is None else _basis_images(basis, r, K, p)
-                out.append((p, tuple(basis), tuple(modulus), whole))
-                break
-            if r is None:
-                break
-            basis = _basis_images(basis, r, K, p)
+        top = _level_map(levels, p)
+        if top is not None:
+            out.append((p,) + top)
     return tuple(out)
+
+
+@lru_cache(maxsize=4096)
+def _level_map(levels: tuple, p: int):
+    """(basis, modulus, whole) of _screen_maps for the nonempty levels at
+    p, or None when p divides a denominator of a level modulus or a level
+    below the top has no simple root mod p.  Cached by levels and p alone,
+    so each prefix of a tower roots its levels once at each prime."""
+    if len(levels) == 1:
+        basis = (1,)
+    else:
+        below = _level_map(levels[:-1], p)
+        if below is None or below[2] is None:
+            return None
+        basis = below[2]
+    K = field_chain(FieldTower(levels))[-1]
+    modulus = tuple(_map_mod(basis, *K.base.parts(c), p) for c in K.modulus)
+    if None in modulus:
+        return None
+    r = _root_mod(list(modulus), p)
+    return basis, modulus, None if r is None else _basis_images(
+        basis, r, K, p)
 
 
 def _basis_images(basis, r: int, K, p: int) -> tuple:
@@ -976,8 +994,18 @@ def factor_over_tower(tower: FieldTower, f) -> list[tuple[list, int]]:
 
     f may be a UniPoly over Q or a coefficient list of tower elements.
     The product of factor^multiplicity equals f up to a constant.  Over Q
-    the factors are factor_over_q's, whose order is flatten_poly's.
+    the factors are factor_over_q's, whose order is flatten_poly's.  Inside
+    a polynomials.memo_scope each (tower levels, f) is factored once; every
+    call gets new lists.
     """
+    key = f if isinstance(f, UniPoly) else tuple(f)
+    answer = memoized(("factor_over_tower", tower.levels, key),
+                      lambda: tuple((tuple(g), mult) for g, mult
+                                    in _factor_over_tower(tower, f)))
+    return [(list(g), mult) for g, mult in answer]
+
+
+def _factor_over_tower(tower: FieldTower, f) -> list[tuple[list, int]]:
     chain = field_chain(tower)
     F = chain[-1]
     g = _as_gpoly(F, f)

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import pytest
 
+import heavenly.factorization as factorization
+import heavenly.polynomials as polynomials
 import heavenly.towers as towers
 from heavenly.classify import (
     AXIOM,
@@ -574,6 +576,41 @@ def test_classify_deterministic():
                  WeilRestrictionInput.of(
                      "Q", 2, ((0, 0), (0, -1), (0, 0), (1, 0)))):
         assert classify(item) == classify(item)
+
+
+def test_a_verdict_depends_only_on_its_input(monkeypatch):
+    # classify keeps no answer between calls: the input decided uncapped
+    # still meets the lowered norm degree cap in the next call
+    item = WeilRestrictionInput.of("Q", 3, TWO_CUBIC_WEIL)
+    assert classify(item).status == NOT_HEAVENLY
+    monkeypatch.setattr(towers, "NORM_DEGREE_CAP", 24)
+    verdict = classify(item)
+    assert verdict.status == UNKNOWN
+    assert "resource cap" in verdict.steps[-1].description
+
+
+def test_classify_factors_each_polynomial_once_per_call(monkeypatch):
+    # within a call a repeated factoring is answered from the call's
+    # memo; the next call starts with none and factors the same again
+    factored = []
+    real = factorization._factor_monic_squarefree_int
+
+    def counted(f):
+        factored.append(tuple(f))
+        return real(f)
+
+    monkeypatch.setattr(factorization, "_factor_monic_squarefree_int",
+                        counted)
+    for path in sorted(CORPUS.glob("*.json")):
+        item = input_from_document(json.loads(path.read_text("utf-8")))
+        factored.clear()
+        first = classify(item)
+        once = list(factored)
+        assert len(once) == len(set(once)), path.name
+        factored.clear()
+        assert classify(item) == first
+        assert factored == once, path.name
+        assert polynomials._MEMO.get() is None
 
 
 def test_classify_rejects_other_types():

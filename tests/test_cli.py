@@ -281,6 +281,13 @@ def test_tool_rejects_zero_denominators(capsys):
     assert capsys.readouterr().err.startswith("error: zero denominator")
 
 
+@pytest.mark.parametrize("expr", ["x\n+1", "x^\u0662 - \u0662"])
+def test_tool_rejects_text_outside_the_grammar(capsys, expr):
+    # a newline inside the text, or a digit other than 0-9
+    assert main(["tool", "factor", expr]) == 2
+    assert capsys.readouterr().err.startswith("error: bad term")
+
+
 def test_tool_rejects_floats(capsys):
     assert main(["tool", "factor", "x^2-0.5"]) == 2
     assert "floating point" in capsys.readouterr().err
@@ -327,3 +334,18 @@ def test_corpus_certificates_match_their_golden_bodies(tmp_path):
         name = f"{stem}.cert.json"
         body = ELAPSED.sub("", (outdir / name).read_text(encoding="utf-8"))
         assert body == (GOLDEN / name).read_text(encoding="utf-8"), stem
+
+
+def test_corpus_classified_twice_in_one_process_matches_golden(tmp_path):
+    # a certificate depends only on its input document: nothing computed
+    # for one batch is reused by the next
+    stems = sorted(p.stem for p in CORPUS.glob("*.json"))
+    for run in ("first", "second"):
+        outdir = tmp_path / run
+        assert main(["classify", str(CORPUS), "--dir", str(outdir)]) == 0
+        for stem in stems:
+            name = f"{stem}.cert.json"
+            body = ELAPSED.sub("", (outdir / name).read_text(
+                encoding="utf-8"))
+            assert body == (GOLDEN / name).read_text(encoding="utf-8"), \
+                (run, stem)

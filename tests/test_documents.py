@@ -43,10 +43,14 @@ def test_parse_rational_accepts_ints_and_fraction_strings():
     assert parse_rational("-3") == Fraction(-3)
     assert parse_rational("5/4") == Fraction(5, 4)
     assert parse_rational(" -7/2 ") == Fraction(-7, 2)
+    assert parse_rational(" -1 ") == Fraction(-1)
+    assert parse_rational("3\n") == Fraction(3)
 
 
 @pytest.mark.parametrize("bad", [1.5, True, False, "1.5", "1e3", "1/0",
-                                 "a", "", None, [1]])
+                                 "a", "", None, [1],
+                                 "\u0663", "-\u0663/4", "\uff11\uff12",
+                                 "1/\u0662"])
 def test_parse_rational_rejects_inexact_forms(bad):
     with pytest.raises(InputError):
         parse_rational(bad)
@@ -82,7 +86,9 @@ def test_quadratic_pair_grammar():
                                  "s^0", "s^1", "s^2", "2*s*s", "sqrt2",
                                  "s-", "+", "-", " ", "1-+s", "++s", "s*",
                                  "*s", "1/2/3*s", "1/*s", "/2", "x+s",
-                                 "1+x", "2*x", None, ("1", "s")])
+                                 "1+x", "2*x", None, ("1", "s"),
+                                 "s\n+1", "1\n+s", "2*s\n-1",
+                                 "\u0663*s", "s+\u0661"])
 def test_quadratic_pair_rejects(bad):
     with pytest.raises(InputError):
         parse_quadratic_pair(bad)

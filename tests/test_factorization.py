@@ -226,6 +226,16 @@ def test_swinnerton_dyer_cap_names_the_size_reached(monkeypatch):
     )
 
 
+def test_recombination_cap_holds_after_an_uncapped_factoring(monkeypatch):
+    # outside a classify call nothing is memoized: the input factored
+    # uncapped first still meets the lowered cap
+    f = P(1, 0, -10, 0, 1)
+    assert [g.degree for g, _ in factor_over_q(f)] == [4]
+    monkeypatch.setattr(factorization, "RECOMBINATION_CAP", 1)
+    with pytest.raises(ResourceCapError):
+        factor_over_q(f)
+
+
 def test_degree_sets_prove_s5_quintic_irreducible_without_lifting(
         monkeypatch):
     # x^5 - 2x + 3 has factor degrees (1, 2, 2) mod 3, (1, 4) mod 5 and

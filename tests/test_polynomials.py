@@ -223,11 +223,17 @@ def test_parse_polynomial():
     assert parse_polynomial("x") == P(0, 1)
     assert parse_polynomial("2*x") == P(0, 2)
     assert parse_polynomial("x^3 - x^3") == UniPoly.zero()
+    # surrounding whitespace is stripped
+    assert parse_polynomial("x+1\n") == P(1, 1)
+    assert parse_polynomial(" -1 ") == P(-1)
 
 
 def test_parse_polynomial_rejects():
     for bad in ["", "x^", "2x", "1.5*x", "x**2", "x^2 +", "* x", "y+1", "3*", "x^-2",
-                "1/0*x", "x^2 - 3/0"]:
+                "1/0*x", "x^2 - 3/0",
+                # a newline inside the text, and digits other than 0-9
+                "x\n+1", "2*x\n-3", "x^2\n+x\n+1", "x^\u0662 - \u0662",
+                "\u0663", "\uff12*x", "x + 1/\u0662"]:
         with pytest.raises(InputError):
             parse_polynomial(bad)
 

@@ -22,7 +22,12 @@ from heavenly.classify import (
 )
 from heavenly.documents import input_from_document
 from heavenly.factorization import factor_over_q
-from heavenly.polynomials import UniPoly, parse_polynomial, poly_gcd
+from heavenly.polynomials import (
+    UniPoly,
+    memo_scope,
+    parse_polynomial,
+    poly_gcd,
+)
 from heavenly.towers import (
     FieldTower,
     base_field,
@@ -127,6 +132,104 @@ def test_factor_multiplicities_over_tower():
     f = P(1, 0, 1) * P(1, 0, 1) * P(-2, 0, 1)
     facs = factor_over_tower(t, f)
     assert [(len(g) - 1, m) for g, m in facs] == [(1, 2), (1, 2), (2, 1)]
+
+
+# factor_over_tower at a commit that still pulled every factor of a norm
+# back with a gcd: name -> (base tag, extra level, f, the number of factors
+# of the norm one level down, each factor's flattened coefficients)
+FROZEN_DESCENT = {
+    "x^4 + 1 over Q(i)": ("Q(i)", None, P(1, 0, 0, 0, 1), 2, [
+        (("0", "-1"), ("0", "0"), ("1", "0")),
+        (("0", "1"), ("0", "0"), ("1", "0"))]),
+    "x^4 + 1 over Q(sqrt2)": ("Q(sqrt2)", None, P(1, 0, 0, 0, 1), 2, [
+        (("1", "0"), ("0", "-1"), ("1", "0")),
+        (("1", "0"), ("0", "1"), ("1", "0"))]),
+    "x^3 - x over Q(sqrt-2)": ("Q(sqrt-2)", None, P(0, -1, 0, 1), 3, [
+        (("-1", "0"), ("1", "0")), (("0", "0"), ("1", "0")),
+        (("1", "0"), ("1", "0"))]),
+    "x^4 - 1 over Q(i)": ("Q(i)", None, P(-1, 0, 0, 0, 1), 4, [
+        (("-1", "0"), ("1", "0")), (("0", "-1"), ("1", "0")),
+        (("0", "1"), ("1", "0")), (("1", "0"), ("1", "0"))]),
+    "x^8 - 1 over Q(i)": ("Q(i)", None, P(-1, 0, 0, 0, 0, 0, 0, 0, 1), 6, [
+        (("-1", "0"), ("1", "0")), (("0", "-1"), ("1", "0")),
+        (("0", "1"), ("1", "0")), (("1", "0"), ("1", "0")),
+        (("0", "-1"), ("0", "0"), ("1", "0")),
+        (("0", "1"), ("0", "0"), ("1", "0"))]),
+    "x^4 + 1 over Q(i)(sqrt2)": ("Q(i)", P(-2, 0, 1), P(1, 0, 0, 0, 1), 4, [
+        (("0", "0", "-1/2", "-1/2"), ("1", "0", "0", "0")),
+        (("0", "0", "-1/2", "1/2"), ("1", "0", "0", "0")),
+        (("0", "0", "1/2", "-1/2"), ("1", "0", "0", "0")),
+        (("0", "0", "1/2", "1/2"), ("1", "0", "0", "0"))]),
+    "x^6 - 2 over Q(i)(sqrt2)": ("Q(i)", P(-2, 0, 1),
+                                 P(-2, 0, 0, 0, 0, 0, 1), 2, [
+        (("0", "0", "-1", "0"), ("0", "0", "0", "0"),
+         ("0", "0", "0", "0"), ("1", "0", "0", "0")),
+        (("0", "0", "1", "0"), ("0", "0", "0", "0"),
+         ("0", "0", "0", "0"), ("1", "0", "0", "0"))]),
+}
+
+
+def test_norm_descent_factors_frozen(monkeypatch):
+    # every factor of the norm but the last is pulled back by a gcd, and
+    # the last is what remains of f after dividing the others out
+    descent = towers._factor_squarefree_chain
+    found = []
+
+    def recorded(chain, f):
+        out = descent(chain, f)
+        found.append((len(chain), len(out)))
+        return out
+
+    monkeypatch.setattr(towers, "_factor_squarefree_chain", recorded)
+    for name, (tag, level, f, norm_factors, frozen) in \
+            FROZEN_DESCENT.items():
+        tower = base_field(tag)
+        if level is not None:
+            tower = extend(tower, level)
+        F = tower_field(tower)
+        found.clear()
+        facs = factor_over_tower(tower, f)
+        assert (tower.height, norm_factors) in found, name
+        assert all(mult == 1 for _, mult in facs), name
+        assert [tuple(tuple(str(q) for q in F.flatten(c)) for c in g)
+                for g, _ in facs] == frozen, name
+        assert gp_product(F, [g for g, _ in facs]) == lift_to_field(F, f), \
+            name
+
+
+def test_memo_scope_answers_by_tower_levels_with_fresh_lists():
+    # Q(i) and Q(sqrt2) print alike, yet x^2 + 1 splits over only one;
+    # a caller may mutate what it gets, so each call gets new lists
+    qi, sqrt2 = base_field("Q(i)"), base_field("Q(sqrt2)")
+    assert repr(qi) == repr(sqrt2)
+    f = P(1, 0, 1)
+    expected = {tower: factor_over_tower(tower, f) for tower in (qi, sqrt2)}
+    rational = factor_over_q(f)
+    with memo_scope():
+        for _ in range(2):
+            for tower in (qi, sqrt2):
+                facs = factor_over_tower(tower, f)
+                assert facs == expected[tower]
+                facs[0][0].pop()
+                facs.pop()
+            facs = factor_over_q(f)
+            assert facs == rational
+            facs.pop()
+    assert len(expected[qi]) == 2 and len(expected[sqrt2]) == 1
+
+
+def test_memo_scope_keeps_no_error(monkeypatch):
+    # a cap error is never stored: each call in the scope raises again,
+    # and the answer computed after the cap is raised is the usual one
+    f = P(1, 0, 0, 0, 1)
+    expected = factor_over_tower(base_field("Q(i)"), f)
+    with memo_scope():
+        monkeypatch.setattr(towers, "NORM_DEGREE_CAP", 4)
+        for _ in range(2):
+            with pytest.raises(ResourceCapError):
+                factor_over_tower(base_field("Q(i)"), f)
+        monkeypatch.undo()
+        assert factor_over_tower(base_field("Q(i)"), f) == expected
 
 
 def test_splitting_degrees_frozen():
