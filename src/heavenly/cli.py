@@ -22,7 +22,7 @@ from .errors import InputError, ResourceCapError
 from .factorization import factor_over_q
 from .polynomials import format_polynomial, parse_polynomial, squarefree_part
 from .ramification import splitting_field_odd_ramified
-from .towers import splitting_tower
+from .towers import splitting_degree
 from .verifier import CHECK_IDS, run_all, run_check
 
 EXIT_OK = 0
@@ -165,7 +165,7 @@ def _tool_factor(expr: str) -> None:
 
 def _tool_splitting_degree(expr: str) -> None:
     f = squarefree_part(parse_polynomial(expr))
-    print(splitting_tower(f).absolute_degree)
+    print(splitting_degree(f))
 
 
 def _tool_ramification(expr: str) -> None:

@@ -524,12 +524,11 @@ def core_bound_check(group: PermGroup) -> CoreBoundReport:
     if group.order > SUBGROUP_ORDER_CAP:
         raise InputError(
             f"core bound check capped at order {SUBGROUP_ORDER_CAP}")
-    subs = enumerate_subgroups(group)
     lattice, top = _lattice_of(group)
     order = group.order
     chains = 0
     violations = []
-    for n in map(lattice.position.__getitem__, subs):
+    for n in lattice.below(top):
         if not lattice.is_normal(n, top):
             continue
         n_order = len(lattice.sets[n])

@@ -31,7 +31,7 @@ from .factorization import (
     factor_over_q,
 )
 from .integers import odd_prime_divisors, valuation
-from .polynomials import UniPoly, discriminant, make_monic_integral
+from .polynomials import UniPoly, discriminant, make_monic_integral, memoized
 from .towers import RATIONAL, ExtensionField
 
 
@@ -41,27 +41,26 @@ def splitting_field_odd_ramified(polys) -> set[int]:
     The splitting field is the compositum of the Galois closures of the
     fields Q[x]/(g), g running over the irreducible factors, and a prime
     ramifies in a compositum, or in a Galois closure, exactly when it
-    ramifies in one of the fields it is built from.
+    ramifies in one of the fields it is built from.  Inside a
+    polynomials.memo_scope each irreducible factor is decided once.
     """
     out = set()
     for f in polys:
         for g, _ in factor_over_q(f):
             if g.degree >= 2:
-                out |= _odd_ramified_of_polynomial(g)
+                out |= memoized(("odd_ramified", g),
+                                lambda g=g: _odd_ramified_of_polynomial(g))
     return out
 
 
-def _odd_ramified_of_polynomial(f: UniPoly) -> set[int]:
+def _odd_ramified_of_polynomial(f: UniPoly) -> frozenset[int]:
     f = make_monic_integral(f)
     d = discriminant(f)
     if d == 0:
         raise InputError("defining polynomial must be separable")
     d = int(d)
-    out = set()
-    for p in odd_prime_divisors(d):
-        if _is_ramified_at(f, p, valuation(d, p)):
-            out.add(p)
-    return out
+    return frozenset(p for p in odd_prime_divisors(d)
+                     if _is_ramified_at(f, p, valuation(d, p)))
 
 
 def _is_ramified_at(f: UniPoly, p: int, v: int) -> bool:

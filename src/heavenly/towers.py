@@ -24,7 +24,7 @@ factor that norm one level down recursively, and pull factors back up: the
 factors of the norm are the norms of the factors over the field, one to
 one (Trager 1976), so a gcd with the shifted polynomial finds each but the
 last, and the last is what remains after dividing the others out.  The
-shift is chosen modulo a prime p above NORM_DEGREE_CAP: a root mod p of
+shift is chosen modulo a prime p above the norm degrees: a root mod p of
 each level modulus maps the subfield's p-integral elements to F_p, the
 image of each candidate norm is interpolated there, and the first shift
 whose image is squarefree is the one whose exact norm is computed, since
@@ -85,13 +85,15 @@ SPLITTING_DEGREE_CAP = 512
 
 # Norm descent screens its first _SCREEN_SHIFTS candidate shifts modulo
 # each of up to _SCREEN_PRIMES primes in turn, found among the first
-# _SCREEN_SCAN primes above NORM_DEGREE_CAP; when none is certified there,
+# _SCREEN_SCAN primes above _SCREEN_FLOOR; when none is certified there,
 # the exact squarefree test decides.  The same primes certify irreducible
 # and squarefree inputs before any descent; with none, every factoring over
-# a tower takes the exact path.
+# a tower takes the exact path.  The floor is the norm degree cap as set
+# here, so a cap changed later changes no field's primes.
 _SCREEN_PRIMES = 3
 _SCREEN_SCAN = 64
 _SCREEN_SHIFTS = 24
+_SCREEN_FLOOR = NORM_DEGREE_CAP
 
 BASE_FIELD_POLYS = {
     "Q": None,
@@ -170,6 +172,11 @@ class RationalField:
     def flatten(self, a):
         return (a,)
 
+    def _residue_map(self, p: int):
+        """The map of Q's p-integral elements to F_p, as an extension's
+        (basis, modulus, whole) with only the image of its basis."""
+        return None, None, (1,)
+
 
 RATIONAL = RationalField()
 
@@ -219,6 +226,7 @@ class ExtensionField:
         # _step; an integer product a*b stands for (a*b) / _product_den
         self._step = below * M
         self._product_den = below * self._step ** (d - 1)
+        self._residue_map_at: dict = {}
 
     def zero(self):
         return self._zero
@@ -439,6 +447,48 @@ class ExtensionField:
         nums, den = a
         return tuple(Fraction(x, den) for x in nums)
 
+    def _residue_map(self, p: int):
+        """(basis, modulus, whole): a ring map phi from the field below to
+        F_p through simple roots of the level moduli mod p, as the images of
+        its power basis, this level's modulus under phi, and phi extended to
+        this field by a simple root of that image, or None when it has none.
+        None when p divides a denominator of a level modulus or phi of the
+        field below is not defined; computed once per prime."""
+        if p in self._residue_map_at:
+            return self._residue_map_at[p]
+        B = self.base
+        below = B._residue_map(p)
+        out = None
+        if below is not None and below[2] is not None:
+            basis = below[2]
+            modulus = tuple(_map_mod(basis, *B.parts(c), p)
+                            for c in self.modulus)
+            if None not in modulus:
+                r = _root_mod(list(modulus), p)
+                # coordinate i*b + j is the i-th power of the generator
+                # times the j-th basis element below
+                out = basis, modulus, None if r is None else tuple(
+                    pow(r, i, p) * v % p for i in range(self.degree)
+                    for v in basis)
+        self._residue_map_at[p] = out
+        return out
+
+    @cached_property
+    def _residue_maps(self) -> tuple:
+        """Up to _SCREEN_PRIMES entries (p, basis, modulus, whole) of
+        _residue_map, at the first primes above _SCREEN_FLOOR where it is
+        defined, so F_p has a distinct node for every point a norm within
+        the cap is interpolated on."""
+        out = []
+        primes = (q for q in count(_SCREEN_FLOOR + 1) if is_probable_prime(q))
+        for p in islice(primes, _SCREEN_SCAN):
+            if len(out) >= _SCREEN_PRIMES:
+                break
+            found = self._residue_map(p)
+            if found is not None:
+                out.append((p,) + found)
+        return tuple(out)
+
 
 # ---------------------------------------------------------------------------
 # Polynomials over an arbitrary field: lists of elements, ascending, trimmed.
@@ -630,7 +680,8 @@ def base_field(tag: str) -> FieldTower:
 @lru_cache(maxsize=256)
 def field_chain(tower: FieldTower) -> tuple:
     """Fields from Q up to the tower's top, one per level; built once per
-    tower, so each field's generator traces are computed once."""
+    tower, so each field's generator traces and residue maps are computed
+    once."""
     if not tower.levels:
         return (RATIONAL,)
     below = field_chain(FieldTower(tower.levels[:-1]))
@@ -673,39 +724,40 @@ def flatten_poly(F, f) -> tuple:
 # Factorization over a tower (norm descent).
 
 
-def _factor_squarefree_chain(chain, f):
-    """Monic irreducible factors of a monic squarefree f over chain[-1]."""
-    F = chain[-1]
+def _factor_squarefree(F, f):
+    """Monic irreducible factors of a monic squarefree f over the field F."""
     deg = len(f) - 1
     if deg <= 0:
         return []
     if deg == 1:
         return [list(f)]
-    if len(chain) == 1:
+    B = F.base
+    if B is None:
         rational = UniPoly.from_list(f)
         return [list(g.coeffs) for g, _ in factor_over_q(rational)]
     # The descent takes norms of degree deg times the level degrees, top
     # level first; refuse before computing any of them if one is too big.
     reached = deg
-    for level in reversed(chain[1:]):
+    level = F
+    while level.base is not None:
         reached *= level.degree
         if reached > NORM_DEGREE_CAP:
             raise ResourceCapError(
                 f"norm degree {reached} exceeds cap {NORM_DEGREE_CAP}"
             )
-    if _certified_irreducible(chain, f):
+        level = level.base
+    if _certified_irreducible(F, f):
         return [list(f)]
-    B = F.base
     norm_deg = deg * F.degree
     alpha = F.generator()
-    certified = _screened_shift(chain, f, norm_deg)
+    certified = _screened_shift(F, f, norm_deg)
     for k in _shift_values(200) if certified is None else [certified]:
         shift = F.scale(alpha, -k)
         g = _gp_taylor_shift(F, f, shift)  # g(x) = f(x - k*alpha)
         norm = _norm_poly(F, g, norm_deg)
         if certified is None and not _gp_squarefree(B, norm):
             continue
-        sub_factors = _factor_squarefree_chain(chain[:-1], norm)
+        sub_factors = _factor_squarefree(B, norm)
         if len(sub_factors) == 1:
             # the norm of a factor of f divides the norm of f, so an
             # irreducible norm leaves f irreducible (Trager 1976)
@@ -762,7 +814,8 @@ def _shift_values(limit: int):
 # the degree of every divisor of f is a subset sum of the degrees of
 # phi(f)'s irreducible factors, as over Q (Cohen, GTM 138, section 3.5).
 # The same primes carry such a map of the whole field when the top
-# modulus's image has a simple root too.
+# modulus's image has a simple root too.  Each field keeps its maps, built
+# from those of the field below (ExtensionField._residue_map).
 
 
 def _root_mod(f: list, p: int):
@@ -785,75 +838,21 @@ def _map_mod(basis, nums, den: int, p: int):
     return sum(x * v for x, v in zip(nums, basis)) * pow(den, -1, p) % p
 
 
-@lru_cache(maxsize=256)
-def _screen_maps(levels: tuple) -> tuple:
-    """Up to _SCREEN_PRIMES entries (p, basis, modulus, whole): a ring map
-    phi from the field below the top level to F_p through simple roots, as
-    the images of its power basis, the top modulus under phi, and phi
-    extended to the whole field by a simple root of that image, or None
-    when it has none.  Primes exceed NORM_DEGREE_CAP, so F_p has a distinct
-    node for every point a norm is interpolated on.
-    """
-    out = []
-    primes = (q for q in count(NORM_DEGREE_CAP + 1) if is_probable_prime(q))
-    for p in islice(primes, _SCREEN_SCAN):
-        if len(out) >= _SCREEN_PRIMES:
-            break
-        top = _level_map(levels, p)
-        if top is not None:
-            out.append((p,) + top)
-    return tuple(out)
-
-
-@lru_cache(maxsize=4096)
-def _level_map(levels: tuple, p: int):
-    """(basis, modulus, whole) of _screen_maps for the nonempty levels at
-    p, or None when p divides a denominator of a level modulus or a level
-    below the top has no simple root mod p.  Cached by levels and p alone,
-    so each prefix of a tower roots its levels once at each prime."""
-    if len(levels) == 1:
-        basis = (1,)
-    else:
-        below = _level_map(levels[:-1], p)
-        if below is None or below[2] is None:
-            return None
-        basis = below[2]
-    K = field_chain(FieldTower(levels))[-1]
-    modulus = tuple(_map_mod(basis, *K.base.parts(c), p) for c in K.modulus)
-    if None in modulus:
-        return None
-    r = _root_mod(list(modulus), p)
-    return basis, modulus, None if r is None else _basis_images(
-        basis, r, K, p)
-
-
-def _basis_images(basis, r: int, K, p: int) -> tuple:
-    """phi on K's power basis, given phi on the basis below and the image r
-    of K's generator: coordinate i*b + j is the i-th power of the generator
-    times the j-th basis element below."""
-    return tuple(pow(r, i, p) * v % p for i in range(K.degree)
-                 for v in basis)
-
-
-def _tower_key(chain) -> tuple:
-    return tuple(K.modulus for K in chain[1:])
-
-
-def _whole_field_images(chain, f):
+def _whole_field_images(F, f):
     """(p, phi(f)) for each screen prime with a map phi of the whole field
-    chain[-1] under which f's coefficients are defined."""
-    parts = [chain[-1].parts(c) for c in f]
-    for p, _, _, whole in _screen_maps(_tower_key(chain)):
+    F under which f's coefficients are defined."""
+    parts = [F.parts(c) for c in f]
+    for p, _, _, whole in F._residue_maps:
         if whole is not None and all(den % p for _, den in parts):
             yield p, [_map_mod(whole, nums, den, p) for nums, den in parts]
 
 
-def _certified_irreducible(chain, f) -> bool:
+def _certified_irreducible(F, f) -> bool:
     """Whether the factor degrees of phi(f) at the screen primes leave the
     monic f no divisor degree but 0 and deg f, which proves f irreducible."""
     deg = len(f) - 1
     allowed = (1 << (deg + 1)) - 1
-    for p, image in _whole_field_images(chain, f):
+    for p, image in _whole_field_images(F, f):
         if _squarefree_mod(image, p):
             allowed &= _divisor_degrees(_distinct_degree_parts(image, p))[0]
             if allowed == 1 | 1 << deg:
@@ -861,19 +860,19 @@ def _certified_irreducible(chain, f) -> bool:
     return False
 
 
-def _certified_squarefree(chain, f) -> bool:
+def _certified_squarefree(F, f) -> bool:
     """Whether phi(f) is squarefree at some screen prime, which proves the
     monic f squarefree, since phi(disc f) = disc phi(f)."""
     return any(_squarefree_mod(image, p)
-               for p, image in _whole_field_images(chain, f))
+               for p, image in _whole_field_images(F, f))
 
 
-def _screened_shift(chain, f, norm_deg):
+def _screened_shift(F, f, norm_deg):
     """The first of the first _SCREEN_SHIFTS shifts k whose norm, for
-    g(x) = f(x - k*alpha), a screen prime proves squarefree, or None."""
-    F = chain[-1]
+    g(x) = f(x - k*alpha), a screen prime above norm_deg proves
+    squarefree, or None."""
     b = F.base.absolute_degree
-    for p, basis, modulus, _ in _screen_maps(_tower_key(chain)):
+    for p, basis, modulus, _ in F._residue_maps:
         parts = [F.parts(c) for c in f]
         if p <= norm_deg or any(den % p == 0 for _, den in parts):
             continue
@@ -971,7 +970,7 @@ def _norm_poly(F, g, norm_deg):
     return _gp_monic(B, interp)
 
 
-def _squarefree_parts_chain(F, f):
+def _squarefree_parts(F, f):
     """Yun's algorithm over an arbitrary char-0 field."""
     out = []
     d = _gp_deriv(F, f)
@@ -1006,8 +1005,7 @@ def factor_over_tower(tower: FieldTower, f) -> list[tuple[list, int]]:
 
 
 def _factor_over_tower(tower: FieldTower, f) -> list[tuple[list, int]]:
-    chain = field_chain(tower)
-    F = chain[-1]
+    F = tower_field(tower)
     g = _as_gpoly(F, f)
     if not tower.levels:
         return [(list(h.coeffs), mult)
@@ -1017,13 +1015,13 @@ def _factor_over_tower(tower: FieldTower, f) -> list[tuple[list, int]]:
     if len(g) - 1 < 1:
         return []
     g = _gp_monic(F, g)
-    if _certified_squarefree(chain, g):
+    if _certified_squarefree(F, g):
         parts = [(g, 1)]
     else:
-        parts = _squarefree_parts_chain(F, g)
+        parts = _squarefree_parts(F, g)
     result = []
     for part, mult in parts:
-        for irr in _factor_squarefree_chain(chain, part):
+        for irr in _factor_squarefree(F, part):
             result.append((irr, mult))
     result.sort(key=lambda t: flatten_poly(F, t[0]))
     return result

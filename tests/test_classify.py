@@ -11,6 +11,7 @@ import pytest
 
 import heavenly.factorization as factorization
 import heavenly.polynomials as polynomials
+import heavenly.ramification as ramification
 import heavenly.towers as towers
 from heavenly.classify import (
     AXIOM,
@@ -587,6 +588,41 @@ def test_a_verdict_depends_only_on_its_input(monkeypatch):
     verdict = classify(item)
     assert verdict.status == UNKNOWN
     assert "resource cap" in verdict.steps[-1].description
+
+
+def test_screen_primes_stay_above_the_default_cap(monkeypatch):
+    # a capped call builds the Weil D=3 input's degree-2 and degree-12
+    # fields, and their screen maps with them; the primes they took stay
+    # above the cap the module sets, so a later call takes the same route
+    item = WeilRestrictionInput.of("Q", 3, TWO_CUBIC_WEIL)
+    towers.field_chain.cache_clear()
+    monkeypatch.setattr(towers, "NORM_DEGREE_CAP", 24)
+    assert classify(item).status == UNKNOWN
+    monkeypatch.undo()
+    fields = towers.field_chain(two_division_tower(item)[-1])[1:]
+    assert [F.absolute_degree for F in fields] == [2, 6, 12, 36, 72]
+    for F in fields:
+        primes = [p for p, *_ in F._residue_maps]
+        assert len(primes) == towers._SCREEN_PRIMES, F.absolute_degree
+        assert min(primes) > towers.NORM_DEGREE_CAP, F.absolute_degree
+
+
+def test_classify_decides_each_odd_ramification_once_per_call(monkeypatch):
+    # the Weil screen and the ramification stage both ask about x^2 - D;
+    # within a call each irreducible factor's primes are decided once
+    divided = []
+    real = ramification.odd_prime_divisors
+
+    def counted(n):
+        divided.append(n)
+        return real(n)
+
+    monkeypatch.setattr(ramification, "odd_prime_divisors", counted)
+    for base, D in (("Q", 3), ("Q(i)", 2)):
+        divided.clear()
+        classify(WeilRestrictionInput.of(base, D, TWO_CUBIC_WEIL))
+        assert len(divided) == len(set(divided)), (base, D)
+        assert D * 4 in divided, (base, D)
 
 
 def test_classify_factors_each_polynomial_once_per_call(monkeypatch):

@@ -172,15 +172,15 @@ FROZEN_DESCENT = {
 def test_norm_descent_factors_frozen(monkeypatch):
     # every factor of the norm but the last is pulled back by a gcd, and
     # the last is what remains of f after dividing the others out
-    descent = towers._factor_squarefree_chain
+    descent = towers._factor_squarefree
     found = []
 
-    def recorded(chain, f):
-        out = descent(chain, f)
-        found.append((len(chain), len(out)))
+    def recorded(F, f):
+        out = descent(F, f)
+        found.append((F, len(out)))
         return out
 
-    monkeypatch.setattr(towers, "_factor_squarefree_chain", recorded)
+    monkeypatch.setattr(towers, "_factor_squarefree", recorded)
     for name, (tag, level, f, norm_factors, frozen) in \
             FROZEN_DESCENT.items():
         tower = base_field(tag)
@@ -189,7 +189,7 @@ def test_norm_descent_factors_frozen(monkeypatch):
         F = tower_field(tower)
         found.clear()
         facs = factor_over_tower(tower, f)
-        assert (tower.height, norm_factors) in found, name
+        assert (F.base, norm_factors) in found, name
         assert all(mult == 1 for _, mult in facs), name
         assert [tuple(tuple(str(q) for q in F.flatten(c)) for c in g)
                 for g, _ in facs] == frozen, name
@@ -325,9 +325,9 @@ def test_factoring_over_q_as_a_tower_is_factor_over_q():
         if f.degree < 1:
             assert expected == []
             continue
-        generic = [(g, m) for part, m in towers._squarefree_parts_chain(
+        generic = [(g, m) for part, m in towers._squarefree_parts(
                        Q, towers._gp_monic(Q, list(f.coeffs)))
-                   for g in towers._factor_squarefree_chain((Q,), part)]
+                   for g in towers._factor_squarefree(Q, part)]
         generic.sort(key=lambda t: towers.flatten_poly(Q, t[0]))
         assert generic == expected, f
     with pytest.raises(InputError) as q_error:
@@ -629,6 +629,11 @@ def test_hard_round_one_towers_frozen():
 # Screening norm-descent shifts modulo a prime.
 
 
+def residue_maps(levels):
+    """The screen's residue maps of the field with the given levels."""
+    return field_chain(FieldTower(levels))[-1]._residue_maps
+
+
 def embed_to(chain, height, c):
     """c from chain[height] embedded in chain[-1]."""
     for F in chain[height + 1:]:
@@ -644,14 +649,14 @@ def test_screen_map_is_a_ring_map():
         # field; the tower's own whole-field maps cover it through a root
         # of its top modulus
         top = (F.from_fraction(-3), F.zero(), F.one())
-        maps = towers._screen_maps(tower.levels + (top,))
+        maps = residue_maps(tower.levels + (top,))
         assert len(maps) == towers._SCREEN_PRIMES
         images = []
         for p, basis, modulus, _ in maps:
             assert p > towers.NORM_DEGREE_CAP
             assert modulus == (p - 3, 0, 1)
             images.append((p, basis))
-        whole = [(p, w) for p, _, _, w in towers._screen_maps(tower.levels)
+        whole = [(p, w) for p, _, _, w in residue_maps(tower.levels)
                  if w is not None]
         assert whole
         chain = field_chain(tower)
@@ -733,13 +738,14 @@ def test_screened_and_exact_descent_agree(monkeypatch):
         return squarefree(*args)
 
     monkeypatch.setattr(towers, "_gp_squarefree", exact)
+    # fresh fields take their screen maps with no primes
     monkeypatch.setattr(towers, "_SCREEN_PRIMES", 0)
-    towers._screen_maps.cache_clear()
+    field_chain.cache_clear()
     try:
         for (name, tower, f), expected in zip(inputs, screened):
             assert factor_over_tower(tower, f) == expected, name
     finally:
-        towers._screen_maps.cache_clear()
+        field_chain.cache_clear()
     assert exact_tests
 
 
@@ -747,16 +753,15 @@ def test_screen_never_certifies_a_power_norm(monkeypatch):
     # f over the base field: at shift 0 the norm is f^2, not squarefree
     cases = []
     for name, tower in screen_fields()[1:]:
-        chain = field_chain(tower)
-        f = lift_to_field(chain[-1], P(-2, 0, 0, 1))
-        assert len(towers._screen_maps(tower.levels)) == \
-            towers._SCREEN_PRIMES, name
-        assert towers._screened_shift(chain, f, 6) not in (0, None), name
-        cases.append((name, chain, f))
+        F = tower_field(tower)
+        f = lift_to_field(F, P(-2, 0, 0, 1))
+        assert len(F._residue_maps) == towers._SCREEN_PRIMES, name
+        assert towers._screened_shift(F, f, 6) not in (0, None), name
+        cases.append((name, F, f))
     # with one shift per prime, every screen prime sees only shift 0
     monkeypatch.setattr(towers, "_SCREEN_SHIFTS", 1)
-    for name, chain, f in cases:
-        assert towers._screened_shift(chain, f, 6) is None, name
+    for name, F, f in cases:
+        assert towers._screened_shift(F, f, 6) is None, name
 
 
 def test_screen_maps_need_simple_roots():
@@ -766,10 +771,10 @@ def test_screen_maps_need_simple_roots():
     F = tower_field(sqrt193)
     assert towers._root_mod([0, 0, 1], 193) is None
     assert towers._root_mod([0, 1, 1], 193) == 192
-    maps = towers._screen_maps(sqrt193.levels)
+    maps = F._residue_maps
     assert maps[0][0] == 193 and maps[0][3] is None
     top = (F.from_fraction(-3), F.zero(), F.one())
-    above = towers._screen_maps(sqrt193.levels + (top,))
+    above = residue_maps(sqrt193.levels + (top,))
     assert len(above) == towers._SCREEN_PRIMES
     assert 193 not in [p for p, *_ in above]
 
@@ -777,10 +782,9 @@ def test_screen_maps_need_simple_roots():
 def test_whole_field_images_skip_denominators():
     # Q(i) has whole-field maps at 193 and 197; a coefficient over 193 is
     # not defined at the first
-    chain = field_chain(base_field("Q(i)"))
-    F = chain[-1]
+    F = tower_field(base_field("Q(i)"))
     f = [F.from_fraction(-1), F.from_fraction(Fraction(1, 193)), F.one()]
-    images = list(towers._whole_field_images(chain, f))
+    images = list(towers._whole_field_images(F, f))
     assert [p for p, _ in images] == [197]
     assert images[0][1] == [196, pow(193, -1, 197), 1]
 
@@ -795,7 +799,7 @@ def certificate_fields():
                                     ("x^3 - 2 over Q(i)", split)]
     for name, tower in fields:
         assert any(whole is not None
-                   for *_, whole in towers._screen_maps(tower.levels)), name
+                   for *_, whole in tower_field(tower)._residue_maps), name
     return fields
 
 
@@ -806,24 +810,23 @@ def random_monic(F, rng, deg):
 def test_irreducibility_certificate_never_fires_on_products():
     rng = random.Random(89)
     for name, tower in certificate_fields():
-        chain = field_chain(tower)
-        F = chain[-1]
+        F = tower_field(tower)
         for _ in range(12):
             degrees = [rng.randrange(1, 4) for _ in range(rng.randrange(2, 4))]
             f = gp_product(F, [random_monic(F, rng, d) for d in degrees])
-            assert not towers._certified_irreducible(chain, f), name
+            assert not towers._certified_irreducible(F, f), name
         # a product of conjugates is reducible though its image mod a
         # screen prime may have any factor degrees
         alpha = F.generator()
         f = gp_product(F, [[F.neg(alpha), F.zero(), F.one()],
                            [F.scale(alpha, -2), F.zero(), F.one()]])
-        assert not towers._certified_irreducible(chain, f), name
+        assert not towers._certified_irreducible(F, f), name
     # over Q(i), with maps at 193 and 197: x^2 - 386 is x^2 modulo 193, so
     # the image of f there is not squarefree; modulo 197 both factors of f
     # stay irreducible
-    chain = field_chain(base_field("Q(i)"))
-    f = lift_to_field(chain[-1], P(-386, 0, 1) * P(1, -1, 0, 1))
-    assert not towers._certified_irreducible(chain, f)
+    F = tower_field(base_field("Q(i)"))
+    f = lift_to_field(F, P(-386, 0, 1) * P(1, -1, 0, 1))
+    assert not towers._certified_irreducible(F, f)
 
 
 def certificate_inputs():
