@@ -3,10 +3,11 @@
 The route is classical Zassenhaus: reduce to a monic squarefree integer
 polynomial and take the factor degrees, by distinct-degree factorization,
 modulo each of the first few odd primes keeping it squarefree, stopping
-early once some prime shows at most four factors and a further prime adds
-no degree information. A divisor's degree must be a subset sum of the
-factor degrees at every one of them, so when only 0 and the full degree
-survive the polynomial is irreducible and nothing is lifted. Otherwise
+early once some prime shows at most eight factors and a further prime adds
+no degree information, when at most 162 subsets are left to test. A
+divisor's degree must be a subset sum of the factor degrees at every one
+of them, so when only 0 and the full degree survive the polynomial is
+irreducible and nothing is lifted. Otherwise
 split it modulo the prime with the fewest factors (Cantor-Zassenhaus on
 fixed probes), Hensel-lift the modular factors past the Mignotte
 coefficient bound, and recombine subsets in ascending size order, skipping
@@ -14,7 +15,11 @@ those whose degree no prime allows. Returned factors are monic over Q,
 sorted by (degree, coefficient tuple), with multiplicities.
 
 The mod-p layer works on plain int lists (ascending coefficients, trimmed).
-It is internal but also feeds the ramification machinery, which needs mod-p
+Its operands are small (mostly under ten coefficients, p below 2^16), so
+the cost is in building lists: a product wanted only modulo a fixed
+polynomial is reduced in the same pass that sums it (_mod_mulmod), and a
+remainder is taken without its quotient (_mod_rem). The layer is internal
+but also feeds the ramification machinery, which needs mod-p
 factorizations with multiplicities; every split there is the same
 distinct-degree factorization, then Cantor-Zassenhaus, at a cost in log p.
 """
@@ -48,10 +53,14 @@ _DEGREE_SET_PRIMES = 5
 
 # Stop taking primes once one shows at most this many modular factors and
 # the latest prime left the degree set unchanged: recombination then tests
-# at most ten subsets, so a further prime would cost more than it can save.
-# After a prime that narrows the set (the first always does) the next is
-# taken, since it may prove f irreducible without lifting.
-_FEW_MODULAR_FACTORS = 4
+# at most sum_{k<=4} C(8, k) = 162 subsets, nearly all stopped by the
+# constant-term screen. All 162 screens at a modulus of 17^32 take about
+# 0.4 ms in pure Python, one distinct-degree factorization of a degree-15
+# polynomial at 17 about 0.5 ms, and a prime that leaves the set unchanged
+# rarely narrows it next, so a further prime would cost more than it can
+# save. After a prime that narrows the set (the first always does) the
+# next is taken, since it may prove f irreducible without lifting.
+_FEW_MODULAR_FACTORS = 8
 
 
 # ---------------------------------------------------------------------------
@@ -114,10 +123,57 @@ def _mod_divmod(f, g, p):
     return _trim(q), _trim([c % p for c in f[:d]])
 
 
+def _reducer(g, p):
+    """x^n mod (g, p) for n = deg g, as n entries: -g[:n] / lc(g)."""
+    inv = -pow(g[-1], -1, p)
+    return [c * inv % p for c in g[:-1]]
+
+
+def _reduce(f, red, p):
+    """f mod (g, p) for red = _reducer(g, p), overwriting the list f.
+
+    Each leading term c x^k, k >= n, is replaced by c x^(k-n) red; entries
+    are reduced mod p only when read, as in _mod_divmod."""
+    n = len(red)
+    for k in range(len(f) - 1, n - 1, -1):
+        c = f[k] % p
+        if c:
+            for j, r in enumerate(red, k - n):
+                f[j] += c * r
+    return _trim([c % p for c in f[:n]])
+
+
+def _mod_rem(f, g, p):
+    """The remainder of _mod_divmod(f, g, p), built without the quotient."""
+    f = list(f)
+    d = len(g) - 1
+    inv_lc = pow(g[-1], -1, p)
+    low = g[:d]
+    for k in range(len(f) - 1, d - 1, -1):
+        c = f[k] * inv_lc % p
+        if c:
+            for j, b in enumerate(low, k - d):
+                f[j] -= c * b
+    return _trim([c % p for c in f[:d]])
+
+
+def _mod_mulmod(a, b, red, p):
+    """a*b mod (g, p) for red = _reducer(g, p): the product is built from
+    unreduced integers and reduced once, with no quotient."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return _reduce(out, red, p)
+
+
 def _mod_gcd(f, g, p):
     a, b = _trim([c % p for c in f]), _trim([c % p for c in g])
     while b:
-        a, b = b, _mod_divmod(a, b, p)[1]
+        a, b = b, _mod_rem(a, b, p)
     if a:
         inv = pow(a[-1], -1, p)
         a = [c * inv % p for c in a]
@@ -125,14 +181,15 @@ def _mod_gcd(f, g, p):
 
 
 def _mod_pow_mod(base, e, modulus, p):
-    """base^e mod (modulus, p) by repeated squaring."""
-    out = [1]
-    base = _mod_divmod(base, modulus, p)[1]
-    while e:
-        if e & 1:
-            out = _mod_divmod(_mod_mul(out, base, p), modulus, p)[1]
-        base = _mod_divmod(_mod_mul(base, base, p), modulus, p)[1]
-        e >>= 1
+    """base^e mod (modulus, p) by left-to-right repeated squaring."""
+    red = _reducer(modulus, p)
+    if e == 0:
+        return _reduce([1], red, p)
+    base = out = _reduce(list(base), red, p)
+    for bit in bin(e)[3:]:
+        out = _mod_mulmod(out, out, red, p)
+        if bit == "1":
+            out = _mod_mulmod(out, base, red, p)
     return out
 
 
@@ -184,24 +241,29 @@ def _frobenius_columns(f: list[int], p: int) -> list[list[int]]:
 
     These are the columns of the Frobenius matrix of Fp[x]/(f), f monic.
     Each column is the previous one times x^p: by p shift-and-reduce steps
-    (cost p*n) for small p, otherwise by one product with x^p mod f (cost
-    n^2). Timed in pure Python, the two cross over near p = 2n.
+    (cost p*n) for small p, otherwise by one fused product with x^p mod f
+    (cost n^2). Timed in pure Python, the two cross over near p = 1.5n for
+    8 <= n <= 48 and near p = 3n for n = 4; at p = 2n the product is 1.2
+    to 1.45 times as fast for n >= 6, so the switch stays there.
     """
     n = len(f) - 1
     col = [1] + [0] * (n - 1)
     cols = [col]
-    xp = None if p < 2 * n else _mod_pow_mod([0, 1], p, f, p)
-    for _ in range(n - 1):
-        if xp is None:
+    if p < 2 * n:
+        for _ in range(n - 1):
             for _ in range(p):
                 top = col[-1] % p
                 col = [0] + col[:-1]
                 if top:
                     col = [c - top * a for c, a in zip(col, f)]
             col = [c % p for c in col]
-        else:
-            col = _mod_divmod(_mod_mul(col, xp, p), f, p)[1]
-            col = col + [0] * (n - len(col))
+            cols.append(col)
+        return cols
+    red = _reducer(f, p)
+    xp = _mod_pow_mod([0, 1], p, f, p)
+    for _ in range(n - 1):
+        col = _mod_mulmod(col, xp, red, p)
+        col += [0] * (n - len(col))
         cols.append(col)
     return cols
 
@@ -272,9 +334,10 @@ def _equal_degree_split(g: list[int], d: int, p: int) -> list[list[int]]:
         split = []
         for h in pending:
             if p == 2:
-                acc = power = _mod_divmod(t, h, p)[1]
+                red = _reducer(h, p)
+                acc = power = _reduce(list(t), red, p)
                 for _ in range(d - 1):
-                    power = _mod_divmod(_mod_mul(power, power, p), h, p)[1]
+                    power = _mod_mulmod(power, power, red, p)
                     acc = _mod_add(acc, power, p)
             else:
                 acc = _mod_sub(_mod_pow_mod(t, e, h, p), [1], p)
@@ -364,18 +427,24 @@ def _xgcd_mod_p(f, g, p):
 
 
 def _hensel_step(f, g, h, s, t, m):
-    """Lift f = g*h with s*g + t*h = 1 from mod m to mod m^2."""
+    """Lift f = g*h with s*g + t*h = 1 from mod m to mod m^2: (g1, h1)."""
     mm = m * m
     e = _mod_sub(f, _mod_mul(g, h, mm), mm)
     q, r = _mod_divmod(_mod_mul(s, e, mm), h, mm)
     g1 = _mod_add(g, _mod_add(_mod_mul(t, e, mm), _mod_mul(q, g, mm), mm), mm)
-    h1 = _mod_add(h, r, mm)
+    return g1, _mod_add(h, r, mm)
+
+
+def _bezout_step(g1, h1, s, t, m):
+    """Lift s*g + t*h = 1 from mod m to mod m^2, for (g1, h1) the factors
+    _hensel_step lifted: (s1, t1) with s1*g1 + t1*h1 = 1 mod m^2."""
+    mm = m * m
     b = _mod_sub(_mod_add(_mod_mul(s, g1, mm), _mod_mul(t, h1, mm), mm),
                  [1], mm)
     c, d = _mod_divmod(_mod_mul(s, b, mm), h1, mm)
     s1 = _mod_sub(s, d, mm)
     t1 = _mod_sub(t, _mod_add(_mod_mul(t, b, mm), _mod_mul(c, g1, mm), mm), mm)
-    return g1, h1, s1, t1
+    return s1, t1
 
 
 def _modulus_for(p: int, target: int) -> int:
@@ -400,7 +469,10 @@ def _hensel_lift_tree(f, factors, p, target):
     s, t = _xgcd_mod_p(g, h, p)
     m = p
     while m < target:
-        g, h, s, t = _hensel_step(f, g, h, s, t, m)
+        g, h = _hensel_step(f, g, h, s, t, m)
+        # the last doubling needs no s, t for a further one
+        if m * m < target:
+            s, t = _bezout_step(g, h, s, t, m)
         m = m * m
     g = [c % m for c in g]
     h = [c % m for c in h]

@@ -2,7 +2,7 @@
 
 Discriminants of the polynomials handled here can run to dozens of digits,
 so trial division alone is not enough; factorization falls back to Pollard
-rho with Floyd's cycle finding after stripping small primes.  Everything is
+rho with Brent's cycle finding after stripping small primes.  Everything is
 deterministic: the rho "random" walk uses a fixed constant sequence.
 """
 
@@ -15,6 +15,9 @@ _SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
 # Strong-pseudoprime bases proving primality for n < 3.3 * 10^24; larger n
 # fall back to the same fixed bases, which is probabilistic but deterministic.
 _MR_BASES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41]
+
+# Rho steps whose differences share one gcd.
+_RHO_BATCH = 128
 
 
 def valuation(n: int, p: int) -> int:
@@ -67,16 +70,36 @@ def is_probable_prime(n: int) -> bool:
 
 
 def _pollard_rho(n: int) -> int:
-    """A nontrivial factor of composite odd n."""
+    """A nontrivial factor of composite odd n.
+
+    Brent's variant (BIT 20, 1980): y walks x -> x^2 + c from 2, and is
+    compared with the saved x at steps r + 1, ..., 2r for r = 1, 2, 4, ...;
+    the differences are multiplied together and one gcd is taken per
+    _RHO_BATCH of them.  When a batch's gcd is n, its steps are replayed
+    one gcd at a time from the batch's start.
+    """
     if n % 2 == 0:
         return 2
     for c in range(1, 100):
-        f = lambda x: (x * x + c) % n
-        x, y, d = 2, 2, 1
+        y, r, q, d = 2, 1, 1, 1
         while d == 1:
-            x = f(x)
-            y = f(f(y))
-            d = math.gcd(abs(x - y), n)
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and d == 1:
+                start = y
+                for _ in range(min(_RHO_BATCH, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                d = math.gcd(q, n)
+                k += _RHO_BATCH
+            r *= 2
+        if d == n:
+            d = 1
+            while d == 1:
+                start = (start * start + c) % n
+                d = math.gcd(x - start, n)
         if d != n:
             return d
     raise ArithmeticError(f"rho failed to split {n}")

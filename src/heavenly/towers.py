@@ -72,6 +72,7 @@ from .factorization import (
     _mod_divmod,
     _mod_gcd,
     _mod_pow_mod,
+    _mod_rem,
     _mod_sub,
     _squarefree_mod,
     _trim,
@@ -821,13 +822,55 @@ def _shift_values(limit: int):
 def _root_mod(f: list, p: int):
     """A simple root in F_p of the monic f, or None: the first root of
     gcd(f, x^p - x), the product of f's linear factors, less those shared
-    with f', as `_equal_degree_split` orders them."""
+    with f', as `_equal_degree_split` orders them.
+
+    A quadratic x^2 + b x + c at odd p skips x^p: its roots are
+    (-b +- s)/2 with s^2 = b^2 - 4c by Tonelli-Shanks, None when b^2 - 4c
+    is zero or no square.  The split isolates x - r, with r the root
+    returned, at its first probe x + k, k = 0, 1, ..., on which exactly
+    one root has r + k a nonzero square; such a k exists, since the
+    Legendre symbol of (k + r1)(k + r2) sums to -1 over F_p.
+    """
+    if len(f) == 3 and p > 2:
+        c, b, _ = f
+        half = (p - 1) // 2
+        disc = (b * b - 4 * c) % p
+        if pow(disc, half, p) != 1:
+            return None
+        s = _sqrt_mod(disc, p)
+        # half + 1 = (p + 1)/2 is the inverse of 2
+        roots = ((s - b) * (half + 1) % p, (-s - b) * (half + 1) % p)
+        for k in count():
+            first, second = (pow(r + k, half, p) == 1 for r in roots)
+            if first != second:
+                return roots[0] if first else roots[1]
     x = [0, 1]
     h = _mod_gcd(f, _mod_sub(_mod_pow_mod(x, p, f, p), x, p), p)
     repeated = _mod_gcd(h, _mod_deriv(f, p), p)
     if len(repeated) > 1:
         h = _mod_divmod(h, repeated, p)[0]
     return -_equal_degree_split(h, 1, p)[0][0] % p if len(h) > 1 else None
+
+
+def _sqrt_mod(a: int, p: int) -> int:
+    """A square root of the nonzero square a modulo the odd prime p, by
+    Tonelli-Shanks (Cohen, GTM 138, Algorithm 1.5.1)."""
+    q, e = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        e += 1
+    x, b = pow(a, (q + 1) // 2, p), pow(a, q, p)
+    if b == 1:
+        return x
+    z = next(z for z in count(2) if pow(z, (p - 1) // 2, p) == p - 1)
+    y = pow(z, q, p)
+    while b != 1:
+        # b has order 2^m < 2^e; y has order 2^e
+        m = next(m for m in count(1) if pow(b, 1 << m, p) == 1)
+        t = pow(y, 1 << (e - m - 1), p)
+        y, e = t * t % p, m
+        x, b = x * t % p, b * y % p
+    return x
 
 
 def _map_mod(basis, nums, den: int, p: int):
@@ -895,7 +938,7 @@ def _resultant_mod(a: list, b: list, p: int) -> int:
             return 0
         if db == 0:
             return acc * pow(b[0], da, p) % p
-        r = _mod_divmod(a, b, p)[1]
+        r = _mod_rem(a, b, p)
         if not r:
             return 0
         acc = acc * pow(b[-1], da - len(r) + 1, p) % p
@@ -1146,7 +1189,10 @@ def _galois_class(tower: FieldTower, h):
     in K gives "A4/S4", three give "V4"; with exactly one root r, the
     discriminant D of h is not a square, and the group is "C4" when
     x^2 - r x + d and x^2 + a x + (b - r) both split over K(sqrt D), else
-    "D4".  Other degrees give None.
+    "D4".  Their discriminants multiply to a square,
+    (r^2 - 4d)(a^2 - 4(b - r)) = (a r - 2c)^2 since R(r) = 0, and are not
+    both zero, as h is separable; so one nonzero e of the two decides.
+    Other degrees give None.
     """
     F = tower_field(tower)
     if len(h) - 1 == 3:
@@ -1163,13 +1209,14 @@ def _galois_class(tower: FieldTower, h):
     r = roots[0]
     D = _cubic_discriminant(F, resolvent)
     d, b, a = h[0], h[2], h[3]
-    # a quadratic of discriminant e splits over K(sqrt D) when e = 0 or
-    # e = (u + v sqrt D)^2 with u v = 0: when e or e D is a square in K
-    for e in (F.add(F.mul(r, r), F.scale(d, -4)),
-              F.add(F.mul(a, a), F.scale(F.sub(b, r), -4))):
-        if not (_is_square(tower, e) or _is_square(tower, F.mul(e, D))):
-            return "D4"
-    return "C4"
+    e = F.add(F.mul(r, r), F.scale(d, -4))
+    if F.is_zero(e):
+        e = F.add(F.mul(a, a), F.scale(F.sub(b, r), -4))
+    # a quadratic of nonzero discriminant e splits over K(sqrt D) when
+    # e = (u + v sqrt D)^2 with u v = 0: when e D or e is a square in K
+    if _is_square(tower, F.mul(e, D)) or _is_square(tower, e):
+        return "C4"
+    return "D4"
 
 
 # Groups whose root stabilisers are transitive on the other roots, so the

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 import pytest
 import random
@@ -282,3 +283,51 @@ def test_factor_over_q_agrees_with_sympy_on_random_products():
             rebuilt = rebuilt * g**mult
         assert rebuilt == f.monic()
         assert facs == _sympy_factor_list(sympy, f)
+
+
+def _unreduced(rng, length, m):
+    """Entries in [-3m, 3m): unreduced and negative, as callers pass them."""
+    return [rng.randrange(-3 * m, 3 * m) for _ in range(length)]
+
+
+def test_fused_kernels_match_divmod():
+    # _mod_mulmod is the remainder of the product by the modulus, and
+    # _mod_rem the remainder of _mod_divmod, for monic and non-monic moduli
+    # over small primes and over Z/7^16, a modulus of Hensel size
+    rng = random.Random(211)
+    for m in (2, 3, 7, 193, 7**16):
+        for trial in range(150):
+            n = rng.randrange(0, 9)
+            lc = 1
+            while trial % 2 == 0 and lc == 1 or gcd(lc, m) != 1:
+                lc = rng.randrange(-3 * m, 3 * m)
+            g = _unreduced(rng, n, m) + [lc]
+            a = _unreduced(rng, rng.randrange(0, 2 * n + 3), m)
+            b = _unreduced(rng, rng.randrange(0, 2 * n + 3), m)
+            red = factorization._reducer(g, m)
+            assert factorization._mod_mulmod(a, b, red, m) == \
+                factorization._mod_divmod(
+                    factorization._mod_mul(a, b, m), g, m)[1], (m, g, a, b)
+            assert factorization._mod_rem(a, g, m) == \
+                factorization._mod_divmod(a, g, m)[1], (m, g, a)
+
+
+def test_degree_scan_stops_once_a_prime_adds_nothing(monkeypatch):
+    # the resolvent norm met by the hard input x^5 - 3: the factor degrees
+    # are (1, 2, 4, 4, 4) mod 7 and again mod 13, and with five factors the
+    # recombination left is cheaper than a third distinct-degree
+    # factorization
+    primes = []
+    ddf = factorization._distinct_degree_parts
+
+    def counting(f, p):
+        primes.append(p)
+        return ddf(f, p)
+
+    monkeypatch.setattr(factorization, "_distinct_degree_parts", counting)
+    f = P(23328, 0, 0, 0, 0, -28593, 0, 0, 0, 0, -189, 0, 0, 0, 0, 1)
+    assert factor_over_q(f) == [
+        (P(-288, 0, 0, 0, 0, 1), 1),
+        (P(-81, 0, 0, 0, 0, 99, 0, 0, 0, 0, 1), 1),
+    ]
+    assert primes == [7, 13]

@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 from heavenly.integers import (
     factorize,
     is_probable_prime,
@@ -71,3 +73,15 @@ def test_odd_prime_divisors():
     assert odd_prime_divisors(-45) == [3, 5]
     assert odd_prime_divisors(256) == []
     assert odd_prime_divisors(15015) == [3, 5, 7, 11, 13]
+
+
+def test_factorize_agrees_with_sympy_on_semiprimes():
+    # products of two or three primes of 8 to 12 digits, where the rho
+    # cycle finding does all the work; sympy's factorint is the oracle
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(113)
+    for _ in range(4):
+        n = 1
+        for _ in range(rng.choice((2, 3))):
+            n *= sympy.nextprime(rng.randrange(10**7, 10**rng.randrange(8, 13)))
+        assert factorize(n) == sympy.factorint(n), n

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 import random
 
+import heavenly.factorization as factorization
 import heavenly.towers as towers
 from heavenly.errors import (
     InputError,
@@ -22,6 +23,7 @@ from heavenly.classify import (
 )
 from heavenly.documents import input_from_document
 from heavenly.factorization import factor_over_q
+from heavenly.integers import is_probable_prime
 from heavenly.polynomials import (
     UniPoly,
     memo_scope,
@@ -764,6 +766,38 @@ def test_screen_never_certifies_a_power_norm(monkeypatch):
         assert towers._screened_shift(F, f, 6) is None, name
 
 
+def generic_quadratic_root(f, p):
+    """The root the generic route picks for a monic quadratic f: the first
+    factor that _equal_degree_split isolates in gcd(f, x^p - x), or None
+    when that gcd has no two distinct roots to isolate."""
+    x = [0, 1]
+    h = factorization._mod_gcd(f, factorization._mod_sub(
+        factorization._mod_pow_mod(x, p, f, p), x, p), p)
+    if len(h) < 3:
+        return None
+    return -factorization._equal_degree_split(h, 1, p)[0][0] % p
+
+
+def test_quadratic_roots_match_the_generic_route():
+    # Tonelli-Shanks roots the quadratic moduli; the root it returns must
+    # be the one the generic split returns, and double roots and
+    # non-residues give None
+    rng = random.Random(233)
+    primes = [q for q in range(193, 2000) if is_probable_prime(q)]
+    outcomes = set()
+    for trial in range(5000):
+        p = rng.choice(primes)
+        if trial % 5 == 0:
+            r = rng.randrange(p)
+            f = [r * r % p, -2 * r % p, 1]
+        else:
+            f = [rng.randrange(p), rng.randrange(p), 1]
+        root = towers._root_mod(f, p)
+        assert root == generic_quadratic_root(f, p), (f, p)
+        outcomes.add((trial % 5 == 0, root is None))
+    assert outcomes == {(True, True), (False, True), (False, False)}
+
+
 def test_screen_maps_need_simple_roots():
     # 193 is the first screen prime, and x^2 - 193 has the double root 0
     # modulo 193: no map of Q(sqrt193) may send the generator there
@@ -1015,6 +1049,33 @@ def test_galois_class_agrees_with_sympy():
         seen.add(label)
         checked += 1
     assert {"C3", "S3"} <= seen
+
+
+def test_cyclic_quartic_decided_by_one_square_test(monkeypatch):
+    # (x^5 - 2)/(x - theta) over Q(theta), theta^5 = 2, has group C4, the
+    # stabiliser of a root in the Frobenius group of order 20; one square
+    # class test settles it, since the two quadratics' discriminants
+    # differ by a square factor
+    K = extend(base_field("Q"), P(-2, 0, 0, 0, 0, 1))
+    F = tower_field(K)
+    powers = [F.one()]
+    for _ in range(4):
+        powers.append(F.mul(powers[-1], F.generator()))
+    calls = []
+    depth = [0]
+    is_square = towers._is_square
+
+    def counting(tower, delta):
+        calls.append(depth[0])
+        depth[0] += 1
+        try:
+            return is_square(tower, delta)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(towers, "_is_square", counting)
+    assert towers._galois_class(K, powers[::-1]) == "C4"
+    assert calls.count(0) == 1
 
 
 def test_two_division_towers_take_no_rational_norm_above_36(monkeypatch):
