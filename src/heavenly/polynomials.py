@@ -401,6 +401,9 @@ _TERM_RE = re.compile(
     r"(?:(?P<num>[0-9]+)(?:/(?P<den>[0-9]+))?(?P<star>\*)?)?"
     r"(?P<x>x(?:\^(?P<exp>[0-9]+))?)?"
 )
+# the largest exponent accepted, checked before the dense list is built;
+# far above any degree the tools can factor or split
+MAX_EXPONENT = 10_000
 
 
 def parse_polynomial(text: str) -> UniPoly:
@@ -431,7 +434,12 @@ def parse_polynomial(text: str) -> UniPoly:
             coef = Fraction(int(m.group("num")), den)
         if m.group("sign"):
             coef = -coef
-        exp = int(m.group("exp") or 1) if m.group("x") else 0
+        digits = (m.group("exp") or "1") if m.group("x") else "0"
+        # count digits first: int() refuses over 4300 of them
+        if (len(digits.lstrip("0")) > len(str(MAX_EXPONENT))
+                or int(digits) > MAX_EXPONENT):
+            raise InputError(f"exponent in {term!r} exceeds {MAX_EXPONENT}")
+        exp = int(digits)
         coeffs[exp] = coeffs.get(exp, Fraction(0)) + coef
     n = max(coeffs) + 1
     return UniPoly.from_list([coeffs.get(i, Fraction(0)) for i in range(n)])

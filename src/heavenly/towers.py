@@ -47,12 +47,14 @@ A splitting tower adjoins a root theta of an irreducible h over K.  For a
 cubic or quartic h, how h/(x - theta) factors over K(theta) follows from
 Gal(h) over K, read off the discriminant and the Kappe-Warren resolvent
 cubic with factoring over K only; a D4 quartic, and every other degree,
-is refactored over K(theta).  The square tests those groups rest on
-descend the tower while the element lies in the field K' below the top
-level: an odd-degree level adjoins no square root, and over a quadratic
-level K'(sqrt e) an element of K' is a square exactly when it or its
-product with e is one in K'.  Any other element is tested by factoring
-x^2 - delta.
+is refactored over K(theta).  A quartic h that is a quintic's irreducible
+cofactor has group C4, A4 or S4, and a root of its resolvent in K, read
+off the degrees of the resolvent norm's factors, means C4.  The square
+tests those groups rest on descend the tower while the element lies in
+the field K' below the top level: an odd-degree level adjoins no square
+root, and over a quadratic level K'(sqrt e) an element of K' is a square
+exactly when it or its product with e is one in K'.  Any other element
+is tested by factoring x^2 - delta.
 """
 
 from __future__ import annotations
@@ -732,10 +734,42 @@ def _factor_squarefree(F, f):
         return []
     if deg == 1:
         return [list(f)]
-    B = F.base
-    if B is None:
+    if F.base is None:
         rational = UniPoly.from_list(f)
         return [list(g.coeffs) for g, _ in factor_over_q(rational)]
+    descent = _norm_factors(F, f)
+    # the norm of a factor of f divides the norm of f, so an irreducible
+    # norm leaves f irreducible (Trager 1976)
+    if descent is None or len(descent[2]) == 1:
+        return [list(f)]
+    shift, g, sub_factors = descent
+    # each factor of the norm is the norm of one factor of g (Trager 1976):
+    # a gcd finds each but the last, which is what remains of g
+    found = []
+    rest = g
+    for nj in sub_factors[:-1]:
+        common = _gp_gcd(F, rest, [F.from_base(c) for c in nj])
+        rest, remainder = _gp_divmod(F, rest, common)
+        if len(common) < 2 or remainder:
+            raise ArithmeticError("norm descent lost factors")
+        found.append(common)
+    if len(rest) < 2:
+        raise ArithmeticError("norm descent lost factors")
+    unshift = F.neg(shift)
+    out = [_gp_monic(F, _gp_taylor_shift(F, h, unshift))
+           for h in found + [rest]]
+    out.sort(key=lambda h: flatten_poly(F, h))
+    return out
+
+
+def _norm_factors(F, f):
+    """The first half of norm descent, for a monic squarefree f of degree
+    at least 2 over the extension F: None when the screen primes prove f
+    irreducible, else (shift, g, factors) with g(x) = f(x - shift), whose
+    norm to F.base is squarefree, and factors that norm's monic
+    irreducible factors over F.base."""
+    deg = len(f) - 1
+    B = F.base
     # The descent takes norms of degree deg times the level degrees, top
     # level first; refuse before computing any of them if one is too big.
     reached = deg
@@ -748,7 +782,7 @@ def _factor_squarefree(F, f):
             )
         level = level.base
     if _certified_irreducible(F, f):
-        return [list(f)]
+        return None
     norm_deg = deg * F.degree
     alpha = F.generator()
     certified = _screened_shift(F, f, norm_deg)
@@ -758,28 +792,7 @@ def _factor_squarefree(F, f):
         norm = _norm_poly(F, g, norm_deg)
         if certified is None and not _gp_squarefree(B, norm):
             continue
-        sub_factors = _factor_squarefree(B, norm)
-        if len(sub_factors) == 1:
-            # the norm of a factor of f divides the norm of f, so an
-            # irreducible norm leaves f irreducible (Trager 1976)
-            return [list(f)]
-        # each factor of the norm is the norm of one factor of g (Trager
-        # 1976): a gcd finds each but the last, which is what remains of g
-        found = []
-        rest = g
-        for nj in sub_factors[:-1]:
-            common = _gp_gcd(F, rest, [F.from_base(c) for c in nj])
-            rest, remainder = _gp_divmod(F, rest, common)
-            if len(common) < 2 or remainder:
-                raise ArithmeticError("norm descent lost factors")
-            found.append(common)
-        if len(rest) < 2:
-            raise ArithmeticError("norm descent lost factors")
-        unshift = F.neg(shift)
-        out = [_gp_monic(F, _gp_taylor_shift(F, h, unshift))
-               for h in found + [rest]]
-        out.sort(key=lambda h: flatten_poly(F, h))
-        return out
+        return shift, g, _factor_squarefree(B, norm)
     raise ArithmeticError("no squarefree shift found for separable input")
 
 
@@ -1192,7 +1205,8 @@ def _galois_class(tower: FieldTower, h):
     "D4".  Their discriminants multiply to a square,
     (r^2 - 4d)(a^2 - 4(b - r)) = (a r - 2c)^2 since R(r) = 0, and are not
     both zero, as h is separable; so one nonzero e of the two decides.
-    Other degrees give None.
+    Other degrees give None.  A quintic's irreducible quartic cofactor,
+    never D4 or V4, is settled by _stabiliser_class instead.
     """
     F = tower_field(tower)
     if len(h) - 1 == 3:
@@ -1219,6 +1233,19 @@ def _galois_class(tower: FieldTower, h):
     return "D4"
 
 
+def _stabiliser_class(F, h):
+    """Gal(h) over the extension F, for h the irreducible quartic cofactor
+    of a quintic over F.base, whose group is then 2-transitive (F20, A5 or
+    S5) with root stabiliser C4, A4 or S4.  Only C4 lies in a D4, so h is
+    "C4" exactly when its resolvent cubic has a root in F: when the
+    resolvent's norm to F.base has a factor of degree [F : F.base] (Trager
+    1976).  Otherwise it is "A4/S4"."""
+    descent = _norm_factors(F, _quartic_resolvent(F, h))
+    if descent and any(len(n) - 1 == F.degree for n in descent[2]):
+        return "C4"
+    return "A4/S4"
+
+
 # Groups whose root stabilisers are transitive on the other roots, so the
 # cofactor h/(x - theta) stays irreducible over K(theta), and groups of
 # order deg h, so K(theta) is the splitting field and the cofactor splits.
@@ -1242,7 +1269,10 @@ def splitting_tower(f, tower: FieldTower = FieldTower()) -> FieldTower:
     of the resolvent and of x^2 - delta over K rather than of the cofactor
     over K(theta): it stays irreducible for S3, A4 and S4, and splits into
     linears for C3, V4 and C4.  A D4 cofactor is a linear times an
-    irreducible quadratic, which the general refactoring finds.  Raises a
+    irreducible quadratic, which the general refactoring finds.  A
+    quintic's cofactor irreducible over K(theta) is a quartic whose group
+    is C4, A4 or S4, told apart by one root test of its resolvent cubic
+    (see _stabiliser_class), with no square test.  Raises a
     resource error carrying the partial tower when the absolute degree
     would exceed SPLITTING_DEGREE_CAP.
     """
@@ -1255,6 +1285,7 @@ def splitting_tower(f, tower: FieldTower = FieldTower()) -> FieldTower:
     # invariant: pending holds the nonlinear irreducible factors of f over
     # the current tower, as coefficient lists over its top field
     pending = [g for g, _ in facs if len(g) - 1 >= 2]
+    stabiliser = None
     while pending:
         F = tower_field(current)
         pending.sort(key=lambda h: (-(len(h) - 1), flatten_poly(F, h)))
@@ -1265,7 +1296,8 @@ def splitting_tower(f, tower: FieldTower = FieldTower()) -> FieldTower:
                 f"splitting tower degree {new_degree} exceeds cap "
                 f"{SPLITTING_DEGREE_CAP}", partial=current,
             )
-        group = _galois_class(current, chosen)
+        group = (_stabiliser_class(F, chosen) if chosen is stabiliser
+                 else _galois_class(current, chosen))
         current = _extend_unchecked(current, chosen)
         NF = tower_field(current)
         refactor = []
@@ -1280,14 +1312,16 @@ def splitting_tower(f, tower: FieldTower = FieldTower()) -> FieldTower:
                 "adjoined generator is not a root of its minimal polynomial"
             )
         pending = []
+        stabiliser = None
         if group in _COFACTOR_IRREDUCIBLE:
             pending.append(cofactor)
         elif group not in _COFACTOR_SPLITS and len(cofactor) - 1 >= 2:
             refactor.append(cofactor)
         for h in refactor:
-            for irr, _ in factor_over_tower(current, h):
-                if len(irr) - 1 >= 2:
-                    pending.append(irr)
+            facs = factor_over_tower(current, h)
+            if h is cofactor and len(h) == 5 and len(facs) == 1:
+                stabiliser = facs[0][0]  # of a 2-transitive quintic
+            pending.extend(irr for irr, _ in facs if len(irr) - 1 >= 2)
     return current
 
 

@@ -6,6 +6,7 @@ import pytest
 import random
 import time
 
+import heavenly.polynomials as polynomials
 from heavenly.errors import InputError
 from heavenly.polynomials import (
     UniPoly,
@@ -236,6 +237,17 @@ def test_parse_polynomial_rejects():
                 "\u0663", "\uff12*x", "x + 1/\u0662"]:
         with pytest.raises(InputError):
             parse_polynomial(bad)
+
+
+def test_parse_polynomial_bounds_the_exponent():
+    # the dense coefficient list is sized by the largest exponent, so a
+    # short text must not ask for a huge one
+    bound = polynomials.MAX_EXPONENT
+    assert parse_polynomial(f"x^{bound} - 1").degree == bound
+    for text in (f"x^{bound + 1}", f"2*x^{bound + 1} + x - 1",
+                 "x^" + "9" * 5000):
+        with pytest.raises(InputError, match=str(bound)):
+            parse_polynomial(text)
 
 
 def test_format_round_trip():

@@ -1078,6 +1078,98 @@ def test_cyclic_quartic_decided_by_one_square_test(monkeypatch):
     assert calls.count(0) == 1
 
 
+# Quintics by Galois group over Q.  The first three groups are
+# 2-transitive, so the quartic cofactor over Q(theta) stays irreducible;
+# D5 and C5 are not, and the cofactor factors over Q(theta).
+QUINTICS = {
+    "F20": ("x^5 - 2", "x^5 - 3"),
+    "A5": ("x^5 + 20*x + 16",),
+    "S5": ("x^5 - x - 1",),
+    "D5": ("x^5 - 5*x + 12",),
+    "C5": ("x^5 + x^4 - 4*x^3 - 3*x^2 + 3*x + 1",),
+}
+QUINTIC_ORDERS = {"F20": 20, "A5": 60, "S5": 120, "D5": 10, "C5": 5}
+
+
+def quartic_cofactor(f, tag):
+    """K = B(theta) for a root theta of f over the tagged base B, with the
+    factors over K of f/(x - theta); None when f is reducible over B."""
+    base = base_field(tag)
+    if not is_irreducible_over_tower(base, f):
+        return None
+    K = extend(base, f)
+    F = tower_field(K)
+    cofactor, rem = towers._gp_divmod(F, lift_to_field(F, f),
+                                      [F.neg(F.generator()), F.one()])
+    assert not rem
+    return K, factor_over_tower(K, cofactor)
+
+
+def test_stabiliser_class_agrees_with_galois_class():
+    rng = random.Random(113)
+    quintics = [parse_polynomial(text) for name in ("F20", "A5", "S5")
+                for text in QUINTICS[name]]
+    while len(quintics) < 7:
+        f = seeded_squarefree(rng, 5)
+        if is_irreducible_over_tower(FieldTower(), f):
+            quintics.append(f)
+    labels = []
+    for tag in BASE_TAGS:
+        for f in quintics:
+            found = quartic_cofactor(f, tag)
+            if found is None:
+                continue
+            K, factors = found
+            assert [len(h) - 1 for h, _ in factors] == [4], (tag, f)
+            h = factors[0][0]
+            label = towers._stabiliser_class(tower_field(K), h)
+            assert label == towers._galois_class(K, h), (tag, f)
+            labels.append(label)
+    assert len(labels) >= 20 and set(labels) == {"C4", "A4/S4"}
+    # a D5 or C5 cofactor is reducible, so splitting_tower never asks
+    for tag in BASE_TAGS:
+        for name in ("D5", "C5"):
+            f = parse_polynomial(QUINTICS[name][0])
+            found = quartic_cofactor(f, tag)
+            assert found is not None and len(found[1]) > 1, (tag, name)
+
+
+def test_quintic_splitting_degrees_agree_with_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    for name, texts in QUINTICS.items():
+        for text in texts:
+            poly = sympy.Poly(sympy.sympify(text.replace("^", "**")), x)
+            order = sympy.galois_group(poly)[0].order()
+            assert order == QUINTIC_ORDERS[name], text
+            assert splitting_degree(parse_polynomial(text)) == order, text
+    for name in ("F20", "D5", "C5"):
+        f = parse_polynomial(QUINTICS[name][0])
+        assert splitting_tower(f) == \
+            reference_splitting_tower(f, FieldTower()), name
+
+
+def test_quintic_quartic_level_takes_no_square_test(monkeypatch):
+    # the quartic cofactor of x^5 - 2 over Q(theta) is settled by one root
+    # test of its resolvent: neither _galois_class nor _is_square sees it
+    calls = []
+    galois_class, is_square = towers._galois_class, towers._is_square
+
+    def counting_class(tower, h):
+        calls.append(("_galois_class", len(h) - 1))
+        return galois_class(tower, h)
+
+    def counting_square(tower, delta):
+        calls.append(("_is_square", tower.height))
+        return is_square(tower, delta)
+
+    monkeypatch.setattr(towers, "_galois_class", counting_class)
+    monkeypatch.setattr(towers, "_is_square", counting_square)
+    tower = splitting_tower(P(-2, 0, 0, 0, 0, 1))
+    assert tower.level_degrees() == [5, 4]
+    assert calls == [("_galois_class", 5)]
+
+
 def test_two_division_towers_take_no_rational_norm_above_36(monkeypatch):
     # the quadratic cofactor over the Weil D=3 field of degree 36, and the
     # cubic cofactor over the degree-20 field of x^5 - 2, are settled by
