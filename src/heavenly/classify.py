@@ -27,9 +27,7 @@ from .polynomials import (
 from .ramification import splitting_field_odd_ramified
 from .towers import (
     BASE_FIELD_POLYS,
-    FieldTower,
     _cubic_discriminant,
-    _embed_up,
     _is_square,
     _pair_cubic,
     _quadratic_step,
@@ -37,7 +35,6 @@ from .towers import (
     factor_over_tower,
     field_chain,
     splitting_tower,
-    tower_field,
 )
 
 HEAVENLY = "heavenly"
@@ -215,7 +212,7 @@ class WeilRestrictionInput:
 
     def __post_init__(self):
         below = base_field(self.base)
-        if _is_square(below, tower_field(below).from_fraction(self.radicand)):
+        if _is_square(below, below.from_fraction(self.radicand)):
             raise InputError("radicand must not be a square in the base field")
         if len(self.cubic) != 4:
             raise InputError("restriction input needs a cubic polynomial")
@@ -224,7 +221,7 @@ class WeilRestrictionInput:
                 raise InputError("coefficients must be (a, b) pairs")
         if self.cubic[-1] != (Fraction(1), Fraction(0)):
             raise InputError("restriction cubic must be monic")
-        K = tower_field(_quadratic_step(self.base, self.radicand))
+        K = _quadratic_step(self.base, self.radicand)
         if K.is_zero(_cubic_discriminant(K, _pair_cubic(K, self.cubic))):
             raise InputError("restriction cubic must be squarefree")
 
@@ -282,11 +279,7 @@ def screen_good_reduction(f: UniPoly) -> str:
     if d.denominator != 1:
         raise ArithmeticError("integral polynomial with fractional "
                               "discriminant")
-    return _screen_outcome(int(d))
-
-
-def _screen_outcome(d: int) -> str:
-    return PLAUSIBLE if odd_part(abs(d)) == 1 else UNKNOWN
+    return PLAUSIBLE if odd_part(abs(int(d))) == 1 else UNKNOWN
 
 
 # ---------------------------------------------------------------------------
@@ -310,9 +303,8 @@ def _two_division_levels(item):
     as it is built."""
     if isinstance(item, WeilRestrictionInput):
         start = _quadratic_step(item.base, item.radicand)
-        K = tower_field(start)
         # the curve, then its conjugate twist: s replaced by -s
-        polys = [_pair_cubic(K, item.cubic, sign) for sign in (1, -1)]
+        polys = [_pair_cubic(start, item.cubic, sign) for sign in (1, -1)]
     else:
         polys = _model_polynomials(item)
         start = base_field(item.base)
@@ -320,13 +312,14 @@ def _two_division_levels(item):
     tower = start
     for f in polys:
         if not isinstance(f, UniPoly):      # coefficients over start
-            f = _embed_up(field_chain(start), field_chain(tower), f)
+            for F in field_chain(tower)[start.height + 1:]:
+                f = [F.from_base(c) for c in f]
         tower = splitting_tower(f, tower)
         yield tower
 
 
-def two_division_tower(item) -> list[FieldTower]:
-    """The 2-division field of any input shape, as a list of towers.
+def two_division_tower(item) -> list:
+    """The 2-division field of any input shape, as a list of fields.
 
     Returns [start, T_1, ..., T_k]: start is the base field, or its
     quadratic step x^2 - D for a restriction, and each T_i is the
@@ -429,15 +422,16 @@ _C_NEQ_6_NOTE = (
 )
 
 
-def _screen_step(d: int, label: str) -> tuple[Step, str]:
-    """The screen on a model polynomial, given its integer discriminant."""
-    outcome = _screen_outcome(d)
+def _screen_step(f: UniPoly, label: str) -> tuple[Step, str]:
+    """screen_good_reduction on a model polynomial, as a step."""
+    outcome = screen_good_reduction(f)
+    d = int(discriminant(f))
     return _computed(
         f"good-reduction screen on the {label}",
         discriminant=d, odd_part=odd_part(abs(d)), outcome=outcome), outcome
 
 
-def _tower_step(tower: FieldTower, base: FieldTower, label: str) -> Step:
+def _tower_step(tower, base, label: str) -> Step:
     return _computed(
         f"2-division field of the {label}, as an explicit tower",
         relative_degree=tower.absolute_degree // base.absolute_degree,
@@ -450,7 +444,7 @@ def _elliptic_screen(E: EllipticInput, steps: list) -> str:
     steps.append(_computed(
         "normalized elliptic model y^2 = f(x)",
         base=E.base, polynomial=format_polynomial(E.cubic), discriminant=d))
-    step, outcome = _screen_step(d, "2-division cubic")
+    step, outcome = _screen_step(E.cubic, "2-division cubic")
     steps.append(step)
     return outcome
 
@@ -467,7 +461,7 @@ def _jacobian_screen(C: JacobianInput, steps: list) -> str:
     if C.poly.degree == 5:
         values["rational_infinite_weierstrass_point"] = True
     steps.append(_computed("normalized genus-2 model y^2 = f(x)", **values))
-    step, outcome = _screen_step(d, "Weierstrass polynomial")
+    step, outcome = _screen_step(C.poly, "Weierstrass polynomial")
     steps.append(step)
     return outcome
 
@@ -479,10 +473,8 @@ def _product_screen(P: ProductInput, steps: list) -> str:
         base=P.base,
         first=format_polynomial(P.first.cubic),
         second=format_polynomial(P.second.cubic)))
-    first_step, first = _screen_step(int(discriminant(P.first.cubic)),
-                                     "first factor")
-    second_step, second = _screen_step(int(discriminant(P.second.cubic)),
-                                       "second factor")
+    first_step, first = _screen_step(P.first.cubic, "first factor")
+    second_step, second = _screen_step(P.second.cubic, "second factor")
     steps.append(first_step)
     steps.append(second_step)
     outcome = PLAUSIBLE if (first, second) == (PLAUSIBLE, PLAUSIBLE) \
@@ -511,8 +503,7 @@ def _weil_screen(W: WeilRestrictionInput, steps: list) -> str:
         steps.append(_cite("JONES_DEGREES", _C_NEQ_6_NOTE))
     norm = make_monic_integral(squarefree_part(W._conjugate_product))
     step, outcome = _screen_step(
-        int(discriminant(norm)),
-        "squarefree part of the conjugate-product sextic")
+        norm, "squarefree part of the conjugate-product sextic")
     steps.append(step)
     return outcome
 
@@ -528,7 +519,7 @@ _TOWER_LABELS = {EllipticInput: "curve", JacobianInput: "Jacobian",
                  ProductInput: "product"}
 
 
-def _tower_stage(item, steps: list) -> FieldTower:
+def _tower_stage(item, steps: list):
     """Build the 2-division tower, recording the shape's steps on it.
 
     Each step is recorded as soon as the tower it reads exists, so a

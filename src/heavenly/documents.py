@@ -14,7 +14,7 @@ from .classify import (
     WeilRestrictionInput,
     classify,
 )
-from .errors import InputError
+from .errors import DigitLimitError, InputError
 from .polynomials import UniPoly, format_polynomial, parse_polynomial
 from .towers import base_field
 from .verifier import LemmaReport
@@ -49,6 +49,8 @@ def parse_rational(value) -> Fraction:
             return Fraction(text)
         except ZeroDivisionError:
             raise InputError(f"zero denominator in {value!r}") from None
+        except ValueError as exc:
+            raise DigitLimitError(str(exc)) from None
     raise InputError(f"expected a rational number, got {value!r}")
 
 
@@ -69,6 +71,8 @@ def parse_quadratic_pair(text: str) -> tuple[Fraction, Fraction]:
         raise InputError(f"expected an 'a+b*s' string, got {text!r}")
     try:
         f = parse_polynomial(text.replace("s", "x"))
+    except DigitLimitError:
+        raise
     except InputError:
         raise InputError(f"cannot parse coefficient entry {text!r}") from None
     return f.coefficient(0), f.coefficient(1)

@@ -13,6 +13,11 @@ class InputError(HeavenlyError):
     """The caller supplied data that violates a documented precondition."""
 
 
+class DigitLimitError(InputError):
+    """A number has more decimal digits than Python's int() reads; the
+    message is Python's, which names its limit."""
+
+
 class ReducibleExtensionError(InputError):
     """An extension step was attempted with a reducible polynomial.
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import InputError
+from .errors import DigitLimitError, InputError
 
 RatLike = int | Fraction
 
@@ -428,10 +428,13 @@ def parse_polynomial(text: str) -> UniPoly:
         if m.group("num") is None:
             coef = Fraction(1)
         else:
-            den = int(m.group("den") or 1)
+            try:
+                num, den = int(m.group("num")), int(m.group("den") or 1)
+            except ValueError as exc:
+                raise DigitLimitError(str(exc)) from None
             if not den:
                 raise InputError(f"zero denominator in {term!r}")
-            coef = Fraction(int(m.group("num")), den)
+            coef = Fraction(num, den)
         if m.group("sign"):
             coef = -coef
         digits = (m.group("exp") or "1") if m.group("x") else "0"

@@ -1,21 +1,25 @@
 """Number fields as towers of explicit monic extensions of Q.
 
-A tower is a sequence of levels; level i is a monic polynomial, irreducible
-over the field generated by the levels below, stored as a tuple of that
-field's elements in ascending degree order.  An element of Q is a Fraction.
-An element of a field of height at least 1 is a pair (nums, den) in lowest
-terms: a flat tuple of integers, one per power-basis element of the whole
-tower, over one positive denominator.  Coordinate i*b + j, with b the
-degree of the field below, belongs to the i-th power of the top generator
-times the j-th basis element below, so the coefficients over the field
-below are consecutive slices, and flatten lists nums/den as Fractions.
-Products are integer convolutions reduced level by level; rational scalars
-touch only nums and den.  Over a first level above Q, multiplication by a
-is an integer matrix C over one scalar s, so the norm of a is det C / s^d
-by Bareiss elimination; higher levels take norms, and every level takes
-the symmetric functions of a's conjugates that inversion needs, from
-traces by Newton's identities, because elimination over a tower would
-invert at every pivot.
+A field is its tower: RATIONAL, or an ExtensionField over its base, the
+field below.  Its levels are the moduli from the bottom up, each monic and
+irreducible over the field below it, as a tuple of that field's elements
+in ascending degree order.  Fields with equal levels are equal, and
+FieldTower(levels) interns them in a bounded table, so each field's
+generator traces and residue maps are computed once.
+
+An element of Q is a Fraction.  An element of a field of height at least 1
+is a pair (nums, den) in lowest terms: a flat tuple of integers, one per
+power-basis element of the whole tower, over one positive denominator.
+Coordinate i*b + j, with b the degree of the field below, belongs to the
+i-th power of the top generator times the j-th basis element below, so the
+coefficients over the field below are consecutive slices, and flatten lists
+nums/den as Fractions.  Products are integer convolutions reduced level by
+level; rational scalars touch only nums and den.  Over a first level above
+Q, multiplication by a is an integer matrix C over one scalar s, so the
+norm of a is det C / s^d by Bareiss elimination; higher levels take norms,
+and every level takes the symmetric functions of a's conjugates that
+inversion needs, from traces by Newton's identities, because elimination
+over a tower would invert at every pivot.
 
 Factoring over a tower runs on norms: shift the variable by multiples of the
 top generator until the resultant with the top minimal polynomial (the norm,
@@ -54,12 +58,12 @@ tests those groups rest on descend the tower while the element lies in
 the field K' below the top level: an odd-degree level adjoins no square
 root, and over a quadratic level K'(sqrt e) an element of K' is a square
 exactly when it or its product with e is one in K'.  Any other element
-is tested by factoring x^2 - delta.
+is a square when x^2 - delta has a root in K, read off the degrees of its
+norm's factors as for the resolvent.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import count, islice
@@ -120,12 +124,39 @@ def _lowest_terms(nums, den: int) -> tuple:
     return (tuple([x // g for x in nums]), den // g)
 
 
-class RationalField:
+class _Tower:
+    """A field seen as its tower: equal and hash-equal by its levels."""
+
+    @property
+    def height(self) -> int:
+        return len(self.levels)
+
+    def level_degrees(self) -> list[int]:
+        return [len(lev) - 1 for lev in self.levels]
+
+    def extends(self, other: _Tower) -> bool:
+        return self.levels[: other.height] == other.levels
+
+    def __eq__(self, other):
+        return self is other or (isinstance(other, _Tower)
+                                 and self.levels == other.levels)
+
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self) -> str:
+        degs = "x".join(str(d) for d in self.level_degrees()) or "1"
+        return f"FieldTower(degree={self.absolute_degree}, levels={degs})"
+
+
+class RationalField(_Tower):
     """Field operations on Fraction values; ground of every tower."""
 
     degree = 1
     absolute_degree = 1
     base = None
+    levels = ()
+    _hash = hash(levels)
     # integer products at this height carry no denominator
     _product_den = 1
 
@@ -184,7 +215,7 @@ class RationalField:
 RATIONAL = RationalField()
 
 
-class ExtensionField:
+class ExtensionField(_Tower):
     """The field below, extended by a root of a monic minimal polynomial.
 
     An element is a pair (nums, den): nums is a tuple of absolute_degree
@@ -208,6 +239,8 @@ class ExtensionField:
             raise InputError("extension modulus must be monic")
         self.base = base
         self.modulus = tuple(modulus)
+        self.levels = base.levels + (self.modulus,)
+        self._hash = hash(self.levels)
         self.degree = d = len(modulus) - 1
         self._width = width = base.absolute_degree
         self.absolute_degree = n = width * d
@@ -641,71 +674,39 @@ def _gp_squarefree(F, f):
 # Towers.
 
 
-@dataclass(frozen=True)
-class FieldTower:
-    """A number field as a tower of monic irreducible extension levels."""
-
-    levels: tuple[tuple, ...] = ()
-
-    @property
-    def height(self) -> int:
-        return len(self.levels)
-
-    @property
-    def absolute_degree(self) -> int:
-        d = 1
-        for lev in self.levels:
-            d *= len(lev) - 1
-        return d
-
-    def level_degrees(self) -> list[int]:
-        return [len(lev) - 1 for lev in self.levels]
-
-    def extends(self, other: "FieldTower") -> bool:
-        return self.levels[: other.height] == other.levels
-
-    def __repr__(self) -> str:
-        degs = "x".join(str(d) for d in self.level_degrees()) or "1"
-        return f"FieldTower(degree={self.absolute_degree}, levels={degs})"
+@lru_cache(maxsize=256)
+def _interned(base, modulus: tuple) -> ExtensionField:
+    """base extended by the monic modulus over it, one object per pair
+    while cached; the bound keeps a long batch from growing it."""
+    return ExtensionField(base, modulus)
 
 
-def base_field(tag: str) -> FieldTower:
-    """The tower for a ground field tag: Q, Q(i), Q(sqrt2), or Q(sqrt-2)."""
+def FieldTower(levels=()):
+    """The field with the given levels, from the bottom up: RATIONAL for
+    none, and one object for equal levels while _interned holds it."""
+    F = RATIONAL
+    for level in levels:
+        F = _interned(F, tuple(level))
+    return F
+
+
+def base_field(tag: str):
+    """The field for a ground field tag: Q, Q(i), Q(sqrt2), or Q(sqrt-2)."""
     if not isinstance(tag, str) or tag not in BASE_FIELD_POLYS:
         known = ", ".join(sorted(BASE_FIELD_POLYS))
         raise InputError(f"unknown base field {tag!r}; expected one of {known}")
     poly = BASE_FIELD_POLYS[tag]
-    if poly is None:
-        return FieldTower(())
-    return FieldTower((poly,))
+    return FieldTower(() if poly is None else (poly,))
 
 
-@lru_cache(maxsize=256)
-def field_chain(tower: FieldTower) -> tuple:
-    """Fields from Q up to the tower's top, one per level; built once per
-    tower, so each field's generator traces and residue maps are computed
-    once."""
-    if not tower.levels:
-        return (RATIONAL,)
-    below = field_chain(FieldTower(tower.levels[:-1]))
-    return below + (ExtensionField(below[-1], tower.levels[-1]),)
-
-
-def tower_field(tower: FieldTower):
-    return field_chain(tower)[-1]
+def field_chain(F) -> tuple:
+    """Fields from Q up to F, one per level."""
+    return (F,) if F.base is None else field_chain(F.base) + (F,)
 
 
 def lift_to_field(F, f: UniPoly) -> list:
     """A rational polynomial as a polynomial over the field F."""
     return [F.from_fraction(c) for c in f.coeffs]
-
-
-def _embed_up(chain_from, chain_to, f):
-    """Re-embed a polynomial over chain_to[len(chain_from)-1]'s subfield."""
-    out = f
-    for F in chain_to[len(chain_from):]:
-        out = [F.from_base(c) for c in out]
-    return out
 
 
 def _as_gpoly(F, f):
@@ -737,12 +738,15 @@ def _factor_squarefree(F, f):
     if F.base is None:
         rational = UniPoly.from_list(f)
         return [list(g.coeffs) for g, _ in factor_over_q(rational)]
-    descent = _norm_factors(F, f)
+    descent = _squarefree_norm(F, f)
+    if descent is None:
+        return [list(f)]
+    shift, g, norm = descent
+    sub_factors = _factor_squarefree(F.base, norm)
     # the norm of a factor of f divides the norm of f, so an irreducible
     # norm leaves f irreducible (Trager 1976)
-    if descent is None or len(descent[2]) == 1:
+    if len(sub_factors) == 1:
         return [list(f)]
-    shift, g, sub_factors = descent
     # each factor of the norm is the norm of one factor of g (Trager 1976):
     # a gcd finds each but the last, which is what remains of g
     found = []
@@ -762,12 +766,11 @@ def _factor_squarefree(F, f):
     return out
 
 
-def _norm_factors(F, f):
+def _squarefree_norm(F, f):
     """The first half of norm descent, for a monic squarefree f of degree
     at least 2 over the extension F: None when the screen primes prove f
-    irreducible, else (shift, g, factors) with g(x) = f(x - shift), whose
-    norm to F.base is squarefree, and factors that norm's monic
-    irreducible factors over F.base."""
+    irreducible, else (shift, g, norm) with g(x) = f(x - shift) and norm
+    its norm to F.base, monic and squarefree."""
     deg = len(f) - 1
     B = F.base
     # The descent takes norms of degree deg times the level degrees, top
@@ -792,7 +795,7 @@ def _norm_factors(F, f):
         norm = _norm_poly(F, g, norm_deg)
         if certified is None and not _gp_squarefree(B, norm):
             continue
-        return shift, g, _factor_squarefree(B, norm)
+        return shift, g, norm
     raise ArithmeticError("no squarefree shift found for separable input")
 
 
@@ -1044,26 +1047,25 @@ def _squarefree_parts(F, f):
     return out
 
 
-def factor_over_tower(tower: FieldTower, f) -> list[tuple[list, int]]:
-    """Monic irreducible factors over the tower field, with multiplicities.
+def factor_over_tower(F, f) -> list[tuple[list, int]]:
+    """Monic irreducible factors over the field F, with multiplicities.
 
-    f may be a UniPoly over Q or a coefficient list of tower elements.
+    f may be a UniPoly over Q or a coefficient list of F's elements.
     The product of factor^multiplicity equals f up to a constant.  Over Q
     the factors are factor_over_q's, whose order is flatten_poly's.  Inside
-    a polynomials.memo_scope each (tower levels, f) is factored once; every
-    call gets new lists.
+    a polynomials.memo_scope each (field, f) is factored once; every call
+    gets new lists.
     """
     key = f if isinstance(f, UniPoly) else tuple(f)
-    answer = memoized(("factor_over_tower", tower.levels, key),
+    answer = memoized(("factor_over_tower", F, key),
                       lambda: tuple((tuple(g), mult) for g, mult
-                                    in _factor_over_tower(tower, f)))
+                                    in _factor_over_tower(F, f)))
     return [(list(g), mult) for g, mult in answer]
 
 
-def _factor_over_tower(tower: FieldTower, f) -> list[tuple[list, int]]:
-    F = tower_field(tower)
+def _factor_over_tower(F, f) -> list[tuple[list, int]]:
     g = _as_gpoly(F, f)
-    if not tower.levels:
+    if F.base is None:
         return [(list(h.coeffs), mult)
                 for h, mult in factor_over_q(UniPoly.from_list(g))]
     if not g:
@@ -1083,38 +1085,32 @@ def _factor_over_tower(tower: FieldTower, f) -> list[tuple[list, int]]:
     return result
 
 
-def is_irreducible_over_tower(tower: FieldTower, f) -> bool:
-    facs = factor_over_tower(tower, f)
+def is_irreducible_over_tower(F, f) -> bool:
+    facs = factor_over_tower(F, f)
     return len(facs) == 1 and facs[0][1] == 1
 
 
-def extend(tower: FieldTower, g) -> FieldTower:
-    """One more level; g must be monic irreducible over the tower."""
-    F = tower_field(tower)
+def extend(F, g):
+    """F with one more level; g must be monic irreducible over F."""
     gp = _as_gpoly(F, g)
     if len(gp) - 1 < 2:
         raise InputError("extension degree must be at least 2")
     if not F.is_zero(F.sub(gp[-1], F.one())):
         raise InputError("extension polynomial must be monic")
-    facs = factor_over_tower(tower, gp)
+    facs = factor_over_tower(F, gp)
     if len(facs) != 1 or facs[0][1] != 1:
         raise ReducibleExtensionError(
             "extension polynomial is reducible over the tower",
             factors=facs,
         )
-    return FieldTower(tower.levels + (tuple(gp),))
+    return _interned(F, tuple(gp))
 
 
-def _extend_unchecked(tower: FieldTower, gp: list) -> FieldTower:
-    return FieldTower(tower.levels + (tuple(gp),))
-
-
-def _quadratic_step(base: str, D) -> FieldTower:
+def _quadratic_step(base: str, D):
     """The tagged base field with a root s of x^2 - D adjoined, for a D
     that is no square there (see _is_square)."""
     below = base_field(base)
-    return _extend_unchecked(below, lift_to_field(tower_field(below),
-                                                  UniPoly.of(-D, 0, 1)))
+    return _interned(below, tuple(lift_to_field(below, UniPoly.of(-D, 0, 1))))
 
 
 def _pair_cubic(K, cubic, sign: int = 1) -> list:
@@ -1162,40 +1158,51 @@ def _quartic_resolvent(F, h):
             F.one()]
 
 
-def _is_square(tower: FieldTower, delta) -> bool:
-    """Whether delta is a square in the tower field K.
+def _is_square(F, delta) -> bool:
+    """Whether delta is a square in the field K = F.
 
-    A delta in the field K' below the top level descends: a top level of
+    A delta in the field K' = F.base below the top level descends: a top level of
     odd degree adjoins no square root, so delta is a square in K exactly
     when it is one in K'; a top level y^2 + b y + c makes K = K'(sqrt e),
     e = b^2 - 4c, and (u + v sqrt e)^2 lies in K' only when u v = 0, so
     delta is a square in K exactly when delta or delta e is one in K'.  Over
     Q the numerator and denominator are tested.  Any other delta is a
-    square exactly when x^2 - delta factors over K, through norms of degree
-    2 [K:Q] at most.
+    square exactly when x^2 - delta has a root in K (see _has_root).
     """
-    if not tower.levels:
+    B = F.base
+    if B is None:
         return delta >= 0 and all(isqrt(n) ** 2 == n for n in (
             delta.numerator, delta.denominator))
-    F = tower_field(tower)
     if F.is_zero(delta):
         return True
-    B = F.base
     low, *high = F.coords(delta)
     if all(B.is_zero(c) for c in high):
-        below = FieldTower(tower.levels[:-1])
         if F.degree % 2:
-            return _is_square(below, low)
+            return _is_square(B, low)
         if F.degree == 2:
             c, b, _ = F.modulus
             e = B.sub(B.mul(b, b), B.scale(c, 4))
-            return _is_square(below, low) or _is_square(below, B.mul(low, e))
-    return len(factor_over_tower(tower, [F.neg(delta), F.zero(),
-                                         F.one()])) == 2
+            return _is_square(B, low) or _is_square(B, B.mul(low, e))
+    return _has_root(F, [F.neg(delta), F.zero(), F.one()])
 
 
-def _galois_class(tower: FieldTower, h):
-    """Gal(h) over the tower field K, for a monic irreducible h over K.
+def _has_root(F, h, degree: int = 1) -> bool:
+    """Whether the monic squarefree h of degree at least 2 has a factor of
+    the given degree over F, by default a root.  Over an extension, its
+    norm to F.base, squarefree after a shift, has one factor of degree
+    deg(g) [F : F.base] for each factor g of h (Trager 1976), so the
+    question descends to Q with no gcd pulling a factor back."""
+    if F.base is None:
+        return any(g.degree == degree
+                   for g, _ in factor_over_q(UniPoly.from_list(h)))
+    descent = _squarefree_norm(F, h)
+    if descent is None:
+        return len(h) - 1 == degree
+    return _has_root(F.base, descent[2], degree * F.degree)
+
+
+def _galois_class(F, h):
+    """Gal(h) over the field K = F, for a monic irreducible h over K.
 
     A cubic is "C3" when its discriminant is a square in K, else "S3".  A
     quartic follows Kappe-Warren on its resolvent cubic R over K: no root
@@ -1208,13 +1215,12 @@ def _galois_class(tower: FieldTower, h):
     Other degrees give None.  A quintic's irreducible quartic cofactor,
     never D4 or V4, is settled by _stabiliser_class instead.
     """
-    F = tower_field(tower)
     if len(h) - 1 == 3:
-        return "C3" if _is_square(tower, _cubic_discriminant(F, h)) else "S3"
+        return "C3" if _is_square(F, _cubic_discriminant(F, h)) else "S3"
     if len(h) - 1 != 4:
         return None
     resolvent = _quartic_resolvent(F, h)
-    roots = [F.neg(g[0]) for g, _ in factor_over_tower(tower, resolvent)
+    roots = [F.neg(g[0]) for g, _ in factor_over_tower(F, resolvent)
              if len(g) == 2]
     if not roots:
         return "A4/S4"
@@ -1228,7 +1234,7 @@ def _galois_class(tower: FieldTower, h):
         e = F.add(F.mul(a, a), F.scale(F.sub(b, r), -4))
     # a quadratic of nonzero discriminant e splits over K(sqrt D) when
     # e = (u + v sqrt D)^2 with u v = 0: when e D or e is a square in K
-    if _is_square(tower, F.mul(e, D)) or _is_square(tower, e):
+    if _is_square(F, F.mul(e, D)) or _is_square(F, e):
         return "C4"
     return "D4"
 
@@ -1237,13 +1243,9 @@ def _stabiliser_class(F, h):
     """Gal(h) over the extension F, for h the irreducible quartic cofactor
     of a quintic over F.base, whose group is then 2-transitive (F20, A5 or
     S5) with root stabiliser C4, A4 or S4.  Only C4 lies in a D4, so h is
-    "C4" exactly when its resolvent cubic has a root in F: when the
-    resolvent's norm to F.base has a factor of degree [F : F.base] (Trager
-    1976).  Otherwise it is "A4/S4"."""
-    descent = _norm_factors(F, _quartic_resolvent(F, h))
-    if descent and any(len(n) - 1 == F.degree for n in descent[2]):
-        return "C4"
-    return "A4/S4"
+    "C4" exactly when its resolvent cubic has a root in F (see _has_root).
+    Otherwise it is "A4/S4"."""
+    return "C4" if _has_root(F, _quartic_resolvent(F, h)) else "A4/S4"
 
 
 # Groups whose root stabilisers are transitive on the other roots, so the
@@ -1257,8 +1259,8 @@ _COFACTOR_SPLITS = frozenset({"C3", "V4", "C4"})
 # Splitting towers.
 
 
-def splitting_tower(f, tower: FieldTower = FieldTower()) -> FieldTower:
-    """The minimal tower over the given one where f splits into linears.
+def splitting_tower(f, tower=RATIONAL):
+    """The least field over the given one where f splits into linears.
 
     Repeatedly extends by a largest-degree irreducible factor (ties broken
     by coefficient order) until every root lies in the tower.  Each adjoined
@@ -1276,37 +1278,31 @@ def splitting_tower(f, tower: FieldTower = FieldTower()) -> FieldTower:
     resource error carrying the partial tower when the absolute degree
     would exceed SPLITTING_DEGREE_CAP.
     """
-    current = tower
-    facs = factor_over_tower(current, f)
+    F = tower
+    facs = factor_over_tower(F, f)
     if not facs:
         raise InputError("cannot split a constant polynomial")
     if any(mult > 1 for _, mult in facs):
         raise InputError("splitting tower requires a squarefree input")
     # invariant: pending holds the nonlinear irreducible factors of f over
-    # the current tower, as coefficient lists over its top field
+    # F, as coefficient lists over F
     pending = [g for g, _ in facs if len(g) - 1 >= 2]
     stabiliser = None
     while pending:
-        F = tower_field(current)
         pending.sort(key=lambda h: (-(len(h) - 1), flatten_poly(F, h)))
         chosen = pending.pop(0)
-        new_degree = current.absolute_degree * (len(chosen) - 1)
+        new_degree = F.absolute_degree * (len(chosen) - 1)
         if new_degree > SPLITTING_DEGREE_CAP:
             raise ResourceCapError(
                 f"splitting tower degree {new_degree} exceeds cap "
-                f"{SPLITTING_DEGREE_CAP}", partial=current,
+                f"{SPLITTING_DEGREE_CAP}", partial=F,
             )
         group = (_stabiliser_class(F, chosen) if chosen is stabiliser
-                 else _galois_class(current, chosen))
-        current = _extend_unchecked(current, chosen)
-        NF = tower_field(current)
-        refactor = []
-        for h in pending:
-            refactor.append([NF.from_base(c) for c in h])
-        lifted = [NF.from_base(c) for c in chosen]
-        cofactor, rem = _gp_divmod(
-            NF, lifted, [NF.neg(NF.generator()), NF.one()]
-        )
+                 else _galois_class(F, chosen))
+        F = _interned(F, tuple(chosen))
+        refactor = [[F.from_base(c) for c in h] for h in pending]
+        lifted = [F.from_base(c) for c in chosen]
+        cofactor, rem = _gp_divmod(F, lifted, [F.neg(F.generator()), F.one()])
         if rem:
             raise ArithmeticError(
                 "adjoined generator is not a root of its minimal polynomial"
@@ -1318,15 +1314,15 @@ def splitting_tower(f, tower: FieldTower = FieldTower()) -> FieldTower:
         elif group not in _COFACTOR_SPLITS and len(cofactor) - 1 >= 2:
             refactor.append(cofactor)
         for h in refactor:
-            facs = factor_over_tower(current, h)
+            facs = factor_over_tower(F, h)
             if h is cofactor and len(h) == 5 and len(facs) == 1:
                 stabiliser = facs[0][0]  # of a 2-transitive quintic
             pending.extend(irr for irr, _ in facs if len(irr) - 1 >= 2)
-    return current
+    return F
 
 
-def splitting_degree(f, tower: FieldTower = FieldTower()) -> int:
-    """Degree of the splitting tower over the given base tower."""
+def splitting_degree(f, tower=RATIONAL) -> int:
+    """Degree of the splitting tower over the given base field."""
     result = splitting_tower(f, tower)
     return result.absolute_degree // tower.absolute_degree
 
@@ -1340,7 +1336,6 @@ __all__ = [
     "RATIONAL",
     "base_field",
     "field_chain",
-    "tower_field",
     "lift_to_field",
     "factor_over_tower",
     "is_irreducible_over_tower",

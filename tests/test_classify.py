@@ -41,7 +41,6 @@ from heavenly.towers import (
     extend,
     splitting_degree,
     splitting_tower,
-    tower_field,
 )
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -365,7 +364,7 @@ def test_conjugate_twist_has_the_curves_2_division_degree():
     seen = set()
     for w in seeded_weil_inputs():
         quadratic = extend(base_field(w.base), UniPoly.of(-w.radicand, 0, 1))
-        K = tower_field(quadratic)
+        K = quadratic
         original, conjugate = (
             [K.add(K.from_fraction(a), K.scale(K.generator(), sign * b))
              for a, b in w.cubic] for sign in (1, -1))
@@ -595,7 +594,7 @@ def test_screen_primes_stay_above_the_default_cap(monkeypatch):
     # fields, and their screen maps with them; the primes they took stay
     # above the cap the module sets, so a later call takes the same route
     item = WeilRestrictionInput.of("Q", 3, TWO_CUBIC_WEIL)
-    towers.field_chain.cache_clear()
+    towers._interned.cache_clear()
     monkeypatch.setattr(towers, "NORM_DEGREE_CAP", 24)
     assert classify(item).status == UNKNOWN
     monkeypatch.undo()
@@ -859,7 +858,7 @@ def test_conjugate_product_is_the_norm_from_q_of_s():
     # restriction over every base where it is a valid input
     compared = 0
     for radicand, pairs in _census()["weil_restrictions"]["models"]:
-        K = tower_field(towers._quadratic_step("Q", Fraction(radicand)))
+        K = towers._quadratic_step("Q", Fraction(radicand))
         cubic = tuple((Fraction(a), Fraction(b)) for a, b in pairs)
         norm = UniPoly.from_list(
             towers._norm_poly(K, towers._pair_cubic(K, cubic), 6))

@@ -3,6 +3,7 @@
 import json
 import re
 import shutil
+import sys
 from pathlib import Path
 
 import pytest
@@ -36,6 +37,10 @@ MALFORMED = {
                      b"1" * 5000 + b", 0, 0, 1]}",
     "deep.json": b"[" * 100000 + b"]" * 100000,
 }
+# a number written with more digits than Python's int() reads, and the
+# limit the error must name
+LONG_NUMBER = "9" * 5000
+DIGIT_LIMIT = f"({sys.get_int_max_str_digits()} digits)"
 CAP_DOC = {"kind": "weil_restriction", "base_field": "Q", "D": 3,
            "cubic": ["-1-s", "-1", "0", "1"]}
 
@@ -288,6 +293,26 @@ def test_tool_rejects_text_outside_the_grammar(capsys, expr):
     assert capsys.readouterr().err.startswith("error: bad term")
 
 
+def test_tool_rejects_numbers_past_the_digit_limit(capsys):
+    assert main(["tool", "factor", f"{LONG_NUMBER}*x"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and DIGIT_LIMIT in err
+
+
+@pytest.mark.parametrize("doc", [
+    {"kind": "elliptic", "base_field": "Q",
+     "cubic": ["0", "-1", LONG_NUMBER, "1"]},
+    {"kind": "weil_restriction", "base_field": "Q", "D": 3,
+     "cubic": ["-1-s", f"{LONG_NUMBER}*s", "0", "1"]},
+], ids=["elliptic string", "weil a+b*s entry"])
+def test_classify_rejects_numbers_past_the_digit_limit(capsys, tmp_path,
+                                                       doc):
+    path = write_doc(tmp_path / "long.json", doc)
+    assert main(["classify", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and DIGIT_LIMIT in err
+
+
 def test_tool_rejects_floats(capsys):
     assert main(["tool", "factor", "x^2-0.5"]) == 2
     assert "floating point" in capsys.readouterr().err
@@ -334,6 +359,24 @@ def test_corpus_certificates_match_their_golden_bodies(tmp_path):
         name = f"{stem}.cert.json"
         body = ELAPSED.sub("", (outdir / name).read_text(encoding="utf-8"))
         assert body == (GOLDEN / name).read_text(encoding="utf-8"), stem
+
+
+def test_corpus_matches_golden_after_the_intern_table_is_cleared(tmp_path):
+    # fields built afresh, with their screen maps, give the same bytes as
+    # fields kept from the run before
+    stems = sorted(p.stem for p in CORPUS.glob("*.json"))
+    assert len(stems) == 9
+    bodies = []
+    for run in ("first", "second"):
+        outdir = tmp_path / run
+        assert main(["classify", str(CORPUS), "--dir", str(outdir)]) == 0
+        bodies.append([ELAPSED.sub("", (outdir / f"{stem}.cert.json")
+                                   .read_text(encoding="utf-8"))
+                       for stem in stems])
+        towers._interned.cache_clear()
+    assert bodies[0] == bodies[1]
+    assert bodies[1] == [(GOLDEN / f"{stem}.cert.json").read_text(
+        encoding="utf-8") for stem in stems]
 
 
 def test_corpus_classified_twice_in_one_process_matches_golden(tmp_path):

@@ -40,7 +40,6 @@ from heavenly.towers import (
     lift_to_field,
     splitting_degree,
     splitting_tower,
-    tower_field,
 )
 
 
@@ -94,7 +93,7 @@ def test_extend_rejects_non_monic_and_linear():
 
 def test_factor_x2_plus_1_over_qi():
     t = base_field("Q(i)")
-    F = tower_field(t)
+    F = t
     facs = factor_over_tower(t, P(1, 0, 1))
     assert len(facs) == 2
     assert all(mult == 1 and len(g) - 1 == 1 for g, mult in facs)
@@ -110,7 +109,7 @@ def test_x2_plus_1_irreducible_over_sqrt2():
 
 def test_x4_plus_1_over_sqrt2_two_quadratics():
     t = base_field("Q(sqrt2)")
-    F = tower_field(t)
+    F = t
     facs = factor_over_tower(t, P(1, 0, 0, 0, 1))
     assert len(facs) == 2
     assert all(len(g) - 1 == 2 and mult == 1 for g, mult in facs)
@@ -188,7 +187,7 @@ def test_norm_descent_factors_frozen(monkeypatch):
         tower = base_field(tag)
         if level is not None:
             tower = extend(tower, level)
-        F = tower_field(tower)
+        F = tower
         found.clear()
         facs = factor_over_tower(tower, f)
         assert (F.base, norm_factors) in found, name
@@ -288,7 +287,7 @@ def test_norm_degree_cap_fires_before_any_norm(monkeypatch):
 def test_factor_over_tower_random_products():
     rng = random.Random(47)
     t = base_field("Q(i)")
-    F = tower_field(t)
+    F = t
     for _ in range(30):
         parts = []
         for _ in range(rng.randrange(2, 4)):
@@ -364,6 +363,23 @@ def test_field_chain_structure():
     assert chain[2].absolute_degree == 4
 
 
+def test_equal_levels_give_one_field_while_interned():
+    tower = splitting_tower(P(-2, 0, 0, 1), base_field("Q(i)"))
+    assert FieldTower() is towers.RATIONAL
+    assert FieldTower(tower.levels) is tower
+    assert field_chain(tower)[1] is base_field("Q(i)")
+    towers._interned.cache_clear()
+    fresh = FieldTower(tower.levels)
+    assert fresh is not tower
+    assert fresh == tower and hash(fresh) == hash(tower)
+    assert {fresh: 1}[tower] == 1
+    assert repr(fresh) == repr(tower) == \
+        "FieldTower(degree=12, levels=2x3x2)"
+    assert fresh.extends(tower.base) and not tower.base.extends(fresh)
+    assert fresh != fresh.base and fresh.base != towers.RATIONAL
+    assert towers.RATIONAL.level_degrees() == [] and fresh.height == 3
+
+
 def test_parse_polynomial_integration():
     f = parse_polynomial("x^4 - 2")
     assert splitting_degree(f) == 8
@@ -416,7 +432,7 @@ def stacked(*levels):
     tests do not depend on factoring."""
     tower = FieldTower()
     for make in levels:
-        tower = FieldTower(tower.levels + (tuple(make(tower_field(tower))),))
+        tower = FieldTower(tower.levels + (tuple(make(tower)),))
     return tower
 
 
@@ -458,7 +474,7 @@ def test_non_integral_levels_are_irreducible():
 def test_tower_multiplication_matches_fraction_reference():
     rng = random.Random(61)
     for name, tower in arithmetic_towers():
-        F = tower_field(tower)
+        F = tower
         levels = flat_levels(tower)
         for _ in range(3 if F.absolute_degree > 8 else 20):
             a, b = random_element(F, rng), random_element(F, rng)
@@ -475,7 +491,7 @@ def test_tower_multiplication_matches_fraction_reference():
 def test_tower_multiplication_is_a_ring_product():
     rng = random.Random(67)
     for name, tower in arithmetic_towers():
-        F = tower_field(tower)
+        F = tower
         for _ in range(4 if F.absolute_degree > 8 else 25):
             a, b, c = (random_element(F, rng) for _ in range(3))
             assert F.mul(F.mul(a, b), c) == F.mul(a, F.mul(b, c)), name
@@ -493,7 +509,7 @@ def test_tower_multiplication_is_a_ring_product():
 def test_norm_is_multiplicative_and_a_power_on_the_base():
     rng = random.Random(73)
     for name, tower in arithmetic_towers():
-        F = tower_field(tower)
+        F = tower
         B = F.base
         for _ in range(3 if F.absolute_degree > 8 else 15):
             a, b = random_element(F, rng), random_element(F, rng)
@@ -515,7 +531,7 @@ def test_norm_is_multiplicative_and_a_power_on_the_base():
 def test_tower_embeddings_round_trip():
     rng = random.Random(71)
     for name, tower in arithmetic_towers():
-        F = tower_field(tower)
+        F = tower
         B = F.base
         for _ in range(10):
             q = Fraction(rng.randrange(-9, 10), rng.randrange(1, 5))
@@ -532,7 +548,7 @@ def test_tower_embeddings_round_trip():
 
 def test_non_integral_level_factors_and_splits():
     t = non_integral_tower()
-    F = tower_field(t)
+    F = t
     K = F.base
     w = F.generator()
     z = F.from_base(K.generator())
@@ -633,7 +649,7 @@ def test_hard_round_one_towers_frozen():
 
 def residue_maps(levels):
     """The screen's residue maps of the field with the given levels."""
-    return field_chain(FieldTower(levels))[-1]._residue_maps
+    return FieldTower(levels)._residue_maps
 
 
 def embed_to(chain, height, c):
@@ -646,7 +662,7 @@ def embed_to(chain, height, c):
 def test_screen_map_is_a_ring_map():
     rng = random.Random(79)
     for tower in (non_integral_tower(), non_integral_over_q()):
-        F = tower_field(tower)
+        F = tower
         # a dummy top level, so the maps below it cover the whole tower
         # field; the tower's own whole-field maps cover it through a root
         # of its top modulus
@@ -714,7 +730,7 @@ def test_screened_and_exact_descent_agree(monkeypatch):
     rng = random.Random(83)
     inputs = []
     for name, tower in screen_fields():
-        F = tower_field(tower)
+        F = tower
         inputs += [(name, tower, random_squarefree(F, rng))
                    for _ in range(4)]
     inputs += certificate_inputs()
@@ -740,14 +756,17 @@ def test_screened_and_exact_descent_agree(monkeypatch):
         return squarefree(*args)
 
     monkeypatch.setattr(towers, "_gp_squarefree", exact)
-    # fresh fields take their screen maps with no primes
+    # fresh fields, rebuilt from their levels, take their screen maps with
+    # no primes
     monkeypatch.setattr(towers, "_SCREEN_PRIMES", 0)
-    field_chain.cache_clear()
+    towers._interned.cache_clear()
     try:
         for (name, tower, f), expected in zip(inputs, screened):
-            assert factor_over_tower(tower, f) == expected, name
+            fresh = FieldTower(tower.levels)
+            assert fresh is not tower or not tower.levels, name
+            assert factor_over_tower(fresh, f) == expected, name
     finally:
-        field_chain.cache_clear()
+        towers._interned.cache_clear()
     assert exact_tests
 
 
@@ -755,7 +774,7 @@ def test_screen_never_certifies_a_power_norm(monkeypatch):
     # f over the base field: at shift 0 the norm is f^2, not squarefree
     cases = []
     for name, tower in screen_fields()[1:]:
-        F = tower_field(tower)
+        F = tower
         f = lift_to_field(F, P(-2, 0, 0, 1))
         assert len(F._residue_maps) == towers._SCREEN_PRIMES, name
         assert towers._screened_shift(F, f, 6) not in (0, None), name
@@ -802,7 +821,7 @@ def test_screen_maps_need_simple_roots():
     # 193 is the first screen prime, and x^2 - 193 has the double root 0
     # modulo 193: no map of Q(sqrt193) may send the generator there
     sqrt193 = extend(base_field("Q"), P(-193, 0, 1))
-    F = tower_field(sqrt193)
+    F = sqrt193
     assert towers._root_mod([0, 0, 1], 193) is None
     assert towers._root_mod([0, 1, 1], 193) == 192
     maps = F._residue_maps
@@ -816,7 +835,7 @@ def test_screen_maps_need_simple_roots():
 def test_whole_field_images_skip_denominators():
     # Q(i) has whole-field maps at 193 and 197; a coefficient over 193 is
     # not defined at the first
-    F = tower_field(base_field("Q(i)"))
+    F = base_field("Q(i)")
     f = [F.from_fraction(-1), F.from_fraction(Fraction(1, 193)), F.one()]
     images = list(towers._whole_field_images(F, f))
     assert [p for p, _ in images] == [197]
@@ -833,7 +852,7 @@ def certificate_fields():
                                     ("x^3 - 2 over Q(i)", split)]
     for name, tower in fields:
         assert any(whole is not None
-                   for *_, whole in tower_field(tower)._residue_maps), name
+                   for *_, whole in tower._residue_maps), name
     return fields
 
 
@@ -844,7 +863,7 @@ def random_monic(F, rng, deg):
 def test_irreducibility_certificate_never_fires_on_products():
     rng = random.Random(89)
     for name, tower in certificate_fields():
-        F = tower_field(tower)
+        F = tower
         for _ in range(12):
             degrees = [rng.randrange(1, 4) for _ in range(rng.randrange(2, 4))]
             f = gp_product(F, [random_monic(F, rng, d) for d in degrees])
@@ -858,7 +877,7 @@ def test_irreducibility_certificate_never_fires_on_products():
     # over Q(i), with maps at 193 and 197: x^2 - 386 is x^2 modulo 193, so
     # the image of f there is not squarefree; modulo 197 both factors of f
     # stay irreducible
-    F = tower_field(base_field("Q(i)"))
+    F = base_field("Q(i)")
     f = lift_to_field(F, P(-386, 0, 1) * P(1, -1, 0, 1))
     assert not towers._certified_irreducible(F, f)
 
@@ -869,7 +888,7 @@ def certificate_inputs():
     rng = random.Random(97)
     inputs = []
     for name, tower in certificate_fields():
-        F = tower_field(tower)
+        F = tower
         big = F.absolute_degree > 4
         for _ in range(2 if big else 4):
             inputs.append((name, tower, random_monic(
@@ -893,7 +912,7 @@ def test_quintic_cofactor_is_irreducible_without_norms(monkeypatch):
     monkeypatch.setattr(towers, "_norm_poly", no_norms)
     for a in (2, 3, 5, 6, 7):
         tower = extend(base_field("Q"), P(-a, 0, 0, 0, 0, 1))
-        F = tower_field(tower)
+        F = tower
         quintic = lift_to_field(F, P(-a, 0, 0, 0, 0, 1))
         quartic, rem = towers._gp_divmod(
             F, quintic, [F.neg(F.generator()), F.one()])
@@ -951,11 +970,11 @@ def reference_splitting_tower(f, tower):
     current = tower
     pending = [g for g, _ in factor_over_tower(current, f) if len(g) > 2]
     while pending:
-        F = tower_field(current)
+        F = current
         pending.sort(key=lambda h: (-(len(h) - 1), towers.flatten_poly(F, h)))
         chosen = pending.pop(0)
         current = FieldTower(current.levels + (tuple(chosen),))
-        NF = tower_field(current)
+        NF = current
         lifted = [[NF.from_base(c) for c in h] for h in pending + [chosen]]
         theta = [NF.neg(NF.generator()), NF.one()]
         lifted[-1] = towers._gp_divmod(NF, lifted[-1], theta)[0]
@@ -1057,7 +1076,7 @@ def test_cyclic_quartic_decided_by_one_square_test(monkeypatch):
     # class test settles it, since the two quadratics' discriminants
     # differ by a square factor
     K = extend(base_field("Q"), P(-2, 0, 0, 0, 0, 1))
-    F = tower_field(K)
+    F = K
     powers = [F.one()]
     for _ in range(4):
         powers.append(F.mul(powers[-1], F.generator()))
@@ -1098,7 +1117,7 @@ def quartic_cofactor(f, tag):
     if not is_irreducible_over_tower(base, f):
         return None
     K = extend(base, f)
-    F = tower_field(K)
+    F = K
     cofactor, rem = towers._gp_divmod(F, lift_to_field(F, f),
                                       [F.neg(F.generator()), F.one()])
     assert not rem
@@ -1122,7 +1141,7 @@ def test_stabiliser_class_agrees_with_galois_class():
             K, factors = found
             assert [len(h) - 1 for h, _ in factors] == [4], (tag, f)
             h = factors[0][0]
-            label = towers._stabiliser_class(tower_field(K), h)
+            label = towers._stabiliser_class(K, h)
             assert label == towers._galois_class(K, h), (tag, f)
             labels.append(label)
     assert len(labels) >= 20 and set(labels) == {"C4", "A4/S4"}
@@ -1254,6 +1273,38 @@ def test_is_square_agrees_with_factoring():
                         (False, False)}
 
 
+def test_is_square_pulls_no_root_back(monkeypatch):
+    # a delta outside the field below is a square exactly when x^2 - delta
+    # has a root, read off the degrees of its norms' factors down to Q: no
+    # gcd pulls a factor back at any level
+    rng = random.Random(107)
+    fields = [base_field("Q(i)"), extend(base_field("Q"),
+                                         P(-2, 0, 0, 0, 0, 1)),
+              splitting_tower(P(-2, 0, 0, 1), base_field("Q(i)"))]
+    cases = []
+    for F in fields:
+        for k in range(6):
+            delta = F.zero()
+            while all(F.base.is_zero(c) for c in F.coords(delta)[1:]):
+                gamma = nonzero_element(F, rng)
+                delta = F.mul(gamma, gamma) if k % 2 else gamma
+            factors = factor_over_tower(F, [F.neg(delta), F.zero(), F.one()])
+            cases.append((F, delta, len(factors) == 2))
+    assert [expected for *_, expected in cases] == [False, True] * 9
+    gcd_fields = []
+    gp_gcd = towers._gp_gcd
+
+    def recording(F, f, g):
+        gcd_fields.append(F)
+        return gp_gcd(F, f, g)
+
+    monkeypatch.setattr(towers, "_gp_gcd", recording)
+    for F, delta, expected in cases:
+        gcd_fields.clear()
+        assert towers._is_square(F, delta) == expected, F
+        assert not gcd_fields, F
+
+
 def random_rational_modulus(rng, degree):
     """A monic irreducible rational polynomial, often with denominators."""
     while True:
@@ -1272,7 +1323,7 @@ def test_width_one_norm_and_inverse_agree_with_sympy():
     for degree in (2, 3, 4, 5) * 3:
         modulus = random_rational_modulus(rng, degree)
         integral += all(c.denominator == 1 for c in modulus)
-        F = tower_field(FieldTower((tuple(modulus),)))
+        F = FieldTower((tuple(modulus),))
         m = sympy.Poly([sympy.Rational(c.numerator, c.denominator)
                         for c in reversed(modulus)], y)
         for _ in range(4):
