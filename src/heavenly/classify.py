@@ -33,7 +33,6 @@ from .towers import (
     _quadratic_step,
     base_field,
     factor_over_tower,
-    field_chain,
     splitting_tower,
 )
 
@@ -93,9 +92,10 @@ class Verdict:
     base field; closure_degree is the degree over Q of its Galois closure,
     which is the field itself: the 2-division field is the splitting field
     over Q of one rational polynomial, so closure_degree is the absolute
-    degree of its tower.  Either may be None when a resource cap stopped
-    the pipeline early, and closure_degree is None when an odd ramified
-    prime already decided the verdict.
+    degree of its tower.  Each of these and screen is None when a
+    resource cap stopped the pipeline before computing it, and
+    closure_degree is None when an odd ramified prime already decided the
+    verdict.
     """
 
     status: str
@@ -311,9 +311,8 @@ def _two_division_levels(item):
     yield start
     tower = start
     for f in polys:
-        if not isinstance(f, UniPoly):      # coefficients over start
-            for F in field_chain(tower)[start.height + 1:]:
-                f = [F.from_base(c) for c in f]
+        if not isinstance(f, UniPoly) and tower is not start:
+            f = [tower.from_base(c) for c in f]     # coefficients over start
         tower = splitting_tower(f, tower)
         yield tower
 
@@ -560,13 +559,6 @@ def _tower_stage(item, steps: list):
     return top
 
 
-def _capped(steps: list, screen, torsion_degree, exc) -> Verdict:
-    steps.append(_computed(
-        "resource cap reached; verdict left undecided",
-        detail=str(exc)))
-    return Verdict(UNKNOWN, tuple(steps), torsion_degree, None, screen)
-
-
 def classify(item) -> Verdict:
     """Verdict with certificate for any supported input shape.
 
@@ -575,7 +567,8 @@ def classify(item) -> Verdict:
     over Q is a power of 2.  The field is the splitting field over Q of the
     rational defining_polynomials, hence Galois over Q: its odd primes are
     those ramifying in the fields of their irreducible factors, and its
-    closure degree is the tower's absolute degree.  Resource caps yield an
+    closure degree is the tower's absolute degree.  A resource cap
+    anywhere in the call, the screen's factoring included, yields an
     unknown verdict carrying the partial certificate.
 
     The call runs in its own polynomials.memo_scope: a discriminant or
@@ -594,20 +587,20 @@ def _classify(item) -> Verdict:
     else:
         raise InputError(_SHAPE_ERROR)
     steps: list[Step] = []
-    screen = screen_stage(item, steps)
-    steps.append(_cite("SERRE_TATE_GOOD_REDUCTION", _SERRE_TATE_NOTE))
+    screen = torsion_degree = None
     try:
+        screen = screen_stage(item, steps)
+        steps.append(_cite("SERRE_TATE_GOOD_REDUCTION", _SERRE_TATE_NOTE))
         tower = _tower_stage(item, steps)
-    except ResourceCapError as exc:
-        return _capped(steps, screen, None, exc)
-    torsion_degree = \
-        tower.absolute_degree // base_field(item.base).absolute_degree
-
-    try:
+        torsion_degree = \
+            tower.absolute_degree // base_field(item.base).absolute_degree
         ramified = tuple(sorted(
             splitting_field_odd_ramified(defining_polynomials(item))))
     except ResourceCapError as exc:
-        return _capped(steps, screen, torsion_degree, exc)
+        steps.append(_computed(
+            "resource cap reached; verdict left undecided",
+            detail=str(exc)))
+        return Verdict(UNKNOWN, tuple(steps), torsion_degree, None, screen)
     steps.append(_computed(
         "odd primes ramifying in the 2-division field",
         primes=ramified))

@@ -45,11 +45,7 @@ def _print_report(report) -> None:
 
 
 def cmd_verify(args) -> int:
-    try:
-        reports = [run_check(args.only)] if args.only else run_all()
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    reports = [run_check(args.only)] if args.only else run_all()
     passed = all(r.passed for r in reports)
     if args.json:
         print(dump_document({
@@ -134,14 +130,7 @@ def _classify_batch(in_dir: Path, out_dir: Path) -> int:
 def cmd_classify(args) -> int:
     if args.dir is not None:
         return _classify_batch(Path(args.path), Path(args.dir))
-    try:
-        document = _classify_document(read_document(Path(args.path)))
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except ResourceCapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAPPED
+    document = _classify_document(read_document(Path(args.path)))
     text = dump_document(document)
     if args.out is not None:
         try:
@@ -184,22 +173,21 @@ def _tool_axioms() -> None:
         print(f"  then:   {record.conclusion}")
 
 
+# the tools that take a polynomial, with their help text
+_TOOLS = {
+    "factor": (_tool_factor, "irreducible factors over the rationals"),
+    "splitting-degree": (_tool_splitting_degree,
+                         "degree of the splitting field over the rationals"),
+    "ramification": (_tool_ramification,
+                     "odd primes ramified in the splitting field"),
+}
+
+
 def cmd_tool(args) -> int:
-    try:
-        if args.tool == "factor":
-            _tool_factor(args.polynomial)
-        elif args.tool == "splitting-degree":
-            _tool_splitting_degree(args.polynomial)
-        elif args.tool == "ramification":
-            _tool_ramification(args.polynomial)
-        else:
-            _tool_axioms()
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except ResourceCapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAPPED
+    if args.tool == "axioms":
+        _tool_axioms()
+    else:
+        _TOOLS[args.tool][0](args.polynomial)
     return EXIT_OK
 
 
@@ -235,11 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_tool = sub.add_parser("tool", help="algebra utilities")
     tool_sub = p_tool.add_subparsers(dest="tool", required=True)
-    for name, text in (
-            ("factor", "irreducible factors over the rationals"),
-            ("splitting-degree", "degree of the splitting field over the "
-                                 "rationals"),
-            ("ramification", "odd primes ramified in the splitting field")):
+    for name, (_, text) in _TOOLS.items():
         tp = tool_sub.add_parser(name, help=text)
         tp.add_argument("polynomial", help="like 'x^4 - 2' or '2*x^2 - 1/3'")
     tool_sub.add_parser("axioms", help="list the cited external statements")
@@ -254,9 +238,24 @@ _COMMANDS = {
 }
 
 
+def _mark_polynomial(argv: list) -> list:
+    """argv with "--" before a tool's polynomial that starts with "-",
+    which argparse would otherwise read as an option."""
+    if (len(argv) == 3 and argv[0] == "tool" and argv[1] in _TOOLS
+            and argv[2].startswith("-")
+            and argv[2] not in ("-h", "--help", "--")):
+        return argv[:2] + ["--"] + argv[2:]
+    return argv
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    argv = list(sys.argv[1:] if argv is None else argv)
+    args = build_parser().parse_args(_mark_polynomial(argv))
+    try:
+        return _COMMANDS[args.command](args)
+    except (InputError, ResourceCapError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVALID if isinstance(exc, InputError) else EXIT_CAPPED
 
 
 if __name__ == "__main__":

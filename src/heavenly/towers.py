@@ -280,8 +280,10 @@ class ExtensionField(_Tower):
         return ((q.numerator,) + self._zero[0][1:], q.denominator)
 
     def from_base(self, c):
-        nums, den = self.base.parts(c)
-        return (tuple(nums) + self._zero[0][self._width:], den)
+        """c, an element of any field below, as an element of this one:
+        its coordinates are a prefix of these, so zeros pad it."""
+        nums, den = c if isinstance(c, tuple) else RATIONAL.parts(c)
+        return (tuple(nums) + self._zero[0][len(nums):], den)
 
     def parts(self, a):
         """(numerators, denominator) of a in lowest terms."""

@@ -539,6 +539,21 @@ def test_resource_cap_yields_unknown(monkeypatch):
         "norm degree 36 exceeds cap 24"
 
 
+def test_a_cap_in_the_screen_yields_unknown(monkeypatch):
+    # factoring x^2 - 15016 for the quadratic step's odd primes meets the
+    # lowered recombination cap before the screen has an outcome
+    monkeypatch.setattr(factorization, "RECOMBINATION_CAP", 1)
+    verdict = classify(WeilRestrictionInput.of("Q", 15016, TWO_CUBIC_WEIL))
+    assert verdict.status == UNKNOWN
+    assert verdict.screen is None
+    assert verdict.torsion_degree is None
+    assert verdict.closure_degree is None
+    last = verdict.steps[-1]
+    assert last.description == "resource cap reached; verdict left undecided"
+    assert last.value("detail") == (
+        "factor recombination exceeded 1 subsets (degree 2, 2 factors mod 3)")
+
+
 def test_capped_certificates_keep_the_steps_of_built_towers(monkeypatch):
     # a cap in the second cubic of a product keeps the first factor's
     # step, and a cap in a Jacobian's only tower keeps its factor degrees

@@ -2,6 +2,7 @@
 
 import json
 import re
+import shlex
 import shutil
 import sys
 from pathlib import Path
@@ -9,6 +10,8 @@ from pathlib import Path
 import pytest
 
 import heavenly.cli as cli
+import heavenly.factorization as factorization
+import heavenly.permgroups as permgroups
 import heavenly.towers as towers
 from heavenly.cli import main
 from heavenly.verifier import CHECK_IDS, LemmaReport
@@ -43,6 +46,11 @@ LONG_NUMBER = "9" * 5000
 DIGIT_LIMIT = f"({sys.get_int_max_str_digits()} digits)"
 CAP_DOC = {"kind": "weil_restriction", "base_field": "Q", "D": 3,
            "cubic": ["-1-s", "-1", "0", "1"]}
+# with the recombination cap at 1, factoring x^2 - 15016 in the screen
+# stops this input before the screen has an outcome
+SCREEN_CAP_DOC = dict(CAP_DOC, D=15016)
+SCREEN_CAP_DETAIL = ("factor recombination exceeded 1 subsets "
+                     "(degree 2, 2 factors mod 3)")
 
 
 def test_verify_single_check(capsys):
@@ -125,6 +133,38 @@ def test_classify_resource_cap_exit(capsys, tmp_path, monkeypatch):
     assert "resource cap" in doc["certificate"][-1]["description"]
     assert doc["certificate"][-1]["values"]["detail"] == \
         "norm degree 36 exceeds cap 24"
+
+
+def test_verify_exits_3_on_a_resource_cap(capsys, monkeypatch):
+    monkeypatch.setattr(permgroups, "DEFAULT_ELEMENT_CAP", 10)
+    assert main(["verify", "--only", "octic"]) == 3
+    assert capsys.readouterr().err == \
+        "error: group closure exceeded 10 elements\n"
+
+
+def test_classify_prints_the_certificate_of_a_cap_in_the_screen(
+        capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(factorization, "RECOMBINATION_CAP", 1)
+    path = write_doc(tmp_path / "cap.json", SCREEN_CAP_DOC)
+    assert main(["classify", str(path)]) == 3
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["verdict"]["status"] == "unknown"
+    assert doc["verdict"]["screen"] is None
+    assert doc["certificate"][-1]["values"]["detail"] == SCREEN_CAP_DETAIL
+
+
+def test_classify_batch_certifies_a_cap_in_the_screen(
+        capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(factorization, "RECOMBINATION_CAP", 1)
+    indir = tmp_path / "in"
+    outdir = tmp_path / "out"
+    indir.mkdir()
+    write_doc(indir / "cap.json", SCREEN_CAP_DOC)
+    assert main(["classify", str(indir), "--dir", str(outdir)]) == 3
+    assert capsys.readouterr().out == "cap.json: unknown -> cap.cert.json\n"
+    doc = json.loads((outdir / "cap.cert.json").read_text(encoding="utf-8"))
+    assert doc["verdict"]["status"] == "unknown"
+    assert doc["certificate"][-1]["values"]["detail"] == SCREEN_CAP_DETAIL
 
 
 def test_classify_batch(capsys, tmp_path):
@@ -274,6 +314,39 @@ def test_tool_ramification_reads_rational_factors(capsys):
     # comes from the discriminant -101*431 of the sextic itself
     assert main(["tool", "ramification", "x^6+x+1"]) == 0
     assert capsys.readouterr().out.strip() == "{101, 431}"
+
+
+@pytest.mark.parametrize("tool, expr, lines", [
+    ("factor", "-x^2+1", ["x - 1", "x + 1"]),
+    ("splitting-degree", "-x^3+2", ["6"]),
+    ("ramification", "-x^2+45", ["{5}"]),
+])
+def test_tool_reads_a_leading_minus(capsys, tool, expr, lines):
+    # argparse alone takes such text for an option and exits 2
+    assert main(["tool", tool, expr]) == 0
+    assert capsys.readouterr().out.splitlines() == lines
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_tool_help_still_works(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["tool", "factor", flag])
+    assert exc.value.code == 0
+    assert "polynomial" in capsys.readouterr().out
+
+
+def test_readme_tool_examples(capsys):
+    # each `heavenly tool ... # -> out` line of README.md, its output lines
+    # written after the arrow and separated by "; "
+    examples = [line.split("# ->") for line in
+                (ROOT / "README.md").read_text(encoding="utf-8").splitlines()
+                if line.startswith("heavenly tool ") and "# ->" in line]
+    assert len(examples) >= 4
+    for command, expected in examples:
+        argv = shlex.split(command)[1:]
+        assert main(argv) == 0, command
+        assert capsys.readouterr().out.splitlines() == \
+            expected.strip().split("; "), command
 
 
 def test_tool_ramification_rejects_constants(capsys):

@@ -546,6 +546,20 @@ def test_tower_embeddings_round_trip():
                 x for coeff in F.coords(a) for x in B.flatten(coeff)), name
 
 
+def test_from_base_lifts_from_any_field_below():
+    # coordinates of a subfield are a prefix of the field's, so one
+    # padding equals the lift through every level between
+    rng = random.Random(83)
+    for name, tower in arithmetic_towers():
+        chain = field_chain(tower)
+        for height in range(len(chain) - 2):
+            for _ in range(5):
+                c = random_element(chain[height], rng)
+                assert tower.from_base(c) == embed_to(chain, height, c), (
+                    name, height)
+    assert frozen_tower("Weil D=3").absolute_degree == 72
+
+
 def test_non_integral_level_factors_and_splits():
     t = non_integral_tower()
     F = t

@@ -86,19 +86,6 @@ def test_corebound_report():
     assert report.has_value("scope")
 
 
-def test_corebound_smaller_ambient():
-    report = verify_corebound(max_symmetric_degree=2)
-    assert report.passed
-    assert report.value("violations") == 0
-    assert report.has_value("violations_s2")
-    assert not report.has_value("violations_s4")
-
-
-def test_corebound_rejects_large_degree():
-    with pytest.raises(InputError):
-        verify_corebound(max_symmetric_degree=5)
-
-
 def test_dim272_report():
     report = verify_dim272()
     assert report.passed
