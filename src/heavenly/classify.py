@@ -22,6 +22,7 @@ from .polynomials import (
     format_polynomial,
     make_monic_integral,
     memo_scope,
+    quadratic_pair_text,
     squarefree_part,
 )
 from .ramification import splitting_field_odd_ramified
@@ -245,18 +246,8 @@ class WeilRestrictionInput:
 # Certificate text of a + b*s pairs.
 
 
-def _pair_text(pair) -> str:
-    a, b = pair
-    if b == 0:
-        return str(a)
-    if a == 0:
-        return f"{b}*s"
-    sign = "+" if b > 0 else "-"
-    return f"{a}{sign}{abs(b)}*s"
-
-
 def _pair_poly_text(cubic) -> str:
-    return "[" + ", ".join(_pair_text(pair) for pair in cubic) + "]"
+    return "[" + ", ".join(map(quadratic_pair_text, cubic)) + "]"
 
 
 # ---------------------------------------------------------------------------

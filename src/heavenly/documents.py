@@ -15,7 +15,12 @@ from .classify import (
     classify,
 )
 from .errors import DigitLimitError, InputError
-from .polynomials import UniPoly, format_polynomial, parse_polynomial
+from .polynomials import (
+    UniPoly,
+    format_polynomial,
+    parse_quadratic_pair,
+    quadratic_pair_text,
+)
 from .towers import base_field
 from .verifier import LemmaReport
 
@@ -61,33 +66,6 @@ def encode_rational(q: Fraction) -> int | str:
         n = q.numerator
         return n if abs(n) <= _EXACT_INT_LIMIT else str(n)
     return f"{q.numerator}/{q.denominator}"
-
-
-def parse_quadratic_pair(text: str) -> tuple[Fraction, Fraction]:
-    """(a, b) from an 'a+b*s' string over the quadratic generator s: a
-    polynomial in s of degree at most 1, in parse_polynomial's grammar
-    without exponents."""
-    if not isinstance(text, str) or "x" in text or "^" in text:
-        raise InputError(f"expected an 'a+b*s' string, got {text!r}")
-    try:
-        f = parse_polynomial(text.replace("s", "x"))
-    except DigitLimitError:
-        raise
-    except InputError:
-        raise InputError(f"cannot parse coefficient entry {text!r}") from None
-    return f.coefficient(0), f.coefficient(1)
-
-
-def format_quadratic_pair(pair: tuple[Fraction, Fraction]) -> str:
-    """The 'a+b*s' rendering of a quadratic-field coefficient."""
-    a, b = Fraction(pair[0]), Fraction(pair[1])
-    if b == 0:
-        return str(a)
-    s_part = "s" if abs(b) == 1 else f"{abs(b)}*s"
-    sign = "-" if b < 0 else ("+" if a != 0 else "")
-    if a == 0:
-        return f"{sign}{s_part}"
-    return f"{a}{sign if sign else '+'}{s_part}"
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +189,7 @@ def document_from_input(item) -> dict:
     if isinstance(item, WeilRestrictionInput):
         return {"kind": "weil_restriction", "base_field": item.base,
                 "D": encode_rational(item.radicand),
-                "cubic": [format_quadratic_pair(p) for p in item.cubic]}
+                "cubic": [quadratic_pair_text(p) for p in item.cubic]}
     raise InputError(f"not a classifier input: {item!r}")
 
 

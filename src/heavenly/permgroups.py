@@ -4,11 +4,15 @@ Groups here are small (a few hundred elements at most), so every operation
 works on the full element set.  A group keeps its elements in ascending
 order of image tuples, so equal groups have equal element tuples and an
 element index means the same permutation in every table cached per group.
-`close_generators` is a depth-first closure of image tuples.  The
-search-heavy operations (subgroup enumeration, normality and cores in
-`core_bound_check`, the pair search and the regular representation) run on
-element indices instead: a cached multiplication table gives the index of
-every product, and an inverse index gives conjugates as two table lookups.
+`close_generators` is a depth-first closure of image tuples, one route for
+every degree: the 272-point regular representation of the affine group of
+F17 closes the same way as S4.  Caps raise `ResourceCapError`: the element
+count of a closure, and the group order that subgroup enumeration and
+`core_bound_check` accept.  The search-heavy operations (subgroup
+enumeration, normality and cores in `core_bound_check`, the pair search
+and the regular representation) run on element indices instead: a cached
+multiplication table gives the index of every product, and an inverse
+index gives conjugates as two table lookups.
 Three subgroup facts keep those searches short: a pair whose closure stops
 short of G settles every pair of cyclic subgroups inside that closure;
 normality and cores need conjugation by generators only; and the subgroups
@@ -131,21 +135,26 @@ def _explicit(degree: int, elements) -> PermGroup:
     return group
 
 
-def close_images(generators: list[tuple[int, ...]]) -> set[tuple[int, ...]]:
-    """Image tuples of the group generated by the given image tuples.
+def close_generators(generators: list[Perm]) -> PermGroup:
+    """The group generated by the given permutations, of any degree.
 
-    The tuples are 1-based images of equal length, composed left to right
-    by `compose_images`, with no cap on the length.  Closure is depth-first
-    under right multiplication by generators, from the identity, so the
-    result is independent of generator order.  Raises when the element
-    count would exceed the cap.
+    Closure is depth-first on image tuples under right multiplication by
+    generators, from the identity, so the result is independent of
+    generator order.  Raises when the element count would exceed the cap.
     """
-    identity = tuple(range(1, len(generators[0]) + 1))
+    if not generators:
+        raise InputError("close_generators needs at least one generator")
+    degree = generators[0].degree
+    for g in generators:
+        if g.degree != degree:
+            raise InputError("generators act on different point sets")
+    gens = [g.images for g in generators]
+    identity = tuple(range(1, degree + 1))
     seen = {identity}
     stack = [identity]
     while stack:
         x = stack.pop()
-        for g in generators:
+        for g in gens:
             y = compose_images(x, g)
             if y not in seen:
                 if len(seen) >= DEFAULT_ELEMENT_CAP:
@@ -155,19 +164,7 @@ def close_images(generators: list[tuple[int, ...]]) -> set[tuple[int, ...]]:
                     )
                 seen.add(y)
                 stack.append(y)
-    return seen
-
-
-def close_generators(generators: list[Perm]) -> PermGroup:
-    """The group generated by the given permutations (see `close_images`)."""
-    if not generators:
-        raise InputError("close_generators needs at least one generator")
-    degree = generators[0].degree
-    for g in generators:
-        if g.degree != degree:
-            raise InputError("generators act on different point sets")
-    images = close_images([g.images for g in generators])
-    return PermGroup(degree, tuple(generators), map(_unchecked, images))
+    return PermGroup(degree, tuple(generators), map(_unchecked, seen))
 
 
 def group_from_cycles(degree: int, *cycle_strings: str) -> PermGroup:
@@ -406,6 +403,13 @@ def _lattice_of(group: PermGroup) -> tuple[_Lattice, int]:
     return lattice, len(lattice.sets) - 1
 
 
+def _check_order_cap(group: PermGroup, stage: str) -> None:
+    if group.order > SUBGROUP_ORDER_CAP:
+        raise ResourceCapError(
+            f"{stage} capped at order {SUBGROUP_ORDER_CAP}; "
+            f"group has order {group.order}")
+
+
 def enumerate_subgroups(group: PermGroup) -> list[PermGroup]:
     """All subgroups, ascending by order with a deterministic tiebreak.
 
@@ -416,11 +420,7 @@ def enumerate_subgroups(group: PermGroup) -> list[PermGroup]:
     so a group inside a recently enumerated group is read off that group's
     lattice instead of being enumerated again.
     """
-    if group.order > SUBGROUP_ORDER_CAP:
-        raise InputError(
-            f"subgroup enumeration capped at order {SUBGROUP_ORDER_CAP}; "
-            f"group has order {group.order}"
-        )
+    _check_order_cap(group, "subgroup enumeration")
     lattice, top = _lattice_of(group)
     return [lattice.groups[k] for k in lattice.below(top)]
 
@@ -521,9 +521,7 @@ def core_bound_check(group: PermGroup) -> CoreBoundReport:
     generators only: N <| G exactly when s^-1 N s lies in N for every
     generator s of G, and normality in N and the core work the same way.
     """
-    if group.order > SUBGROUP_ORDER_CAP:
-        raise InputError(
-            f"core bound check capped at order {SUBGROUP_ORDER_CAP}")
+    _check_order_cap(group, "core bound check")
     lattice, top = _lattice_of(group)
     order = group.order
     chains = 0

@@ -1,10 +1,11 @@
-"""Permutations on a small fixed set of points.
+"""Permutations on a fixed set of points.
 
 Points are 1-indexed; a permutation of degree n stores the image tuple
 (images[i-1] is where point i goes).  Composition is left-to-right:
 (p * q)(i) = q(p(i)), so parsing "(1 2)" then "(2 3)" and multiplying gives
-the 3-cycle (1 3 2).  Degree is capped at 17: everything in this toolkit
-acts on at most 17 points (the affine degree-17 witness is the largest).
+the 3-cycle (1 3 2).  The degree is not capped: no document or command-line
+argument builds a permutation, and the largest the toolkit builds is the
+272-point regular representation of the affine group of F17.
 """
 
 from __future__ import annotations
@@ -13,8 +14,6 @@ import re
 from dataclasses import dataclass
 
 from .errors import InputError
-
-MAX_DEGREE = 17
 
 
 @dataclass(frozen=True)
@@ -25,8 +24,6 @@ class Perm:
 
     def __post_init__(self):
         n = len(self.images)
-        if n > MAX_DEGREE:
-            raise InputError(f"degree {n} exceeds the cap of {MAX_DEGREE}")
         if sorted(self.images) != list(range(1, n + 1)):
             raise InputError(f"not a permutation of 1..{n}: {self.images}")
 

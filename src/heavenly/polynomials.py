@@ -470,3 +470,30 @@ def format_polynomial(f: UniPoly) -> str:
     for sign, body in parts[1:]:
         out += f" {sign} {body}"
     return out
+
+
+def parse_quadratic_pair(text: str) -> tuple[Fraction, Fraction]:
+    """(a, b) from an 'a+b*s' string over the quadratic generator s: a
+    polynomial in s of degree at most 1, in parse_polynomial's grammar
+    without exponents."""
+    if not isinstance(text, str) or "x" in text or "^" in text:
+        raise InputError(f"expected an 'a+b*s' string, got {text!r}")
+    try:
+        f = parse_polynomial(text.replace("s", "x"))
+    except DigitLimitError:
+        raise
+    except InputError:
+        raise InputError(f"cannot parse coefficient entry {text!r}") from None
+    return f.coefficient(0), f.coefficient(1)
+
+
+def quadratic_pair_text(pair: tuple[Fraction, Fraction]) -> str:
+    """The 'a+b*s' text of a + b*s that certificates and documents print,
+    such as '1-1*s' or '-1*s'; parse_quadratic_pair reads it back."""
+    a, b = pair
+    if b == 0:
+        return str(a)
+    if a == 0:
+        return f"{b}*s"
+    sign = "+" if b > 0 else "-"
+    return f"{a}{sign}{abs(b)}*s"

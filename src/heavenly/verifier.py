@@ -18,7 +18,7 @@ from .integers import factorize
 from .permgroups import (
     PermGroup,
     affine_group_f17,
-    close_images,
+    close_generators,
     core_bound_check,
     enumerate_subgroups,
     group_from_cycles,
@@ -28,6 +28,7 @@ from .permgroups import (
     sylow_two_subgroup_s8,
     two_generation_search,
 )
+from .permutations import Perm
 from .polynomials import UniPoly
 
 
@@ -214,18 +215,17 @@ def verify_dim272() -> LemmaReport:
     c.expect("order_factorization",
              tuple(sorted(factorize(group.order).items())), ((2, 4), (17, 1)))
     c.expect("is_two_group", group.p_group_prime() == 2, False)
-    # The regular action permutes element indices; the Perm type caps its
-    # degree too low for 272 points, so close plain image tuples here.
+    # the regular action permutes element indices, read as points 1..272
     regular = right_regular_images(group)
     position = {p: k for k, p in enumerate(group.elements)}
     identity = tuple(range(group.order))
-    c.expect("regular_degree", group.order, 272)
+    image = close_generators([Perm(tuple(k + 1 for k in regular[position[g]]))
+                              for g in group.generators])
+    c.expect("regular_degree", image.degree, 272)
     c.expect("regular_distinct_images", len(set(regular)), group.order)
     c.expect("regular_kernel_size",
              sum(1 for t in regular if t == identity), 1)
-    image = close_images([tuple(k + 1 for k in regular[position[g]])
-                          for g in group.generators])
-    c.expect("regular_image_order", len(image), 272)
+    c.expect("regular_image_order", image.order, 272)
     for name, cubic in (("32a2", _CURVE_32A2), ("64a1", _CURVE_64A1)):
         tower = two_division_tower(EllipticInput("Q", cubic))[-1]
         c.expect(f"torsion_degree_{name}", tower.absolute_degree, 1)

@@ -441,6 +441,22 @@ def test_flagship_elliptic_x3_minus_2():
     assert verdict.steps[-1].value("witness_prime") == 3
 
 
+# Each curve below has bad reduction at 3, but its 2-division field is
+# unramified there, and good reduction at odd primes is not decided yet.
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+@pytest.mark.parametrize("item", [
+    EllipticInput("Q", UniPoly.of(0, -9, 0, 1)),  # 32a2 twisted by 3
+    EllipticInput("Q", UniPoly.of(0, -3, 2, 1)),  # x(x - 1)(x + 3)
+    # 3x^3 - 3x, whose monic integral model drops the twist by 3
+    input_from_document({"kind": "elliptic", "base_field": "Q",
+                         "cubic": ["0", "-3", "0", "3"]}),
+], ids=["x3_minus_9x", "x_x_minus_1_x_plus_3", "3x3_minus_3x_document"])
+def test_bad_reduction_at_3_is_not_heavenly(item):
+    verdict = classify(item)
+    assert verdict.status == NOT_HEAVENLY
+    assert verdict.steps[-1].value("witness_prime") == 3
+
+
 def test_closure_degree_not_a_power_of_2_decides_not_heavenly(monkeypatch):
     # with no odd ramified prime reported, the S3 field of x^3 - 2 reaches
     # the closure-degree verdict: degree 6 is not a power of 2

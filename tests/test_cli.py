@@ -142,6 +142,13 @@ def test_verify_exits_3_on_a_resource_cap(capsys, monkeypatch):
         "error: group closure exceeded 10 elements\n"
 
 
+def test_verify_exits_3_on_the_subgroup_order_cap(capsys, monkeypatch):
+    monkeypatch.setattr(permgroups, "SUBGROUP_ORDER_CAP", 24)
+    assert main(["verify", "--only", "corebound"]) == 3
+    assert capsys.readouterr().err == ("error: subgroup enumeration capped "
+                                       "at order 24; group has order 36\n")
+
+
 def test_classify_prints_the_certificate_of_a_cap_in_the_screen(
         capsys, tmp_path, monkeypatch):
     monkeypatch.setattr(factorization, "RECOMBINATION_CAP", 1)

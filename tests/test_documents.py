@@ -11,17 +11,19 @@ from heavenly.documents import (
     document_from_input,
     dump_document,
     encode_rational,
-    format_quadratic_pair,
     input_from_document,
     load_input_document,
     output_document,
-    parse_quadratic_pair,
     parse_rational,
     replayed_verdict,
     report_document,
 )
 from heavenly.errors import InputError
-from heavenly.polynomials import UniPoly
+from heavenly.polynomials import (
+    UniPoly,
+    parse_quadratic_pair,
+    quadratic_pair_text,
+)
 from heavenly.verifier import LemmaReport, verify_bounds
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -104,7 +106,15 @@ def test_quadratic_pair_format_round_trip():
              Fraction(3, 4)), (3, 0), (0, 2), (-2, -3)]
     for a, b in pairs:
         pair = (Fraction(a), Fraction(b))
-        assert parse_quadratic_pair(format_quadratic_pair(pair)) == pair
+        assert parse_quadratic_pair(quadratic_pair_text(pair)) == pair
+
+
+def test_document_from_input_prints_pairs_as_certificates_do():
+    # one a + b*s printer: documents spell a unit b as certificates do
+    doc = dict(WEIL_DOC, cubic=["s", "-s", "1-s", "1"])
+    back = document_from_input(input_from_document(doc))
+    assert back["cubic"] == ["1*s", "-1*s", "1-1*s", "1"]
+    assert input_from_document(back) == input_from_document(doc)
 
 
 @pytest.mark.parametrize("doc", [ELLIPTIC_DOC, JACOBIAN_DOC, PRODUCT_DOC,

@@ -57,6 +57,17 @@ def test_closure_cap(monkeypatch):
         )
 
 
+@pytest.mark.parametrize("search,stage", [
+    (enumerate_subgroups, "subgroup enumeration"),
+    (core_bound_check, "core bound check"),
+])
+def test_order_cap_is_a_resource_cap(monkeypatch, search, stage):
+    monkeypatch.setattr(permgroups, "SUBGROUP_ORDER_CAP", 20)
+    with pytest.raises(ResourceCapError, match=(
+            f"^{stage} capped at order 20; group has order 24$")):
+        search(sym(4))
+
+
 def test_orbit_and_stabilizer():
     g = sym(4)
     assert g.orbit_of(1) == [1, 2, 3, 4]
@@ -170,6 +181,18 @@ def test_affine_group_f17():
     assert g.degree == 17
     stab = g.stabilizer_of(1)
     assert stab.order == 16
+
+
+def test_regular_representation_of_affine_group_f17():
+    # the 272-point regular action closes like any other group
+    group = affine_group_f17()
+    regular = right_regular_images(group)
+    position = {p: k for k, p in enumerate(group.elements)}
+    image = close_generators([Perm(tuple(k + 1 for k in regular[position[g]]))
+                              for g in group.generators])
+    assert (image.degree, image.order) == (272, 272)
+    assert image.is_transitive()
+    assert image.stabilizer_of(1).order == 1
 
 
 def test_subdirect_products_s3():

@@ -1,5 +1,6 @@
 """Tests for the one-command re-verification suite."""
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -74,6 +75,17 @@ def test_subdirect_report():
     # Six graphs of automorphisms of S3, one order-18 product, the full group.
     assert report.value("orders") == (6, 6, 6, 6, 6, 6, 18, 36)
     assert report.value("count") == 8
+
+
+def test_a_false_check_fails_its_report(monkeypatch):
+    records = [dataclasses.replace(r, has_index_three_subgroup=False)
+               for r in verifier.subdirect_products_s3()]
+    monkeypatch.setattr(verifier, "subdirect_products_s3", lambda: records)
+    report = verify_subdirect()
+    assert not report.passed
+    assert report.value("all_have_index_three_subgroup") is False
+    assert report.failures == (
+        "all_have_index_three_subgroup: expected to hold",)
 
 
 def test_corebound_report():
