@@ -289,22 +289,35 @@ def _model_polynomials(item) -> list[UniPoly]:
     raise InputError(_SHAPE_ERROR)
 
 
+def _conjugate(K, g):
+    """g over the quadratic step K with its generator s replaced by -s."""
+    return [K.from_coords([a, K.base.neg(b)]) for a, b in map(K.coords, g)]
+
+
 def _two_division_levels(item):
     """Yield the start field of two_division_tower, then each T_i as soon
-    as it is built."""
+    as it is built.  A dropped factor is linear over the tower so far,
+    and splitting_tower drops linear factors itself, so each T_i is the
+    one splitting the whole polynomial would build."""
     if isinstance(item, WeilRestrictionInput):
         start = _quadratic_step(item.base, item.radicand)
-        # the curve, then its conjugate twist: s replaced by -s
-        polys = [_pair_cubic(start, item.cubic, sign) for sign in (1, -1)]
+        first, later = _pair_cubic(start, item.cubic), [None]
     else:
-        polys = _model_polynomials(item)
+        first, *later = _model_polynomials(item)
         start = base_field(item.base)
     yield start
-    tower = start
-    for f in polys:
-        if not isinstance(f, UniPoly) and tower is not start:
-            f = [tower.from_base(c) for c in f]     # coefficients over start
-        tower = splitting_tower(f, tower)
+    tower = splitting_tower(first, start)
+    yield tower
+    # later is empty or one cubic; None stands for the conjugate twist
+    for f in later:
+        split = [g for g, _ in factor_over_tower(start, first)]
+        own = ([_conjugate(start, g) for g in split] if f is None
+               else [g for g, _ in factor_over_tower(start, f)])
+        for g in own:   # a cubic leaves at most one
+            if len(g) > 2 and g not in split:
+                if tower is not start:
+                    g = [tower.from_base(c) for c in g]
+                tower = splitting_tower(g, tower)
         yield tower
 
 
@@ -316,11 +329,17 @@ def two_division_tower(item) -> list:
     splitting tower over T_(i-1) of the shape's i-th polynomial: the
     cubic; the genus-2 model; both cubics of a product; or a restriction's
     curve and then its conjugate twist.  T_k is the 2-division field.
-    Unordered pairs of Weierstrass points generate the 2-torsion of a
-    Jacobian, so the model's splitting field is its 2-division field; a
-    degree-5 model has its sixth Weierstrass point rational at infinity.
+    Each factor over the start field is split once: of a later
+    polynomial, only the nonlinear factors there that no earlier one had
+    go to splitting_tower, a twist's factors being the curve's with s
+    replaced by -s, and T_i is T_(i-1) when none is left.  Unordered
+    pairs of Weierstrass points generate the 2-torsion of a Jacobian, so
+    the model's splitting field is its 2-division field; a degree-5 model
+    has its sixth Weierstrass point rational at infinity.  The call runs
+    in its own polynomials.memo_scope.
     """
-    return list(_two_division_levels(item))
+    with memo_scope():
+        return list(_two_division_levels(item))
 
 
 def defining_polynomials(item) -> list[UniPoly]:

@@ -2,8 +2,9 @@
 
 Discriminants of the polynomials handled here can run to dozens of digits,
 so trial division alone is not enough; factorization falls back to Pollard
-rho with Brent's cycle finding after stripping small primes.  Everything is
-deterministic: the rho "random" walk uses a fixed constant sequence.
+rho with Brent's cycle finding after stripping small primes and taking the
+root of a perfect power.  Everything is deterministic: the rho "random"
+walk uses a fixed constant sequence.
 """
 
 from __future__ import annotations
@@ -117,18 +118,32 @@ def factorize(n: int) -> dict[int, int]:
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
-    stack = [n] if n > 1 else []
+    # (cofactor, exponent) pairs; rho is slow on a perfect power: root it
+    stack = [(n, 1)] if n > 1 else []
     while stack:
-        m = stack.pop()
-        if m == 1:
-            continue
+        m, e = stack.pop()
         if is_probable_prime(m):
-            out[m] = out.get(m, 0) + 1
+            out[m] = out.get(m, 0) + e
             continue
-        d = _pollard_rho(m)
-        stack.append(d)
-        stack.append(m // d)
+        root, k = _perfect_power(m)
+        if k > 1:
+            stack.append((root, e * k))
+        else:
+            d = _pollard_rho(m)
+            stack += [(d, e), (m // d, e)]
     return out
+
+
+def _perfect_power(m: int) -> tuple[int, int]:
+    """(r, k) with r^k = m for the least prime k that has one, else (m, 1);
+    r is Newton's iteration, decreasing from a power of two above it."""
+    for k in filter(is_probable_prime, range(2, m.bit_length() + 1)):
+        r = 1 << -(-m.bit_length() // k)
+        while (s := ((k - 1) * r + m // r ** (k - 1)) // k) < r:
+            r = s
+        if r ** k == m:
+            return r, k
+    return m, 1
 
 
 def odd_prime_divisors(n: int) -> list[int]:

@@ -200,7 +200,7 @@ class UniPoly:
 def _primitive_ints(f: UniPoly) -> list[int]:
     """Integer coefficients of f cleared of content, positive leading."""
     den = lcm(*[c.denominator for c in f.coeffs])
-    ints = [int(c * den) for c in f.coeffs]
+    ints = [c.numerator * (den // c.denominator) for c in f.coeffs]
     g = 0
     for c in ints:
         g = gcd(g, c)

@@ -1115,11 +1115,11 @@ def _quadratic_step(base: str, D):
     return _interned(below, tuple(lift_to_field(below, UniPoly.of(-D, 0, 1))))
 
 
-def _pair_cubic(K, cubic, sign: int = 1) -> list:
-    """The coefficients a + sign*b*s over K, whose generator is s, of a
+def _pair_cubic(K, cubic) -> list:
+    """The coefficients a + b*s over K, whose generator is s, of a
     polynomial given as ascending rational (a, b) pairs."""
     s = K.generator()
-    return [K.add(K.from_fraction(a), K.scale(s, sign * b)) for a, b in cubic]
+    return [K.add(K.from_fraction(a), K.scale(s, b)) for a, b in cubic]
 
 
 # ---------------------------------------------------------------------------

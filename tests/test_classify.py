@@ -903,6 +903,150 @@ def test_conjugate_product_is_the_norm_from_q_of_s():
     assert compared == 936
 
 
+def _c4_c6(coeffs):
+    """The invariants c4, c6 of y^2 = x^3 + a2 x^2 + a4 x + a6, given as
+    ascending [a6, a4, a2, 1]."""
+    a6, a4, a2, _ = coeffs
+    return 16 * a2 * a2 - 48 * a4, -64 * a2 ** 3 + 288 * a2 * a4 - 864 * a6
+
+
+def _rational_root(q: Fraction, k: int):
+    """The nonnegative rational r with r^k = q, or None; q is small."""
+    if q < 0:
+        return None
+    r = Fraction(*(round(x ** (1 / k)) for x in (q.numerator, q.denominator)))
+    return r if r ** k == q else None
+
+
+def _isomorphic_over_q(a, b) -> bool:
+    # (d4, d6) = (u^4 c4, u^6 c6) for a rational u; w = u^2 is a square
+    (c4, c6), (d4, d6) = a, b
+    if c4 and c6:
+        w = Fraction(d6 * c4, c6 * d4) if d4 else None
+    elif c4:
+        w = _rational_root(Fraction(d4, c4), 2)
+    else:
+        w = _rational_root(Fraction(d6, c6), 3)
+    return (w is not None and w > 0 and _rational_root(w, 2) is not None
+            and (d4, d6) == (w ** 2 * c4, w ** 3 * c6))
+
+
+def test_census_cubics_are_oggs_24_curves():
+    # the elliptic curves over Q with good reduction away from 2 fall into
+    # 24 isomorphism classes (Ogg 1966); the census box holds a model of
+    # each, and their j-invariants are the five of that list
+    classes = []
+    for coeffs in _census()["cubics"]["models"]:
+        inv = _c4_c6(coeffs)
+        for members in classes:
+            if _isomorphic_over_q(members[0], inv):
+                members.append(inv)
+                break
+        else:
+            classes.append([inv])
+    assert sum(map(len, classes)) == 108
+    assert len(classes) == 24
+    js = {Fraction(1728 * c4 ** 3, c4 ** 3 - c6 ** 2)
+          for members in classes for c4, c6 in members}
+    assert js == {128, 1728, 8000, 10976, 287496}
+
+
+def test_twist_factors_are_the_curves_conjugated():
+    # over the quadratic step K, the conjugate twist's irreducible factors
+    # are the curve's with s replaced by -s, the automorphism of K over Q;
+    # two_division_tower takes the twist's factors this way
+    for radicand, pairs in _census()["weil_restrictions"]["models"]:
+        K = towers._quadratic_step("Q", Fraction(radicand))
+        cubic = [(Fraction(a), Fraction(b)) for a, b in pairs]
+        twist = towers._pair_cubic(K, [(a, -b) for a, b in cubic])
+        curve = towers.factor_over_tower(K, towers._pair_cubic(K, cubic))
+        assert {tuple(g) for g, _ in towers.factor_over_tower(K, twist)} == \
+            {tuple(CLASSIFY_MODULE._conjugate(K, g)) for g, _ in curve}, \
+            (radicand, pairs)
+
+
+# ---------------------------------------------------------------------------
+# Each start-field factor is split once.
+
+
+def _levels_splitting_each_polynomial_whole(item):
+    """Reference levels for two_division_tower: every shape polynomial,
+    a restriction's twist included, split whole over the tower so far."""
+    if isinstance(item, WeilRestrictionInput):
+        start = towers._quadratic_step(item.base, item.radicand)
+        twist = tuple((a, -b) for a, b in item.cubic)
+        polys = [towers._pair_cubic(start, c) for c in (item.cubic, twist)]
+    else:
+        start = base_field(item.base)
+        polys = CLASSIFY_MODULE._model_polynomials(item)
+    levels = [start]
+    for f in polys:
+        if not isinstance(f, UniPoly) and levels[-1] is not start:
+            f = [levels[-1].from_base(c) for c in f]
+        levels.append(splitting_tower(f, levels[-1]))
+    return levels
+
+
+def test_splitting_each_factor_once_keeps_the_levels():
+    items = [input_from_document(json.loads(p.read_text(encoding="utf-8")))
+             for p in sorted(CORPUS.glob("*.json"))]
+    census = _census()
+    rng = random.Random(26)
+    items += [WeilRestrictionInput.of("Q", radicand, pairs) for radicand, pairs
+              in rng.sample(census["weil_restrictions"]["models"], 40)]
+    cubics = census["cubics"]["models"]
+    for base in BASES:
+        # every b = 0: the twist is the curve, so the level repeats
+        for coeffs in rng.sample(cubics, 2):
+            for radicand in (3, -1):
+                try:
+                    items.append(WeilRestrictionInput.of(
+                        base, radicand, [(a, 0) for a in coeffs]))
+                except InputError:
+                    pass
+        pairs = [rng.sample(cubics, 2) for _ in range(4)]
+        pairs.append([rng.choice(cubics)] * 2)
+        items += [ProductInput(*(EllipticInput(base, UniPoly.of(*c))
+                                 for c in pair)) for pair in pairs]
+    for item in items:
+        whole = _levels_splitting_each_polynomial_whole(item)
+        assert [F.levels for F in two_division_tower(item)] == \
+            [F.levels for F in whole], item
+
+
+def _corpus_item(name):
+    return input_from_document(json.loads(
+        (CORPUS / f"{name}.json").read_text(encoding="utf-8")))
+
+
+def _recording_splitting_tower(monkeypatch):
+    calls = []
+
+    def recording(f, tower):
+        calls.append((f, tower))
+        return splitting_tower(f, tower)
+
+    monkeypatch.setattr(CLASSIFY_MODULE, "splitting_tower", recording)
+    return calls
+
+
+def test_a_twist_split_by_the_curves_tower_adds_no_level(monkeypatch):
+    # y^2 = x^3 - 1 over Q(i): the twist is the curve itself
+    calls = _recording_splitting_tower(monkeypatch)
+    start, curve, top = two_division_tower(_corpus_item("weil_sqrt_minus_1"))
+    assert len(calls) == 1
+    assert top is curve
+
+
+def test_a_twist_sends_only_its_new_nonlinear_factor(monkeypatch):
+    # y^2 = x^3 - s x over Q(s), s^2 = 2: the twist x (x^2 + s) sends
+    # only x^2 + s over the curve's 2-division field T1
+    calls = _recording_splitting_tower(monkeypatch)
+    K, T1, _ = two_division_tower(_corpus_item("weil_sqrt2"))
+    assert [tower for _, tower in calls] == [K, T1]
+    assert calls[1][0] == [T1.from_base(K.generator()), T1.zero(), T1.one()]
+
+
 def test_dedekind_criterion_at_a_large_prime_is_fast():
     # y^2 = (x - A)^2 (x - B) + p^2 at p = 1000003: the cubic is (x - A)^2
     # (x - B) mod p, so the ramification ladder factors it modulo a large

@@ -1,6 +1,7 @@
 """Integer utilities: valuations, primality, factorization."""
 
 import random
+import time
 
 import pytest
 
@@ -85,3 +86,14 @@ def test_factorize_agrees_with_sympy_on_semiprimes():
         for _ in range(rng.choice((2, 3))):
             n *= sympy.nextprime(rng.randrange(10**7, 10**rng.randrange(8, 13)))
         assert factorize(n) == sympy.factorint(n), n
+
+
+def test_factorize_roots_a_perfect_power():
+    # rho alone takes minutes on the square of a 17-digit prime
+    start = time.perf_counter()
+    assert factorize(2**81 * 11563101439788991**2) == \
+        {2: 81, 11563101439788991: 2}
+    assert time.perf_counter() - start < 1.0
+    p, q = 1000000007, 9999999967
+    assert factorize((p * q) ** 3) == {p: 3, q: 3}
+    assert factorize((p * q) ** 5) == {p: 5, q: 5}
