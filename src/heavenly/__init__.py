@@ -27,7 +27,6 @@ from .polynomials import (
 from .factorization import (
     factor_mod_p,
     factor_over_q,
-    is_irreducible_over_q,
     squarefree_decomposition,
 )
 from .permutations import Perm, format_cycles, parse_cycles
@@ -40,7 +39,6 @@ from .permgroups import (
     group_from_cycles,
     subdirect_products_s3,
     sylow_two_subgroup_s8,
-    two_generated,
     two_generation_search,
 )
 from .ramification import splitting_field_odd_ramified
@@ -83,7 +81,6 @@ from .documents import (
     document_from_input,
     dump_document,
     input_from_document,
-    load_input_document,
     output_document,
     replayed_verdict,
     report_document,
@@ -94,7 +91,6 @@ from .towers import (
     extend,
     factor_over_tower,
     field_chain,
-    is_irreducible_over_tower,
     splitting_degree,
     splitting_tower,
 )
@@ -116,7 +112,6 @@ __all__ = [
     "squarefree_part",
     "factor_mod_p",
     "factor_over_q",
-    "is_irreducible_over_q",
     "squarefree_decomposition",
     "Perm",
     "format_cycles",
@@ -129,7 +124,6 @@ __all__ = [
     "group_from_cycles",
     "subdirect_products_s3",
     "sylow_two_subgroup_s8",
-    "two_generated",
     "two_generation_search",
     "splitting_field_odd_ramified",
     "AxiomRecord",
@@ -164,7 +158,6 @@ __all__ = [
     "document_from_input",
     "dump_document",
     "input_from_document",
-    "load_input_document",
     "output_document",
     "replayed_verdict",
     "report_document",
@@ -173,7 +166,6 @@ __all__ = [
     "extend",
     "factor_over_tower",
     "field_chain",
-    "is_irreducible_over_tower",
     "splitting_degree",
     "splitting_tower",
     "__version__",

@@ -143,21 +143,23 @@ _RECORDS = [
     AxiomRecord(
         id="PRO2_TOWER",
         statement=(
-            "Above the 2-torsion field, each layer of the 2-power "
-            "division tower is a 2-group extension; if the base is "
-            "unramified away from {2, infinity} and the Galois closure "
-            "of the 2-torsion field has 2-power degree over Q, the whole "
-            "tower lies in the maximal pro-2 extension ramified only "
-            "above 2, so the variety is heavenly at 2."
+            "Over a base k unramified away from {2, infinity}, A is "
+            "heavenly at 2 exactly when (i) A has good reduction at every "
+            "odd place and (ii) [k(A[2]) : k] is a power of 2.  (i) is "
+            "necessary by Serre-Tate; together (i) and (ii) suffice by "
+            "Neron-Ogg-Shafarevich, which makes the 2-adic Tate module "
+            "unramified away from 2, since above the 2-torsion field "
+            "each layer of the 2-power division tower is a 2-group "
+            "extension."
         ),
         source="structure of 2-division towers: the Galois groups of "
                "successive layers embed into kernels of reduction maps "
                "on symplectic groups over Z/2^k, which are 2-groups",
         applies_when="base field unramified away from {2, infinity}; "
-                     "closure of the 2-torsion field of 2-power degree "
-                     "over Q; 2-torsion field unramified away from "
-                     "{2, infinity}",
-        conclusion="the variety is heavenly at 2",
+                     "good reduction at every odd place; 2-torsion field "
+                     "of 2-power degree over the base",
+        conclusion="the variety is heavenly at 2; without good reduction "
+                   "at some odd place it is not",
     ),
 ]
 

@@ -574,12 +574,15 @@ def classify(item) -> Verdict:
 
     Computes the 2-division field as a tower, tests its odd ramification,
     and when that is empty decides by whether the Galois closure degree
-    over Q is a power of 2.  The field is the splitting field over Q of the
-    rational defining_polynomials, hence Galois over Q: its odd primes are
-    those ramifying in the fields of their irreducible factors, and its
-    closure degree is the tower's absolute degree.  A resource cap
-    anywhere in the call, the screen's factoring included, yields an
-    unknown verdict carrying the partial certificate.
+    over Q is a power of 2.  A 2-power degree gives heavenly only on a
+    plausible screen, the one proof of good reduction at every odd prime
+    here; on any other screen the verdict is unknown.  The field is the
+    splitting field over Q of the rational defining_polynomials, hence
+    Galois over Q: its odd primes are those ramifying in the fields of
+    their irreducible factors, and its closure degree is the tower's
+    absolute degree.  A resource cap anywhere in the call, the screen's
+    factoring included, yields an unknown verdict carrying the partial
+    certificate.
 
     The call runs in its own polynomials.memo_scope: a discriminant or
     factoring asked for again within the call is not recomputed, and no
@@ -630,6 +633,16 @@ def _classify(item) -> Verdict:
     if apply_harbater(closure) == MUST_BE_2POWER:
         steps.append(_cite("HARBATER_272", _HARBATER_NOTE))
     steps.append(_cite("PRO2_TOWER", _PRO2_NOTE))
+    if is_2power and screen != PLAUSIBLE:
+        # the screen's odd parts are not factored: that can take minutes
+        steps.append(_computed(
+            "verdict: good reduction at the odd primes dividing the "
+            "screened discriminant's odd part is not decided",
+            status=UNKNOWN, odd_parts=tuple(
+                s.value("odd_part") for s in steps
+                if s.has_value("odd_part") and s.value("odd_part") > 1)))
+        return Verdict(UNKNOWN, tuple(steps), torsion_degree, closure,
+                       screen)
     if is_2power:
         steps.append(_computed(
             "verdict: unramified away from {2, infinity} with 2-power "

@@ -256,7 +256,3 @@ def main(argv=None) -> int:
     except (InputError, ResourceCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID if isinstance(exc, InputError) else EXIT_CAPPED
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -167,13 +167,6 @@ def read_document(path):
         raise InputError(f"invalid JSON in {path}: {exc}") from None
 
 
-def load_input_document(path) -> dict:
-    """Read and syntactically validate a JSON input document from a file."""
-    doc = read_document(path)
-    input_from_document(doc)
-    return doc
-
-
 def document_from_input(item) -> dict:
     """The JSON document describing a classifier input."""
     if isinstance(item, EllipticInput):

@@ -30,12 +30,4 @@ class ReducibleExtensionError(InputError):
 
 
 class ResourceCapError(HeavenlyError):
-    """A computation exceeded a configured size or iteration cap.
-
-    `partial` holds whatever partial result was available at the point the
-    cap fired (for example a partially built splitting tower).
-    """
-
-    def __init__(self, message, partial=None):
-        super().__init__(message)
-        self.partial = partial
+    """A computation exceeded a configured size or iteration cap."""

@@ -695,17 +695,8 @@ def _factor_over_q(f: UniPoly) -> list[tuple[UniPoly, int]]:
     return result
 
 
-def is_irreducible_over_q(f: UniPoly) -> bool:
-    """True when deg f >= 1 and f is irreducible over Q."""
-    if f.degree < 1:
-        return False
-    facs = factor_over_q(f)
-    return len(facs) == 1 and facs[0][1] == 1
-
-
 __all__ = [
     "factor_over_q",
-    "is_irreducible_over_q",
     "squarefree_decomposition",
     "factor_mod_p",
     "RECOMBINATION_CAP",

@@ -92,9 +92,6 @@ class PermGroup:
         return _explicit(self.degree,
                          [g for g in self.elements if g(point) == point])
 
-    def is_transitive(self) -> bool:
-        return len(self.orbit_of(1)) == self.degree
-
     def is_normal_in(self, other: "PermGroup") -> bool:
         if not self.is_subgroup_of(other):
             return False
@@ -114,10 +111,6 @@ class PermGroup:
             gi = g.inverse()
             core &= {gi * h * g for h in self._element_set}
         return _explicit(self.degree, core)
-
-    def is_p_group(self) -> bool:
-        """True when the order is a prime power (trivial group included)."""
-        return len(factorize(self.order)) <= 1 if self.order > 1 else True
 
     def p_group_prime(self) -> int | None:
         facs = factorize(self.order) if self.order > 1 else {}
@@ -294,11 +287,6 @@ def _pair_closure(table, e_idx, i, j) -> set[int]:
                 seen.add(y)
                 stack.append(y)
     return seen
-
-
-def two_generated(group: PermGroup, require_involution: bool = False) -> bool:
-    """True when some ordered pair generates the whole group."""
-    return two_generation_search(group, require_involution).generates
 
 
 # ---------------------------------------------------------------------------

@@ -1087,11 +1087,6 @@ def _factor_over_tower(F, f) -> list[tuple[list, int]]:
     return result
 
 
-def is_irreducible_over_tower(F, f) -> bool:
-    facs = factor_over_tower(F, f)
-    return len(facs) == 1 and facs[0][1] == 1
-
-
 def extend(F, g):
     """F with one more level; g must be monic irreducible over F."""
     gp = _as_gpoly(F, g)
@@ -1277,8 +1272,8 @@ def splitting_tower(f, tower=RATIONAL):
     quintic's cofactor irreducible over K(theta) is a quartic whose group
     is C4, A4 or S4, told apart by one root test of its resolvent cubic
     (see _stabiliser_class), with no square test.  Raises a
-    resource error carrying the partial tower when the absolute degree
-    would exceed SPLITTING_DEGREE_CAP.
+    resource error when the absolute degree would exceed
+    SPLITTING_DEGREE_CAP.
     """
     F = tower
     facs = factor_over_tower(F, f)
@@ -1297,8 +1292,7 @@ def splitting_tower(f, tower=RATIONAL):
         if new_degree > SPLITTING_DEGREE_CAP:
             raise ResourceCapError(
                 f"splitting tower degree {new_degree} exceeds cap "
-                f"{SPLITTING_DEGREE_CAP}", partial=F,
-            )
+                f"{SPLITTING_DEGREE_CAP}")
         group = (_stabiliser_class(F, chosen) if chosen is stabiliser
                  else _galois_class(F, chosen))
         F = _interned(F, tuple(chosen))
@@ -1340,7 +1334,6 @@ __all__ = [
     "field_chain",
     "lift_to_field",
     "factor_over_tower",
-    "is_irreducible_over_tower",
     "extend",
     "splitting_tower",
     "splitting_degree",

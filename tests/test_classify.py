@@ -457,6 +457,32 @@ def test_bad_reduction_at_3_is_not_heavenly(item):
     assert verdict.steps[-1].value("witness_prime") == 3
 
 
+# Each input below has bad reduction at an odd prime and a 2-division field
+# that passes: no odd ramified prime, 2-power closure degree.  Without a
+# plausible screen, good reduction at odd primes is not decided, so the
+# verdict is unknown where heavenly would be wrong.
+@pytest.mark.parametrize("item, degree", [
+    (EllipticInput("Q", UniPoly.of(0, -9, 0, 1)), 1),
+    (EllipticInput("Q", UniPoly.of(0, -3, 2, 1)), 1),
+    (EllipticInput("Q", UniPoly.of(0, 7, -8, 1)), 1),
+    (JacobianInput("Q", UniPoly.of(0, 81, 0, 0, 0, 1)), 4),
+    (WeilRestrictionInput.of("Q", -1, [(0, 0), (-9, 0), (0, 0), (1, 0)]), 2),
+    (WeilRestrictionInput.of(
+        "Q", -1, [(0, 0), (Fraction(-1, 9), 0), (0, 0), (1, 0)]), 2),
+], ids=["x3_minus_9x", "x3_plus_2x2_minus_3x", "x3_minus_8x2_plus_7x",
+        "jacobian_x5_plus_81x", "weil_i_x3_minus_9x", "weil_i_x3_minus_x_9"])
+def test_a_passing_2_division_field_needs_a_plausible_screen(item, degree):
+    verdict = classify(item)
+    assert verdict.status == UNKNOWN
+    assert verdict.screen == UNKNOWN
+    assert verdict.torsion_degree == verdict.closure_degree == degree
+    assert verdict.axiom_ids()[-1] == "PRO2_TOWER"
+    odd_parts = tuple(s.value("odd_part") for s in verdict.steps
+                      if s.has_value("odd_part"))
+    assert verdict.steps[-1].values == (
+        ("status", UNKNOWN), ("odd_parts", odd_parts))
+
+
 def test_closure_degree_not_a_power_of_2_decides_not_heavenly(monkeypatch):
     # with no odd ramified prime reported, the S3 field of x^3 - 2 reaches
     # the closure-degree verdict: degree 6 is not a power of 2

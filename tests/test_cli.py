@@ -135,6 +135,19 @@ def test_classify_resource_cap_exit(capsys, tmp_path, monkeypatch):
         "norm degree 36 exceeds cap 24"
 
 
+def test_classify_exits_3_when_odd_good_reduction_is_undecided(tmp_path):
+    # 32a2 twisted by 3: its 2-division field passes, its screen does not
+    path = write_doc(tmp_path / "twist.json", {
+        "kind": "elliptic", "base_field": "Q", "cubic": [0, -9, 0, 1]})
+    target = tmp_path / "twist.cert.json"
+    assert main(["classify", str(path), "--out", str(target)]) == 3
+    doc = json.loads(target.read_text(encoding="utf-8"))
+    assert doc["verdict"]["status"] == "unknown"
+    assert doc["verdict"]["screen"] == "unknown"
+    assert doc["certificate"][-1]["values"] == {
+        "status": "unknown", "odd_parts": [729]}
+
+
 def test_verify_exits_3_on_a_resource_cap(capsys, monkeypatch):
     monkeypatch.setattr(permgroups, "DEFAULT_ELEMENT_CAP", 10)
     assert main(["verify", "--only", "octic"]) == 3

@@ -12,9 +12,9 @@ from heavenly.documents import (
     dump_document,
     encode_rational,
     input_from_document,
-    load_input_document,
     output_document,
     parse_rational,
+    read_document,
     replayed_verdict,
     report_document,
 )
@@ -260,21 +260,21 @@ def test_corpus_documents_all_load():
     assert len(paths) == 9
     kinds = set()
     for path in paths:
-        doc = load_input_document(path)
+        doc = read_document(path)
         kinds.add(doc["kind"])
         input_from_document(doc)
     assert kinds == {"elliptic", "jacobian", "product", "weil_restriction"}
 
 
-def test_load_input_document_rejects_bad_files(tmp_path):
+def test_read_document_rejects_bad_files(tmp_path):
     missing = tmp_path / "missing.json"
     with pytest.raises(InputError):
-        load_input_document(missing)
+        read_document(missing)
     garbled = tmp_path / "garbled.json"
     garbled.write_text("not json", encoding="utf-8")
     with pytest.raises(InputError):
-        load_input_document(garbled)
+        read_document(garbled)
     latin1 = tmp_path / "latin1.json"
     latin1.write_bytes(b'{"kind": "elliptic", "base_field": "Q\xe9"}')
     with pytest.raises(InputError, match="can't decode"):
-        load_input_document(latin1)
+        read_document(latin1)

@@ -14,7 +14,6 @@ from heavenly.polynomials import UniPoly, poly_gcd
 from heavenly.factorization import (
     factor_mod_p,
     factor_over_q,
-    is_irreducible_over_q,
     squarefree_decomposition,
 )
 
@@ -170,7 +169,7 @@ def test_factor_over_q_rational_scaling():
     assert factor_over_q(f) == [(P(0, 1), 1), (P(-3, 0, 1), 1)]
 
 
-def test_is_irreducible_over_q_against_brute_force():
+def test_factor_over_q_irreducibility_against_brute_force():
     rng = random.Random(17)
     checked = 0
     for _ in range(300):
@@ -179,7 +178,8 @@ def test_is_irreducible_over_q_against_brute_force():
         f = P(*coeffs)
         if poly_gcd(f, f.derivative()).degree > 0:
             continue
-        assert is_irreducible_over_q(f) == brute_force_irreducible(f)
+        assert ([m for _, m in factor_over_q(f)] == [1]) == \
+            brute_force_irreducible(f)
         checked += 1
     assert checked > 200
 
@@ -197,7 +197,7 @@ def test_factor_over_q_reconstructs_products():
         rebuilt = UniPoly.one()
         for g, mult in facs:
             assert g.is_monic
-            assert is_irreducible_over_q(g)
+            assert factor_over_q(g) == [(g, 1)]
             rebuilt = rebuilt * g**mult
         assert rebuilt == f.monic()
 

@@ -3,7 +3,7 @@
 import random
 
 from heavenly.classify import _base_modulus
-from heavenly.factorization import is_irreducible_over_q
+from heavenly.factorization import factor_over_q
 from heavenly.integers import factorize, odd_prime_divisors, valuation
 from heavenly.polynomials import UniPoly, discriminant, parse_polynomial
 from heavenly.ramification import (
@@ -84,7 +84,7 @@ def test_scaled_root_adds_its_index_to_the_enlargement():
         n = rng.randint(2, 6)
         g = [rng.randint(-5, 5) for _ in range(n)] + [1]
         G = UniPoly.of(*g)
-        if discriminant(G) == 0 or not is_irreducible_over_q(G):
+        if discriminant(G) == 0 or [m for _, m in factor_over_q(G)] != [1]:
             continue
         p, e = rng.choice((3, 5, 7)), rng.randint(1, 2)
         s = p ** e
@@ -111,7 +111,7 @@ def test_enlargement_brings_its_basis_to_lowest_terms():
     for text, p, v in (("x^6-8*x^5-x^4-x^3-x^2-7*x-8", 5, 6),
                        ("x^6-x^5+9*x^4-3*x^3+9*x+9", 3, 8)):
         f = parse_polynomial(text)
-        assert is_irreducible_over_q(f), text
+        assert factor_over_q(f) == [(f, 1)], text
         fl = [int(c) for c in f.coeffs]
         assert valuation(int(discriminant(f)), p) == v, text
         assert _p_maximal_index_valuation(fl, p, v) == 2, text
@@ -276,8 +276,7 @@ def test_ramified_set_within_polynomial_discriminant():
         d = discriminant(f)
         if d == 0:
             continue
-        from heavenly.factorization import is_irreducible_over_q
-        if not is_irreducible_over_q(f):
+        if [m for _, m in factor_over_q(f)] != [1]:
             continue
         ram = _odd_ramified_of_polynomial(f)
         allowed = set(odd_prime_divisors(int(d)))
