@@ -256,3 +256,11 @@ def main(argv=None) -> int:
     except (InputError, ResourceCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID if isinstance(exc, InputError) else EXIT_CAPPED
+
+
+if __name__ == "__main__":
+    # the package has one entry point; running this module would otherwise
+    # define the commands, run none and exit 0
+    print("error: run heavenly as 'python -m heavenly' or the 'heavenly' "
+          "script", file=sys.stderr)
+    raise SystemExit(EXIT_INVALID)

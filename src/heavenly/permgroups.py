@@ -26,7 +26,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 
 from .errors import InputError, ResourceCapError
 from .integers import factorize
@@ -198,7 +198,7 @@ def _mult_table(group: PermGroup) -> tuple[list[list[int]], int]:
             for g in gens:
                 y = row[g]
                 if table[y] is None:
-                    table[y] = list(map(row.__getitem__, table[g]))
+                    table[y] = list(itemgetter(*table[g])(row))
                     reached.append(y)
                     stack.append(y)
     return table, e_idx
@@ -442,8 +442,10 @@ def s3_times_s3() -> PermGroup:
 
 
 def _restriction(p: Perm, points: range) -> tuple[int, ...]:
-    base = points.start
-    return tuple(p(i) - base + 1 for i in points)
+    """p on a block of points it maps to itself, renumbered from 1."""
+    shift = points.start - 1
+    block = p.images[shift:points.stop - 1]
+    return tuple(map(shift.__rsub__, block))
 
 
 def subdirect_products_s3() -> list[SubdirectProduct]:

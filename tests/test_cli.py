@@ -1,9 +1,11 @@
 """Tests for the command-line interface."""
 
 import json
+import os
 import re
 import shlex
 import shutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -485,3 +487,27 @@ def test_corpus_classified_twice_in_one_process_matches_golden(tmp_path):
                 encoding="utf-8"))
             assert body == (GOLDEN / name).read_text(encoding="utf-8"), \
                 (run, stem)
+
+
+def run_module(module, *args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]]
+                               if env.get("PYTHONPATH") else []))
+    return subprocess.run([sys.executable, "-m", module, *args], cwd=ROOT,
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+
+
+def test_cli_module_is_not_a_second_entry_point():
+    # python -m heavenly.cli runs no command: it names the entry point and
+    # exits 2 rather than 0
+    args = ("classify", "corpus/nonexistent.json")
+    stray = run_module("heavenly.cli", *args)
+    assert stray.returncode == cli.EXIT_INVALID
+    assert stray.stdout == ""
+    assert "python -m heavenly" in stray.stderr
+    assert "cannot read" not in stray.stderr
+    entry = run_module("heavenly", *args)
+    assert entry.returncode == cli.EXIT_INVALID
+    assert "cannot read" in entry.stderr

@@ -207,6 +207,13 @@ def test_s3_times_s3_order():
     assert s3_times_s3().order == 36
 
 
+def test_restriction_matches_pointwise_form():
+    for p in s3_times_s3().elements:
+        for points in (range(1, 4), range(4, 7)):
+            assert permgroups._restriction(p, points) == tuple(
+                p(i) - points.start + 1 for i in points)
+
+
 def test_core_bound_s4():
     report = core_bound_check(sym(4))
     assert report.chains_checked > 0
@@ -299,13 +306,19 @@ def test_tables_follow_the_element_order_of_each_group():
 
 
 @pytest.mark.parametrize("group", [
-    PermGroup.trivial(3), sym(3).stabilizer_of(1), sym(4),
-    sylow_two_subgroup_s8(), affine_group_f17(),
-], ids=["trivial", "stabilizer", "s4", "octic", "affine"])
+    PermGroup.trivial(3), PermGroup.trivial(1), sym(3),
+    sym(3).stabilizer_of(1), sym(4), sylow_two_subgroup_s8(),
+    affine_group_f17(),
+], ids=["trivial", "trivial1", "s3", "stabilizer", "s4", "octic", "affine"])
 def test_mult_table_matches_perm_products(group):
+    # rows gathered through known rows equal rows composed from the elements,
+    # and the right regular representation reads the table's columns
     table, e_idx = permgroups._mult_table(group)
-    assert table == reference_table(group)
+    reference = reference_table(group)
+    assert table == reference
     assert group.elements[e_idx].is_identity()
+    assert right_regular_images(group) == tuple(
+        tuple(row[k] for row in reference) for k in range(group.order))
 
 
 def test_right_regular_images_are_right_multiplication():

@@ -4,7 +4,12 @@ import pytest
 import random
 
 from heavenly.errors import InputError
-from heavenly.permutations import Perm, format_cycles, parse_cycles
+from heavenly.permutations import (
+    Perm,
+    compose_images,
+    format_cycles,
+    parse_cycles,
+)
 
 
 def test_identity_and_call():
@@ -116,6 +121,25 @@ def test_products_and_inverses_equal_validated_perms():
             expected[p(i) - 1] = i
         assert inverse == Perm(tuple(expected))
         assert type(product) is Perm and type(inverse) is Perm
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 17, 272])
+def test_gathered_products_match_pointwise_reference(n):
+    # degrees 0 and 1 bypass the itemgetter gather, which takes at least two
+    # indices to return a tuple
+    rng = random.Random(n)
+    identity = tuple(range(1, n + 1))
+    perms = [tuple(rng.sample(identity, n)) for _ in range(6)]
+    pairs = [(a, b) for a in perms for b in perms]
+    pairs += [(identity, a) for a in perms] + [(a, identity) for a in perms]
+    pairs += [(a, Perm(a).inverse().images) for a in perms]
+    for a, b in pairs:
+        expected = tuple(b[i - 1] for i in a)
+        assert compose_images(a, b) == expected
+        assert type(compose_images(a, b)) is tuple
+        assert (Perm(a) * Perm(b)).images == expected
+    for a in perms:
+        assert compose_images(a, Perm(a).inverse().images) == identity
 
 
 def test_unequal_degree_product_raises():
