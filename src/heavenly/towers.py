@@ -52,8 +52,11 @@ cubic or quartic h, how h/(x - theta) factors over K(theta) follows from
 Gal(h) over K, read off the discriminant and the Kappe-Warren resolvent
 cubic with factoring over K only; a D4 quartic, and every other degree,
 is refactored over K(theta).  A quartic h that is a quintic's irreducible
-cofactor has group C4, A4 or S4, and a root of its resolvent in K, read
-off the degrees of the resolvent norm's factors, means C4.  The square
+cofactor has group C4, A4 or S4, and a root of its resolvent in K means
+C4.  For a quintic with rational integer coefficients, floating-point
+approximations of its roots propose that root, one per pentagon on them,
+and only an exact evaluation of the resolvent accepts one; otherwise the
+root is read off the degrees of the resolvent norm's factors.  The square
 tests those groups rest on descend the tower while the element lies in
 the field K' below the top level: an odd-degree level adjoins no square
 root, and over a quadratic level K'(sqrt e) an element of K' is a square
@@ -1240,9 +1243,102 @@ def _stabiliser_class(F, h):
     """Gal(h) over the extension F, for h the irreducible quartic cofactor
     of a quintic over F.base, whose group is then 2-transitive (F20, A5 or
     S5) with root stabiliser C4, A4 or S4.  Only C4 lies in a D4, so h is
-    "C4" exactly when its resolvent cubic has a root in F (see _has_root).
-    Otherwise it is "A4/S4"."""
-    return "C4" if _has_root(F, _quartic_resolvent(F, h)) else "A4/S4"
+    "C4" exactly when its resolvent cubic has a root in F.  Otherwise it
+    is "A4/S4".  A root proposed from the quintic's complex roots and
+    checked exactly (see _proposed_resolvent_root) settles "C4"; every
+    other case takes the norm test (see _has_root)."""
+    resolvent = _quartic_resolvent(F, h)
+    if _proposed_resolvent_root(F, resolvent) or _has_root(F, resolvent):
+        return "C4"
+    return "A4/S4"
+
+
+# The six Sylow 5-subgroups of S5 as pentagons on root indices: each is
+# the one 5-cycle of its subgroup that takes 0 to 1.
+_PENTAGONS = ((0, 1, 2, 3, 4), (0, 1, 2, 4, 3), (0, 1, 3, 2, 4),
+              (0, 1, 3, 4, 2), (0, 1, 4, 2, 3), (0, 1, 4, 3, 2))
+
+
+def _proposed_resolvent_root(F, resolvent) -> bool:
+    """Whether a proposed element of F is a root of the monic cubic
+    resolvent, for F whose top level is a quintic; False unless that
+    quintic f has rational integer coefficients.
+
+    When Gal(f) over Q is the Frobenius group of a pentagon on f's complex
+    roots z_j, the stabiliser of z_j fixes the pairing of its neighbours
+    and of the other two roots, so r = z_(j-1) z_(j+1) + z_(j-2) z_(j+2),
+    indices along the pentagon, lies in Q(alpha) with alpha the top
+    generator.  As an algebraic integer, r f'(alpha) lies in Z[alpha], and
+    its coordinates are those of sum_j r_j f(x)/(x - z_j).  Those are
+    rounded from floating-point roots for each of the six pentagons, and a
+    candidate s counts only when R(s/f'(alpha)) f'(alpha)^3 = 0 holds in
+    exact arithmetic for the resolvent R, so a poor approximation makes no
+    false proposal."""
+    B = F.base
+    parts = [B.parts(c) for c in F.modulus]
+    if any(den != 1 or any(nums[1:]) for nums, den in parts):
+        return False
+    f = [nums[0] for nums, _ in parts]
+    z = _complex_roots(f)
+    if z is None:
+        return False
+    quotients = []  # f(x)/(x - z_j), descending, by synthetic division
+    for zj in z:
+        q = [1.0]
+        for a in f[4:0:-1]:
+            q.append(a + zj * q[-1])
+        quotients.append(q)
+    derivative = F.from_coords([B.from_fraction(i * a)
+                                for i, a in enumerate(f) if i])
+    for pentagon in _PENTAGONS:
+        s = [0j] * 5
+        for i, j in enumerate(pentagon):
+            r = (z[pentagon[i - 1]] * z[pentagon[(i + 1) % 5]]
+                 + z[pentagon[i - 2]] * z[pentagon[(i + 2) % 5]])
+            s = [x + r * y for x, y in zip(s, quotients[j])]
+        # past 2^52, and for inf or nan, a float names no single integer
+        if not all(abs(x.real) < 2.0 ** 52 and abs(x - round(x.real)) < 0.25
+                   for x in s):
+            continue
+        s = F.from_coords([B.from_fraction(round(x.real))
+                           for x in reversed(s)])
+        acc, power = F.one(), F.one()
+        for c in resolvent[-2::-1]:
+            power = F.mul(power, derivative)
+            acc = F.add(F.mul(acc, s), F.mul(c, power))
+        if F.is_zero(acc):
+            return True
+    return False
+
+
+def _complex_roots(f):
+    """The complex roots of the monic f, given by its ascending integer
+    coefficients a_k, by Durand-Kerner iteration from the points
+    radius (0.4 + 0.9i)^k, where radius = 2 max |a_(n-k)|^(1/k) bounds the
+    roots (Fujiwara 1916); None when a coefficient or an iterate leaves the
+    float range or the roots do not settle within 100 sweeps."""
+    n = len(f) - 1
+    try:
+        c = [complex(a) for a in f]
+        radius = 2 * max(abs(c[n - k]) ** (1 / k) for k in range(1, n + 1))
+        z = [radius * (0.4 + 0.9j) ** k for k in range(n)]
+        for _ in range(100):
+            settled = True
+            for i, zi in enumerate(z):
+                value = denominator = 1
+                for a in c[-2::-1]:
+                    value = value * zi + a
+                for k, zk in enumerate(z):
+                    if k != i:
+                        denominator *= zi - zk
+                step = value / denominator
+                z[i] = zi - step
+                settled = settled and abs(step) <= 1e-13 * radius
+            if settled:
+                return z
+    except (OverflowError, ZeroDivisionError):
+        pass
+    return None
 
 
 # Groups whose root stabilisers are transitive on the other roots, so the

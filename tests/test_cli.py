@@ -314,6 +314,12 @@ def test_tool_splitting_degree(capsys):
     assert capsys.readouterr().out.strip() == "8"
     assert main(["tool", "splitting-degree", "x^4+x^3+x^2+x+1"]) == 0
     assert capsys.readouterr().out.strip() == "4"
+    # an F20 quintic's stabiliser is settled by a checked proposal, an S5
+    # quintic's by the resolvent norm
+    assert main(["tool", "splitting-degree", "x^5+15*x+12"]) == 0
+    assert capsys.readouterr().out.strip() == "20"
+    assert main(["tool", "splitting-degree", "x^5-x-1"]) == 0
+    assert capsys.readouterr().out.strip() == "120"
 
 
 def test_tool_exits_3_on_a_resource_cap(capsys, monkeypatch):

@@ -1113,13 +1113,20 @@ def test_cyclic_quartic_decided_by_one_square_test(monkeypatch):
 # 2-transitive, so the quartic cofactor over Q(theta) stays irreducible;
 # D5 and C5 are not, and the cofactor factors over Q(theta).
 QUINTICS = {
-    "F20": ("x^5 - 2", "x^5 - 3"),
+    "F20": ("x^5 - 2", "x^5 - 3", "x^5 + 15*x + 12"),
     "A5": ("x^5 + 20*x + 16",),
     "S5": ("x^5 - x - 1",),
     "D5": ("x^5 - 5*x + 12",),
     "C5": ("x^5 + x^4 - 4*x^3 - 3*x^2 + 3*x + 1",),
 }
 QUINTIC_ORDERS = {"F20": 20, "A5": 60, "S5": 120, "D5": 10, "C5": 5}
+
+# F20 quintics whose proposed resolvent root is out of float reach: 2^1101
+# overflows a float, and the coordinates for 3*10^30 pass its precision,
+# so the norm test decides.  On 2^1101 that test takes seconds over a
+# quadratic base, so it runs over Q alone.
+FALLBACK_QUINTICS = {f"x^5 - {2 ** 1101}": ("Q",),
+                     f"x^5 - {3 * 10 ** 30}": BASE_TAGS}
 
 
 def quartic_cofactor(f, tag):
@@ -1144,18 +1151,23 @@ def test_stabiliser_class_agrees_with_galois_class():
         f = seeded_squarefree(rng, 5)
         if [m for _, m in factor_over_tower(FieldTower(), f)] == [1]:
             quintics.append(f)
+    cases = [(tag, f, False) for tag in BASE_TAGS for f in quintics]
+    cases += [(tag, parse_polynomial(text), True)
+              for text, tags in FALLBACK_QUINTICS.items() for tag in tags]
     labels = []
-    for tag in BASE_TAGS:
-        for f in quintics:
-            found = quartic_cofactor(f, tag)
-            if found is None:
-                continue
-            K, factors = found
-            assert [len(h) - 1 for h, _ in factors] == [4], (tag, f)
-            h = factors[0][0]
-            label = towers._stabiliser_class(K, h)
-            assert label == towers._galois_class(K, h), (tag, f)
-            labels.append(label)
+    for tag, f, out_of_reach in cases:
+        found = quartic_cofactor(f, tag)
+        if found is None:
+            continue
+        K, factors = found
+        assert [len(h) - 1 for h, _ in factors] == [4], (tag, f)
+        h = factors[0][0]
+        if out_of_reach:
+            resolvent = towers._quartic_resolvent(K, h)
+            assert not towers._proposed_resolvent_root(K, resolvent)
+        label = towers._stabiliser_class(K, h)
+        assert label == towers._galois_class(K, h), (tag, f)
+        labels.append(label)
     assert len(labels) >= 20 and set(labels) == {"C4", "A4/S4"}
     # a D5 or C5 cofactor is reducible, so splitting_tower never asks
     for tag in BASE_TAGS:
@@ -1199,6 +1211,27 @@ def test_quintic_quartic_level_takes_no_square_test(monkeypatch):
     tower = splitting_tower(P(-2, 0, 0, 0, 0, 1))
     assert tower.level_degrees() == [5, 4]
     assert calls == [("_galois_class", 5)]
+
+
+def test_frobenius_stabiliser_takes_no_norm(monkeypatch):
+    # an F20 quintic's resolvent root is proposed from complex roots and
+    # checked exactly, with no resolvent norm; x^5 + 15x + 12's root,
+    # 6 - 3/2 a + 1/2 a^2 - 1/2 a^3 + 1/2 a^4, is found only through the
+    # scaling by f'(a)
+    cases = []
+    for text in ("x^5 - 2", "x^5 - 7", "x^5 + 15*x + 12"):
+        for tag in BASE_TAGS:
+            found = quartic_cofactor(parse_polynomial(text), tag)
+            if found is not None and len(found[1]) == 1:
+                cases.append((text, tag, found[0], found[1][0][0]))
+    assert {tag for _, tag, _, _ in cases} == set(BASE_TAGS)
+
+    def no_norm(F, f):
+        raise AssertionError("resolvent norm taken")
+
+    monkeypatch.setattr(towers, "_squarefree_norm", no_norm)
+    for text, tag, K, h in cases:
+        assert towers._stabiliser_class(K, h) == "C4", (text, tag)
 
 
 def test_two_division_towers_take_no_rational_norm_above_36(monkeypatch):
