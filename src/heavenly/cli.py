@@ -98,10 +98,14 @@ def _classify_batch(in_dir: Path, out_dir: Path) -> int:
     if not in_dir.is_dir():
         print(f"error: {in_dir} is not a directory", file=sys.stderr)
         return EXIT_INVALID
+    # a batch's own outputs are not inputs, so a rerun into INDIR reads
+    # the same files as the first run
     files = sorted(p for p in in_dir.iterdir()
-                   if p.is_file() and p.suffix == ".json")
+                   if p.is_file() and p.suffix == ".json"
+                   and not p.name.endswith(".cert.json"))
     if not files:
-        print(f"error: no .json files under {in_dir}", file=sys.stderr)
+        print(f"error: no .json files under {in_dir}, not counting "
+              "*.cert.json outputs", file=sys.stderr)
         return EXIT_INVALID
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -147,7 +151,10 @@ def cmd_classify(args) -> int:
 
 
 def _tool_factor(expr: str) -> None:
-    for factor, multiplicity in factor_over_q(parse_polynomial(expr)):
+    f = parse_polynomial(expr)
+    if f.degree == 0:
+        raise InputError("cannot factor a constant polynomial")
+    for factor, multiplicity in factor_over_q(f):
         suffix = f"  (multiplicity {multiplicity})" if multiplicity > 1 else ""
         print(format_polynomial(factor) + suffix)
 

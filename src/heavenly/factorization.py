@@ -1,7 +1,11 @@
 """Factorization of univariate polynomials over Q.
 
-The route is classical Zassenhaus: reduce to a monic squarefree integer
-polynomial and take the factor degrees, by distinct-degree factorization,
+The route reduces to a monic squarefree integer polynomial and first
+splits off its linear factors: its integer roots are the exact ones among
+the Newton lifts of its roots modulo one small prime
+(polynomials.integer_roots). What is left has no rational root, so at
+degree 2 or 3 it is irreducible. From degree 4 it goes on to classical
+Zassenhaus: take the factor degrees, by distinct-degree factorization,
 modulo each of the first few odd primes keeping it squarefree, stopping
 early once some prime shows at most eight factors and a further prime adds
 no degree information, when at most 162 subsets are left to test. A
@@ -30,9 +34,10 @@ from itertools import combinations, count
 from math import isqrt
 
 from .errors import InputError, ResourceCapError
-from .integers import is_probable_prime
+from .integers import is_probable_prime, next_odd_prime
 from .polynomials import (
     UniPoly,
+    integer_roots,
     memoized,
     monic_integral_with_scale,
     poly_gcd,
@@ -511,13 +516,6 @@ def _symmetric(c: int, m: int) -> int:
     return c - m if c > m // 2 else c
 
 
-def _next_odd_prime(p: int) -> int:
-    q = p + 2
-    while not is_probable_prime(q):
-        q += 2
-    return q
-
-
 def _squarefree_mod(f: list[int], p: int) -> bool:
     fp = _trim([c % p for c in f])
     if len(fp) != len(f):
@@ -542,10 +540,28 @@ def _divisor_degrees(parts) -> tuple[int, int]:
 
 
 def _factor_monic_squarefree_int(f: list[int]) -> list[list[int]]:
-    """Monic irreducible integer factors of a monic squarefree int poly."""
-    n = len(f) - 1
-    if n <= 1:
+    """Monic irreducible integer factors of a monic squarefree int poly.
+
+    The linear factors come from its integer roots. What is left has no
+    root, so it is irreducible up to degree 3; from degree 4 it goes to
+    Zassenhaus."""
+    if len(f) <= 2:
         return [f]
+    roots = integer_roots(f)
+    for r in roots:
+        f = _int_divmod_monic(f, [-r, 1])[0]
+    linear = [[-r, 1] for r in roots]
+    if len(f) == 1:
+        return linear
+    if len(f) <= 4:
+        return linear + [f]
+    return linear + _zassenhaus(f)
+
+
+def _zassenhaus(f: list[int]) -> list[list[int]]:
+    """Monic irreducible integer factors of a monic squarefree int poly
+    of degree at least 4."""
+    n = len(f) - 1
     # Bit d of `allowed` is set while every prime tried so far admits a
     # divisor of degree d, i.e. d is a subset sum of its factor degrees.
     # Good primes exist since f is squarefree over Q and only primes
@@ -555,7 +571,7 @@ def _factor_monic_squarefree_int(f: list[int]) -> list[list[int]]:
     best = None
     for _ in range(_DEGREE_SET_PRIMES):
         while not _squarefree_mod(f, p):
-            p = _next_odd_prime(p)
+            p = next_odd_prime(p)
         parts = _distinct_degree_parts(f, p)
         sums, count = _divisor_degrees(parts)
         narrowed = best is None or allowed & sums != allowed
@@ -566,7 +582,7 @@ def _factor_monic_squarefree_int(f: list[int]) -> list[list[int]]:
             best = (count, p, parts)
         if best[0] <= _FEW_MODULAR_FACTORS and not narrowed:
             break
-        p = _next_odd_prime(p)
+        p = next_odd_prime(p)
     _, p, parts = best
     # Only parts holding several factors of one degree need splitting.
     modular = sorted(
@@ -632,7 +648,7 @@ def _provably_squarefree(f: UniPoly) -> bool:
     for _ in range(5):
         if _squarefree_mod(ints, p):
             return True
-        p = _next_odd_prime(p)
+        p = next_odd_prime(p)
     return False
 
 

@@ -70,6 +70,14 @@ def is_probable_prime(n: int) -> bool:
     return True
 
 
+def next_odd_prime(p: int) -> int:
+    """The least prime above the odd number p."""
+    q = p + 2
+    while not is_probable_prime(q):
+        q += 2
+    return q
+
+
 def _pollard_rho(n: int) -> int:
     """A nontrivial factor of composite odd n.
 

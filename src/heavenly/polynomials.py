@@ -15,6 +15,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import DigitLimitError, InputError
+from .integers import next_odd_prime
 
 RatLike = int | Fraction
 
@@ -358,14 +359,62 @@ def has_rational_root(f: UniPoly) -> bool:
 
 
 def rational_roots(f: UniPoly) -> list[Fraction]:
-    """All rational roots (without multiplicity), ascending: the roots of
-    f's linear factors over Q."""
-    # factorization imports this module, so it is imported here
-    from .factorization import factor_over_q
-
+    """All rational roots (without multiplicity), ascending: the integer
+    roots of the monic integral form of f's squarefree part, divided by
+    the scale of its roots."""
     if f.is_zero:
         raise InputError("rational roots of the zero polynomial")
-    return sorted(-g.coeffs[0] for g, _ in factor_over_q(f) if g.degree == 1)
+    if f.degree < 1:
+        return []
+    g, scale = monic_integral_with_scale(squarefree_part(f))
+    return [r / scale for r in integer_roots(g.integer_coefficients())]
+
+
+def _horner(f: list[int], x: int, m: int) -> int:
+    acc = 0
+    for c in reversed(f):
+        acc = (acc * x + c) % m
+    return acc
+
+
+def integer_roots(f: list[int]) -> list[int]:
+    """Integer roots, ascending, of a monic squarefree integer polynomial
+    given by its ascending coefficients.
+
+    At the smallest odd prime p at which every root of f mod p is simple,
+    the roots mod p are found by evaluation and each is Newton-lifted to a
+    modulus p^(2^k) above 2(1 + max |a_i|); the symmetric residues that
+    are exact roots are kept.  Every integer root reduces to a simple root
+    mod p, so it is the lift of one, and lies within the Cauchy bound
+    1 + max |a_i|, so it equals that lift's symmetric residue.  f
+    squarefree makes such a p exist: only primes dividing its
+    discriminant give a repeated root.
+    """
+    df = [i * c for i, c in enumerate(f)][1:]
+    p = 3
+    while True:
+        fp = [c % p for c in f]
+        roots = [r for r in range(p) if _horner(fp, r, p) == 0]
+        if all(_horner(df, r, p) for r in roots):
+            break
+        p = next_odd_prime(p)
+    if not roots:
+        return []
+    bound = 2 * (1 + max(abs(c) for c in f))
+    m = p
+    while m <= bound:
+        m *= m
+        roots = [(r - _horner(f, r, m) * pow(_horner(df, r, m), -1, m)) % m
+                 for r in roots]
+    out = []
+    for r in roots:
+        r = r - m if r > m // 2 else r
+        acc = 0
+        for c in reversed(f):
+            acc = acc * r + c
+        if acc == 0:
+            out.append(r)
+    return sorted(out)
 
 
 def make_monic_integral(f: UniPoly) -> UniPoly:

@@ -582,9 +582,16 @@ def test_resource_cap_yields_unknown(monkeypatch):
 
 
 def test_a_cap_in_the_screen_yields_unknown(monkeypatch):
-    # factoring x^2 - 15016 for the quadratic step's odd primes meets the
-    # lowered recombination cap before the screen has an outcome
-    monkeypatch.setattr(factorization, "RECOMBINATION_CAP", 1)
+    # a cap met while factoring x^2 - 15016 for the quadratic step's odd
+    # primes stops the screen before it has an outcome
+    real = ramification.factor_over_q
+
+    def capped(f):
+        if f == UniPoly.of(-15016, 0, 1):
+            raise ResourceCapError("factoring x^2 - 15016 capped")
+        return real(f)
+
+    monkeypatch.setattr(ramification, "factor_over_q", capped)
     verdict = classify(WeilRestrictionInput.of("Q", 15016, TWO_CUBIC_WEIL))
     assert verdict.status == UNKNOWN
     assert verdict.screen is None
@@ -592,8 +599,7 @@ def test_a_cap_in_the_screen_yields_unknown(monkeypatch):
     assert verdict.closure_degree is None
     last = verdict.steps[-1]
     assert last.description == "resource cap reached; verdict left undecided"
-    assert last.value("detail") == (
-        "factor recombination exceeded 1 subsets (degree 2, 2 factors mod 3)")
+    assert last.value("detail") == "factoring x^2 - 15016 capped"
 
 
 def test_capped_certificates_keep_the_steps_of_built_towers(monkeypatch):

@@ -12,10 +12,12 @@ from pathlib import Path
 import pytest
 
 import heavenly.cli as cli
-import heavenly.factorization as factorization
 import heavenly.permgroups as permgroups
+import heavenly.ramification as ramification
 import heavenly.towers as towers
 from heavenly.cli import main
+from heavenly.errors import ResourceCapError
+from heavenly.polynomials import UniPoly
 from heavenly.verifier import CHECK_IDS, LemmaReport
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -48,11 +50,21 @@ LONG_NUMBER = "9" * 5000
 DIGIT_LIMIT = f"({sys.get_int_max_str_digits()} digits)"
 CAP_DOC = {"kind": "weil_restriction", "base_field": "Q", "D": 3,
            "cubic": ["-1-s", "-1", "0", "1"]}
-# with the recombination cap at 1, factoring x^2 - 15016 in the screen
-# stops this input before the screen has an outcome
+# with a cap met while factoring x^2 - 15016 in the screen, this input
+# stops before the screen has an outcome
 SCREEN_CAP_DOC = dict(CAP_DOC, D=15016)
-SCREEN_CAP_DETAIL = ("factor recombination exceeded 1 subsets "
-                     "(degree 2, 2 factors mod 3)")
+SCREEN_CAP_DETAIL = "factoring x^2 - 15016 capped"
+
+
+def cap_the_screen(monkeypatch):
+    real = ramification.factor_over_q
+
+    def capped(f):
+        if f == UniPoly.of(-15016, 0, 1):
+            raise ResourceCapError(SCREEN_CAP_DETAIL)
+        return real(f)
+
+    monkeypatch.setattr(ramification, "factor_over_q", capped)
 
 
 def test_verify_single_check(capsys):
@@ -166,7 +178,7 @@ def test_verify_exits_3_on_the_subgroup_order_cap(capsys, monkeypatch):
 
 def test_classify_prints_the_certificate_of_a_cap_in_the_screen(
         capsys, tmp_path, monkeypatch):
-    monkeypatch.setattr(factorization, "RECOMBINATION_CAP", 1)
+    cap_the_screen(monkeypatch)
     path = write_doc(tmp_path / "cap.json", SCREEN_CAP_DOC)
     assert main(["classify", str(path)]) == 3
     doc = json.loads(capsys.readouterr().out)
@@ -177,7 +189,7 @@ def test_classify_prints_the_certificate_of_a_cap_in_the_screen(
 
 def test_classify_batch_certifies_a_cap_in_the_screen(
         capsys, tmp_path, monkeypatch):
-    monkeypatch.setattr(factorization, "RECOMBINATION_CAP", 1)
+    cap_the_screen(monkeypatch)
     indir = tmp_path / "in"
     outdir = tmp_path / "out"
     indir.mkdir()
@@ -205,6 +217,22 @@ def test_classify_batch(capsys, tmp_path):
         doc = json.loads((outdir / name).read_text(encoding="utf-8"))
         assert doc["verdict"]["status"] == status
     assert not list(outdir.glob("*.tmp"))
+
+
+def test_classify_batch_reruns_into_its_input_directory(capsys, tmp_path):
+    # the second run reads only a.json, not the a.cert.json the first wrote
+    write_doc(tmp_path / "a.json", GOOD_DOC)
+    for _ in range(2):
+        assert main(["classify", str(tmp_path), "--dir", str(tmp_path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == "a.json: heavenly -> a.cert.json\n"
+        assert captured.err == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.cert.json",
+                                                         "a.json"]
+    # with the input gone, only an output is left, and it is not an input
+    (tmp_path / "a.json").unlink()
+    assert main(["classify", str(tmp_path), "--dir", str(tmp_path)]) == 2
+    assert "not counting *.cert.json outputs" in capsys.readouterr().err
 
 
 def test_classify_batch_keeps_going_past_invalid_files(capsys, tmp_path):
@@ -380,6 +408,14 @@ def test_readme_tool_examples(capsys):
 def test_tool_ramification_rejects_constants(capsys):
     assert main(["tool", "ramification", "7"]) == 2
     assert "constant" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("expr", ["5", "-3"])
+def test_tool_factor_rejects_constants(capsys, expr):
+    assert main(["tool", "factor", expr]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: cannot factor a constant polynomial\n"
 
 
 def test_tool_rejects_zero_denominators(capsys):

@@ -250,6 +250,39 @@ def test_degree_sets_prove_s5_quintic_irreducible_without_lifting(
     assert factor_over_q(f) == [(f, 1)]
 
 
+def test_linear_factors_split_off_without_lifting(monkeypatch):
+    # rational roots are lifted one at a time and a root-free cofactor of
+    # degree 2 or 3 is irreducible, so none of these reaches Zassenhaus
+    def no_lifting(*args):
+        raise AssertionError("Hensel lifting reached")
+
+    monkeypatch.setattr(factorization, "_hensel_lift_tree", no_lifting)
+    x = P(0, 1)
+    assert factor_over_q(P(0, -1, 0, 1)) == [
+        (P(-1, 1), 1), (x, 1), (P(1, 1), 1)]
+    assert factor_over_q(P(0, -4, 0, 1)) == [
+        (P(-2, 1), 1), (x, 1), (P(2, 1), 1)]
+    assert factor_over_q(P(0, -1, 0, 0, 0, 1)) == [
+        (P(-1, 1), 1), (x, 1), (P(1, 1), 1), (P(1, 0, 1), 1)]
+    # x^6 - 2x^3 + 1 = (x^3 - 1)^2
+    assert factor_over_q(P(1, 0, 0, -2, 0, 0, 1)) == [
+        (P(-1, 1), 2), (P(1, 1, 1), 2)]
+    # 6x^3 - 5x^2 - 2x + 1 = (x - 1)(3x - 1)(2x + 1)
+    assert factor_over_q(P(1, -2, -5, 6)) == [
+        (P(-1, 1), 1), (P(Fraction(-1, 3), 1), 1),
+        (P(Fraction(1, 2), 1), 1)]
+
+
+def test_large_rational_roots_are_fast():
+    start = time.perf_counter()
+    root = 3 * 10 ** 30
+    assert factor_over_q(P(-root, 1) * P(1, 0, 1)) == [
+        (P(-root, 1), 1), (P(1, 0, 1), 1)]
+    f = P(-(2 ** 1101), 0, 0, 0, 0, 1)
+    assert factor_over_q(f) == [(f, 1)]
+    assert time.perf_counter() - start < 1
+
+
 def _sympy_irreducible(sympy, rng):
     x = sympy.Symbol("x")
     while True:
@@ -268,6 +301,15 @@ def _sympy_factor_list(sympy, f):
     return sorted(out, key=lambda t: (t[0].degree, t[0].coeffs))
 
 
+def _assert_agrees_with_sympy(sympy, f):
+    facs = factor_over_q(f)
+    rebuilt = UniPoly.one()
+    for g, mult in facs:
+        rebuilt = rebuilt * g**mult
+    assert rebuilt == f.monic(), f
+    assert facs == _sympy_factor_list(sympy, f), f
+
+
 def test_factor_over_q_agrees_with_sympy_on_random_products():
     # products of 2-3 irreducible integer polynomials of degree <= 8,
     # non-monic ones included; sympy's factor_list is the oracle
@@ -277,12 +319,23 @@ def test_factor_over_q_agrees_with_sympy_on_random_products():
         f = UniPoly.one()
         for _ in range(rng.randrange(2, 4)):
             f = f * _sympy_irreducible(sympy, rng)
-        facs = factor_over_q(f)
-        rebuilt = UniPoly.one()
-        for g, mult in facs:
-            rebuilt = rebuilt * g**mult
-        assert rebuilt == f.monic()
-        assert facs == _sympy_factor_list(sympy, f)
+        _assert_agrees_with_sympy(sympy, f)
+
+
+def test_factor_over_q_agrees_with_sympy_on_products_rich_in_linear_factors():
+    # repeated roots, the root 0, and roots far outside the coefficient
+    # bounds of the other factors, times 0-2 irreducible factors
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(83)
+    for _ in range(60):
+        f = P(rng.choice((1, -2, 3)))
+        for _ in range(rng.randrange(1, 5)):
+            root = rng.choice((0, rng.randrange(-9, 10),
+                               rng.randrange(-10 ** 15, 10 ** 15)))
+            f = f * P(-root, rng.choice((1, 1, 2, 5))) ** rng.randrange(1, 4)
+        for _ in range(rng.randrange(0, 3)):
+            f = f * _sympy_irreducible(sympy, rng)
+        _assert_agrees_with_sympy(sympy, f)
 
 
 def _unreduced(rng, length, m):

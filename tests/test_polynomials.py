@@ -6,6 +6,7 @@ import pytest
 import random
 import time
 
+import heavenly.factorization as factorization
 import heavenly.polynomials as polynomials
 from heavenly.errors import InputError
 from heavenly.polynomials import (
@@ -13,6 +14,7 @@ from heavenly.polynomials import (
     discriminant,
     format_polynomial,
     has_rational_root,
+    integer_roots,
     make_monic_integral,
     monic_integral_with_scale,
     parse_polynomial,
@@ -147,7 +149,16 @@ def test_discriminant_quadratic_formula():
         assert discriminant(f) == b * b - 4 * c
 
 
-def test_rational_roots():
+def no_factoring(monkeypatch):
+    # rational roots are found by a root lift, never by factoring
+    def refuse(f):
+        raise AssertionError("factor_over_q reached")
+
+    monkeypatch.setattr(factorization, "factor_over_q", refuse)
+
+
+def test_rational_roots(monkeypatch):
+    no_factoring(monkeypatch)
     f = P(0, -1, 0, 1)  # x^3 - x = x(x-1)(x+1)
     assert rational_roots(f) == [Fraction(-1), Fraction(0), Fraction(1)]
     assert rational_roots(P(1, 0, 1)) == []
@@ -166,8 +177,9 @@ def random_rational_poly(rng, degree):
                                                 rng.randrange(1, 4))])
 
 
-def test_rational_roots_agree_with_sympy():
+def test_rational_roots_agree_with_sympy(monkeypatch):
     sympy = pytest.importorskip("sympy")
+    no_factoring(monkeypatch)
     x = sympy.Symbol("x")
     rng = random.Random(137)
     for _ in range(40):
@@ -185,11 +197,23 @@ def test_rational_roots_agree_with_sympy():
         rational_roots(UniPoly.zero())
 
 
-def test_rational_roots_of_a_large_constant_are_fast():
+def test_rational_roots_of_a_large_constant_are_fast(monkeypatch):
+    no_factoring(monkeypatch)
     start = time.perf_counter()
     assert rational_roots(P(-10 ** 40, 0, 1)) == [Fraction(-10 ** 20),
                                                  Fraction(10 ** 20)]
     assert time.perf_counter() - start < 1
+
+
+def test_integer_roots_skip_primes_with_a_repeated_root():
+    # x(x - 105)(x + 2): 0 and 105 meet mod 3, 5 and 7, and 0 and -2 mod 2,
+    # so the roots are lifted from 11, where all three are simple
+    f = P(0, 1) * P(-105, 1) * P(2, 1)
+    assert integer_roots(f.integer_coefficients()) == [-2, 0, 105]
+    # roots far beyond p, and none at all
+    assert integer_roots([-(7 ** 60), 1]) == [7 ** 60]
+    assert integer_roots([1, 0, 1]) == []
+    assert integer_roots((P(3, 1) * P(1, 1, 1)).integer_coefficients()) == [-3]
 
 
 def test_make_monic_integral_frozen():
