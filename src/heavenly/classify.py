@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .axioms import MUST_BE_2POWER, apply_harbater, apply_small_degree, axiom
 from .errors import InputError, ResourceCapError
@@ -28,6 +29,7 @@ from .polynomials import (
 from .ramification import splitting_field_odd_ramified
 from .towers import (
     BASE_FIELD_POLYS,
+    RATIONAL,
     _cubic_discriminant,
     _is_square,
     _pair_cubic,
@@ -124,6 +126,32 @@ def _require_monic_integral_squarefree(f: UniPoly, what: str) -> None:
         raise InputError(f"{what} must be squarefree")
 
 
+def _curve_model(f: UniPoly) -> UniPoly:
+    """A monic integral model of the curve y^2 = f(x) itself.
+
+    At odd degree n, F = d^2 f is integral for d the least common
+    denominator, and a^(n-1) F(x/a), for F's leading coefficient a, is
+    the same curve through X = a x, Y = a^((n-1)/2) d y; F's content
+    stays, since dividing it out would twist the curve.  At degree 6 these
+    substitutions keep the leading coefficient's square class: a square
+    makes make_monic_integral's model the same curve, and any other is a
+    quadratic twist of a monic model, rejected for now.  Other degrees are
+    left to the input shapes to reject."""
+    n = f.degree
+    if n > 0 and n % 2:
+        d = lcm(*(c.denominator for c in f.coeffs))
+        ints = [c.numerator * d * (d // c.denominator) for c in f.coeffs]
+        a = ints[-1]
+        return UniPoly.from_list(
+            [c * a ** (n - 1 - k) for k, c in enumerate(ints[:-1])] + [1])
+    if n == 6 and not _is_square(RATIONAL, f.leading_coefficient):
+        raise InputError(
+            f"y^2 = {format_polynomial(f)} is the quadratic twist by "
+            f"{f.leading_coefficient} of a monic model; twisted sextic "
+            f"models are not supported")
+    return make_monic_integral(f)
+
+
 @dataclass(frozen=True)
 class EllipticInput:
     """An elliptic curve y^2 = f(x) with f a monic integral cubic."""
@@ -139,8 +167,9 @@ class EllipticInput:
 
     @staticmethod
     def from_cubic(base: str, f: UniPoly) -> "EllipticInput":
-        """Normalize any squarefree rational cubic to a monic integral model."""
-        return EllipticInput(base, make_monic_integral(f))
+        """Any squarefree rational cubic, as a monic integral model of the
+        same curve."""
+        return EllipticInput(base, _curve_model(f))
 
     @staticmethod
     def from_long_weierstrass(base: str, a1, a2, a3, a4, a6) -> "EllipticInput":
@@ -174,8 +203,9 @@ class JacobianInput:
 
     @staticmethod
     def from_poly(base: str, f: UniPoly) -> "JacobianInput":
-        """Normalize any squarefree rational quintic or sextic model."""
-        return JacobianInput(base, make_monic_integral(f))
+        """Any squarefree rational quintic, or sextic with a square leading
+        coefficient, as a monic integral model of the same curve."""
+        return JacobianInput(base, _curve_model(f))
 
 
 @dataclass(frozen=True)

@@ -49,6 +49,8 @@ def is_probable_prime(n: int) -> bool:
     for p in _SMALL_PRIMES:
         if n % p == 0:
             return n == p
+    if n < _SMALL_PRIMES[-1] ** 2:
+        return True  # no prime factor up to its square root
     d = n - 1
     r = 0
     while d % 2 == 0:

@@ -377,6 +377,20 @@ def _horner(f: list[int], x: int, m: int) -> int:
     return acc
 
 
+def _newton_lift(f: list[int], roots: list[int], p: int,
+                 bound: int) -> tuple[list[int], int]:
+    """(roots mod m, m) for the least m = p^(2^k) above bound: the simple
+    roots mod p of the integer polynomial f, given by its ascending
+    coefficients, Newton-lifted with the modulus squared at each step."""
+    df = [i * c for i, c in enumerate(f)][1:]
+    m = p
+    while m <= bound:
+        m *= m
+        roots = [(r - _horner(f, r, m) * pow(_horner(df, r, m), -1, m)) % m
+                 for r in roots]
+    return roots, m
+
+
 def integer_roots(f: list[int]) -> list[int]:
     """Integer roots, ascending, of a monic squarefree integer polynomial
     given by its ascending coefficients.
@@ -400,12 +414,7 @@ def integer_roots(f: list[int]) -> list[int]:
         p = next_odd_prime(p)
     if not roots:
         return []
-    bound = 2 * (1 + max(abs(c) for c in f))
-    m = p
-    while m <= bound:
-        m *= m
-        roots = [(r - _horner(f, r, m) * pow(_horner(df, r, m), -1, m)) % m
-                 for r in roots]
+    roots, m = _newton_lift(f, roots, p, 2 * (1 + max(abs(c) for c in f)))
     out = []
     for r in roots:
         r = r - m if r > m // 2 else r

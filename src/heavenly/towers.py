@@ -53,10 +53,12 @@ Gal(h) over K, read off the discriminant and the Kappe-Warren resolvent
 cubic with factoring over K only; a D4 quartic, and every other degree,
 is refactored over K(theta).  A quartic h that is a quintic's irreducible
 cofactor has group C4, A4 or S4, and a root of its resolvent in K means
-C4.  For a quintic with rational integer coefficients, floating-point
-approximations of its roots propose that root, one per pentagon on them,
-and only an exact evaluation of the resolvent accepts one; otherwise the
-root is read off the degrees of the resolvent norm's factors.  The square
+C4.  For a quintic with rational integer coefficients, its roots in Z_p,
+at the least odd prime p where it splits into linears, give one candidate
+for that root per pentagon on them, exact for the right pentagon, and an
+exact evaluation of the resolvent accepts or rejects each; for any other
+quintic the root is read off the degrees of the resolvent norm's factors
+(Stauduhar 1973, with p-adic in place of complex roots).  The square
 tests those groups rest on descend the tower while the element lies in
 the field K' below the top level: an odd-degree level adjoins no square
 root, and over a quadratic level K'(sqrt e) an element of K' is a square
@@ -84,11 +86,18 @@ from .factorization import (
     _mod_rem,
     _mod_sub,
     _squarefree_mod,
+    _symmetric,
     _trim,
     factor_over_q,
 )
-from .integers import is_probable_prime
-from .polynomials import UniPoly, _bareiss_det, memoized, poly_gcd
+from .integers import is_probable_prime, next_odd_prime
+from .polynomials import (
+    UniPoly,
+    _bareiss_det,
+    _newton_lift,
+    memoized,
+    poly_gcd,
+)
 
 NORM_DEGREE_CAP = 192
 SPLITTING_DEGREE_CAP = 512
@@ -1244,13 +1253,15 @@ def _stabiliser_class(F, h):
     of a quintic over F.base, whose group is then 2-transitive (F20, A5 or
     S5) with root stabiliser C4, A4 or S4.  Only C4 lies in a D4, so h is
     "C4" exactly when its resolvent cubic has a root in F.  Otherwise it
-    is "A4/S4".  A root proposed from the quintic's complex roots and
-    checked exactly (see _proposed_resolvent_root) settles "C4"; every
-    other case takes the norm test (see _has_root)."""
+    is "A4/S4".  The root test is _pentagon_root for a quintic with
+    rational integer coefficients, else the norm test _has_root."""
     resolvent = _quartic_resolvent(F, h)
-    if _proposed_resolvent_root(F, resolvent) or _has_root(F, resolvent):
-        return "C4"
-    return "A4/S4"
+    parts = [F.base.parts(c) for c in F.modulus]
+    if any(den != 1 or any(nums[1:]) for nums, den in parts):
+        found = _has_root(F, resolvent)
+    else:
+        found = _pentagon_root(F, [nums[0] for nums, _ in parts], resolvent)
+    return "C4" if found else "A4/S4"
 
 
 # The six Sylow 5-subgroups of S5 as pentagons on root indices: each is
@@ -1259,48 +1270,38 @@ _PENTAGONS = ((0, 1, 2, 3, 4), (0, 1, 2, 4, 3), (0, 1, 3, 2, 4),
               (0, 1, 3, 4, 2), (0, 1, 4, 2, 3), (0, 1, 4, 3, 2))
 
 
-def _proposed_resolvent_root(F, resolvent) -> bool:
-    """Whether a proposed element of F is a root of the monic cubic
-    resolvent, for F whose top level is a quintic; False unless that
-    quintic f has rational integer coefficients.
+def _pentagon_root(F, f, resolvent) -> bool:
+    """Whether the monic cubic resolvent has a root in F, whose top level
+    is the quintic f with ascending rational integer coefficients.
 
-    When Gal(f) over Q is the Frobenius group of a pentagon on f's complex
-    roots z_j, the stabiliser of z_j fixes the pairing of its neighbours
-    and of the other two roots, so r = z_(j-1) z_(j+1) + z_(j-2) z_(j+2),
-    indices along the pentagon, lies in Q(alpha) with alpha the top
-    generator.  As an algebraic integer, r f'(alpha) lies in Z[alpha], and
-    its coordinates are those of sum_j r_j f(x)/(x - z_j).  Those are
-    rounded from floating-point roots for each of the six pentagons, and a
-    candidate s counts only when R(s/f'(alpha)) f'(alpha)^3 = 0 holds in
-    exact arithmetic for the resolvent R, so a poor approximation makes no
-    false proposal."""
+    The root stabiliser is C4 exactly when Gal(f) over F.base is the
+    Frobenius group of a pentagon on f's roots z_j.  The stabiliser of z_j
+    then fixes the pairing of its neighbours and of the other two roots,
+    so r = z_(j-1) z_(j+1) + z_(j-2) z_(j+2), indices along the pentagon,
+    is the root, in Q(alpha) for the top generator alpha.  As an algebraic
+    integer, r f'(alpha) lies in Z[alpha], with the coordinates of
+    sum_j r_j f(x)/(x - z_j); for the right one of the six pentagons on
+    f's roots in Z_p, their symmetric residues are exact (see
+    _split_prime_roots).  A candidate s counts only when
+    R(s/f'(alpha)) f'(alpha)^3 = 0 in F for the resolvent R, so none
+    passing proves A4 or S4."""
     B = F.base
-    parts = [B.parts(c) for c in F.modulus]
-    if any(den != 1 or any(nums[1:]) for nums, den in parts):
-        return False
-    f = [nums[0] for nums, _ in parts]
-    z = _complex_roots(f)
-    if z is None:
-        return False
-    quotients = []  # f(x)/(x - z_j), descending, by synthetic division
+    z, m = _split_prime_roots(f)
+    quotients = []  # f(x)/(x - z_j) mod m, descending, by synthetic division
     for zj in z:
-        q = [1.0]
+        q = [1]
         for a in f[4:0:-1]:
-            q.append(a + zj * q[-1])
+            q.append((a + zj * q[-1]) % m)
         quotients.append(q)
     derivative = F.from_coords([B.from_fraction(i * a)
                                 for i, a in enumerate(f) if i])
     for pentagon in _PENTAGONS:
-        s = [0j] * 5
+        s = [0] * 5
         for i, j in enumerate(pentagon):
             r = (z[pentagon[i - 1]] * z[pentagon[(i + 1) % 5]]
                  + z[pentagon[i - 2]] * z[pentagon[(i + 2) % 5]])
             s = [x + r * y for x, y in zip(s, quotients[j])]
-        # past 2^52, and for inf or nan, a float names no single integer
-        if not all(abs(x.real) < 2.0 ** 52 and abs(x - round(x.real)) < 0.25
-                   for x in s):
-            continue
-        s = F.from_coords([B.from_fraction(round(x.real))
+        s = F.from_coords([B.from_fraction(_symmetric(x, m))
                            for x in reversed(s)])
         acc, power = F.one(), F.one()
         for c in resolvent[-2::-1]:
@@ -1311,34 +1312,21 @@ def _proposed_resolvent_root(F, resolvent) -> bool:
     return False
 
 
-def _complex_roots(f):
-    """The complex roots of the monic f, given by its ascending integer
-    coefficients a_k, by Durand-Kerner iteration from the points
-    radius (0.4 + 0.9i)^k, where radius = 2 max |a_(n-k)|^(1/k) bounds the
-    roots (Fujiwara 1916); None when a coefficient or an iterate leaves the
-    float range or the roots do not settle within 100 sweeps."""
-    n = len(f) - 1
-    try:
-        c = [complex(a) for a in f]
-        radius = 2 * max(abs(c[n - k]) ** (1 / k) for k in range(1, n + 1))
-        z = [radius * (0.4 + 0.9j) ** k for k in range(n)]
-        for _ in range(100):
-            settled = True
-            for i, zi in enumerate(z):
-                value = denominator = 1
-                for a in c[-2::-1]:
-                    value = value * zi + a
-                for k, zk in enumerate(z):
-                    if k != i:
-                        denominator *= zi - zk
-                step = value / denominator
-                z[i] = zi - step
-                settled = settled and abs(step) <= 1e-13 * radius
-            if settled:
-                return z
-    except (OverflowError, ZeroDivisionError):
-        pass
-    return None
+def _split_prime_roots(f):
+    """(roots mod m, m): the roots in Z_p of the monic quintic f, given by
+    its ascending integer coefficients, mod m = p^(2^k) above 40 B^6 for
+    B = 1 + max |a_i|, at the least odd prime p with x^p = x mod (f, p).
+    Then f mod p divides x^p - x, which is squarefree, so it splits into
+    distinct linears whose roots lift by Newton's method.  Each root has
+    |z| < B (Cauchy), so |r_j| < 2 B^2, the coefficients of f(x)/(x - z_j)
+    are below 2 B^4 by synthetic division, and every coordinate of
+    sum_j r_j f(x)/(x - z_j) is below 20 B^6: its symmetric residue is
+    exact."""
+    p = 3
+    while _mod_pow_mod([0, 1], p, f, p) != [0, 1]:
+        p = next_odd_prime(p)
+    roots = [-h[0] % p for h in _equal_degree_split([a % p for a in f], 1, p)]
+    return _newton_lift(f, roots, p, 40 * (1 + max(map(abs, f))) ** 6)
 
 
 # Groups whose root stabilisers are transitive on the other roots, so the

@@ -447,7 +447,7 @@ def test_flagship_elliptic_x3_minus_2():
 @pytest.mark.parametrize("item", [
     EllipticInput("Q", UniPoly.of(0, -9, 0, 1)),  # 32a2 twisted by 3
     EllipticInput("Q", UniPoly.of(0, -3, 2, 1)),  # x(x - 1)(x + 3)
-    # 3x^3 - 3x, whose monic integral model drops the twist by 3
+    # 3x^3 - 3x, whose monic integral model is x^3 - 9x
     input_from_document({"kind": "elliptic", "base_field": "Q",
                          "cubic": ["0", "-3", "0", "3"]}),
 ], ids=["x3_minus_9x", "x_x_minus_1_x_plus_3", "3x3_minus_3x_document"])
@@ -455,6 +455,36 @@ def test_bad_reduction_at_3_is_not_heavenly(item):
     verdict = classify(item)
     assert verdict.status == NOT_HEAVENLY
     assert verdict.steps[-1].value("witness_prime") == 3
+
+
+def test_odd_degree_model_keeps_the_twist():
+    # 3x^3 - 3x is 32a2 twisted by 3; X = 3x, Y = 3y make it x^3 - 9x,
+    # additive at 3, where dividing out the content gave x^3 - x
+    item = input_from_document({"kind": "elliptic", "base_field": "Q",
+                                "cubic": ["0", "-3", "0", "3"]})
+    assert item.cubic == UniPoly.of(0, -9, 0, 1)
+    assert classify(item).status == UNKNOWN
+    # y^2 = x^3/2 - 1/3 at d = 6 and a = 18: X = 18x, Y = 18 * 6y
+    item = EllipticInput.from_cubic(
+        "Q", UniPoly.of(Fraction(-1, 3), 0, 0, Fraction(1, 2)))
+    assert item.cubic == UniPoly.of(-12 * 18 ** 2, 0, 0, 1)
+
+
+def test_census_models_scaled_by_an_odd_prime_are_never_heavenly():
+    # y^2 = c f(x) is the twist by c of a census curve, bad at c, so it is
+    # not heavenly at odd degree, and a sextic model with leading
+    # coefficient c is rejected as a twist
+    census = _census()
+    for coeffs in census["cubics"]["models"] + census["models"]:
+        for c in (3, 5):
+            f = UniPoly.of(*coeffs).scale(c)
+            if len(coeffs) == 7:
+                with pytest.raises(InputError, match=f"twist by {c} "):
+                    JacobianInput.from_poly("Q", f)
+                continue
+            item = (EllipticInput.from_cubic("Q", f) if len(coeffs) == 4
+                    else JacobianInput.from_poly("Q", f))
+            assert classify(item).status != HEAVENLY, (coeffs, c)
 
 
 # Each input below has bad reduction at an odd prime and a 2-division field

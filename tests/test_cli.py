@@ -130,6 +130,15 @@ def test_classify_invalid_document(capsys, tmp_path):
     assert "missing input fields" in capsys.readouterr().err
 
 
+def test_classify_rejects_a_twisted_sextic(capsys, tmp_path):
+    # y^2 = 3x^6 - 3x is a twist by 3 that no monic model carries
+    path = write_doc(tmp_path / "sextic.json", {
+        "kind": "jacobian", "base_field": "Q",
+        "poly": [0, -3, 0, 0, 0, 0, 3]})
+    assert main(["classify", str(path)]) == 2
+    assert "quadratic twist by 3" in capsys.readouterr().err
+
+
 def test_classify_unreadable_file(capsys, tmp_path):
     assert main(["classify", str(tmp_path / "absent.json")]) == 2
     assert "cannot read" in capsys.readouterr().err

@@ -3,7 +3,9 @@
 Every imported name is used (or re-exported through __all__), every
 private function, class, method and module constant is read somewhere in
 the package, and so is every public upper-case module constant, so dead
-code and dead settings left behind by a deletion show up here.
+code and dead settings left behind by a deletion show up here.  No
+verdict rests on floating point: the package has no float or complex
+literal and no float() or complex() call, elapsed times aside.
 """
 
 import ast
@@ -105,3 +107,26 @@ def test_every_public_constant_is_read():
               if not _is_private(defined) and defined.isupper()
               and defined not in loaded]
     assert not unread, "public constant never read: " + ", ".join(unread)
+
+
+def _is_elapsed_time(node) -> bool:
+    """Whether every argument of the call names an elapsed_seconds field,
+    the wall-clock time that reports carry beside their exact content."""
+    return bool(node.args) and all(
+        getattr(arg, "id", getattr(arg, "attr", None)) == "elapsed_seconds"
+        for arg in node.args)
+
+
+def test_no_floating_point():
+    found = []
+    for name, tree in _trees().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and isinstance(
+                    node.value, (float, complex)):
+                found.append(f"{name}:{node.lineno} {node.value!r}")
+            elif (isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Name)
+                  and node.func.id in ("float", "complex")
+                  and not _is_elapsed_time(node)):
+                found.append(f"{name}:{node.lineno} {node.func.id}()")
+    assert not found, "floating point in the package: " + ", ".join(found)

@@ -1121,12 +1121,12 @@ QUINTICS = {
 }
 QUINTIC_ORDERS = {"F20": 20, "A5": 60, "S5": 120, "D5": 10, "C5": 5}
 
-# F20 quintics whose proposed resolvent root is out of float reach: 2^1101
-# overflows a float, and the coordinates for 3*10^30 pass its precision,
-# so the norm test decides.  On 2^1101 that test takes seconds over a
-# quadratic base, so it runs over Q alone.
-FALLBACK_QUINTICS = {f"x^5 - {2 ** 1101}": ("Q",),
-                     f"x^5 - {3 * 10 ** 30}": BASE_TAGS}
+# F20 quintics with huge coefficients, whose resolvent root has
+# coordinates of hundreds of digits.  _galois_class takes seconds on
+# 2^1101 over a quadratic base, so it is compared there over Q alone;
+# test_frobenius_stabiliser_takes_no_norm labels it over every base.
+HUGE_QUINTICS = {f"x^5 - {2 ** 1101}": ("Q",),
+                 f"x^5 - {3 * 10 ** 30}": BASE_TAGS}
 
 
 def quartic_cofactor(f, tag):
@@ -1151,20 +1151,17 @@ def test_stabiliser_class_agrees_with_galois_class():
         f = seeded_squarefree(rng, 5)
         if [m for _, m in factor_over_tower(FieldTower(), f)] == [1]:
             quintics.append(f)
-    cases = [(tag, f, False) for tag in BASE_TAGS for f in quintics]
-    cases += [(tag, parse_polynomial(text), True)
-              for text, tags in FALLBACK_QUINTICS.items() for tag in tags]
+    cases = [(tag, f) for tag in BASE_TAGS for f in quintics]
+    cases += [(tag, parse_polynomial(text))
+              for text, tags in HUGE_QUINTICS.items() for tag in tags]
     labels = []
-    for tag, f, out_of_reach in cases:
+    for tag, f in cases:
         found = quartic_cofactor(f, tag)
         if found is None:
             continue
         K, factors = found
         assert [len(h) - 1 for h, _ in factors] == [4], (tag, f)
         h = factors[0][0]
-        if out_of_reach:
-            resolvent = towers._quartic_resolvent(K, h)
-            assert not towers._proposed_resolvent_root(K, resolvent)
         label = towers._stabiliser_class(K, h)
         assert label == towers._galois_class(K, h), (tag, f)
         labels.append(label)
@@ -1175,6 +1172,22 @@ def test_stabiliser_class_agrees_with_galois_class():
             f = parse_polynomial(QUINTICS[name][0])
             found = quartic_cofactor(f, tag)
             assert found is not None and len(found[1]) > 1, (tag, name)
+
+
+def test_stabiliser_class_of_a_gaussian_quintic_takes_the_norm_test():
+    # x^5 - 2i (F20 over Q(i)) and x^5 + ix + 1 have coefficients outside
+    # Z, so no p-adic candidates are formed and the norm test decides
+    base = base_field("Q(i)")
+    i, zero, one = base.generator(), base.zero(), base.one()
+    for low, label in (([base.scale(i, -2), zero], "C4"), ([one, i], "A4/S4")):
+        f = low + [zero, zero, zero, one]
+        K = extend(base, f)
+        cofactor, rem = towers._gp_divmod(K, [K.from_base(c) for c in f],
+                                          [K.neg(K.generator()), K.one()])
+        assert not rem
+        [(h, _)] = factor_over_tower(K, cofactor)
+        assert towers._stabiliser_class(K, h) == label
+        assert towers._galois_class(K, h) == label
 
 
 def test_quintic_splitting_degrees_agree_with_sympy():
@@ -1214,24 +1227,29 @@ def test_quintic_quartic_level_takes_no_square_test(monkeypatch):
 
 
 def test_frobenius_stabiliser_takes_no_norm(monkeypatch):
-    # an F20 quintic's resolvent root is proposed from complex roots and
-    # checked exactly, with no resolvent norm; x^5 + 15x + 12's root,
-    # 6 - 3/2 a + 1/2 a^2 - 1/2 a^3 + 1/2 a^4, is found only through the
-    # scaling by f'(a)
+    # a rational quintic's resolvent root is sought among candidates from
+    # its p-adic roots and checked exactly, with no resolvent norm, both
+    # when one passes (F20) and when none does (A5, S5); x^5 + 15x + 12's
+    # root, 6 - 3/2 a + 1/2 a^2 - 1/2 a^3 + 1/2 a^4, is found only through
+    # the scaling by f'(a), and the huge quintics' roots through the lift
+    expected = {text: "C4" for text in QUINTICS["F20"] + ("x^5 - 7",)}
+    expected.update({text: "C4" for text in HUGE_QUINTICS})
+    expected.update({text: "A4/S4" for text in QUINTICS["A5"]
+                     + QUINTICS["S5"]})
     cases = []
-    for text in ("x^5 - 2", "x^5 - 7", "x^5 + 15*x + 12"):
+    for text, label in expected.items():
         for tag in BASE_TAGS:
             found = quartic_cofactor(parse_polynomial(text), tag)
-            if found is not None and len(found[1]) == 1:
-                cases.append((text, tag, found[0], found[1][0][0]))
-    assert {tag for _, tag, _, _ in cases} == set(BASE_TAGS)
+            assert found is not None and len(found[1]) == 1, (text, tag)
+            cases.append((text, tag, found[0], found[1][0][0], label))
+    assert len(cases) == 4 * len(expected) == 32
 
     def no_norm(F, f):
         raise AssertionError("resolvent norm taken")
 
     monkeypatch.setattr(towers, "_squarefree_norm", no_norm)
-    for text, tag, K, h in cases:
-        assert towers._stabiliser_class(K, h) == "C4", (text, tag)
+    for text, tag, K, h, label in cases:
+        assert towers._stabiliser_class(K, h) == label, (text, tag)
 
 
 def test_two_division_towers_take_no_rational_norm_above_36(monkeypatch):
