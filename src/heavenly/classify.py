@@ -12,24 +12,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 
 from .axioms import MUST_BE_2POWER, apply_harbater, apply_small_degree, axiom
 from .errors import InputError, ResourceCapError
-from .integers import odd_part
+from .integers import factorize, odd_part
 from .polynomials import (
     UniPoly,
     discriminant,
     format_polynomial,
     make_monic_integral,
     memo_scope,
+    monic_rescale,
     quadratic_pair_text,
     squarefree_part,
 )
 from .ramification import splitting_field_odd_ramified
 from .towers import (
     BASE_FIELD_POLYS,
-    RATIONAL,
     _cubic_discriminant,
     _is_square,
     _pair_cubic,
@@ -58,23 +58,28 @@ _SHAPE_ERROR = "expected an elliptic, Jacobian, product, or restriction input"
 # Certificates.
 
 
-@dataclass(frozen=True)
-class Step:
-    """One certificate entry: an exact computation or an axiom citation."""
+class _NamedValues:
+    """value and has_value over the (name, value) pairs in field _pairs."""
 
-    kind: str
-    description: str
-    values: tuple
+    _pairs = "values"
 
     def value(self, name: str):
-        """Look up a recorded value by name."""
-        for key, val in self.values:
+        for key, val in getattr(self, self._pairs):
             if key == name:
                 return val
         raise KeyError(name)
 
     def has_value(self, name: str) -> bool:
-        return any(key == name for key, _ in self.values)
+        return any(key == name for key, _ in getattr(self, self._pairs))
+
+
+@dataclass(frozen=True)
+class Step(_NamedValues):
+    """One certificate entry: an exact computation or an axiom citation."""
+
+    kind: str
+    description: str
+    values: tuple
 
 
 def _computed(description: str, **values) -> Step:
@@ -127,29 +132,25 @@ def _require_monic_integral_squarefree(f: UniPoly, what: str) -> None:
 
 
 def _curve_model(f: UniPoly) -> UniPoly:
-    """A monic integral model of the curve y^2 = f(x) itself.
+    """An integral model of the curve y^2 = f(x) itself, for F = d^2 f
+    integral (d the least common denominator) and a = lc(F).
 
-    At odd degree n, F = d^2 f is integral for d the least common
-    denominator, and a^(n-1) F(x/a), for F's leading coefficient a, is
-    the same curve through X = a x, Y = a^((n-1)/2) d y; F's content
-    stays, since dividing it out would twist the curve.  At degree 6 these
-    substitutions keep the leading coefficient's square class: a square
-    makes make_monic_integral's model the same curve, and any other is a
-    quadratic twist of a monic model, rejected for now.  Other degrees are
-    left to the input shapes to reject."""
+    At odd degree n it is a^(n-1) F(x/a), monic, through X = a x,
+    Y = a^((n-1)/2) d y; F's content stays, since dividing it out would
+    twist the curve.  At even degree it is c g, for g =
+    make_monic_integral(f) and c the signed squarefree part of lc(f)'s
+    numerator times denominator: with F = e F1, F1 primitive of leading
+    coefficient L > 0, g(L x) = L^(n-1) F1(x), so (L^(n/2) d y)^2 =
+    e L g(L x), and e L = a has lc(f)'s square class.  Degrees other
+    than 3, 5 and 6 are left to the input shapes to reject."""
     n = f.degree
     if n > 0 and n % 2:
         d = lcm(*(c.denominator for c in f.coeffs))
-        ints = [c.numerator * d * (d // c.denominator) for c in f.coeffs]
-        a = ints[-1]
-        return UniPoly.from_list(
-            [c * a ** (n - 1 - k) for k, c in enumerate(ints[:-1])] + [1])
-    if n == 6 and not _is_square(RATIONAL, f.leading_coefficient):
-        raise InputError(
-            f"y^2 = {format_polynomial(f)} is the quadratic twist by "
-            f"{f.leading_coefficient} of a monic model; twisted sextic "
-            f"models are not supported")
-    return make_monic_integral(f)
+        return monic_rescale([int(c * d * d) for c in f.coeffs])
+    lc = f.leading_coefficient
+    c = prod(p ** (e % 2)
+             for p, e in factorize(lc.numerator * lc.denominator).items())
+    return make_monic_integral(f).scale(c if lc > 0 else -c)
 
 
 @dataclass(frozen=True)
@@ -190,21 +191,25 @@ class EllipticInput:
 
 @dataclass(frozen=True)
 class JacobianInput:
-    """The Jacobian of a genus-2 curve y^2 = f(x), deg f in {5, 6}."""
+    """The Jacobian of a genus-2 curve y^2 = f(x), f squarefree and
+    integral: monic of degree 5, or c g with g monic of degree 6."""
 
     base: str
     poly: UniPoly
 
     def __post_init__(self):
         base_field(self.base)
-        if self.poly.degree not in (5, 6):
+        f = self.poly
+        if f.degree not in (5, 6):
             raise InputError("genus-2 model needs degree 5 or 6")
-        _require_monic_integral_squarefree(self.poly, "genus-2 polynomial")
+        if f.degree == 6 and f.leading_coefficient.denominator == 1:
+            f = f.monic()
+        _require_monic_integral_squarefree(f, "genus-2 polynomial")
 
     @staticmethod
     def from_poly(base: str, f: UniPoly) -> "JacobianInput":
-        """Any squarefree rational quintic, or sextic with a square leading
-        coefficient, as a monic integral model of the same curve."""
+        """Any squarefree rational quintic or sextic, as an integral model
+        of the same curve (see _curve_model)."""
         return JacobianInput(base, _curve_model(f))
 
 

@@ -440,17 +440,16 @@ def monic_integral_with_scale(f: UniPoly) -> tuple[UniPoly, Fraction]:
     """make_monic_integral plus the factor by which roots were scaled."""
     if f.is_zero:
         raise InputError("cannot normalize the zero polynomial")
-    if f.degree == 0:
-        return UniPoly.one(), Fraction(1)
     ints = _primitive_ints(f)
-    a = ints[-1]
-    n = len(ints) - 1
-    # a^(n-1) * F(x/a): coefficient of x^k becomes c_k * a^(n-1-k); the
-    # leading term a * a^(-1) is handled separately to stay in integers.
-    out = UniPoly.from_list(
-        [c * a ** (n - 1 - k) for k, c in enumerate(ints[:-1])] + [1]
-    )
-    return out, Fraction(a)
+    return monic_rescale(ints), Fraction(ints[-1])
+
+
+def monic_rescale(ints: list[int]) -> UniPoly:
+    """a^(n-1) * F(x/a), monic and integral with F's roots scaled by a, for
+    F of ascending integer coefficients ints, degree n and leading a."""
+    a, n = ints[-1], len(ints) - 1
+    return UniPoly.from_list(
+        [c * a ** (n - 1 - k) for k, c in enumerate(ints[:-1])] + [1])
 
 
 # one term, matched whole; digits are ASCII only

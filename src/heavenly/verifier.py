@@ -8,6 +8,7 @@ from dataclasses import dataclass
 from .classify import (
     EllipticInput,
     JacobianInput,
+    _NamedValues,
     classify,
     closure_degree_bound,
     gl4_deduction,
@@ -33,24 +34,16 @@ from .polynomials import UniPoly
 
 
 @dataclass(frozen=True)
-class LemmaReport:
+class LemmaReport(_NamedValues):
     """Outcome of one finite check: pass/fail with its numeric evidence."""
+
+    _pairs = "evidence"
 
     lemma: str
     passed: bool
     elapsed_seconds: float
     evidence: tuple[tuple[str, object], ...]
     failures: tuple[str, ...] = ()
-
-    def value(self, name: str):
-        """The evidence entry with the given name; KeyError when absent."""
-        for key, value in self.evidence:
-            if key == name:
-                return value
-        raise KeyError(name)
-
-    def has_value(self, name: str) -> bool:
-        return any(key == name for key, _ in self.evidence)
 
 
 class _Check:

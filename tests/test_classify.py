@@ -107,6 +107,22 @@ def test_elliptic_input_validation():
         EllipticInput("Q", UniPoly.of(Fraction(1, 2), -1, 0, 1))
 
 
+def test_jacobian_input_validation():
+    # a sextic model is c g with g monic integral; a quintic is monic
+    model = UniPoly.of(-3, 0, 0, 0, 0, 0, 3)
+    assert JacobianInput("Q", model).poly == model
+    with pytest.raises(InputError, match="integral"):
+        JacobianInput("Q", UniPoly.of(1, 0, 0, 0, 0, 0, 3))
+    with pytest.raises(InputError, match="monic"):
+        JacobianInput("Q", UniPoly.of(1, 0, 0, 0, 0, 0, Fraction(1, 2)))
+    with pytest.raises(InputError, match="monic"):
+        JacobianInput("Q", UniPoly.of(-3, 0, 0, 0, 0, 3))
+    with pytest.raises(InputError, match="squarefree"):
+        JacobianInput("Q", UniPoly.of(0, 0, 0, 0, 0, 0, 3))
+    with pytest.raises(InputError, match="degree 5 or 6"):
+        JacobianInput("Q", UniPoly.of(-1, 0, 0, 1))
+
+
 def test_long_weierstrass_reduction():
     e = EllipticInput.from_long_weierstrass("Q", 0, 0, 0, -1, 0)
     assert torsion_field_degree(e) == 1
@@ -472,19 +488,91 @@ def test_odd_degree_model_keeps_the_twist():
 
 def test_census_models_scaled_by_an_odd_prime_are_never_heavenly():
     # y^2 = c f(x) is the twist by c of a census curve, bad at c, so it is
-    # not heavenly at odd degree, and a sextic model with leading
-    # coefficient c is rejected as a twist
+    # not heavenly
     census = _census()
     for coeffs in census["cubics"]["models"] + census["models"]:
         for c in (3, 5):
             f = UniPoly.of(*coeffs).scale(c)
-            if len(coeffs) == 7:
-                with pytest.raises(InputError, match=f"twist by {c} "):
-                    JacobianInput.from_poly("Q", f)
-                continue
             item = (EllipticInput.from_cubic("Q", f) if len(coeffs) == 4
                     else JacobianInput.from_poly("Q", f))
             assert classify(item).status != HEAVENLY, (coeffs, c)
+
+
+def _census_sextics():
+    return [UniPoly.of(*coeffs) for coeffs in _census()["models"]
+            if len(coeffs) == 7]
+
+
+@pytest.mark.parametrize("c", [-1, 2, -2])
+def test_census_sextics_twisted_away_from_odd_primes_keep_their_degrees(c):
+    # a twist by a character unramified outside 2 keeps good reduction
+    # away from 2; the model carries c's square class in front
+    sextics = _census_sextics()
+    assert len(sextics) == 16
+    for f in sextics:
+        item = JacobianInput.from_poly("Q", f.scale(c))
+        assert item.poly == f.scale(c)
+        twisted, plain = classify(item), classify(JacobianInput("Q", f))
+        assert (twisted.status, twisted.torsion_degree,
+                twisted.closure_degree) == (plain.status,
+                                            plain.torsion_degree,
+                                            plain.closure_degree), f
+
+
+@pytest.mark.parametrize("c, twist", [(3, 3), (5, 5), (-3, -3), (12, 3)],
+                         ids=["3", "5", "-3", "12"])
+def test_census_sextics_twisted_at_an_odd_prime_are_never_heavenly(c, twist):
+    # the model keeps the square class of c, so the twist is bad at 3 or 5
+    for f in _census_sextics():
+        item = JacobianInput.from_poly("Q", f.scale(c))
+        assert item.poly == f.scale(twist)
+        assert classify(item).status != HEAVENLY, (f, c)
+
+
+def test_weil_restrictions_of_census_twists_by_3_are_never_heavenly():
+    # y^2 = g(3x)/27 is y^2 = g(x) twisted by 3, so bad at 3; its
+    # restriction from Q(s) is E x E^D, and the conjugate-product screen
+    # reads the same model, so it must not prove good reduction
+    cubics = [g for g in _census()["cubics"]["models"] if g[0] != 0][:6]
+    for g in cubics:
+        pairs = [(Fraction(c * 3 ** k, 27), 0) for k, c in enumerate(g)]
+        for D in (-1, 2, -2):
+            verdict = classify(WeilRestrictionInput.of("Q", D, pairs))
+            assert verdict.screen != PLAUSIBLE, (g, D)
+            assert verdict.status != HEAVENLY, (g, D)
+
+
+# Galois group PGL(2,5) of order 120: the quintic factor over the root
+# field of the sextic has a C4 stabiliser, which only the norm test
+# labels, since that quintic's coefficients are not rational integers
+PGL25_SEXTICS = [[-1, 3, 2, -1, 3, -2, 1], [-1, 2, -3, 1, -2, -3, 1]]
+
+
+@pytest.mark.parametrize("coeffs", PGL25_SEXTICS, ids=["a", "b"])
+def test_a_pgl25_jacobian_labels_its_c4_stabiliser_by_the_norm_test(
+        coeffs, monkeypatch):
+    real, depth, calls = towers._has_root, [0], []
+
+    def spy(F, h, degree=1):
+        depth[0] += 1
+        try:
+            found = real(F, h, degree)
+        finally:
+            depth[0] -= 1
+        if not depth[0]:
+            calls.append((F.absolute_degree, found))
+        return found
+
+    monkeypatch.setattr(towers, "_has_root", spy)
+    verdict = classify(JacobianInput("Q", UniPoly.of(*coeffs)))
+    assert verdict.status == NOT_HEAVENLY
+    assert verdict.torsion_degree == 120
+    # the route that decided: one norm test over the degree-30 field
+    assert calls == [(30, True)]
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    group, _ = sympy.galois_group(sympy.Poly(list(reversed(coeffs)), x))
+    assert group.order() == 120
 
 
 # Each input below has bad reduction at an odd prime and a 2-division field

@@ -130,13 +130,20 @@ def test_classify_invalid_document(capsys, tmp_path):
     assert "missing input fields" in capsys.readouterr().err
 
 
-def test_classify_rejects_a_twisted_sextic(capsys, tmp_path):
-    # y^2 = 3x^6 - 3x is a twist by 3 that no monic model carries
+def test_classify_certifies_a_twisted_sextic(tmp_path):
+    # y^2 = 3x^6 - 3 is the twist by 3 of y^2 = x^6 - 1, which no monic
+    # model carries: the model keeps the twist as its leading coefficient
     path = write_doc(tmp_path / "sextic.json", {
         "kind": "jacobian", "base_field": "Q",
-        "poly": [0, -3, 0, 0, 0, 0, 3]})
-    assert main(["classify", str(path)]) == 2
-    assert "quadratic twist by 3" in capsys.readouterr().err
+        "poly": ["-3", 0, 0, 0, 0, 0, "3"]})
+    target = tmp_path / "sextic.cert.json"
+    assert main(["classify", str(path), "--out", str(target)]) == 0
+    doc = json.loads(target.read_text(encoding="utf-8"))
+    assert doc["verdict"]["status"] == "not_heavenly"
+    model = [step["values"] for step in doc["certificate"]
+             if step["description"] == "normalized genus-2 model y^2 = f(x)"]
+    assert model[0]["polynomial"] == "3*x^6 - 3"
+    assert doc["certificate"][-1]["values"]["witness_prime"] == 3
 
 
 def test_classify_unreadable_file(capsys, tmp_path):

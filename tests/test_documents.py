@@ -125,6 +125,16 @@ def test_input_document_round_trip(doc):
     assert input_from_document(back) == item
 
 
+def test_a_twisted_sextic_round_trips_as_its_model():
+    # y^2 = -2/3 x^6 + x + 1/2 is y^2 = c g(x) with c = -6, the signed
+    # squarefree part of -2 * 3, and g = x^6 - 1536x - 3072 monic
+    item = input_from_document({"kind": "jacobian", "base_field": "Q",
+                                "poly": ["1/2", 1, 0, 0, 0, 0, "-2/3"]})
+    back = document_from_input(item)
+    assert back["poly"] == [18432, 9216, 0, 0, 0, 0, -6]
+    assert input_from_document(back) == item
+
+
 def test_document_from_input_rejects_other_objects():
     with pytest.raises(InputError, match="not a classifier input"):
         document_from_input(object())
