@@ -696,9 +696,12 @@ def _factor_over_q(f: UniPoly) -> list[tuple[UniPoly, int]]:
     result: list[tuple[UniPoly, int]] = []
     for part, mult in squarefree_decomposition(f):
         monic_int, scale = monic_integral_with_scale(part)
-        for g_int in _factor_monic_squarefree_int(
-            monic_int.integer_coefficients()
-        ):
+        ints = tuple(monic_int.integer_coefficients())
+        # f and its powers share this step, so a scope takes it once
+        for g_int in memoized(
+            ("factor_monic_squarefree_int", ints),
+            lambda: tuple(map(tuple,
+                              _factor_monic_squarefree_int(list(ints))))):
             g = UniPoly.from_list(g_int)
             if scale != 1:
                 # Roots of g are scale * (roots of the factor of `part`);

@@ -309,11 +309,12 @@ _MEMO: ContextVar[dict | None] = ContextVar("heavenly_memo", default=None)
 def memo_scope():
     """Keep each exact answer asked for inside the scope until it ends.
 
-    Inside, discriminant, factorization.factor_over_q and
-    towers.factor_over_tower compute an answer once per exact input and
-    then return the stored one; outside every scope they compute each
-    time.  A scope starts empty and drops its answers on exit, so no
-    answer, and no cap in force when it was computed, outlives the scope.
+    Inside, discriminant, factorization.factor_over_q, its factoring of
+    each monic squarefree integer part, and towers.factor_over_tower
+    compute an answer once per exact input and then return the stored
+    one; outside every scope they compute each time.  A scope starts
+    empty and drops its answers on exit, so no answer, and no cap in force
+    when it was computed, outlives the scope.
     """
     token = _MEMO.set({})
     try:

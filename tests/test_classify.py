@@ -685,18 +685,22 @@ def test_weil_verdict_ramified_step():
 TWO_CUBIC_WEIL = ((-1, -1), (-1, 0), (0, 0), (1, 0))
 
 
+# the Jacobian of x^5 - 2 over Q(i): the quartic cofactor over the quintic
+# level has a coefficient outside Q(i), so its norm to Q has degree 40
+CAPPED_JACOBIAN = JacobianInput("Q(i)", UniPoly.of(-2, 0, 0, 0, 0, 1))
+
+
 def test_resource_cap_yields_unknown(monkeypatch):
-    # two unrelated full-symmetric cubics over Q(sqrt3); with the norm
-    # degree cap lowered, factoring the conjugate cubic over the curve's
-    # 2-division field stops the tower before its degree is known
+    # with the norm degree cap lowered, factoring the quartic cofactor of
+    # x^5 - 2 over Q(i, theta) stops the tower before its degree is known
     monkeypatch.setattr(towers, "NORM_DEGREE_CAP", 24)
-    verdict = classify(WeilRestrictionInput.of("Q", 3, TWO_CUBIC_WEIL))
+    verdict = classify(CAPPED_JACOBIAN)
     assert verdict.status == UNKNOWN
     assert verdict.torsion_degree is None
     assert verdict.closure_degree is None
     assert "resource cap" in verdict.steps[-1].description
     assert verdict.steps[-1].value("detail") == \
-        "norm degree 36 exceeds cap 24"
+        "norm degree 40 exceeds cap 24"
 
 
 def test_a_cap_in_the_screen_yields_unknown(monkeypatch):
@@ -762,7 +766,7 @@ def test_classify_deterministic():
 def test_a_verdict_depends_only_on_its_input(monkeypatch):
     # classify keeps no answer between calls: the input decided uncapped
     # still meets the lowered norm degree cap in the next call
-    item = WeilRestrictionInput.of("Q", 3, TWO_CUBIC_WEIL)
+    item = CAPPED_JACOBIAN
     assert classify(item).status == NOT_HEAVENLY
     monkeypatch.setattr(towers, "NORM_DEGREE_CAP", 24)
     verdict = classify(item)
@@ -771,16 +775,17 @@ def test_a_verdict_depends_only_on_its_input(monkeypatch):
 
 
 def test_screen_primes_stay_above_the_default_cap(monkeypatch):
-    # a capped call builds the Weil D=3 input's degree-2 and degree-12
-    # fields, and their screen maps with them; the primes they took stay
-    # above the cap the module sets, so a later call takes the same route
-    item = WeilRestrictionInput.of("Q", 3, TWO_CUBIC_WEIL)
+    # a capped call builds the degree-2 and degree-10 fields of the
+    # Jacobian of x^5 - 2 over Q(i), and their screen maps with them; the
+    # primes they took stay above the cap the module sets, so a later call
+    # takes the same route
+    item = CAPPED_JACOBIAN
     towers._interned.cache_clear()
     monkeypatch.setattr(towers, "NORM_DEGREE_CAP", 24)
     assert classify(item).status == UNKNOWN
     monkeypatch.undo()
     fields = towers.field_chain(two_division_tower(item)[-1])[1:]
-    assert [F.absolute_degree for F in fields] == [2, 6, 12, 36, 72]
+    assert [F.absolute_degree for F in fields] == [2, 10, 40]
     for F in fields:
         primes = [p for p, *_ in F._residue_maps]
         assert len(primes) == towers._SCREEN_PRIMES, F.absolute_degree

@@ -48,11 +48,14 @@ MALFORMED = {
 # limit the error must name
 LONG_NUMBER = "9" * 5000
 DIGIT_LIMIT = f"({sys.get_int_max_str_digits()} digits)"
-CAP_DOC = {"kind": "weil_restriction", "base_field": "Q", "D": 3,
-           "cubic": ["-1-s", "-1", "0", "1"]}
+# with the norm degree cap at 24, this input's tower refuses the degree-40
+# norm of the quartic cofactor of x^5 - 2 over Q(i, theta)
+CAP_DOC = {"kind": "jacobian", "base_field": "Q(i)",
+           "poly": [-2, 0, 0, 0, 0, 1]}
 # with a cap met while factoring x^2 - 15016 in the screen, this input
 # stops before the screen has an outcome
-SCREEN_CAP_DOC = dict(CAP_DOC, D=15016)
+SCREEN_CAP_DOC = {"kind": "weil_restriction", "base_field": "Q",
+                  "D": 15016, "cubic": ["-1-s", "-1", "0", "1"]}
 SCREEN_CAP_DETAIL = "factoring x^2 - 15016 capped"
 
 
@@ -153,7 +156,7 @@ def test_classify_unreadable_file(capsys, tmp_path):
 
 def test_classify_resource_cap_exit(capsys, tmp_path, monkeypatch):
     # the lowered norm degree cap stops this input's tower; uncapped it
-    # decides not_heavenly at the quadratic step
+    # decides not_heavenly at the odd prime 5
     monkeypatch.setattr(towers, "NORM_DEGREE_CAP", 24)
     path = write_doc(tmp_path / "cap.json", CAP_DOC)
     target = tmp_path / "cap.cert.json"
@@ -162,7 +165,7 @@ def test_classify_resource_cap_exit(capsys, tmp_path, monkeypatch):
     assert doc["verdict"]["status"] == "unknown"
     assert "resource cap" in doc["certificate"][-1]["description"]
     assert doc["certificate"][-1]["values"]["detail"] == \
-        "norm degree 36 exceeds cap 24"
+        "norm degree 40 exceeds cap 24"
 
 
 def test_classify_exits_3_when_odd_good_reduction_is_undecided(tmp_path):

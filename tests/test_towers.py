@@ -3,6 +3,7 @@
 import hashlib
 import json
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -134,9 +135,18 @@ def test_factor_multiplicities_over_tower():
     assert [(len(g) - 1, m) for g, m in facs] == [(1, 2), (1, 2), (2, 1)]
 
 
+def from_flat(F, coords):
+    """The element of F with the given flattened coordinates, as text."""
+    qs = [Fraction(c) for c in coords]
+    den = lcm(*(q.denominator for q in qs))
+    return F.from_parts([int(q * den) for q in qs], den)
+
+
 # factor_over_tower at a commit that still pulled every factor of a norm
 # back with a gcd: name -> (base tag, extra level, f, the number of factors
-# of the norm one level down, each factor's flattened coefficients)
+# of f's norm one level down, each factor's flattened coefficients).  f is
+# rational, or its flattened coefficients when one lies outside the field
+# below.
 FROZEN_DESCENT = {
     "x^4 + 1 over Q(i)": ("Q(i)", None, P(1, 0, 0, 0, 1), 2, [
         (("0", "-1"), ("0", "0"), ("1", "0")),
@@ -166,18 +176,33 @@ FROZEN_DESCENT = {
          ("0", "0", "0", "0"), ("1", "0", "0", "0")),
         (("0", "0", "1", "0"), ("0", "0", "0", "0"),
          ("0", "0", "0", "0"), ("1", "0", "0", "0"))]),
+    "x^2 - 2i over Q(i)": ("Q(i)", None,
+                           [("0", "-2"), ("0", "0"), ("1", "0")], 2, [
+        (("-1", "-1"), ("1", "0")), (("1", "1"), ("1", "0"))]),
+    "(x - sqrt2)(x - i) over Q(i)(sqrt2)": ("Q(i)", P(-2, 0, 1), [
+        ("0", "0", "0", "1"), ("0", "-1", "-1", "0"), ("1", "0", "0", "0")],
+        2, [(("0", "-1", "0", "0"), ("1", "0", "0", "0")),
+            (("0", "0", "-1", "0"), ("1", "0", "0", "0"))]),
 }
+# the entries whose factors over the field below now decide, so that f
+# itself takes no descent over the whole field
+FACTORED_BELOW = {"x^3 - x over Q(sqrt-2)", "x^4 - 1 over Q(i)",
+                  "x^8 - 1 over Q(i)", "x^4 + 1 over Q(i)(sqrt2)"}
 
 
 def test_norm_descent_factors_frozen(monkeypatch):
     # every factor of the norm but the last is pulled back by a gcd, and
-    # the last is what remains of f after dividing the others out
+    # the last is what remains of f after dividing the others out; f with
+    # every coefficient in the field below is factored there first, and
+    # only its factors of degree sharing a factor with the top level's
+    # descend, so the whole field's descent of a FACTORED_BELOW entry is
+    # run directly
     descent = towers._factor_squarefree
     found = []
 
     def recorded(F, f):
         out = descent(F, f)
-        found.append((F, len(out)))
+        found.append((F, len(f) - 1, len(out)))
         return out
 
     monkeypatch.setattr(towers, "_factor_squarefree", recorded)
@@ -187,14 +212,21 @@ def test_norm_descent_factors_frozen(monkeypatch):
         if level is not None:
             tower = extend(tower, level)
         F = tower
+        f = (lift_to_field(F, f) if isinstance(f, UniPoly)
+             else [from_flat(F, c) for c in f])
         found.clear()
         facs = factor_over_tower(tower, f)
-        assert (F.base, norm_factors) in found, name
+        deg = len(f) - 1
+        descended = (F, deg) in [(K, d) for K, d, _ in found]
+        assert descended == (name not in FACTORED_BELOW), name
+        if not descended:
+            assert towers._factor_squarefree(F, f) == [g for g, _ in facs], \
+                name
+        assert (F.base, deg * F.degree, norm_factors) in found, name
         assert all(mult == 1 for _, mult in facs), name
         assert [tuple(tuple(str(q) for q in F.flatten(c)) for c in g)
                 for g, _ in facs] == frozen, name
-        assert gp_product(F, [g for g, _ in facs]) == lift_to_field(F, f), \
-            name
+        assert gp_product(F, [g for g, _ in facs]) == f, name
 
 
 def test_memo_scope_answers_by_tower_levels_with_fresh_lists():
@@ -268,9 +300,12 @@ def test_splitting_tower_cap(monkeypatch):
 
 
 def test_norm_degree_cap_fires_before_any_norm(monkeypatch):
-    # x^3 - 2 over Q(zeta8) descends through norms of degree 6, then 12;
-    # with the cap at 8 the second is refused before the first is computed
+    # x^3 - sqrt2 over Q(zeta8) = Q(i)(sqrt2) has a coefficient outside
+    # Q(i), so it descends through norms of degree 6, then 12; with the
+    # cap at 8 the second is refused before the first is computed
     zeta8 = extend(base_field("Q(i)"), P(-2, 0, 1))
+    cubic = [zeta8.neg(zeta8.generator()), zeta8.zero(), zeta8.zero(),
+             zeta8.one()]
 
     def no_norms(*args):
         raise AssertionError("norm computed before the cap check")
@@ -279,7 +314,7 @@ def test_norm_degree_cap_fires_before_any_norm(monkeypatch):
     monkeypatch.setattr(towers, "_norm_poly", no_norms)
     with pytest.raises(ResourceCapError,
                        match=r"^norm degree 12 exceeds cap 8$"):
-        factor_over_tower(zeta8, P(-2, 0, 0, 1))
+        factor_over_tower(zeta8, cubic)
 
 
 def test_factor_over_tower_random_products():
@@ -299,6 +334,43 @@ def test_factor_over_tower_random_products():
         assert rebuilt == f
         for g, _ in facs:
             assert [m for _, m in factor_over_tower(t, g)] == [1]
+
+
+def test_factoring_from_the_field_below_agrees_with_descent():
+    # f with every coefficient in the field below is factored there, and
+    # only its factors of degree not prime to the top level's descend; the
+    # factors multiply back to f, and on squarefree f they are the ones
+    # norm descent over the whole field finds
+    rng = random.Random(59)
+    # each field with polynomials over the field below that it splits, as
+    # ascending pairs (a, b) for a + b s, s the generator below
+    cases = [
+        (extend(base_field("Q(i)"), P(-2, 0, 1)),
+         [((-2, 0), (0, 0), (1, 0)), ((0, -1), (0, 0), (1, 0))]),
+        (extend(base_field("Q(sqrt-2)"), P(-2, 0, 0, 1)),
+         [((-2, 0), (0, 0), (0, 0), (1, 0)),
+          ((-16, 0), (0, 0), (0, 0), (1, 0))])]
+    squarefree = 0
+    for F, pool in cases:
+        B = F.base
+        s = B.generator()
+        pool = [towers._pair_cubic(B, pairs) for pairs in pool]
+        for _ in range(8):
+            parts = [rng.choice(pool)]
+            while sum(len(g) - 1 for g in parts) < 5:
+                deg = rng.randrange(1, 3)
+                parts.append([B.add(B.from_fraction(rng.randrange(-3, 4)),
+                                    B.scale(s, rng.randrange(-2, 3)))
+                              for _ in range(deg)] + [B.one()])
+            parts += rng.sample(parts, rng.randrange(2))
+            f = [F.from_base(c) for c in gp_product(B, parts)]
+            facs = factor_over_tower(F, f)
+            assert gp_product(F, [g for g, m in facs for _ in range(m)]) == f
+            if all(m == 1 for _, m in facs):
+                squarefree += 1
+                assert [g for g, _ in facs] == \
+                    towers._factor_squarefree(F, f)
+    assert squarefree >= 6
 
 
 def test_factoring_over_q_as_a_tower_is_factor_over_q():
@@ -1252,6 +1324,65 @@ def test_frobenius_stabiliser_takes_no_norm(monkeypatch):
         assert towers._stabiliser_class(K, h) == label, (text, tag)
 
 
+def test_split_prime_scan_skips_non_square_discriminants():
+    # the least odd prime at which a quintic splits into linears is the
+    # same with the primes where its discriminant is no nonzero square
+    # left out, as Stickelberger's theorem requires of a split prime
+    for text, p in (("x^5 - 2", 151), ("x^5 + 20*x + 16", 887),
+                    ("x^5 - x - 1", 1973)):
+        f = [int(c) for c in parse_polynomial(text).coeffs]
+        roots, m = towers._split_prime_roots(f, False)
+        while m % p == 0:
+            m //= p
+        assert m == 1, text
+        assert all(sum(a * z ** i for i, a in enumerate(f)) % p == 0
+                   for z in roots), text
+        assert len({z % p for z in roots}) == 5, text
+
+
+def test_a_three_cycle_labels_a_quintic_stabiliser_with_no_split_prime(
+        monkeypatch):
+    # x^5 + 20x + 16 (A5) and x^5 - x - 1 (S5) have a Frobenius fixing
+    # exactly two roots at a small prime: a 3-cycle, which F20 lacks, so
+    # over each base of degree not divisible by 6 their quartic cofactors
+    # read A4/S4 with no p-adic roots and no pentagon candidates
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    cases = []
+    for text, order in (("x^5 + 20*x + 16", 60), ("x^5 - x - 1", 120)):
+        poly = sympy.Poly(sympy.sympify(text.replace("^", "**")), x)
+        assert sympy.galois_group(poly)[0].order() == order, text
+        for tag in BASE_TAGS:
+            K, [(h, _)] = quartic_cofactor(parse_polynomial(text), tag)
+            cases.append((text, tag, K, h))
+
+    # over the degree-6 splitting field of x^3 - 2, F20 could have index 6
+    # in S5, so the candidates decide
+    f = parse_polynomial("x^5 - x - 1")
+    K = extend(splitting_tower(P(-2, 0, 0, 1)), f)
+    cofactor, _ = towers._gp_divmod(K, lift_to_field(K, f),
+                                    [K.neg(K.generator()), K.one()])
+    [(h, _)] = factor_over_tower(K, cofactor)
+    formed = []
+    pentagon_root = towers._pentagon_root
+
+    def counted(*args):
+        formed.append(args[0])
+        return pentagon_root(*args)
+
+    monkeypatch.setattr(towers, "_pentagon_root", counted)
+    assert towers._stabiliser_class(K, h) == "A4/S4"
+    assert formed == [K]
+
+    def no_candidates(*args):
+        raise AssertionError("pentagon candidates formed")
+
+    monkeypatch.setattr(towers, "_pentagon_root", no_candidates)
+    monkeypatch.setattr(towers, "_newton_lift", no_candidates)
+    for text, tag, K, h in cases:
+        assert towers._stabiliser_class(K, h) == "A4/S4", (text, tag)
+
+
 def test_two_division_towers_take_no_rational_norm_above_36(monkeypatch):
     # the quadratic cofactor over the Weil D=3 field of degree 36, and the
     # cubic cofactor over the degree-20 field of x^5 - 2, are settled by
@@ -1268,6 +1399,28 @@ def test_two_division_towers_take_no_rational_norm_above_36(monkeypatch):
     assert two_division_tower(weil)[-1].absolute_degree == 72
     jacobian = JacobianInput("Q", P(-2, 0, 0, 0, 0, 1))
     assert two_division_tower(jacobian)[-1].absolute_degree == 20
+
+
+def test_weil_conjugate_cubic_takes_no_norm_over_the_degree_12_field(
+        monkeypatch):
+    # the conjugate twist's cubic has its coefficients in Q(sqrt D); over
+    # the curve's degree-12 field, a quadratic level over the sextic field,
+    # it stays irreducible by degree once the sextic field leaves it so
+    norms = []
+    norm_poly = towers._norm_poly
+
+    def recorded(F, g, norm_deg):
+        norms.append(F.absolute_degree)
+        return norm_poly(F, g, norm_deg)
+
+    monkeypatch.setattr(towers, "_norm_poly", recorded)
+    for d in (3, 7):
+        weil = WeilRestrictionInput.of("Q", d, ((-1, -1), (-1, 0), (0, 0),
+                                                (1, 0)))
+        norms.clear()
+        top = two_division_tower(weil)[-1]
+        assert top.level_degrees() == [2, 3, 2, 3, 2], d
+        assert 12 not in norms, d
 
 
 # ---------------------------------------------------------------------------
