@@ -67,10 +67,8 @@ at the least odd prime p where it splits into linears, give one candidate
 for that root per pentagon on them, exact for the right pentagon, and an
 exact evaluation of the resolvent accepts or rejects each (Stauduhar 1973,
 with p-adic in place of complex roots).  The scan for p skips primes where
-the discriminant is no nonzero square, and a prime whose Frobenius is a
-3-cycle settles A4 or S4 at once when 6 does not divide the degree of the
-field below.  For any other quintic the root is read off the degrees of
-the resolvent norm's factors.  The square
+the discriminant is no nonzero square.  For any other quintic the root is
+read off the degrees of the resolvent norm's factors.  The square
 tests those groups rest on descend the tower while the element lies in
 the field K' below the top level: an odd-degree level adjoins no square
 root, and over a quadratic level K'(sqrt e) an element of K' is a square
@@ -1290,20 +1288,13 @@ def _stabiliser_class(F, h):
     S5) with root stabiliser C4, A4 or S4.  Only C4 lies in a D4, so h is
     "C4" exactly when its resolvent cubic has a root in F.  Otherwise it
     is "A4/S4".  The root test is _pentagon_root for a quintic with
-    rational integer coefficients, unless a 3-cycle found while scanning
-    for its split prime settles "A4/S4" first, else the norm test
-    _has_root."""
+    rational integer coefficients, else the norm test _has_root."""
     resolvent = _quartic_resolvent(F, h)
     parts = [F.base.parts(c) for c in F.modulus]
     if any(den != 1 or any(nums[1:]) for nums, den in parts):
         found = _has_root(F, resolvent)
     else:
-        f = [nums[0] for nums, _ in parts]
-        # Gal(f) over F.base has index dividing [F.base : Q] in Gal(f) over
-        # Q, which is A5 or S5 once it holds a 3-cycle; F20 does not lie in
-        # A5 and has index 6 in S5, so it needs 6 | [F.base : Q]
-        split = _split_prime_roots(f, F.base.absolute_degree % 6 != 0)
-        found = split is not None and _pentagon_root(F, f, split, resolvent)
+        found = _pentagon_root(F, [nums[0] for nums, _ in parts], resolvent)
     return "C4" if found else "A4/S4"
 
 
@@ -1313,10 +1304,9 @@ _PENTAGONS = ((0, 1, 2, 3, 4), (0, 1, 2, 4, 3), (0, 1, 3, 2, 4),
               (0, 1, 3, 4, 2), (0, 1, 4, 2, 3), (0, 1, 4, 3, 2))
 
 
-def _pentagon_root(F, f, split, resolvent) -> bool:
+def _pentagon_root(F, f, resolvent) -> bool:
     """Whether the monic cubic resolvent has a root in F, whose top level
-    is the quintic f with ascending rational integer coefficients, given
-    f's roots in Z_p mod m as split = (roots, m).
+    is the quintic f with ascending rational integer coefficients.
 
     The root stabiliser is C4 exactly when Gal(f) over F.base is the
     Frobenius group of a pentagon on f's roots z_j.  The stabiliser of z_j
@@ -1330,7 +1320,7 @@ def _pentagon_root(F, f, split, resolvent) -> bool:
     R(s/f'(alpha)) f'(alpha)^3 = 0 in F for the resolvent R, so none
     passing proves A4 or S4."""
     B = F.base
-    z, m = split
+    z, m = _split_prime_roots(f)
     quotients = []  # f(x)/(x - z_j) mod m, descending, by synthetic division
     for zj in z:
         q = [1]
@@ -1356,10 +1346,9 @@ def _pentagon_root(F, f, split, resolvent) -> bool:
     return False
 
 
-def _split_prime_roots(f, by_three_cycle: bool):
-    """(roots mod m, m), or None for a 3-cycle (below): the roots in Z_p
-    of the monic quintic f, given by its ascending integer coefficients,
-    mod m = p^(2^k) above 40 B^6 for B = 1 + max |a_i|, at the least odd
+def _split_prime_roots(f):
+    """(roots mod m, m): the roots in Z_p of the monic quintic f, given by
+    its ascending integer coefficients, mod m = p^(2^k) above 40 B^6 for B = 1 + max |a_i|, at the least odd
     prime p with x^p = x mod (f, p).
     Then f mod p divides x^p - x, which is squarefree, so it splits into
     distinct linears whose roots lift by Newton's method.  Each root has
@@ -1371,25 +1360,13 @@ def _split_prime_roots(f, by_three_cycle: bool):
     The scan tries only primes p at which disc f is a nonzero square: by
     Stickelberger, f mod p squarefree with r irreducible factors has
     (disc f / p) = (-1)^(5 - r), which is 1 when f splits into linears.
-    At such a p, x^p - x and f mod p sharing a factor of degree exactly 2
-    means the Frobenius at p fixes two roots and moves the other three:
-    a 3-cycle, which no subgroup of F20 holds.  With by_three_cycle set,
-    that ends the scan with None.
     """
     disc = int(discriminant(UniPoly.from_list(f)))
-    x = [0, 1]
     p = 3
-    while True:
-        if pow(disc % p, (p - 1) // 2, p) == 1:
-            image = [a % p for a in f]
-            power = _mod_pow_mod(x, p, image, p)
-            if power == x:
-                break
-            if by_three_cycle and len(
-                    _mod_gcd(image, _mod_sub(power, x, p), p)) == 3:
-                return None
+    while (pow(disc % p, (p - 1) // 2, p) != 1
+           or _mod_pow_mod([0, 1], p, f, p) != [0, 1]):
         p = next_odd_prime(p)
-    roots = [-h[0] % p for h in _equal_degree_split(image, 1, p)]
+    roots = [-h[0] % p for h in _equal_degree_split([a % p for a in f], 1, p)]
     return _newton_lift(f, roots, p, 40 * (1 + max(map(abs, f))) ** 6)
 
 
