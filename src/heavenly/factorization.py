@@ -43,9 +43,11 @@ from .polynomials import (
     poly_gcd,
 )
 
-# Guard against pathological subset recombination; generous for this
-# toolkit's degree range.
-RECOMBINATION_CAP = 5_000_000
+# Guard against pathological subset recombination.  The most subsets any
+# decided input of the tests or the benchmark tries is 3885, for a degree-90
+# norm with 15 modular factors; at 200000 a hopeless sextic tower stops in
+# seconds, not a minute.
+RECOMBINATION_CAP = 200_000
 
 # Good primes whose factor degrees are intersected before lifting (Musser
 # 1975; Cohen, GTM 138, section 3.5.3). With three, the irreducible

@@ -31,11 +31,18 @@ last, and the last is what remains after dividing the others out.  The
 shift is chosen modulo a prime p above the norm degrees: a root mod p of
 each level modulus maps the subfield's p-integral elements to F_p, the
 image of each candidate norm is interpolated there, and the first shift
-whose image is squarefree is the one whose exact norm is computed, since
-the norm is monic and a squarefree image proves it squarefree.  Only when
-no shift in a small budget passes does the exact squarefree test decide.
-When the norm is irreducible one level down, so is the polynomial, and no
-gcd pulls it back.
+whose image is squarefree at some screen prime is the one whose exact norm
+is computed, since the norm is monic and a squarefree image proves it
+squarefree.  Only when no shift passes does the exact squarefree test
+decide, walking the same shifts.  When the norm is irreducible one level
+down, so is the polynomial, and no gcd pulls it back.
+
+One bound, FIELD_DEGREE_CAP, limits every tower: a norm descent of f over
+F ends in a rational norm of degree deg f [F : Q], the degree of F(alpha)
+for a root alpha of f, and adjoining a root of h to F builds a field of
+degree deg h [F : Q].  Both are refused before any work, with an error
+naming the stage and the degree reached.  The screen primes lie above the
+cap, so every norm within it is interpolated on distinct nodes mod p.
 
 A polynomial whose coefficients all lie in the field B below the top level
 is factored over B first, so the step recurses to the least level holding
@@ -110,20 +117,22 @@ from .polynomials import (
     poly_gcd,
 )
 
-NORM_DEGREE_CAP = 192
-SPLITTING_DEGREE_CAP = 512
+# The largest [F(alpha) : Q] a norm descent or an adjunction may reach,
+# for alpha a root of the polynomial at hand
+FIELD_DEGREE_CAP = 192
 
-# Norm descent screens its first _SCREEN_SHIFTS candidate shifts modulo
-# each of up to _SCREEN_PRIMES primes in turn, found among the first
-# _SCREEN_SCAN primes above _SCREEN_FLOOR; when none is certified there,
-# the exact squarefree test decides.  The same primes certify irreducible
-# and squarefree inputs before any descent; with none, every factoring over
-# a tower takes the exact path.  The floor is the norm degree cap as set
-# here, so a cap changed later changes no field's primes.
+# Norm descent tries the shifts in _SHIFTS in order, screening each modulo
+# up to _SCREEN_PRIMES primes, found among the first _SCREEN_SCAN primes
+# above _SCREEN_FLOOR; when no shift is certified there, the exact
+# squarefree test decides.  The same primes certify irreducible and
+# squarefree inputs before any descent; with none, every factoring over a
+# tower takes the exact path.  The floor is the cap as set here, so every
+# norm within it has distinct nodes mod p, and a cap changed later changes
+# no field's primes.
 _SCREEN_PRIMES = 3
 _SCREEN_SCAN = 64
-_SCREEN_SHIFTS = 24
-_SCREEN_FLOOR = NORM_DEGREE_CAP
+_SCREEN_FLOOR = FIELD_DEGREE_CAP
+_SHIFTS = (0,) + tuple(s for k in range(1, 200) for s in (k, -k))
 
 BASE_FIELD_POLYS = {
     "Q": None,
@@ -798,23 +807,15 @@ def _squarefree_norm(F, f):
     its norm to F.base, monic and squarefree."""
     deg = len(f) - 1
     B = F.base
-    # The descent takes norms of degree deg times the level degrees, top
-    # level first; refuse before computing any of them if one is too big.
-    reached = deg
-    level = F
-    while level.base is not None:
-        reached *= level.degree
-        if reached > NORM_DEGREE_CAP:
-            raise ResourceCapError(
-                f"norm degree {reached} exceeds cap {NORM_DEGREE_CAP}"
-            )
-        level = level.base
+    # The descent ends in a rational norm of degree deg [F : Q]; refuse
+    # before computing any norm if it is too big.
+    _check_field_degree(F, deg, "norm descent")
     if _certified_irreducible(F, f):
         return None
     norm_deg = deg * F.degree
     alpha = F.generator()
     certified = _screened_shift(F, f, norm_deg)
-    for k in _shift_values(200) if certified is None else [certified]:
+    for k in _SHIFTS if certified is None else [certified]:
         shift = F.scale(alpha, -k)
         g = _gp_taylor_shift(F, f, shift)  # g(x) = f(x - k*alpha)
         norm = _norm_poly(F, g, norm_deg)
@@ -824,11 +825,13 @@ def _squarefree_norm(F, f):
     raise ArithmeticError("no squarefree shift found for separable input")
 
 
-def _shift_values(limit: int):
-    yield 0
-    for k in range(1, limit):
-        yield k
-        yield -k
+def _check_field_degree(F, n: int, stage: str) -> None:
+    """Raise a resource error naming the stage when n [F : Q], the degree of
+    a field or norm about to be built, exceeds FIELD_DEGREE_CAP."""
+    reached = n * F.absolute_degree
+    if reached > FIELD_DEGREE_CAP:
+        raise ResourceCapError(
+            f"{stage}: field degree {reached} exceeds cap {FIELD_DEGREE_CAP}")
 
 
 # ---------------------------------------------------------------------------
@@ -952,21 +955,17 @@ def _certified_squarefree(F, f) -> bool:
 
 
 def _screened_shift(F, f, norm_deg):
-    """The first of the first _SCREEN_SHIFTS shifts k whose norm, for
-    g(x) = f(x - k*alpha), a screen prime above norm_deg proves
-    squarefree, or None."""
+    """The first shift k in _SHIFTS whose norm, for g(x) = f(x - k*alpha),
+    some screen prime above norm_deg proves squarefree, or None."""
     b = F.base.absolute_degree
-    for p, basis, modulus, _ in F._residue_maps:
-        parts = [F.parts(c) for c in f]
-        if p <= norm_deg or any(den % p == 0 for _, den in parts):
-            continue
-        # phi of each coefficient of f, a polynomial in the top generator
-        image = [[_map_mod(basis, nums[i * b:(i + 1) * b], den, p)
-                  for i in range(F.degree)] for nums, den in parts]
-        for k in islice(_shift_values(200), _SCREEN_SHIFTS):
-            if _screen_norm(p, modulus, image, k, norm_deg):
-                return k
-    return None
+    parts = [F.parts(c) for c in f]
+    # phi of each coefficient of f, a polynomial in the top generator
+    images = [(p, modulus, [[_map_mod(basis, nums[i * b:(i + 1) * b], den, p)
+                             for i in range(F.degree)] for nums, den in parts])
+              for p, basis, modulus, _ in F._residue_maps
+              if p > norm_deg and all(den % p for _, den in parts)]
+    return next((k for k in _SHIFTS for p, modulus, image in images
+                 if _screen_norm(p, modulus, image, k, norm_deg)), None)
 
 
 def _resultant_mod(a: list, b: list, p: int) -> int:
@@ -1398,7 +1397,7 @@ def splitting_tower(f, tower=RATIONAL):
     is C4, A4 or S4, told apart by one root test of its resolvent cubic
     (see _stabiliser_class), with no square test.  Raises a
     resource error when the absolute degree would exceed
-    SPLITTING_DEGREE_CAP.
+    FIELD_DEGREE_CAP.
     """
     F = tower
     facs = factor_over_tower(F, f)
@@ -1413,11 +1412,7 @@ def splitting_tower(f, tower=RATIONAL):
     while pending:
         pending.sort(key=lambda h: (-(len(h) - 1), flatten_poly(F, h)))
         chosen = pending.pop(0)
-        new_degree = F.absolute_degree * (len(chosen) - 1)
-        if new_degree > SPLITTING_DEGREE_CAP:
-            raise ResourceCapError(
-                f"splitting tower degree {new_degree} exceeds cap "
-                f"{SPLITTING_DEGREE_CAP}")
+        _check_field_degree(F, len(chosen) - 1, "splitting tower")
         group = (_stabiliser_class(F, chosen) if chosen is stabiliser
                  else _galois_class(F, chosen))
         F = _interned(F, tuple(chosen))
@@ -1449,8 +1444,7 @@ def splitting_degree(f, tower=RATIONAL) -> int:
 
 
 __all__ = [
-    "NORM_DEGREE_CAP",
-    "SPLITTING_DEGREE_CAP",
+    "FIELD_DEGREE_CAP",
     "FieldTower",
     "RationalField",
     "ExtensionField",

@@ -1,4 +1,4 @@
-"""Acceptance gate: the ten headline checks, each timed against its budget.
+"""Acceptance gate: the twelve headline checks, each timed against its budget.
 
 Each test prints one PASS line with its measured time (visible with -s);
 under plain pytest -v the per-test PASSED/FAILED line carries the verdict.
@@ -15,6 +15,7 @@ from heavenly.classify import (
     closure_degree_bound,
     gl4_deduction,
 )
+from heavenly.cli import main
 from heavenly.factorization import factor_over_q
 from heavenly.permgroups import (
     PermGroup,
@@ -255,3 +256,27 @@ def test_criterion_10_seeded_property_suites():
             cases += 1
 
         assert cases >= 1000, cases
+
+
+def test_criterion_11_a_hopeless_jacobian_stops_at_a_cap_in_seconds():
+    # its tower factors a degree-60 norm with 30 modular factors, which
+    # the recombination cap stops
+    with _Timed(11, "Jacobian of x^6 - 32 over Q(i) ends unknown at a cap",
+                10.0):
+        verdict = classify(JacobianInput(
+            "Q(i)", UniPoly.of(-32, 0, 0, 0, 0, 0, 1)))
+        assert verdict.status == "unknown"
+        assert verdict.steps[-1].description == (
+            "resource cap reached; verdict left undecided")
+
+
+def test_criterion_12_a_hopeless_splitting_degree_exits_3_in_seconds(
+        capsys):
+    # (x^3 - 2)(x^3 - 3)(x^3 - 5)(x^3 - 7), expanded
+    with _Timed(12, "tool splitting-degree of four pure cubics exits 3 at "
+                    "a cap", 10.0):
+        assert main(["tool", "splitting-degree",
+                     "x^12-17*x^9+101*x^6-247*x^3+210"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")

@@ -691,16 +691,16 @@ CAPPED_JACOBIAN = JacobianInput("Q(i)", UniPoly.of(-2, 0, 0, 0, 0, 1))
 
 
 def test_resource_cap_yields_unknown(monkeypatch):
-    # with the norm degree cap lowered, factoring the quartic cofactor of
+    # with the field degree cap lowered, factoring the quartic cofactor of
     # x^5 - 2 over Q(i, theta) stops the tower before its degree is known
-    monkeypatch.setattr(towers, "NORM_DEGREE_CAP", 24)
+    monkeypatch.setattr(towers, "FIELD_DEGREE_CAP", 24)
     verdict = classify(CAPPED_JACOBIAN)
     assert verdict.status == UNKNOWN
     assert verdict.torsion_degree is None
     assert verdict.closure_degree is None
     assert "resource cap" in verdict.steps[-1].description
     assert verdict.steps[-1].value("detail") == \
-        "norm degree 40 exceeds cap 24"
+        "norm descent: field degree 40 exceeds cap 24"
 
 
 def test_a_cap_in_the_screen_yields_unknown(monkeypatch):
@@ -727,7 +727,7 @@ def test_a_cap_in_the_screen_yields_unknown(monkeypatch):
 def test_capped_certificates_keep_the_steps_of_built_towers(monkeypatch):
     # a cap in the second cubic of a product keeps the first factor's
     # step, and a cap in a Jacobian's only tower keeps its factor degrees
-    monkeypatch.setattr(towers, "SPLITTING_DEGREE_CAP", 6)
+    monkeypatch.setattr(towers, "FIELD_DEGREE_CAP", 6)
     product = classify(ProductInput(
         EllipticInput("Q", X3_MINUS_2),
         EllipticInput("Q", UniPoly.of(-3, 0, 0, 1))))
@@ -740,10 +740,12 @@ def test_capped_certificates_keep_the_steps_of_built_towers(monkeypatch):
     first, last = product.steps[-2:]
     assert first.description == "2-division field of the first factor"
     assert first.value("relative_degree") == 6
-    assert last.value("detail") == "splitting tower degree 18 exceeds cap 6"
+    assert last.value("detail") == \
+        "norm descent: field degree 9 exceeds cap 6"
     factors, last = jacobian.steps[-2:]
     assert factors.value("factor_degrees") == (5, 1)
-    assert last.value("detail") == "splitting tower degree 20 exceeds cap 6"
+    assert last.value("detail") == \
+        "norm descent: field degree 20 exceeds cap 6"
 
 
 def test_degree_72_weil_decides_at_the_quadratic_step():
@@ -765,10 +767,10 @@ def test_classify_deterministic():
 
 def test_a_verdict_depends_only_on_its_input(monkeypatch):
     # classify keeps no answer between calls: the input decided uncapped
-    # still meets the lowered norm degree cap in the next call
+    # still meets the lowered field degree cap in the next call
     item = CAPPED_JACOBIAN
     assert classify(item).status == NOT_HEAVENLY
-    monkeypatch.setattr(towers, "NORM_DEGREE_CAP", 24)
+    monkeypatch.setattr(towers, "FIELD_DEGREE_CAP", 24)
     verdict = classify(item)
     assert verdict.status == UNKNOWN
     assert "resource cap" in verdict.steps[-1].description
@@ -781,7 +783,7 @@ def test_screen_primes_stay_above_the_default_cap(monkeypatch):
     # takes the same route
     item = CAPPED_JACOBIAN
     towers._interned.cache_clear()
-    monkeypatch.setattr(towers, "NORM_DEGREE_CAP", 24)
+    monkeypatch.setattr(towers, "FIELD_DEGREE_CAP", 24)
     assert classify(item).status == UNKNOWN
     monkeypatch.undo()
     fields = towers.field_chain(two_division_tower(item)[-1])[1:]
@@ -789,7 +791,7 @@ def test_screen_primes_stay_above_the_default_cap(monkeypatch):
     for F in fields:
         primes = [p for p, *_ in F._residue_maps]
         assert len(primes) == towers._SCREEN_PRIMES, F.absolute_degree
-        assert min(primes) > towers.NORM_DEGREE_CAP, F.absolute_degree
+        assert min(primes) > towers.FIELD_DEGREE_CAP, F.absolute_degree
 
 
 def test_classify_decides_each_odd_ramification_once_per_call(monkeypatch):

@@ -48,7 +48,7 @@ MALFORMED = {
 # limit the error must name
 LONG_NUMBER = "9" * 5000
 DIGIT_LIMIT = f"({sys.get_int_max_str_digits()} digits)"
-# with the norm degree cap at 24, this input's tower refuses the degree-40
+# with the field degree cap at 24, this input's tower refuses the degree-40
 # norm of the quartic cofactor of x^5 - 2 over Q(i, theta)
 CAP_DOC = {"kind": "jacobian", "base_field": "Q(i)",
            "poly": [-2, 0, 0, 0, 0, 1]}
@@ -155,9 +155,9 @@ def test_classify_unreadable_file(capsys, tmp_path):
 
 
 def test_classify_resource_cap_exit(capsys, tmp_path, monkeypatch):
-    # the lowered norm degree cap stops this input's tower; uncapped it
+    # the lowered field degree cap stops this input's tower; uncapped it
     # decides not_heavenly at the odd prime 5
-    monkeypatch.setattr(towers, "NORM_DEGREE_CAP", 24)
+    monkeypatch.setattr(towers, "FIELD_DEGREE_CAP", 24)
     path = write_doc(tmp_path / "cap.json", CAP_DOC)
     target = tmp_path / "cap.cert.json"
     assert main(["classify", str(path), "--out", str(target)]) == 3
@@ -165,7 +165,7 @@ def test_classify_resource_cap_exit(capsys, tmp_path, monkeypatch):
     assert doc["verdict"]["status"] == "unknown"
     assert "resource cap" in doc["certificate"][-1]["description"]
     assert doc["certificate"][-1]["values"]["detail"] == \
-        "norm degree 40 exceeds cap 24"
+        "norm descent: field degree 40 exceeds cap 24"
 
 
 def test_classify_exits_3_when_odd_good_reduction_is_undecided(tmp_path):
@@ -370,11 +370,12 @@ def test_tool_splitting_degree(capsys):
 
 
 def test_tool_exits_3_on_a_resource_cap(capsys, monkeypatch):
-    monkeypatch.setattr(towers, "SPLITTING_DEGREE_CAP", 4)
+    monkeypatch.setattr(towers, "FIELD_DEGREE_CAP", 4)
     assert main(["tool", "splitting-degree", "x^3 - 2"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: splitting tower degree 6 exceeds cap 4\n"
+    assert captured.err == \
+        "error: splitting tower: field degree 6 exceeds cap 4\n"
 
 
 def test_tool_ramification(capsys):

@@ -256,7 +256,7 @@ def test_memo_scope_keeps_no_error(monkeypatch):
     f = P(1, 0, 0, 0, 1)
     expected = factor_over_tower(base_field("Q(i)"), f)
     with memo_scope():
-        monkeypatch.setattr(towers, "NORM_DEGREE_CAP", 4)
+        monkeypatch.setattr(towers, "FIELD_DEGREE_CAP", 4)
         for _ in range(2):
             with pytest.raises(ResourceCapError):
                 factor_over_tower(base_field("Q(i)"), f)
@@ -293,9 +293,9 @@ def test_splitting_tower_requires_squarefree():
 
 
 def test_splitting_tower_cap(monkeypatch):
-    monkeypatch.setattr(towers, "SPLITTING_DEGREE_CAP", 4)
+    monkeypatch.setattr(towers, "FIELD_DEGREE_CAP", 4)
     with pytest.raises(ResourceCapError,
-                       match=r"^splitting tower degree 8 exceeds cap 4$"):
+                       match=r"^norm descent: field degree 12 exceeds cap 4$"):
         splitting_tower(P(-2, 0, 0, 0, 1))
 
 
@@ -310,11 +310,55 @@ def test_norm_degree_cap_fires_before_any_norm(monkeypatch):
     def no_norms(*args):
         raise AssertionError("norm computed before the cap check")
 
-    monkeypatch.setattr(towers, "NORM_DEGREE_CAP", 8)
+    monkeypatch.setattr(towers, "FIELD_DEGREE_CAP", 8)
     monkeypatch.setattr(towers, "_norm_poly", no_norms)
     with pytest.raises(ResourceCapError,
-                       match=r"^norm degree 12 exceeds cap 8$"):
+                       match=r"^norm descent: field degree 12 exceeds cap 8$"):
         factor_over_tower(zeta8, cubic)
+
+
+def test_field_degree_cap_admits_a_field_at_the_cap(monkeypatch):
+    # x^3 - 2 over Q(i) splits in a field of degree exactly 12
+    monkeypatch.setattr(towers, "FIELD_DEGREE_CAP", 12)
+    tower = splitting_tower(P(-2, 0, 0, 1), base_field("Q(i)"))
+    assert tower.absolute_degree == 12
+
+
+def test_field_degree_cap_fires_before_the_field_is_built(monkeypatch):
+    # x^4 + x + 1 has group S4: its tower reaches degree 12 through Galois
+    # shortcuts, and adjoining the last root would give degree 24
+    built = []
+
+    def init(self, base, modulus, build=towers.ExtensionField.__init__):
+        build(self, base, modulus)
+        built.append(self.absolute_degree)
+
+    monkeypatch.setattr(towers, "FIELD_DEGREE_CAP", 12)
+    monkeypatch.setattr(towers.ExtensionField, "__init__", init)
+    # fields built earlier would come from the table without an __init__
+    towers._interned.cache_clear()
+    with pytest.raises(
+            ResourceCapError,
+            match=r"^splitting tower: field degree 24 exceeds cap 12$"):
+        splitting_tower(P(1, 1, 0, 0, 1))
+    assert max(built) == 12
+
+
+def test_field_degree_cap_fires_before_a_norm(monkeypatch):
+    # x^4 - theta over Q(i, 2^(1/3)) descends to a rational norm of degree
+    # 4 * 6 = 24
+    F = extend(base_field("Q(i)"), P(-2, 0, 0, 1))
+    quartic = [F.neg(F.generator()), F.zero(), F.zero(), F.zero(), F.one()]
+
+    def no_norms(*args):
+        raise AssertionError("norm computed before the cap check")
+
+    monkeypatch.setattr(towers, "FIELD_DEGREE_CAP", 12)
+    monkeypatch.setattr(towers, "_norm_poly", no_norms)
+    with pytest.raises(
+            ResourceCapError,
+            match=r"^norm descent: field degree 24 exceeds cap 12$"):
+        factor_over_tower(F, quartic)
 
 
 def test_factor_over_tower_random_products():
@@ -755,7 +799,7 @@ def test_screen_map_is_a_ring_map():
         assert len(maps) == towers._SCREEN_PRIMES
         images = []
         for p, basis, modulus, _ in maps:
-            assert p > towers.NORM_DEGREE_CAP
+            assert p > towers.FIELD_DEGREE_CAP
             assert modulus == (p - 3, 0, 1)
             images.append((p, basis))
         whole = [(p, w) for p, _, _, w in residue_maps(tower.levels)
@@ -856,17 +900,25 @@ def test_screened_and_exact_descent_agree(monkeypatch):
 
 def test_screen_never_certifies_a_power_norm(monkeypatch):
     # f over the base field: at shift 0 the norm is f^2, not squarefree
-    cases = []
+    seen = []
+
+    def screen_norm(p, modulus, image, k, norm_deg,
+                    check=towers._screen_norm):
+        ok = check(p, modulus, image, k, norm_deg)
+        seen.append((p, k, ok))
+        return ok
+
+    monkeypatch.setattr(towers, "_screen_norm", screen_norm)
     for name, tower in screen_fields()[1:]:
         F = tower
         f = lift_to_field(F, P(-2, 0, 0, 1))
         assert len(F._residue_maps) == towers._SCREEN_PRIMES, name
+        seen.clear()
         assert towers._screened_shift(F, f, 6) not in (0, None), name
-        cases.append((name, F, f))
-    # with one shift per prime, every screen prime sees only shift 0
-    monkeypatch.setattr(towers, "_SCREEN_SHIFTS", 1)
-    for name, F, f in cases:
-        assert towers._screened_shift(F, f, 6) is None, name
+        # the shifts are walked in order across the primes, so every
+        # screen prime tried shift 0 and rejected it
+        assert [(p, ok) for p, k, ok in seen if k == 0] == [
+            (p, False) for p, *_ in F._residue_maps], name
 
 
 def generic_quadratic_root(f, p):
