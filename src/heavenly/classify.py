@@ -30,6 +30,7 @@ from .polynomials import (
 from .ramification import splitting_field_odd_ramified
 from .towers import (
     BASE_FIELD_POLYS,
+    _conjugate,
     _cubic_discriminant,
     _is_square,
     _pair_cubic,
@@ -322,11 +323,6 @@ def _model_polynomials(item) -> list[UniPoly]:
     if isinstance(item, ProductInput):
         return [item.first.cubic, item.second.cubic]
     raise InputError(_SHAPE_ERROR)
-
-
-def _conjugate(K, g):
-    """g over the quadratic step K with its generator s replaced by -s."""
-    return [K.from_coords([a, K.base.neg(b)]) for a, b in map(K.coords, g)]
 
 
 def _two_division_levels(item):

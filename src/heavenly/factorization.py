@@ -693,27 +693,26 @@ def factor_over_q(f: UniPoly) -> list[tuple[UniPoly, int]]:
 def _factor_over_q(f: UniPoly) -> list[tuple[UniPoly, int]]:
     if f.is_zero:
         raise InputError("cannot factor the zero polynomial")
-    if f.degree < 1:
-        return []
-    result: list[tuple[UniPoly, int]] = []
-    for part, mult in squarefree_decomposition(f):
-        monic_int, scale = monic_integral_with_scale(part)
-        ints = tuple(monic_int.integer_coefficients())
-        # f and its powers share this step, so a scope takes it once
-        for g_int in memoized(
-            ("factor_monic_squarefree_int", ints),
-            lambda: tuple(map(tuple,
-                              _factor_monic_squarefree_int(list(ints))))):
-            g = UniPoly.from_list(g_int)
-            if scale != 1:
-                # Roots of g are scale * (roots of the factor of `part`);
-                # substitute x -> scale*x and renormalize.
-                g = UniPoly.from_list(
-                    [c * scale**k for k, c in enumerate(g.coeffs)]
-                ).monic()
-            result.append((g, mult))
+    result = [(g, mult) for part, mult in squarefree_decomposition(f)
+              for g in _factor_squarefree_over_q(part)]
     result.sort(key=lambda t: (t[0].degree, t[0].coeffs))
     return result
+
+
+def _factor_squarefree_over_q(part: UniPoly) -> list[UniPoly]:
+    """Monic irreducible factors of a nonconstant part over Q, sorted as
+    factor_over_q's; part must be squarefree, and is not checked again."""
+    monic_int, scale = monic_integral_with_scale(part)
+    ints = tuple(monic_int.integer_coefficients())
+    # a polynomial and its powers share this step, so a scope takes it once
+    found = memoized(("factor_monic_squarefree_int", ints),
+                     lambda: tuple(map(tuple, _factor_monic_squarefree_int(
+                         list(ints)))))
+    # the roots of each g are scale times those of a factor of part, so
+    # substitute x -> scale*x and renormalize
+    return sorted((UniPoly.from_list([c * scale**k for k, c in enumerate(g)])
+                   .monic() for g in found),
+                  key=lambda g: (g.degree, g.coeffs))
 
 
 __all__ = [

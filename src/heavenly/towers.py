@@ -96,6 +96,7 @@ from .factorization import (
     _distinct_degree_parts,
     _divisor_degrees,
     _equal_degree_split,
+    _factor_squarefree_over_q,
     _mod_deriv,
     _mod_divmod,
     _mod_gcd,
@@ -578,21 +579,19 @@ def _gp_divmod(F, f, g):
     if not g:
         raise InputError("division by the zero polynomial")
     rem = list(f)
-    if len(rem) < len(g):
-        return [], _gp_trim(F, rem)
-    one = F.one()
-    inv_lc = None if g[-1] == one else F.inv(g[-1])
-    q = [F.zero() for _ in range(len(rem) - len(g) + 1)]
-    for k in range(len(rem) - 1, len(g) - 2, -1):
+    d = len(g) - 1
+    inv_lc = None if g[-1] == F.one() else F.inv(g[-1])
+    low = [(j, b) for j, b in enumerate(g[:d]) if not F.is_zero(b)]
+    q = [F.zero()] * (len(rem) - d)
+    # the leading term cancels by construction, so only g[:d] is applied
+    for k in range(len(rem) - 1, d - 1, -1):
         if F.is_zero(rem[k]):
             continue
         c = rem[k] if inv_lc is None else F.mul(rem[k], inv_lc)
-        q[k - (len(g) - 1)] = c
-        for j in range(len(g)):
-            rem[k - (len(g) - 1) + j] = F.sub(
-                rem[k - (len(g) - 1) + j], F.mul(c, g[j])
-            )
-    return _gp_trim(F, q), _gp_trim(F, rem)
+        q[k - d] = c
+        for j, b in low:
+            rem[k - d + j] = F.sub(rem[k - d + j], F.mul(c, b))
+    return _gp_trim(F, q), _gp_trim(F, rem[:d])
 
 
 def _gp_monic(F, f):
@@ -770,8 +769,8 @@ def _factor_squarefree(F, f):
     if deg == 1:
         return [list(f)]
     if F.base is None:
-        rational = UniPoly.from_list(f)
-        return [list(g.coeffs) for g, _ in factor_over_q(rational)]
+        return [list(g.coeffs)
+                for g in _factor_squarefree_over_q(UniPoly.from_list(f))]
     descent = _squarefree_norm(F, f)
     if descent is None:
         return [list(f)]
@@ -1056,8 +1055,7 @@ def _norm_poly(F, g, norm_deg):
 def _squarefree_parts(F, f):
     """Yun's algorithm over an arbitrary char-0 field."""
     out = []
-    d = _gp_deriv(F, f)
-    g = _gp_gcd(F, f, d)
+    g = _gp_gcd(F, f, _gp_deriv(F, f))
     w = _gp_divmod(F, f, g)[0]
     i = 1
     while len(w) - 1 >= 1:
@@ -1123,10 +1121,8 @@ def _factor_from_base(F, f) -> list[tuple[list, int]]:
     result = []
     for g, mult in factor_over_tower(F.base, f):
         lifted = [F.from_base(c) for c in g]
-        if gcd(len(g) - 1, F.degree) == 1:
-            factors = [lifted]
-        else:
-            factors = _factor_squarefree(F, lifted)
+        factors = ([lifted] if gcd(len(g) - 1, F.degree) == 1
+                   else _factor_squarefree(F, lifted))
         result.extend((irr, mult) for irr in factors)
     result.sort(key=lambda t: flatten_poly(F, t[0]))
     return result
@@ -1160,6 +1156,15 @@ def _pair_cubic(K, cubic) -> list:
     polynomial given as ascending rational (a, b) pairs."""
     s = K.generator()
     return [K.add(K.from_fraction(a), K.scale(s, b)) for a, b in cubic]
+
+
+def _conjugate(K, g):
+    """The monic irreducible g over the quadratic step K with s replaced by
+    -s, an automorphism of K; so it stays irreducible, and is recorded as
+    its own factoring in the memo scope."""
+    h = tuple(K.from_coords([a, K.base.neg(b)]) for a, b in map(K.coords, g))
+    memoized(("factor_over_tower", K, h), lambda: ((h, 1),))
+    return list(h)
 
 
 # ---------------------------------------------------------------------------
@@ -1235,8 +1240,8 @@ def _has_root(F, h, degree: int = 1) -> bool:
     deg(g) [F : F.base] for each factor g of h (Trager 1976), so the
     question descends to Q with no gcd pulling a factor back."""
     if F.base is None:
-        return any(g.degree == degree
-                   for g, _ in factor_over_q(UniPoly.from_list(h)))
+        return any(g.degree == degree for g in
+                   _factor_squarefree_over_q(UniPoly.from_list(h)))
     descent = _squarefree_norm(F, h)
     if descent is None:
         return len(h) - 1 == degree

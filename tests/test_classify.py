@@ -39,6 +39,7 @@ from heavenly.ramification import splitting_field_odd_ramified
 from heavenly.towers import (
     base_field,
     extend,
+    factor_over_tower,
     splitting_degree,
     splitting_tower,
 )
@@ -1118,7 +1119,7 @@ def test_twist_factors_are_the_curves_conjugated():
         twist = towers._pair_cubic(K, [(a, -b) for a, b in cubic])
         curve = towers.factor_over_tower(K, towers._pair_cubic(K, cubic))
         assert {tuple(g) for g, _ in towers.factor_over_tower(K, twist)} == \
-            {tuple(CLASSIFY_MODULE._conjugate(K, g)) for g, _ in curve}, \
+            {tuple(towers._conjugate(K, g)) for g, _ in curve}, \
             (radicand, pairs)
 
 
@@ -1202,6 +1203,49 @@ def test_a_twist_sends_only_its_new_nonlinear_factor(monkeypatch):
     K, T1, _ = two_division_tower(_corpus_item("weil_sqrt2"))
     assert [tower for _, tower in calls] == [K, T1]
     assert calls[1][0] == [T1.from_base(K.generator()), T1.zero(), T1.one()]
+
+
+def test_the_conjugate_twist_is_never_factored(monkeypatch):
+    # s -> -s is an automorphism of K = base(s), so the twist's factors
+    # over K, the conjugates of the curve's irreducible factors, are
+    # irreducible there: no factoring over K computes one of them
+    items = [WeilRestrictionInput.of("Q", D, TWO_CUBIC_WEIL)
+             for D in (3, 5, 6, 7)]
+    items += [_corpus_item("weil_sqrt2"), _corpus_item("weil_sqrt_minus_1")]
+    computed = []
+    real = towers._factor_over_tower
+    monkeypatch.setattr(towers, "_factor_over_tower",
+                        lambda F, f: computed.append((F, f)) or real(F, f))
+    for w in items:
+        K = towers._quadratic_step(w.base, w.radicand)
+        conjugates = [towers._conjugate(K, g) for g, _ in
+                      factor_over_tower(K, towers._pair_cubic(K, w.cubic))]
+        computed.clear()
+        classify(w)
+        assert computed, w
+        assert not [f for F, f in computed if F == K and f in conjugates], w
+
+
+def test_the_a6_sextic_never_proves_its_norms_squarefree_twice(
+        monkeypatch):
+    # the degree-120 norms of the A6 sextic's descent are proven squarefree
+    # once, so no exact gcd over Q takes one; the cap detail is unchanged
+    largest = [0]
+
+    def spy(real):
+        def recording(f, g):
+            largest[0] = max(largest[0], f.degree, g.degree)
+            return real(f, g)
+        return recording
+
+    for module in (factorization, polynomials, towers):
+        monkeypatch.setattr(module, "poly_gcd", spy(module.poly_gcd))
+    verdict = classify(JacobianInput("Q", UniPoly.of(8, -12, 0, 10, 0, -9, 1)))
+    assert verdict.status == UNKNOWN
+    assert verdict.steps[-1].value("detail") == (
+        "factor recombination exceeded 200000 subsets "
+        "(degree 120, 24 factors mod 41)")
+    assert largest[0] < 100
 
 
 def test_dedekind_criterion_at_a_large_prime_is_fast():

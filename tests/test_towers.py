@@ -1410,14 +1410,16 @@ def test_two_division_towers_take_no_rational_norm_above_36(monkeypatch):
     # the quadratic cofactor over the Weil D=3 field of degree 36, and the
     # cubic cofactor over the degree-20 field of x^5 - 2, are settled by
     # discriminants and resolvents over the field below
-    factor = towers.factor_over_q
+    def capped(factor):
+        def refusing(f):
+            if f.degree > 36:
+                raise AssertionError(f"rational norm of degree {f.degree}")
+            return factor(f)
+        return refusing
 
-    def capped(f):
-        if f.degree > 36:
-            raise AssertionError(f"rational norm of degree {f.degree}")
-        return factor(f)
-
-    monkeypatch.setattr(towers, "factor_over_q", capped)
+    # a proven-squarefree norm is factored by _factor_squarefree_over_q
+    for name in ("factor_over_q", "_factor_squarefree_over_q"):
+        monkeypatch.setattr(towers, name, capped(getattr(towers, name)))
     weil = WeilRestrictionInput.of("Q", 3, ((-1, -1), (-1, 0), (0, 0), (1, 0)))
     assert two_division_tower(weil)[-1].absolute_degree == 72
     jacobian = JacobianInput("Q", P(-2, 0, 0, 0, 0, 1))
@@ -1444,6 +1446,75 @@ def test_weil_conjugate_cubic_takes_no_norm_over_the_degree_12_field(
         top = two_division_tower(weil)[-1]
         assert top.level_degrees() == [2, 3, 2, 3, 2], d
         assert 12 not in norms, d
+
+
+def test_a_proven_squarefree_norm_is_not_decomposed_again(monkeypatch):
+    # norm descent proves each norm squarefree before it is factored over
+    # Q, so squarefree_decomposition never takes a norm: neither when
+    # factoring x^3 - s x over Q(s), s^2 = 2 (the corpus weil_sqrt2 curve),
+    # nor in the root test of x^2 - 2 there
+    norms, decomposed = [], []
+    squarefree_norm = towers._squarefree_norm
+    decomposition = factorization.squarefree_decomposition
+
+    def recorded_norm(F, f):
+        descent = squarefree_norm(F, f)
+        if descent is not None:
+            norms.append(UniPoly.from_list(descent[2]))
+        return descent
+
+    def recorded_decomposition(f):
+        decomposed.append(f)
+        return decomposition(f)
+
+    monkeypatch.setattr(towers, "_squarefree_norm", recorded_norm)
+    monkeypatch.setattr(factorization, "squarefree_decomposition",
+                        recorded_decomposition)
+    K = base_field("Q(sqrt2)")
+    s = K.generator()
+    x = [K.zero(), K.one()]
+    assert factor_over_tower(K, [K.zero(), K.neg(s), K.zero(), K.one()]) == [
+        (x, 1), ([K.neg(s), K.zero(), K.one()], 1)]
+    assert towers._has_root(K, [K.from_fraction(-2), K.zero(), K.one()])
+    assert len(norms) == 2
+    assert not [f for f in decomposed if f in norms]
+
+
+def divmod_fields():
+    """Q(i), Q(i)(sqrt 2) and Q(sqrt-2)(cbrt 2)."""
+    qi = base_field("Q(i)")
+    return [qi, extend(qi, P(-2, 0, 1)),
+            extend(base_field("Q(sqrt-2)"), P(-2, 0, 0, 1))]
+
+
+def test_gp_divmod_meets_its_contract():
+    # q g + r = f with deg r < deg g, for monic and non-monic divisors,
+    # divisors with zero coefficients, and dividends of lower degree
+    rng = random.Random(113)
+    kinds = set()
+    for F in divmod_fields():
+        for trial in range(30):
+            lead = F.one() if trial % 2 else nonzero_element(F, rng)
+            g = [F.zero() if rng.randrange(3) == 0 else random_element(F, rng)
+                 for _ in range(rng.randrange(4))] + [lead]
+            f = towers._gp_trim(F, [random_element(F, rng)
+                                    for _ in range(rng.randrange(7))])
+            q, r = towers._gp_divmod(F, f, g)
+            assert len(r) < len(g)
+            assert not q or not F.is_zero(q[-1])
+            assert not r or not F.is_zero(r[-1])
+            qg = gp_product(F, [q, g]) if q else []
+            width = max(len(qg), len(r), len(f))
+            padded = [h + [F.zero()] * (width - len(h)) for h in (qg, r, f)]
+            assert all(F.is_zero(F.sub(F.add(a, b), c))
+                       for a, b, c in zip(*padded)), (F, trial)
+            kinds.add(("monic", trial % 2 == 1))
+            kinds.add(("zero coefficient",
+                       any(F.is_zero(c) for c in g[:-1])))
+            kinds.add(("lower degree", len(f) < len(g)))
+    assert kinds == {(k, v) for k in ("monic", "zero coefficient",
+                                      "lower degree")
+                     for v in (True, False)}
 
 
 # ---------------------------------------------------------------------------
