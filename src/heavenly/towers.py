@@ -76,12 +76,15 @@ exact evaluation of the resolvent accepts or rejects each (Stauduhar 1973,
 with p-adic in place of complex roots).  The scan for p skips primes where
 the discriminant is no nonzero square.  For any other quintic the root is
 read off the degrees of the resolvent norm's factors.  The square
-tests those groups rest on descend the tower while the element lies in
-the field K' below the top level: an odd-degree level adjoins no square
-root, and over a quadratic level K'(sqrt e) an element of K' is a square
-exactly when it or its product with e is one in K'.  Any other element
-is a square when x^2 - delta has a root in K, read off the degrees of its
-norm's factors as for the resolvent.
+tests those groups rest on take square roots down the tower, by
+denesting (see _square_root): an odd-degree level adds no square root to
+the field K' below it, and over a quadratic level K'(sqrt e) a square
+root is one to three square roots in K'.  Past any other level, an element
+whose norm to K' is a square is one when x^2 - delta has a root in K,
+read off the degrees of its norm's factors as for the resolvent.  The
+same roots factor a quadratic over a tower, irreducible unless its
+discriminant is a square, after a zero constant term has split off x,
+so neither takes a norm while the descent crosses every level.
 """
 
 from __future__ import annotations
@@ -762,7 +765,11 @@ def flatten_poly(F, f) -> tuple:
 
 
 def _factor_squarefree(F, f):
-    """Monic irreducible factors of a monic squarefree f over the field F."""
+    """Monic irreducible factors of a monic squarefree f over the field F,
+    sorted by flatten_poly.  Over an extension, a zero constant term splits
+    off x, and a quadratic x^2 + b x + c is irreducible unless its
+    discriminant has a square root r there (see _square_root), when it is
+    (x - (-b - r)/2)(x - (-b + r)/2); the rest take norm descent."""
     deg = len(f) - 1
     if deg <= 0:
         return []
@@ -771,6 +778,22 @@ def _factor_squarefree(F, f):
     if F.base is None:
         return [list(g.coeffs)
                 for g in _factor_squarefree_over_q(UniPoly.from_list(f))]
+    if F.is_zero(f[0]):
+        out = [[F.zero(), F.one()]] + _factor_squarefree(F, f[1:])
+    elif deg == 2:
+        c, b, _ = f
+        r = _square_root(F, F.sub(F.mul(b, b), F.scale(c, 4)))
+        if r is None:
+            return [list(f)]
+        out = [[F.scale(F.add(b, s), Fraction(1, 2)), F.one()]
+               for s in (r, F.neg(r))]
+    else:
+        return _norm_factors(F, f)
+    return sorted(out, key=lambda h: flatten_poly(F, h))
+
+
+def _norm_factors(F, f):
+    """_factor_squarefree over the extension F by norm descent alone."""
     descent = _squarefree_norm(F, f)
     if descent is None:
         return [list(f)]
@@ -1206,31 +1229,72 @@ def _quartic_resolvent(F, h):
 
 
 def _is_square(F, delta) -> bool:
-    """Whether delta is a square in the field K = F.
+    """Whether delta is a square in the field F."""
+    return _square_root(F, delta, pull=False) is not None
 
-    A delta in the field K' = F.base below the top level descends: a top level of
-    odd degree adjoins no square root, so delta is a square in K exactly
-    when it is one in K'; a top level y^2 + b y + c makes K = K'(sqrt e),
-    e = b^2 - 4c, and (u + v sqrt e)^2 lies in K' only when u v = 0, so
-    delta is a square in K exactly when delta or delta e is one in K'.  Over
-    Q the numerator and denominator are tested.  Any other delta is a
-    square exactly when x^2 - delta has a root in K (see _has_root).
+
+def _square_root(F, delta, pull=True):
+    """A square root of delta in the field F, or None when delta is no
+    square there.  With pull false, no root is pulled back by norm descent,
+    and True stands for a square whose root only that would find.
+
+    The root descends the tower (Borodin, Fagin, Hopcroft and Tompa 1985)
+    to B = F.base.  Over Q the numerator and denominator are tested.  A
+    delta in B that is a square there is one in F, and an odd-degree level
+    adds no other.  A level y^2 + b y + c makes F = B(w), w = 2y + b,
+    w^2 = e = b^2 - 4c, and (a + q w)^2 = a^2 + e q^2 + 2 a q w: any other
+    delta in B has the root sqrt(delta e) w / e, and delta = u + v w with
+    v nonzero the root a + (v / 2a) w, when u^2 - e v^2 = t^2 and
+    a^2 = (u + t) / 2 for t of either sign and a nonzero a in B; with pull
+    false, a t only norm descent finds leaves delta to _has_root over F.
+    At any other level delta is a square when its norm to B is one and
+    x^2 - delta has a root in F (see _has_root); only then is the root
+    pulled back by norm descent.
     """
     B = F.base
     if B is None:
-        return delta >= 0 and all(isqrt(n) ** 2 == n for n in (
-            delta.numerator, delta.denominator))
+        num, den = isqrt(max(delta.numerator, 0)), isqrt(delta.denominator)
+        exact = num * num == delta.numerator and den * den == delta.denominator
+        return Fraction(num, den) if exact else None
     if F.is_zero(delta):
-        return True
+        return delta
+    h = [F.neg(delta), F.zero(), F.one()]
     low, *high = F.coords(delta)
-    if all(B.is_zero(c) for c in high):
-        if F.degree % 2:
-            return _is_square(B, low)
-        if F.degree == 2:
-            c, b, _ = F.modulus
-            e = B.sub(B.mul(b, b), B.scale(c, 4))
-            return _is_square(B, low) or _is_square(B, B.mul(low, e))
-    return _has_root(F, [F.neg(delta), F.zero(), F.one()])
+    below = all(B.is_zero(c) for c in high)
+    if below:
+        r = _square_root(B, low, pull)
+        if r is not None or F.degree % 2:
+            return r if r is None or r is True else F.from_base(r)
+    if F.degree == 2:
+        c, b, _ = F.modulus
+        e = B.sub(B.mul(b, b), B.scale(c, 4))
+        if below:
+            r = _square_root(B, B.mul(low, e), pull)
+            if r is None or r is True:
+                return r
+            a, q = B.zero(), B.mul(r, B.inv(e))
+        else:
+            v = B.scale(high[0], Fraction(1, 2))
+            u = B.sub(low, B.mul(b, v))
+            t = _square_root(B, B.sub(B.mul(u, u), B.mul(e, B.mul(v, v))),
+                             pull)
+            if t is None:
+                return None
+            if t is True:
+                return True if _has_root(F, h) else None
+            for s in (t, B.neg(t)):
+                half = B.scale(B.add(u, s), Fraction(1, 2))
+                a = None if B.is_zero(half) else _square_root(B, half, pull)
+                if a is not None:
+                    break
+            if a is None or a is True:
+                return a
+            q = B.mul(v, B.inv(B.scale(a, 2)))
+        # a + q w = (a + q b) + 2 q y
+        return F.from_coords([B.add(a, B.mul(q, b)), B.scale(q, 2)])
+    if _square_root(B, F.norm(delta), False) is None or not _has_root(F, h):
+        return None
+    return F.neg(_norm_factors(F, h)[0][0]) if pull else True
 
 
 def _has_root(F, h, degree: int = 1) -> bool:

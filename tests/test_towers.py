@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 import random
+import time
 
 import heavenly.factorization as factorization
 import heavenly.towers as towers
@@ -188,6 +189,11 @@ FROZEN_DESCENT = {
 # itself takes no descent over the whole field
 FACTORED_BELOW = {"x^3 - x over Q(sqrt-2)", "x^4 - 1 over Q(i)",
                   "x^8 - 1 over Q(i)", "x^4 + 1 over Q(i)(sqrt2)"}
+# the entries whose factors over the whole field are now read off square
+# roots descending the tower, with no norm taken; their norm descent is run
+# through towers._norm_factors directly
+DENESTED = {"x^3 - x over Q(sqrt-2)", "x^2 - 2i over Q(i)",
+            "(x - sqrt2)(x - i) over Q(i)(sqrt2)"}
 
 
 def test_norm_descent_factors_frozen(monkeypatch):
@@ -196,16 +202,23 @@ def test_norm_descent_factors_frozen(monkeypatch):
     # every coefficient in the field below is factored there first, and
     # only its factors of degree sharing a factor with the top level's
     # descend, so the whole field's descent of a FACTORED_BELOW entry is
-    # run directly
+    # run directly; a DENESTED entry takes no norm until its norm descent
+    # is run directly
     descent = towers._factor_squarefree
-    found = []
+    norm_poly = towers._norm_poly
+    found, norms = [], []
 
     def recorded(F, f):
         out = descent(F, f)
         found.append((F, len(f) - 1, len(out)))
         return out
 
+    def recorded_norm(F, g, norm_deg):
+        norms.append(F)
+        return norm_poly(F, g, norm_deg)
+
     monkeypatch.setattr(towers, "_factor_squarefree", recorded)
+    monkeypatch.setattr(towers, "_norm_poly", recorded_norm)
     for name, (tag, level, f, norm_factors, frozen) in \
             FROZEN_DESCENT.items():
         tower = base_field(tag)
@@ -215,6 +228,7 @@ def test_norm_descent_factors_frozen(monkeypatch):
         f = (lift_to_field(F, f) if isinstance(f, UniPoly)
              else [from_flat(F, c) for c in f])
         found.clear()
+        norms.clear()
         facs = factor_over_tower(tower, f)
         deg = len(f) - 1
         descended = (F, deg) in [(K, d) for K, d, _ in found]
@@ -222,6 +236,9 @@ def test_norm_descent_factors_frozen(monkeypatch):
         if not descended:
             assert towers._factor_squarefree(F, f) == [g for g, _ in facs], \
                 name
+        assert (not norms) == (name in DENESTED), name
+        if name in DENESTED:
+            assert towers._norm_factors(F, f) == [g for g, _ in facs], name
         assert (F.base, deg * F.degree, norm_factors) in found, name
         assert all(mult == 1 for _, mult in facs), name
         assert [tuple(tuple(str(q) for q in F.flatten(c)) for c in g)
@@ -1451,11 +1468,13 @@ def test_weil_conjugate_cubic_takes_no_norm_over_the_degree_12_field(
 def test_a_proven_squarefree_norm_is_not_decomposed_again(monkeypatch):
     # norm descent proves each norm squarefree before it is factored over
     # Q, so squarefree_decomposition never takes a norm: neither when
-    # factoring x^3 - s x over Q(s), s^2 = 2 (the corpus weil_sqrt2 curve),
-    # nor in the root test of x^2 - 2 there
-    norms, decomposed = [], []
+    # factoring (x - 1)(x^2 - s) over Q(s), s^2 = 2, nor in the root test of
+    # x^2 - 2 there.  x^3 - s x (the corpus weil_sqrt2 curve) takes no norm
+    # at all: x splits off, and x^2 - s is irreducible as 4s is no square
+    norms, decomposed, norm_polys = [], [], []
     squarefree_norm = towers._squarefree_norm
     decomposition = factorization.squarefree_decomposition
+    norm_poly = towers._norm_poly
 
     def recorded_norm(F, f):
         descent = squarefree_norm(F, f)
@@ -1467,14 +1486,24 @@ def test_a_proven_squarefree_norm_is_not_decomposed_again(monkeypatch):
         decomposed.append(f)
         return decomposition(f)
 
+    def recorded_norm_poly(F, g, norm_deg):
+        norm_polys.append(F)
+        return norm_poly(F, g, norm_deg)
+
     monkeypatch.setattr(towers, "_squarefree_norm", recorded_norm)
+    monkeypatch.setattr(towers, "_norm_poly", recorded_norm_poly)
     monkeypatch.setattr(factorization, "squarefree_decomposition",
                         recorded_decomposition)
     K = base_field("Q(sqrt2)")
     s = K.generator()
     x = [K.zero(), K.one()]
+    x2_minus_s = [K.neg(s), K.zero(), K.one()]
     assert factor_over_tower(K, [K.zero(), K.neg(s), K.zero(), K.one()]) == [
-        (x, 1), ([K.neg(s), K.zero(), K.one()], 1)]
+        (x, 1), (x2_minus_s, 1)]
+    assert not norms and not norm_polys
+    assert factor_over_tower(K, [s, K.neg(s), K.from_fraction(-1),
+                                 K.one()]) == [
+        ([K.from_fraction(-1), K.one()], 1), (x2_minus_s, 1)]
     assert towers._has_root(K, [K.from_fraction(-2), K.zero(), K.one()])
     assert len(norms) == 2
     assert not [f for f in decomposed if f in norms]
@@ -1521,12 +1550,18 @@ def test_gp_divmod_meets_its_contract():
 # Square tests that descend the tower, and norms over Q on integer matrices.
 
 
+def weil_d3_top():
+    """The degree-72 2-division field of the restriction to Q of
+    y^2 = x^3 - x - 1 - s over Q(s), s^2 = 3, with levels 2, 3, 2, 3, 2."""
+    weil = WeilRestrictionInput.of("Q", 3, ((-1, -1), (-1, 0), (0, 0),
+                                            (1, 0)))
+    return two_division_tower(weil)[-1]
+
+
 def square_oracle_fields():
     """The fields of absolute degree at most 12 along the 2-division towers
-    of the four hard Weil members, x^3 - 2 over Q(i) and x^5 - 2 over Q.
-    Above that, one exact factoring of x^2 - delta can take seconds; the
-    degree-36 and degree-72 Weil fields add a cubic and a quadratic level,
-    both kinds the fields below already have."""
+    of the four hard Weil members, x^3 - 2 over Q(i) and x^5 - 2 over Q,
+    and the Weil D=3 fields of degree 36 and 72 (see weil_d3_top)."""
     docs = [doc for doc in _hard_documents()
             if doc["kind"] == "weil_restriction"]
     docs += [{"kind": "elliptic", "base_field": "Q(i)", "cubic": [-2, 0, 0, 1]},
@@ -1537,7 +1572,7 @@ def square_oracle_fields():
         top = two_division_tower(input_from_document(doc))[-1]
         for height in range(1, top.height + 1):
             tower = FieldTower(top.levels[:height])
-            if tower.absolute_degree <= 12:
+            if tower.absolute_degree <= 12 or doc.get("D") == 3:
                 fields.append((doc, tower))
     return fields
 
@@ -1549,15 +1584,45 @@ def nonzero_element(F, rng):
             return a
 
 
+def non_residue_prime(F, delta):
+    """An odd prime p below 20000 with a ring map phi of the whole field F
+    to F_p (see ExtensionField._residue_map), delta p-integral and phi(delta)
+    no square mod p, or None.  A square root of delta would be p-integral
+    too, where the power-basis order is regular at the kernel of phi, so
+    such a p proves delta no square in F."""
+    nums, den = F.parts(delta)
+    for p in range(3, 20000, 2):
+        if den % p and is_probable_prime(p):
+            found = F._residue_map(p)
+            if found is not None and found[2] is not None:
+                image = towers._map_mod(found[2], nums, den, p)
+                if pow(image, (p - 1) // 2, p) == p - 1:
+                    return p
+    return None
+
+
 def test_is_square_agrees_with_factoring():
+    # the oracle is _has_root, the degrees of the factors of the norm of
+    # x^2 - delta down to Q, which shares no step with the descent behind
+    # _is_square and _square_root; a root r found is checked by r r = delta.
+    # Over the fields of degree 36 and 72, delta comes from their subfields
+    # of degree at most 12, a root proves a square, and a non-square is
+    # proven by a prime of degree 1 where delta is no residue: the rational
+    # norm of degree 2 [F : Q] takes seconds at 72 and exceeds the
+    # recombination cap at 144.  A square from the degree-36 subfield, past
+    # a cubic level the descent cannot cross, still takes a norm of degree
+    # 72 whose recombination runs for minutes, so none is drawn
     rng = random.Random(101)
     outcomes = set()
     checked = 0
     for doc, tower in square_oracle_fields():
         chain = field_chain(tower)
         F = chain[-1]
+        large = F.absolute_degree > 12
         deltas = []
         for height, K in enumerate(chain):
+            if K.absolute_degree > 12:
+                continue
             gamma = nonzero_element(K, rng)
             deltas += [(height, nonzero_element(K, rng)),
                        (height, K.mul(gamma, gamma))]
@@ -1571,16 +1636,91 @@ def test_is_square_agrees_with_factoring():
                     B.mul(B.mul(gamma, gamma), e))))
         for height, delta in deltas:
             delta = embed_to(chain, height, delta)
-            factors = factor_over_tower(tower, [F.neg(delta), F.zero(),
-                                                F.one()])
-            expected = len(factors) == 2
-            assert towers._is_square(tower, delta) == expected, (doc, height)
-            outcomes.add((height < tower.height, expected))
+            root = towers._square_root(tower, delta)
+            square = towers._is_square(tower, delta)
+            assert square == (root is not None), (doc, height)
+            if square:
+                assert F.mul(root, root) == delta, (doc, height)
+            elif large:
+                assert non_residue_prime(F, delta) is not None, (doc, height)
+            if not large:
+                assert towers._has_root(
+                    F, [F.neg(delta), F.zero(), F.one()]) == square, \
+                    (doc, height)
+            outcomes.add((large, height < tower.height, square))
             checked += 1
-    assert checked == 114
-    # squares and non-squares, drawn from the top field and from below it
-    assert outcomes == {(True, True), (True, False), (False, True),
-                        (False, False)}
+    assert checked == 134
+    # squares and non-squares, drawn from the top field and from below it,
+    # and over the large fields from below it
+    assert outcomes == {(False, True, True), (False, True, False),
+                        (False, False, True), (False, False, False),
+                        (True, True, True), (True, True, False)}
+
+
+def sqrt_oracle_fields():
+    """Q(i), Q(i)(sqrt 2), the splitting tower of x^3 - 2 over Q(sqrt-2)
+    and the degree-12 field of the Weil D=3 tower (see weil_d3_top)."""
+    qi = base_field("Q(i)")
+    return [qi, extend(qi, P(-2, 0, 1)),
+            splitting_tower(P(-2, 0, 0, 1), base_field("Q(sqrt-2)")),
+            FieldTower(weil_d3_top().levels[:3])]
+
+
+def test_square_root_of_every_square_is_plus_or_minus_its_root():
+    # gamma^2 for gamma drawn at every height has the root +-gamma; at a
+    # quadratic level K = K'(sqrt e), w = 2y + b, gamma^2 e for gamma in K'
+    # is no square in K' and the square of gamma w in K; and _is_square
+    # agrees with the degree-only norm route _has_root on seeded deltas
+    rng = random.Random(109)
+    agreed = 0
+    kinds = set()
+    for F in sqrt_oracle_fields():
+        chain = field_chain(F)
+        for height, K in enumerate(chain):
+            for _ in range(3):
+                gamma = embed_to(chain, height, nonzero_element(K, rng))
+                root = towers._square_root(F, F.mul(gamma, gamma))
+                assert root in (gamma, F.neg(gamma)), (F, height)
+            if K.base is not None and K.degree == 2:
+                B = K.base
+                c, b, _ = K.modulus
+                e = B.sub(B.mul(b, b), B.scale(c, 4))
+                gamma = nonzero_element(B, rng)
+                delta = B.mul(B.mul(gamma, gamma), e)
+                assert towers._square_root(B, delta) is None, (F, height)
+                root = K.mul(K.from_base(gamma),
+                             K.from_coords([b, B.from_fraction(2)]))
+                assert towers._square_root(K, K.from_base(delta)) in (
+                    root, K.neg(root)), (F, height)
+        for trial in range(26):
+            height = rng.randrange(len(chain))
+            gamma = nonzero_element(chain[height], rng)
+            delta = embed_to(chain, height, gamma if trial % 2 else
+                             chain[height].mul(gamma, gamma))
+            expected = towers._has_root(F, [F.neg(delta), F.zero(), F.one()])
+            assert towers._is_square(F, delta) == expected, (F, trial)
+            kinds.add((height == F.height, expected))
+            agreed += 1
+    assert agreed >= 100
+    assert kinds == {(True, True), (True, False), (False, True),
+                     (False, False)}
+
+
+def test_quadratics_over_the_degree_72_field_skip_the_recombination_cap():
+    # x^2 - 5 and x^2 + 3 are irreducible over the Weil D=3 field: their
+    # discriminants are no squares, read off square tests that descend to
+    # its subfields, where a norm descent over the whole field meets a
+    # rational norm of degree 144 that exceeds the recombination cap
+    F = weil_d3_top()
+    assert F.absolute_degree == 72
+    for c in (-5, 3):
+        f = lift_to_field(F, P(c, 0, 1))
+        start = time.perf_counter()
+        assert factor_over_tower(F, f) == [(f, 1)], c
+        assert time.perf_counter() - start < 1, c
+    s = embed_to(field_chain(F), 1, field_chain(F)[1].generator())
+    assert factor_over_tower(F, P(-3, 0, 1)) == [
+        ([F.neg(s), F.one()], 1), ([s, F.one()], 1)]
 
 
 def test_is_square_pulls_no_root_back(monkeypatch):
