@@ -22,9 +22,9 @@ The mod-p layer works on plain int lists (ascending coefficients, trimmed).
 Its operands are small (mostly under ten coefficients, p below 2^16), so
 the cost is in building lists: a product wanted only modulo a fixed
 polynomial is reduced in the same pass that sums it (_mod_mulmod), and a
-remainder is taken without its quotient (_mod_rem). The layer is internal
-but also feeds the ramification machinery, which needs mod-p
-factorizations with multiplicities; every split there is the same
+remainder, in a gcd too, is taken without its quotient (_reduce). The
+layer is internal but also feeds the ramification machinery, which needs
+mod-p factorizations with multiplicities; every split there is the same
 distinct-degree factorization, then Cantor-Zassenhaus, at a cost in log p.
 """
 
@@ -150,20 +150,6 @@ def _reduce(f, red, p):
     return _trim([c % p for c in f[:n]])
 
 
-def _mod_rem(f, g, p):
-    """The remainder of _mod_divmod(f, g, p), built without the quotient."""
-    f = list(f)
-    d = len(g) - 1
-    inv_lc = pow(g[-1], -1, p)
-    low = g[:d]
-    for k in range(len(f) - 1, d - 1, -1):
-        c = f[k] * inv_lc % p
-        if c:
-            for j, b in enumerate(low, k - d):
-                f[j] -= c * b
-    return _trim([c % p for c in f[:d]])
-
-
 def _mod_mulmod(a, b, red, p):
     """a*b mod (g, p) for red = _reducer(g, p): the product is built from
     unreduced integers and reduced once, with no quotient."""
@@ -180,7 +166,7 @@ def _mod_mulmod(a, b, red, p):
 def _mod_gcd(f, g, p):
     a, b = _trim([c % p for c in f]), _trim([c % p for c in g])
     while b:
-        a, b = b, _mod_rem(a, b, p)
+        a, b = b, _reduce(list(a), _reducer(b, p), p)
     if a:
         inv = pow(a[-1], -1, p)
         a = [c * inv % p for c in a]
@@ -491,8 +477,9 @@ def _hensel_lift_tree(f, factors, p, target):
 # Zassenhaus over Z.
 
 
-def _int_divmod_monic(f: list[int], g: list[int]):
-    """(quotient, remainder) of exact integer division by monic g."""
+def _int_divmod_monic(f: list[int], g: list[int], bound: int | None = None):
+    """(quotient, remainder) of exact integer division by monic g; None
+    once a quotient coefficient exceeds bound in absolute value."""
     f = f[:]
     d = len(g) - 1
     q = [0] * max(len(f) - d, 0)
@@ -500,6 +487,8 @@ def _int_divmod_monic(f: list[int], g: list[int]):
         c = f[k]
         if c == 0:
             continue
+        if bound is not None and abs(c) > bound:
+            return None
         q[k - d] = c
         for j, b in enumerate(g):
             f[k - d + j] -= c * b
@@ -624,10 +613,11 @@ def _zassenhaus(f: list[int]) -> list[list[int]]:
             for i in combo:
                 prod = _mod_mul(prod, lifted[i], m)
             cand = [_symmetric(c, m) for c in prod]
-            q, r = _int_divmod_monic(current, cand)
-            if not r:
+            # a true quotient is a monic divisor of f, within its bound
+            division = _int_divmod_monic(current, cand, target // 2)
+            if division is not None and not division[1]:
                 found.append(cand)
-                current = q
+                current = division[0]
                 remaining = [i for i in remaining if i not in combo]
                 progressed = True
                 break

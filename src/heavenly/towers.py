@@ -28,21 +28,19 @@ factor that norm one level down recursively, and pull factors back up: the
 factors of the norm are the norms of the factors over the field, one to
 one (Trager 1976), so a gcd with the shifted polynomial finds each but the
 last, and the last is what remains after dividing the others out.  The
-shift is chosen modulo a prime p above the norm degrees: a root mod p of
-each level modulus maps the subfield's p-integral elements to F_p, the
-image of each candidate norm is interpolated there, and the first shift
-whose image is squarefree at some screen prime is the one whose exact norm
-is computed, since the norm is monic and a squarefree image proves it
-squarefree.  Only when no shift passes does the exact squarefree test
-decide, walking the same shifts.  When the norm is irreducible one level
-down, so is the polynomial, and no gcd pulls it back.
+shifts are walked in order, and the first whose norm is squarefree modulo
+one of a few screen primes p is taken: a root mod p of each level modulus
+maps the subfield's p-integral elements to F_p, and the norm is monic, so
+a squarefree image proves it squarefree.  Only when no shift passes does
+the exact squarefree test decide, walking the same shifts.  When the norm
+is irreducible one level down, so is the polynomial, and no gcd pulls it
+back.
 
 One bound, FIELD_DEGREE_CAP, limits every tower: a norm descent of f over
 F ends in a rational norm of degree deg f [F : Q], the degree of F(alpha)
 for a root alpha of f, and adjoining a root of h to F builds a field of
 degree deg h [F : Q].  Both are refused before any work, with an error
-naming the stage and the degree reached.  The screen primes lie above the
-cap, so every norm within it is interpolated on distinct nodes mod p.
+naming the stage and the degree reached.
 
 A polynomial whose coefficients all lie in the field B below the top level
 is factored over B first, so the step recurses to the least level holding
@@ -104,11 +102,9 @@ from .factorization import (
     _mod_divmod,
     _mod_gcd,
     _mod_pow_mod,
-    _mod_rem,
     _mod_sub,
     _squarefree_mod,
     _symmetric,
-    _trim,
     factor_over_q,
 )
 from .integers import is_probable_prime, next_odd_prime
@@ -125,14 +121,13 @@ from .polynomials import (
 # for alpha a root of the polynomial at hand
 FIELD_DEGREE_CAP = 192
 
-# Norm descent tries the shifts in _SHIFTS in order, screening each modulo
-# up to _SCREEN_PRIMES primes, found among the first _SCREEN_SCAN primes
-# above _SCREEN_FLOOR; when no shift is certified there, the exact
-# squarefree test decides.  The same primes certify irreducible and
-# squarefree inputs before any descent; with none, every factoring over a
-# tower takes the exact path.  The floor is the cap as set here, so every
-# norm within it has distinct nodes mod p, and a cap changed later changes
-# no field's primes.
+# Norm descent walks the shifts in _SHIFTS in order and takes the first
+# whose norm is squarefree modulo one of up to _SCREEN_PRIMES primes, found
+# among the first _SCREEN_SCAN primes above _SCREEN_FLOOR; when no shift is
+# certified there, the exact squarefree test decides.  The same primes
+# certify irreducible and squarefree inputs before any descent; with none,
+# every factoring over a tower takes the exact path.  The floor is the cap
+# as set here, so a cap changed later changes no field's primes.
 _SCREEN_PRIMES = 3
 _SCREEN_SCAN = 64
 _SCREEN_FLOOR = FIELD_DEGREE_CAP
@@ -551,8 +546,7 @@ class ExtensionField(_Tower):
     def _residue_maps(self) -> tuple:
         """Up to _SCREEN_PRIMES entries (p, basis, modulus, whole) of
         _residue_map, at the first primes above _SCREEN_FLOOR where it is
-        defined, so F_p has a distinct node for every point a norm within
-        the cap is interpolated on."""
+        defined."""
         out = []
         primes = (q for q in count(_SCREEN_FLOOR + 1) if is_probable_prime(q))
         for p in islice(primes, _SCREEN_SCAN):
@@ -826,7 +820,12 @@ def _squarefree_norm(F, f):
     """The first half of norm descent, for a monic squarefree f of degree
     at least 2 over the extension F: None when the screen primes prove f
     irreducible, else (shift, g, norm) with g(x) = f(x - shift) and norm
-    its norm to F.base, monic and squarefree."""
+    its norm to F.base, monic and squarefree.
+
+    The shifts k of _SHIFTS are walked in order, g(x) = f(x - k*alpha),
+    and the first norm certified squarefree by its image at a screen prime
+    is taken; only when there is none does an exact gcd decide, walking
+    the same shifts."""
     deg = len(f) - 1
     B = F.base
     # The descent ends in a rational norm of degree deg [F : Q]; refuse
@@ -834,16 +833,17 @@ def _squarefree_norm(F, f):
     _check_field_degree(F, deg, "norm descent")
     if _certified_irreducible(F, f):
         return None
-    norm_deg = deg * F.degree
+    maps = [(p, basis) for p, basis, _, _ in F._residue_maps]
+    tests = [lambda norm: _certified_squarefree(B, norm, maps)] if maps else []
+    tests.append(lambda norm: _gp_squarefree(B, norm))
     alpha = F.generator()
-    certified = _screened_shift(F, f, norm_deg)
-    for k in _SHIFTS if certified is None else [certified]:
-        shift = F.scale(alpha, -k)
-        g = _gp_taylor_shift(F, f, shift)  # g(x) = f(x - k*alpha)
-        norm = _norm_poly(F, g, norm_deg)
-        if certified is None and not _gp_squarefree(B, norm):
-            continue
-        return shift, g, norm
+    for squarefree in tests:
+        for k in _SHIFTS:
+            shift = F.scale(alpha, -k)
+            g = _gp_taylor_shift(F, f, shift)  # g(x) = f(x - k*alpha)
+            norm = _norm_poly(F, g, deg * F.degree)
+            if squarefree(norm):
+                return shift, g, norm
     raise ArithmeticError("no squarefree shift found for separable input")
 
 
@@ -857,18 +857,18 @@ def _check_field_degree(F, n: int, stage: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Screen primes: shifts, irreducibility and squarefreeness modulo a prime.
+# Screen primes: squarefreeness and irreducibility modulo a prime.
 #
-# Let B be the field below the top level, R its power-basis elements whose
-# denominators are prime to p, and alpha a root of the top modulus m.  When
-# p divides no denominator of any level modulus, each level is monic over
-# the ring below it, so R is a ring, and a root r_i mod p of each level
-# modulus in turn (its coefficients mapped through the roots chosen below)
-# defines a ring map phi: R -> F_p sending the i-th generator to r_i.  For
-# g(x) = f(x - k*alpha) with coefficients over R, the norm
-# N = Res_y(m, g) is monic, so phi(N) = Res_y(phi(m), phi(g)) keeps its
-# degree and phi(disc N) = disc phi(N): a squarefree phi(N) proves N
-# squarefree.
+# Let K be a field of the tower and R its power-basis elements whose
+# denominators are prime to p.  When p divides no denominator of any level
+# modulus, each level is monic over the ring below it, so R is a ring, and
+# a root r_i mod p of each level modulus in turn (its coefficients mapped
+# through the roots chosen below) defines a ring map phi: R -> F_p sending
+# the i-th generator to r_i.  A monic f over R keeps its degree under phi,
+# and phi(disc f) = disc phi(f): a squarefree phi(f) proves f squarefree.
+# Norm descent certifies the norm of each shift so, under the map of the
+# field below the top level, and an input is certified squarefree before
+# any descent under the map of the whole field.
 #
 # Each r_i is a simple root, phi(m_i')(r_i) != 0.  Then P = ker phi is an
 # unramified prime of degree 1 at which R is regular: localized at P, each
@@ -947,13 +947,21 @@ def _map_mod(basis, nums, den: int, p: int):
     return sum(x * v for x, v in zip(nums, basis)) * pow(den, -1, p) % p
 
 
-def _whole_field_images(F, f):
-    """(p, phi(f)) for each screen prime with a map phi of the whole field
-    F under which f's coefficients are defined."""
-    parts = [F.parts(c) for c in f]
-    for p, _, _, whole in F._residue_maps:
-        if whole is not None and all(den % p for _, den in parts):
-            yield p, [_map_mod(whole, nums, den, p) for nums, den in parts]
+def _images(K, f, maps):
+    """(p, phi(f)) for each (p, phi) of maps, phi given on the power basis
+    of the field K that holds f's coefficients, where every coefficient of
+    f is p-integral."""
+    parts = [K.parts(c) for c in f]
+    for p, basis in maps:
+        if all(den % p for _, den in parts):
+            yield p, [_map_mod(basis, nums, den, p) for nums, den in parts]
+
+
+def _whole_maps(F) -> list:
+    """(p, phi) at each screen prime of F where its top modulus has a
+    simple root mod p, phi the map of the whole field through it."""
+    return [(p, whole) for p, _, _, whole in F._residue_maps
+            if whole is not None]
 
 
 def _certified_irreducible(F, f) -> bool:
@@ -961,7 +969,7 @@ def _certified_irreducible(F, f) -> bool:
     monic f no divisor degree but 0 and deg f, which proves f irreducible."""
     deg = len(f) - 1
     allowed = (1 << (deg + 1)) - 1
-    for p, image in _whole_field_images(F, f):
+    for p, image in _images(F, f, _whole_maps(F)):
         if _squarefree_mod(image, p):
             allowed &= _divisor_degrees(_distinct_degree_parts(image, p))[0]
             if allowed == 1 | 1 << deg:
@@ -969,85 +977,10 @@ def _certified_irreducible(F, f) -> bool:
     return False
 
 
-def _certified_squarefree(F, f) -> bool:
-    """Whether phi(f) is squarefree at some screen prime, which proves the
-    monic f squarefree, since phi(disc f) = disc phi(f)."""
-    return any(_squarefree_mod(image, p)
-               for p, image in _whole_field_images(F, f))
-
-
-def _screened_shift(F, f, norm_deg):
-    """The first shift k in _SHIFTS whose norm, for g(x) = f(x - k*alpha),
-    some screen prime above norm_deg proves squarefree, or None."""
-    b = F.base.absolute_degree
-    parts = [F.parts(c) for c in f]
-    # phi of each coefficient of f, a polynomial in the top generator
-    images = [(p, modulus, [[_map_mod(basis, nums[i * b:(i + 1) * b], den, p)
-                             for i in range(F.degree)] for nums, den in parts])
-              for p, basis, modulus, _ in F._residue_maps
-              if p > norm_deg and all(den % p for _, den in parts)]
-    return next((k for k in _SHIFTS for p, modulus, image in images
-                 if _screen_norm(p, modulus, image, k, norm_deg)), None)
-
-
-def _resultant_mod(a: list, b: list, p: int) -> int:
-    """Res(a, b) over F_p by the Euclidean recurrence
-    Res(a, b) = (-1)^(deg a deg b) lc(b)^(deg a - deg r) Res(b, r)."""
-    acc = 1
-    while True:
-        da, db = len(a) - 1, len(b) - 1
-        if db < 0:
-            return 0
-        if db == 0:
-            return acc * pow(b[0], da, p) % p
-        r = _mod_rem(a, b, p)
-        if not r:
-            return 0
-        acc = acc * pow(b[-1], da - len(r) + 1, p) % p
-        if da * db % 2:
-            acc = -acc
-        a, b = b, r
-
-
-def _interpolate_mod(values: list, p: int) -> list:
-    """The polynomial over F_p of degree below len(values) taking
-    values[t] at t = 0, 1, ..., in Newton form."""
-    table = list(values)
-    dd = [table[0]]
-    for level in range(1, len(values)):
-        inv = pow(level, -1, p)
-        table = [(hi - lo) * inv % p for lo, hi in zip(table, table[1:])]
-        dd.append(table[0])
-    coeffs: list = []
-    for k in range(len(dd) - 1, -1, -1):
-        nxt = [0] + coeffs
-        for i, c in enumerate(coeffs):
-            nxt[i] -= k * c
-        nxt[0] += dd[k]
-        coeffs = [c % p for c in nxt]
-    return _trim(coeffs)
-
-
-def _screen_norm(p, modulus, image, k, norm_deg) -> bool:
-    """True when phi(N) is squarefree for N the norm of f(x - k*alpha),
-    which proves N squarefree; phi(N) is interpolated from its values
-    Res_y(phi(m), phi(f)(t - k*y)) at t = 0, ..., norm_deg."""
-    n = len(modulus) - 1
-    values = []
-    for t in range(norm_deg + 1):
-        # Horner in (F_p[y] / phi(m))[x]: acc * (t - k*y) + c
-        acc = [0] * n
-        for c in reversed(image):
-            top = acc[-1] * k
-            acc = [t * acc[0] + c[0]] + [
-                t * acc[i] - k * acc[i - 1] + c[i] for i in range(1, n)]
-            if top:
-                acc = [(x + top * m) % p for x, m in zip(acc, modulus)]
-            else:
-                acc = [x % p for x in acc]
-        values.append(_resultant_mod(list(modulus), _trim(acc), p))
-    norm = _interpolate_mod(values, p)
-    return len(norm) == norm_deg + 1 and _squarefree_mod(norm, p)
+def _certified_squarefree(K, f, maps) -> bool:
+    """Whether phi(f) is squarefree for some (p, phi) of maps, which proves
+    the monic f over K squarefree, since phi(disc f) = disc phi(f)."""
+    return any(_squarefree_mod(image, p) for p, image in _images(K, f, maps))
 
 
 def _norm_poly(F, g, norm_deg):
@@ -1122,7 +1055,7 @@ def _factor_over_tower(F, f) -> list[tuple[list, int]]:
     if not any(any(nums[w:]) for nums, _ in g):
         return _factor_from_base(F, [F.base.from_parts(nums[:w], den)
                                      for nums, den in g])
-    if _certified_squarefree(F, g):
+    if _certified_squarefree(F, g, _whole_maps(F)):
         parts = [(g, 1)]
     else:
         parts = _squarefree_parts(F, g)

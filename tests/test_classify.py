@@ -1,5 +1,6 @@
 """Classification pipeline tests: inputs, torsion fields, screens, verdicts."""
 
+import hashlib
 import importlib
 import json
 import random
@@ -32,7 +33,7 @@ from heavenly.classify import (
     screen_good_reduction,
     two_division_tower,
 )
-from heavenly.documents import input_from_document
+from heavenly.documents import input_from_document, output_document
 from heavenly.errors import InputError, ResourceCapError
 from heavenly.polynomials import UniPoly, discriminant, squarefree_part
 from heavenly.ramification import splitting_field_odd_ramified
@@ -1001,6 +1002,38 @@ def test_classify_reports_the_tower_degree_as_closure_degree():
 def _census():
     return json.loads((Path(__file__).resolve().parent / "data"
                        / "census_q.json").read_text(encoding="utf-8"))
+
+
+def _census_inputs():
+    """The 896 census inputs: the 38 models and the 108 cubics over each
+    base, then the 312 restrictions over Q."""
+    census = _census()
+    items = [JacobianInput(base, UniPoly.of(*coeffs)) for base in BASES
+             for coeffs in census["models"]]
+    items += [EllipticInput(base, UniPoly.of(*coeffs)) for base in BASES
+              for coeffs in census["cubics"]["models"]]
+    items += [WeilRestrictionInput.of("Q", radicand, pairs)
+              for radicand, pairs in census["weil_restrictions"]["models"]]
+    return items
+
+
+# SHA-256 of the status, degrees, screen and certificate steps of every
+# census input, as their documents encode them, frozen from the
+# implementation that chose each norm-descent shift by a resultant screen
+# modulo p.
+CENSUS_DIGEST = (
+    "e1799199b79adc99dc153dc9c14a710dcc66b7edea088a0d9b05a15fa0601ac3")
+
+
+def test_census_verdicts_digest():
+    lines = []
+    for item in _census_inputs():
+        doc = output_document({}, classify(item), 0)
+        lines.append(json.dumps([doc["verdict"], doc["certificate"]],
+                                sort_keys=True))
+    assert len(lines) == 896
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == CENSUS_DIGEST
 
 
 def test_plausible_census_over_q_is_heavenly():

@@ -227,6 +227,55 @@ def test_swinnerton_dyer_cap_names_the_size_reached(monkeypatch):
     )
 
 
+def test_bounded_division_stops_past_the_bound():
+    # with a bound, the division is None exactly when some quotient
+    # coefficient exceeds it, and otherwise is the unbounded one
+    rng = random.Random(47)
+    stopped = 0
+    for _ in range(300):
+        g = [rng.randrange(-9, 10) for _ in range(rng.randrange(0, 4))] + [1]
+        f = [rng.randrange(-50, 51) for _ in range(rng.randrange(1, 9))]
+        bound = rng.randrange(0, 60)
+        q, r = factorization._int_divmod_monic(f, g)
+        bounded = factorization._int_divmod_monic(f, g, bound)
+        if any(abs(c) > bound for c in q):
+            assert bounded is None, (f, g, bound)
+            stopped += 1
+        else:
+            assert bounded == (q, r), (f, g, bound)
+    assert 0 < stopped < 300
+
+
+def test_recombination_stops_trial_divisions_at_the_mignotte_bound(
+        monkeypatch):
+    # a true quotient is a monic divisor of f, so each trial division is
+    # bounded by the Mignotte bound on those, and a false candidate stops
+    # there: the Swinnerton-Dyer octic for sqrt2 + sqrt3 + sqrt5 is
+    # irreducible, and every candidate that passes the constant-term screen
+    # stops early, as do most for a product with the quartic
+    divmod_monic = factorization._int_divmod_monic
+    seen = []
+
+    def recorded(f, g, bound=None):
+        division = divmod_monic(f, g, bound)
+        seen.append((bound, division is None))
+        return division
+
+    monkeypatch.setattr(factorization, "_int_divmod_monic", recorded)
+    octic = P(576, 0, -960, 0, 352, 0, -40, 0, 1)
+    reducible = P(1, 0, -10, 0, 1) * P(16, 0, 0, 0, 1) * P(-6, 0, 0, 1)
+    for f in (octic, reducible):
+        ints = [int(c) for c in f.coeffs]
+        seen.clear()
+        rebuilt = P(1)
+        for g in factorization._zassenhaus(ints):
+            rebuilt = rebuilt * P(*g)
+        assert rebuilt == f
+        bound = factorization._mignotte_target(ints) // 2
+        assert [b for b, _ in seen] == [bound] * len(seen)
+        assert sum(stop for _, stop in seen) == 4
+
+
 def test_recombination_cap_holds_after_an_uncapped_factoring(monkeypatch):
     # outside a classify call nothing is memoized: the input factored
     # uncapped first still meets the lowered cap
@@ -345,7 +394,7 @@ def _unreduced(rng, length, m):
 
 def test_fused_kernels_match_divmod():
     # _mod_mulmod is the remainder of the product by the modulus, and
-    # _mod_rem the remainder of _mod_divmod, for monic and non-monic moduli
+    # _reduce the remainder of _mod_divmod, for monic and non-monic moduli
     # over small primes and over Z/7^16, a modulus of Hensel size
     rng = random.Random(211)
     for m in (2, 3, 7, 193, 7**16):
@@ -361,7 +410,7 @@ def test_fused_kernels_match_divmod():
             assert factorization._mod_mulmod(a, b, red, m) == \
                 factorization._mod_divmod(
                     factorization._mod_mul(a, b, m), g, m)[1], (m, g, a, b)
-            assert factorization._mod_rem(a, g, m) == \
+            assert factorization._reduce(list(a), red, m) == \
                 factorization._mod_divmod(a, g, m)[1], (m, g, a)
 
 

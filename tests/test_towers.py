@@ -21,6 +21,7 @@ from heavenly.classify import (
     EllipticInput,
     JacobianInput,
     WeilRestrictionInput,
+    classify,
     two_division_tower,
 )
 from heavenly.documents import input_from_document
@@ -879,7 +880,7 @@ def test_screened_and_exact_descent_agree(monkeypatch):
         inputs += [(name, tower, random_squarefree(F, rng))
                    for _ in range(4)]
     inputs += certificate_inputs()
-    calls = {"_screen_norm": [], "_certified_irreducible": []}
+    calls = {"_certified_squarefree": [], "_certified_irreducible": []}
     for attr, seen in calls.items():
         def counted(*args, check=getattr(towers, attr), seen=seen):
             ok = check(*args)
@@ -887,8 +888,19 @@ def test_screened_and_exact_descent_agree(monkeypatch):
             return ok
 
         monkeypatch.setattr(towers, attr, counted)
+    # the certificate's verdicts on the norms a shift walk computes, apart
+    # from its verdicts on whole inputs before any descent
+    norm_checks = []
+
+    def walked(F, f, walk=towers._squarefree_norm):
+        before = len(calls["_certified_squarefree"])
+        descent = walk(F, f)
+        norm_checks.extend(calls["_certified_squarefree"][before:])
+        return descent
+
+    monkeypatch.setattr(towers, "_squarefree_norm", walked)
     screened = [factor_over_tower(t, f) for _, t, f in inputs]
-    assert any(calls["_screen_norm"])
+    assert any(norm_checks)
     assert any(calls["_certified_irreducible"])
     assert not all(calls["_certified_irreducible"])
     assert any(len(facs) == 1 and facs[0][1] == 1 for facs in screened)
@@ -916,26 +928,25 @@ def test_screened_and_exact_descent_agree(monkeypatch):
 
 
 def test_screen_never_certifies_a_power_norm(monkeypatch):
-    # f over the base field: at shift 0 the norm is f^2, not squarefree
-    seen = []
-
-    def screen_norm(p, modulus, image, k, norm_deg,
-                    check=towers._screen_norm):
-        ok = check(p, modulus, image, k, norm_deg)
-        seen.append((p, k, ok))
-        return ok
-
-    monkeypatch.setattr(towers, "_screen_norm", screen_norm)
+    # f over the base field: at shift 0 the norm is f^2, not squarefree, so
+    # its image at every screen prime is a square and the walk moves on;
+    # the irreducibility certificate is switched off so that the walk runs
+    monkeypatch.setattr(towers, "_certified_irreducible", lambda F, f: False)
     for name, tower in screen_fields()[1:]:
         F = tower
+        B = F.base
         f = lift_to_field(F, P(-2, 0, 0, 1))
-        assert len(F._residue_maps) == towers._SCREEN_PRIMES, name
-        seen.clear()
-        assert towers._screened_shift(F, f, 6) not in (0, None), name
-        # the shifts are walked in order across the primes, so every
-        # screen prime tried shift 0 and rejected it
-        assert [(p, ok) for p, k, ok in seen if k == 0] == [
-            (p, False) for p, *_ in F._residue_maps], name
+        maps = [(p, basis) for p, basis, *_ in F._residue_maps]
+        assert len(maps) == towers._SCREEN_PRIMES, name
+        norm = towers._norm_poly(F, f, 6)
+        assert norm == gp_product(B, [lift_to_field(B, P(-2, 0, 0, 1))] * 2)
+        images = list(towers._images(B, norm, maps))
+        assert [p for p, _ in images] == [p for p, _ in maps], name
+        for p, basis in maps:
+            assert not towers._certified_squarefree(B, norm, [(p, basis)]), \
+                (name, p)
+        shift, _, _ = towers._squarefree_norm(F, f)
+        assert not F.is_zero(shift), name
 
 
 def generic_quadratic_root(f, p):
@@ -990,7 +1001,7 @@ def test_whole_field_images_skip_denominators():
     # not defined at the first
     F = base_field("Q(i)")
     f = [F.from_fraction(-1), F.from_fraction(Fraction(1, 193)), F.one()]
-    images = list(towers._whole_field_images(F, f))
+    images = list(towers._images(F, f, towers._whole_maps(F)))
     assert [p for p, _ in images] == [197]
     assert images[0][1] == [196, pow(193, -1, 197), 1]
 
@@ -1110,6 +1121,103 @@ def test_two_division_towers_digest():
         lines.append(json.dumps([doc, levels], sort_keys=True))
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == TOWER_DIGEST
+
+
+# ---------------------------------------------------------------------------
+# The shift each norm descent picks, frozen.
+
+
+def descent_inputs():
+    """(label, input): the corpus, the 18 hard-set inputs, and a seeded
+    slice of the census over Q: five models over each base and twenty
+    restrictions."""
+    root = Path(__file__).resolve().parents[1]
+    items = [(p.stem, input_from_document(json.loads(
+        p.read_text(encoding="utf-8"))))
+        for p in sorted(root.glob("corpus/*.json"))]
+    items += [(f"hard {i}", input_from_document(doc))
+              for i, doc in enumerate(_hard_documents())]
+    census = json.loads((root / "tests" / "data" / "census_q.json")
+                        .read_text(encoding="utf-8"))
+    rng = random.Random(34)
+    models = census["models"]
+    for base in ("Q", "Q(i)", "Q(sqrt2)", "Q(sqrt-2)"):
+        items += [(f"model {i} over {base}",
+                   JacobianInput(base, P(*models[i])))
+                  for i in sorted(rng.sample(range(len(models)), 5))]
+    restrictions = census["weil_restrictions"]["models"]
+    items += [(f"restriction {i}",
+               WeilRestrictionInput.of("Q", *restrictions[i]))
+              for i in sorted(rng.sample(range(len(restrictions)), 20))]
+    return items
+
+
+# For each input of descent_inputs that takes a norm descent, the shift k
+# of each descent in call order, g(x) = f(x - k alpha), and None where the
+# screen primes proved f irreducible with no norm; every other input takes
+# none.  Frozen from the implementation that chose each shift by a
+# resultant screen modulo p.
+DESCENT_SHIFTS = {
+    "hard 0": (None,),
+    "hard 1": (None,),
+    "hard 2": (None,),
+    "hard 3": (None,),
+    "hard 4": (None,),
+    "hard 14": (0, None),
+    "hard 15": (0, None),
+    "hard 16": (0, None),
+    "hard 17": (None, None),
+    "model 1 over Q": (2,),
+    "model 14 over Q": (2,),
+    "model 22 over Q": (None, 2, None, 1, 1),
+    "model 33 over Q": (2,),
+    "model 37 over Q": (2,),
+    "model 1 over Q(i)": (1,),
+    "model 4 over Q(i)": (1,),
+    "model 23 over Q(i)": (1,),
+    "model 24 over Q(i)": (None,),
+    "model 27 over Q(i)": (1,),
+    "model 19 over Q(sqrt2)": (1,),
+    "model 21 over Q(sqrt2)": (1,),
+    "model 32 over Q(sqrt2)": (1,),
+    "model 37 over Q(sqrt2)": (1,),
+    "model 0 over Q(sqrt-2)": (1,),
+    "model 9 over Q(sqrt-2)": (1,),
+    "model 17 over Q(sqrt-2)": (1,),
+    "model 22 over Q(sqrt-2)": (1, 1, 1, 1, 1),
+    "restriction 79": (1,),
+    "restriction 85": (0,),
+    "restriction 91": (1,),
+    "restriction 105": (0,),
+    "restriction 108": (0,),
+    "restriction 130": (1,),
+    "restriction 268": (0,),
+    "restriction 274": (-1,),
+}
+
+
+def test_norm_descent_shifts_frozen(monkeypatch):
+    picked = []
+    squarefree_norm = towers._squarefree_norm
+
+    def recorded(F, f):
+        descent = squarefree_norm(F, f)
+        if descent is None:
+            picked.append(None)
+        else:
+            nums, den = F.parts(descent[0])
+            assert den == 1 and not any(nums[:F._width]), nums
+            picked.append(-nums[F._width])
+        return descent
+
+    monkeypatch.setattr(towers, "_squarefree_norm", recorded)
+    table = {}
+    for label, item in descent_inputs():
+        picked.clear()
+        classify(item)
+        if picked:
+            table[label] = tuple(picked)
+    assert table == DESCENT_SHIFTS
 
 
 # ---------------------------------------------------------------------------
