@@ -7,24 +7,26 @@ a reader can audit exactly what is taken on faith.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import InputError
+from .records import Record
 
 MUST_BE_2POWER = "must_be_2power"
 INAPPLICABLE = "inapplicable"
 
 
-@dataclass(frozen=True)
-class AxiomRecord:
+class AxiomRecord(Record):
     """One externally proven fact: what it says, where it comes from,
     when it applies, and what a certificate may conclude from it."""
 
-    id: str
-    statement: str
-    source: str
-    applies_when: str
-    conclusion: str
+    __slots__ = ("id", "statement", "source", "applies_when", "conclusion")
+
+    def __init__(self, id: str, statement: str, source: str,
+                 applies_when: str, conclusion: str):
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "statement", statement)
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "applies_when", applies_when)
+        object.__setattr__(self, "conclusion", conclusion)
 
 
 _RECORDS = [

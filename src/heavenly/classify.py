@@ -10,7 +10,6 @@ replay the decision and see precisely what rests on cited literature.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod
 
@@ -28,6 +27,7 @@ from .polynomials import (
     squarefree_part,
 )
 from .ramification import splitting_field_odd_ramified
+from .records import Record
 from .towers import (
     BASE_FIELD_POLYS,
     _conjugate,
@@ -59,9 +59,10 @@ _SHAPE_ERROR = "expected an elliptic, Jacobian, product, or restriction input"
 # Certificates.
 
 
-class _NamedValues:
+class _NamedValues(Record):
     """value and has_value over the (name, value) pairs in field _pairs."""
 
+    __slots__ = ()
     _pairs = "values"
 
     def value(self, name: str):
@@ -74,13 +75,25 @@ class _NamedValues:
         return any(key == name for key, _ in getattr(self, self._pairs))
 
 
-@dataclass(frozen=True)
 class Step(_NamedValues):
     """One certificate entry: an exact computation or an axiom citation."""
 
-    kind: str
-    description: str
-    values: tuple
+    __slots__ = ("kind", "description", "values")
+
+    def __init__(self, kind: str, description: str, values: tuple):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "description", description)
+        object.__setattr__(self, "values", values)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.kind == other.kind
+                    and self.description == other.description
+                    and self.values == other.values)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.kind, self.description, self.values))
 
 
 def _computed(description: str, **values) -> Step:
@@ -93,8 +106,7 @@ def _cite(axiom_id: str, note: str) -> Step:
                 (("axiom_id", record.id), ("source", record.source)))
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Record):
     """Classification outcome together with its step-by-step certificate.
 
     torsion_degree is the degree of the computed 2-division field over the
@@ -107,11 +119,17 @@ class Verdict:
     verdict.
     """
 
-    status: str
-    steps: tuple[Step, ...]
-    torsion_degree: int | None
-    closure_degree: int | None
-    screen: str | None
+    __slots__ = ("status", "steps", "torsion_degree", "closure_degree",
+                 "screen")
+
+    def __init__(self, status: str, steps: tuple[Step, ...],
+                 torsion_degree: int | None, closure_degree: int | None,
+                 screen: str | None):
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "steps", steps)
+        object.__setattr__(self, "torsion_degree", torsion_degree)
+        object.__setattr__(self, "closure_degree", closure_degree)
+        object.__setattr__(self, "screen", screen)
 
     def axiom_ids(self) -> tuple[str, ...]:
         """Cited axiom ids in certificate order."""
@@ -154,14 +172,14 @@ def _curve_model(f: UniPoly) -> UniPoly:
     return make_monic_integral(f).scale(c if lc > 0 else -c)
 
 
-@dataclass(frozen=True)
-class EllipticInput:
+class EllipticInput(Record):
     """An elliptic curve y^2 = f(x) with f a monic integral cubic."""
 
-    base: str
-    cubic: UniPoly
+    __slots__ = ("base", "cubic")
 
-    def __post_init__(self):
+    def __init__(self, base: str, cubic: UniPoly):
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "cubic", cubic)
         base_field(self.base)
         if self.cubic.degree != 3:
             raise InputError("elliptic input needs a cubic polynomial")
@@ -190,15 +208,15 @@ class EllipticInput:
             base, UniPoly.of(b6, 2 * b4, b2, 4))
 
 
-@dataclass(frozen=True)
-class JacobianInput:
+class JacobianInput(Record):
     """The Jacobian of a genus-2 curve y^2 = f(x), f squarefree and
     integral: monic of degree 5, or c g with g monic of degree 6."""
 
-    base: str
-    poly: UniPoly
+    __slots__ = ("base", "poly")
 
-    def __post_init__(self):
+    def __init__(self, base: str, poly: UniPoly):
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "poly", poly)
         base_field(self.base)
         f = self.poly
         if f.degree not in (5, 6):
@@ -214,14 +232,14 @@ class JacobianInput:
         return JacobianInput(base, _curve_model(f))
 
 
-@dataclass(frozen=True)
-class ProductInput:
+class ProductInput(Record):
     """A product of two elliptic curves over the same base field."""
 
-    first: EllipticInput
-    second: EllipticInput
+    __slots__ = ("first", "second")
 
-    def __post_init__(self):
+    def __init__(self, first: EllipticInput, second: EllipticInput):
+        object.__setattr__(self, "first", first)
+        object.__setattr__(self, "second", second)
         if self.first.base != self.second.base:
             raise InputError("product factors must share a base field")
 
@@ -230,8 +248,7 @@ class ProductInput:
         return self.first.base
 
 
-@dataclass(frozen=True)
-class WeilRestrictionInput:
+class WeilRestrictionInput(Record):
     """Restriction of scalars of an elliptic curve down a quadratic step.
 
     The curve is y^2 = f(x) with f a monic cubic over base(s), s^2 equal to
@@ -243,11 +260,12 @@ class WeilRestrictionInput:
     the rational sextic _conjugate_product.
     """
 
-    base: str
-    radicand: Fraction
-    cubic: tuple
+    __slots__ = ("base", "radicand", "cubic")
 
-    def __post_init__(self):
+    def __init__(self, base: str, radicand: Fraction, cubic: tuple):
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "radicand", radicand)
+        object.__setattr__(self, "cubic", cubic)
         below = base_field(self.base)
         if _is_square(below, below.from_fraction(self.radicand)):
             raise InputError("radicand must not be a square in the base field")

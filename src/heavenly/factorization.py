@@ -22,10 +22,11 @@ The mod-p layer works on plain int lists (ascending coefficients, trimmed).
 Its operands are small (mostly under ten coefficients, p below 2^16), so
 the cost is in building lists: a product wanted only modulo a fixed
 polynomial is reduced in the same pass that sums it (_mod_mulmod), and a
-remainder, in a gcd too, is taken without its quotient (_reduce). The
-layer is internal but also feeds the ramification machinery, which needs
-mod-p factorizations with multiplicities; every split there is the same
-distinct-degree factorization, then Cantor-Zassenhaus, at a cost in log p.
+remainder is taken without its quotient (_reduce for a fixed modulus, an
+inline loop in _mod_gcd). The layer is internal but also feeds the
+ramification machinery, which needs mod-p factorizations with
+multiplicities; every split there is the same distinct-degree
+factorization, then Cantor-Zassenhaus, at a cost in log p.
 """
 
 from __future__ import annotations
@@ -164,9 +165,20 @@ def _mod_mulmod(a, b, red, p):
 
 
 def _mod_gcd(f, g, p):
+    """The monic gcd mod p.  Each remainder is _mod_divmod's loop without
+    the quotient, not _reduce: the divisor changes at every step, so a
+    _reducer would serve one reduction only."""
     a, b = _trim([c % p for c in f]), _trim([c % p for c in g])
     while b:
-        a, b = b, _reduce(list(a), _reducer(b, p), p)
+        d = len(b) - 1
+        inv_lc = pow(b[-1], -1, p)
+        low = b[:d]
+        for k in range(len(a) - 1, d - 1, -1):
+            c = a[k] * inv_lc % p
+            if c:
+                for j, x in enumerate(low, k - d):
+                    a[j] -= c * x
+        a, b = b, _trim([c % p for c in a[:d]])
     if a:
         inv = pow(a[-1], -1, p)
         a = [c * inv % p for c in a]

@@ -24,13 +24,13 @@ point is that every answer is directly auditable.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import attrgetter, itemgetter
 
 from .errors import InputError, ResourceCapError
 from .integers import factorize
 from .permutations import Perm, _unchecked, compose_images, parse_cycles
+from .records import Record
 
 DEFAULT_ELEMENT_CAP = 1_000_000
 SUBGROUP_ORDER_CAP = 400
@@ -211,13 +211,16 @@ def right_regular_images(group: PermGroup) -> tuple[tuple[int, ...], ...]:
     return tuple(zip(*table))
 
 
-@dataclass(frozen=True)
-class TwoGenerationSearch:
+class TwoGenerationSearch(Record):
     """Outcome of the exhaustive ordered-pair generation search."""
 
-    generates: bool
-    pairs_examined: int
-    witness: tuple[Perm, Perm] | None
+    __slots__ = ("generates", "pairs_examined", "witness")
+
+    def __init__(self, generates: bool, pairs_examined: int,
+                 witness: tuple[Perm, Perm] | None):
+        object.__setattr__(self, "generates", generates)
+        object.__setattr__(self, "pairs_examined", pairs_examined)
+        object.__setattr__(self, "witness", witness)
 
 
 def two_generation_search(group: PermGroup,
@@ -427,13 +430,17 @@ def has_subgroup_of_index(group: PermGroup, m: int) -> bool:
 # Subdirect products of S3 x S3.
 
 
-@dataclass(frozen=True)
-class SubdirectProduct:
+class SubdirectProduct(Record):
     """A subgroup of S3 x S3 surjecting onto both factors, annotated."""
 
-    group: PermGroup
-    order: int
-    has_index_three_subgroup: bool
+    __slots__ = ("group", "order", "has_index_three_subgroup")
+
+    def __init__(self, group: PermGroup, order: int,
+                 has_index_three_subgroup: bool):
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "has_index_three_subgroup",
+                           has_index_three_subgroup)
 
 
 def s3_times_s3() -> PermGroup:
@@ -472,13 +479,16 @@ def subdirect_products_s3() -> list[SubdirectProduct]:
 # Core bound: [G : core_G(H)] <= d * m^d over chains H normal in N normal in G.
 
 
-@dataclass(frozen=True)
-class CoreBoundReport:
-    """Result of checking the core index bound over all chains in a group."""
+class CoreBoundReport(Record):
+    """Result of checking the core index bound over all chains in a group;
+    each violation is (|H|, |N|, core index, bound)."""
 
-    chains_checked: int
-    violations: tuple[tuple[int, int, int, int], ...]
-    # each violation: (|H|, |N|, core index, bound)
+    __slots__ = ("chains_checked", "violations")
+
+    def __init__(self, chains_checked: int,
+                 violations: tuple[tuple[int, int, int, int], ...]):
+        object.__setattr__(self, "chains_checked", chains_checked)
+        object.__setattr__(self, "violations", violations)
 
 
 def _conjugates(table, inverse, h, g):

@@ -13,22 +13,30 @@ C-level gather over the image tuple rather than a Python loop per point.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from operator import itemgetter
 
 from .errors import InputError
+from .records import Record
 
 
-@dataclass(frozen=True)
-class Perm:
+class Perm(Record):
     """A permutation of {1, ..., n} as an image tuple."""
 
-    images: tuple[int, ...]
+    __slots__ = ("images",)
 
-    def __post_init__(self):
+    def __init__(self, images: tuple[int, ...]):
+        object.__setattr__(self, "images", images)
         n = len(self.images)
         if sorted(self.images) != list(range(1, n + 1)):
             raise InputError(f"not a permutation of 1..{n}: {self.images}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.images == other.images
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.images,))
 
     @staticmethod
     def identity(n: int) -> "Perm":

@@ -10,12 +10,12 @@ from __future__ import annotations
 import re
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import DigitLimitError, InputError
 from .integers import next_odd_prime
+from .records import Record
 
 RatLike = int | Fraction
 
@@ -28,11 +28,21 @@ def _as_fraction(c) -> Fraction:
     raise InputError(f"coefficient {c!r} is not an exact rational")
 
 
-@dataclass(frozen=True)
-class UniPoly:
+class UniPoly(Record):
     """Univariate polynomial over Q, ascending coefficients, trimmed."""
 
-    coeffs: tuple[Fraction, ...]
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: tuple[Fraction, ...]):
+        object.__setattr__(self, "coeffs", coeffs)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.coeffs == other.coeffs
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.coeffs,))
 
     @staticmethod
     def of(*coeffs: RatLike) -> "UniPoly":

@@ -239,8 +239,8 @@ class RationalField(_Tower):
 
     def _residue_map(self, p: int):
         """The map of Q's p-integral elements to F_p, as an extension's
-        (basis, modulus, whole) with only the image of its basis."""
-        return None, None, (1,)
+        (basis, whole) with only the image of its basis."""
+        return None, (1,)
 
 
 RATIONAL = RationalField()
@@ -517,10 +517,10 @@ class ExtensionField(_Tower):
         return tuple(Fraction(x, den) for x in nums)
 
     def _residue_map(self, p: int):
-        """(basis, modulus, whole): a ring map phi from the field below to
-        F_p through simple roots of the level moduli mod p, as the images of
-        its power basis, this level's modulus under phi, and phi extended to
-        this field by a simple root of that image, or None when it has none.
+        """(basis, whole): a ring map phi from the field below to F_p
+        through simple roots of the level moduli mod p, as the images of
+        its power basis, and phi extended to this field by a simple root of
+        this level's modulus under phi, or None when it has none.
         None when p divides a denominator of a level modulus or phi of the
         field below is not defined; computed once per prime."""
         if p in self._residue_map_at:
@@ -528,15 +528,14 @@ class ExtensionField(_Tower):
         B = self.base
         below = B._residue_map(p)
         out = None
-        if below is not None and below[2] is not None:
-            basis = below[2]
-            modulus = tuple(_map_mod(basis, *B.parts(c), p)
-                            for c in self.modulus)
+        if below is not None and below[1] is not None:
+            basis = below[1]
+            modulus = [_map_mod(basis, *B.parts(c), p) for c in self.modulus]
             if None not in modulus:
-                r = _root_mod(list(modulus), p)
+                r = _root_mod(modulus, p)
                 # coordinate i*b + j is the i-th power of the generator
                 # times the j-th basis element below
-                out = basis, modulus, None if r is None else tuple(
+                out = basis, None if r is None else tuple(
                     pow(r, i, p) * v % p for i in range(self.degree)
                     for v in basis)
         self._residue_map_at[p] = out
@@ -544,7 +543,7 @@ class ExtensionField(_Tower):
 
     @cached_property
     def _residue_maps(self) -> tuple:
-        """Up to _SCREEN_PRIMES entries (p, basis, modulus, whole) of
+        """Up to _SCREEN_PRIMES entries (p, basis, whole) of
         _residue_map, at the first primes above _SCREEN_FLOOR where it is
         defined."""
         out = []
@@ -833,7 +832,7 @@ def _squarefree_norm(F, f):
     _check_field_degree(F, deg, "norm descent")
     if _certified_irreducible(F, f):
         return None
-    maps = [(p, basis) for p, basis, _, _ in F._residue_maps]
+    maps = [(p, basis) for p, basis, _ in F._residue_maps]
     tests = [lambda norm: _certified_squarefree(B, norm, maps)] if maps else []
     tests.append(lambda norm: _gp_squarefree(B, norm))
     alpha = F.generator()
@@ -960,7 +959,7 @@ def _images(K, f, maps):
 def _whole_maps(F) -> list:
     """(p, phi) at each screen prime of F where its top modulus has a
     simple root mod p, phi the map of the whole field through it."""
-    return [(p, whole) for p, _, _, whole in F._residue_maps
+    return [(p, whole) for p, _, whole in F._residue_maps
             if whole is not None]
 
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
 from .classify import (
     EllipticInput,
@@ -33,17 +32,20 @@ from .permutations import Perm
 from .polynomials import UniPoly
 
 
-@dataclass(frozen=True)
 class LemmaReport(_NamedValues):
     """Outcome of one finite check: pass/fail with its numeric evidence."""
 
+    __slots__ = ("lemma", "passed", "elapsed_seconds", "evidence", "failures")
     _pairs = "evidence"
 
-    lemma: str
-    passed: bool
-    elapsed_seconds: float
-    evidence: tuple[tuple[str, object], ...]
-    failures: tuple[str, ...] = ()
+    def __init__(self, lemma: str, passed: bool, elapsed_seconds: float,
+                 evidence: tuple[tuple[str, object], ...],
+                 failures: tuple[str, ...] = ()):
+        object.__setattr__(self, "lemma", lemma)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "elapsed_seconds", elapsed_seconds)
+        object.__setattr__(self, "evidence", evidence)
+        object.__setattr__(self, "failures", failures)
 
 
 class _Check:

@@ -414,6 +414,29 @@ def test_fused_kernels_match_divmod():
                 factorization._mod_divmod(a, g, m)[1], (m, g, a)
 
 
+def test_mod_gcd_matches_euclid_on_divmod():
+    # _mod_gcd's inline remainder loop against Euclid on the remainders of
+    # _mod_divmod, over primes from 2 to Hensel size; a shared factor
+    # makes every other pair's gcd nontrivial
+    rng = random.Random(307)
+    for p in (2, 3, 7, 193, 65521):
+        for trial in range(150):
+            common = [1] if trial % 2 else _unreduced(
+                rng, rng.randrange(1, 4), p) + [rng.randrange(1, p)]
+            f = factorization._mod_mul(
+                common, _unreduced(rng, rng.randrange(0, 9), p), p)
+            g = factorization._mod_mul(
+                common, _unreduced(rng, rng.randrange(0, 9), p), p)
+            a, b = f, g
+            while b:
+                a, b = b, factorization._mod_divmod(a, b, p)[1]
+            expected = factorization._mod_monic(a, p) if a else []
+            # unreduced operands, as callers pass them
+            lifted = [c + p * rng.randrange(-3, 3) for c in f]
+            assert factorization._mod_gcd(lifted, g, p) == expected, \
+                (p, f, g)
+
+
 def test_degree_scan_stops_once_a_prime_adds_nothing(monkeypatch):
     # the resolvent norm met by the hard input x^5 - 3: the factor degrees
     # are (1, 2, 4, 4, 4) mod 7 and again mod 13, and with five factors the

@@ -5,7 +5,9 @@ private function, class, method and module constant is read somewhere in
 the package, and so is every public upper-case module constant, so dead
 code and dead settings left behind by a deletion show up here.  No
 verdict rests on floating point: the package has no float or complex
-literal and no float() or complex() call, elapsed times aside.
+literal and no float() or complex() call, elapsed times aside.  Importing
+the package generates no code: no module uses dataclasses or namedtuple,
+which compile methods from source text, or calls exec or eval.
 """
 
 import ast
@@ -130,3 +132,23 @@ def test_no_floating_point():
                   and not _is_elapsed_time(node)):
                 found.append(f"{name}:{node.lineno} {node.func.id}()")
     assert not found, "floating point in the package: " + ", ".join(found)
+
+
+_GENERATORS = {"dataclasses", "namedtuple", "NamedTuple", "exec", "eval"}
+
+
+def test_no_code_generation():
+    found = []
+    for name, tree in _trees().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                used = {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom):
+                used = {node.module} | {alias.name for alias in node.names}
+            elif isinstance(node, ast.Call):
+                func = node.func
+                used = {getattr(func, "id", getattr(func, "attr", None))}
+            else:
+                continue
+            found += [f"{name}:{node.lineno} {u}" for u in used & _GENERATORS]
+    assert not found, "code generated at run time: " + ", ".join(found)

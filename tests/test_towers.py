@@ -816,11 +816,14 @@ def test_screen_map_is_a_ring_map():
         maps = residue_maps(tower.levels + (top,))
         assert len(maps) == towers._SCREEN_PRIMES
         images = []
-        for p, basis, modulus, _ in maps:
+        for p, basis, _ in maps:
             assert p > towers.FIELD_DEGREE_CAP
+            # the basis map sends the top modulus x^2 - 3 to x^2 - 3 mod p
+            modulus = tuple(towers._map_mod(basis, *F.parts(c), p)
+                            for c in top)
             assert modulus == (p - 3, 0, 1)
             images.append((p, basis))
-        whole = [(p, w) for p, _, _, w in residue_maps(tower.levels)
+        whole = [(p, w) for p, _, w in residue_maps(tower.levels)
                  if w is not None]
         assert whole
         chain = field_chain(tower)
@@ -989,7 +992,7 @@ def test_screen_maps_need_simple_roots():
     assert towers._root_mod([0, 0, 1], 193) is None
     assert towers._root_mod([0, 1, 1], 193) == 192
     maps = F._residue_maps
-    assert maps[0][0] == 193 and maps[0][3] is None
+    assert maps[0][0] == 193 and maps[0][2] is None
     top = (F.from_fraction(-3), F.zero(), F.one())
     above = residue_maps(sqrt193.levels + (top,))
     assert len(above) == towers._SCREEN_PRIMES
@@ -1702,8 +1705,8 @@ def non_residue_prime(F, delta):
     for p in range(3, 20000, 2):
         if den % p and is_probable_prime(p):
             found = F._residue_map(p)
-            if found is not None and found[2] is not None:
-                image = towers._map_mod(found[2], nums, den, p)
+            if found is not None and found[1] is not None:
+                image = towers._map_mod(found[1], nums, den, p)
                 if pow(image, (p - 1) // 2, p) == p - 1:
                     return p
     return None

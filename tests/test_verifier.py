@@ -1,6 +1,5 @@
 """Tests for the one-command re-verification suite."""
 
-import dataclasses
 import json
 from pathlib import Path
 
@@ -9,7 +8,7 @@ import pytest
 import heavenly.verifier as verifier
 from heavenly.documents import report_document
 from heavenly.errors import InputError
-from heavenly.permgroups import group_from_cycles
+from heavenly.permgroups import SubdirectProduct, group_from_cycles
 from heavenly.verifier import (
     BOUND_ROWS,
     CHECK_IDS,
@@ -78,7 +77,7 @@ def test_subdirect_report():
 
 
 def test_a_false_check_fails_its_report(monkeypatch):
-    records = [dataclasses.replace(r, has_index_three_subgroup=False)
+    records = [SubdirectProduct(r.group, r.order, False)
                for r in verifier.subdirect_products_s3()]
     monkeypatch.setattr(verifier, "subdirect_products_s3", lambda: records)
     report = verify_subdirect()
