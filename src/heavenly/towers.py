@@ -31,8 +31,11 @@ last, and the last is what remains after dividing the others out.  The
 shifts are walked in order, and the first whose norm is squarefree modulo
 one of a few screen primes p is taken: a root mod p of each level modulus
 maps the subfield's p-integral elements to F_p, and the norm is monic, so
-a squarefree image proves it squarefree.  Only when no shift passes does
-the exact squarefree test decide, walking the same shifts.  When the norm
+a squarefree image proves it squarefree.  At most deg(f)^2 d (d - 1)
+shifts, d the degree of the top level, fail there when one can pass, so
+when that many plus one are distinct mod every screen prime, the walk
+stops after them.  Only when no shift passes does the exact squarefree
+test decide, walking the same shifts from the first.  When the norm
 is irreducible one level down, so is the polynomial, and no gcd pulls it
 back.
 
@@ -78,11 +81,11 @@ tests those groups rest on take square roots down the tower, by
 denesting (see _square_root): an odd-degree level adds no square root to
 the field K' below it, and over a quadratic level K'(sqrt e) a square
 root is one to three square roots in K'.  Past any other level, an element
-whose norm to K' is a square is one when x^2 - delta has a root in K,
-read off the degrees of its norm's factors as for the resolvent.  The
-same roots factor a quadratic over a tower, irreducible unless its
-discriminant is a square, after a zero constant term has split off x,
-so neither takes a norm while the descent crosses every level.
+whose norm to K' is a square is one when x^2 - delta has a linear factor
+over K, found by one norm descent.  The same roots factor a quadratic
+over a tower, irreducible unless its discriminant is a square, after a
+zero constant term has split off x, so neither takes a norm while the
+descent crosses every level.
 """
 
 from __future__ import annotations
@@ -824,7 +827,9 @@ def _squarefree_norm(F, f):
     The shifts k of _SHIFTS are walked in order, g(x) = f(x - k*alpha),
     and the first norm certified squarefree by its image at a screen prime
     is taken; only when there is none does an exact gcd decide, walking
-    the same shifts."""
+    the same shifts.  The certified walk stops after the first
+    deg(f)^2 d (d - 1) + 1 shifts, d = [F : F.base], when that count is at
+    most the least screen prime, since one of them passes if any does."""
     deg = len(f) - 1
     B = F.base
     # The descent ends in a rational norm of degree deg [F : Q]; refuse
@@ -833,11 +838,26 @@ def _squarefree_norm(F, f):
     if _certified_irreducible(F, f):
         return None
     maps = [(p, basis) for p, basis, _ in F._residue_maps]
-    tests = [lambda norm: _certified_squarefree(B, norm, maps)] if maps else []
-    tests.append(lambda norm: _gp_squarefree(B, norm))
+    walks = []
+    if maps:
+        # At a screen prime p the image of the norm of f(x - k alpha), where
+        # it is defined, is the product of the conjugates f_r(x - k r) over
+        # the roots r of the top modulus's image.  It is squarefree only
+        # when each f_r is, and when conjugates of r and r' with equal
+        # images share no root; neither depends on k.  Conjugates of an
+        # ordered pair r, r' with distinct images share a root only at
+        # k = (b - a)/(r - r') for roots a of f_r and b of f_r', at most
+        # deg^2 values of k mod p.  So when the first `reach` shifts,
+        # consecutive integers, are distinct mod every screen prime, one
+        # of them passes if any does.
+        reach = deg * deg * F.degree * (F.degree - 1) + 1
+        shifts = _SHIFTS[:reach] if reach <= maps[0][0] else _SHIFTS
+        walks.append((lambda norm: _certified_squarefree(B, norm, maps),
+                      shifts))
+    walks.append((lambda norm: _gp_squarefree(B, norm), _SHIFTS))
     alpha = F.generator()
-    for squarefree in tests:
-        for k in _SHIFTS:
+    for squarefree, shifts in walks:
+        for k in shifts:
             shift = F.scale(alpha, -k)
             g = _gp_taylor_shift(F, f, shift)  # g(x) = f(x - k*alpha)
             norm = _norm_poly(F, g, deg * F.degree)
@@ -1162,13 +1182,12 @@ def _quartic_resolvent(F, h):
 
 def _is_square(F, delta) -> bool:
     """Whether delta is a square in the field F."""
-    return _square_root(F, delta, pull=False) is not None
+    return _square_root(F, delta) is not None
 
 
-def _square_root(F, delta, pull=True):
+def _square_root(F, delta):
     """A square root of delta in the field F, or None when delta is no
-    square there.  With pull false, no root is pulled back by norm descent,
-    and True stands for a square whose root only that would find.
+    square there.
 
     The root descends the tower (Borodin, Fagin, Hopcroft and Tompa 1985)
     to B = F.base.  Over Q the numerator and denominator are tested.  A
@@ -1177,11 +1196,10 @@ def _square_root(F, delta, pull=True):
     w^2 = e = b^2 - 4c, and (a + q w)^2 = a^2 + e q^2 + 2 a q w: any other
     delta in B has the root sqrt(delta e) w / e, and delta = u + v w with
     v nonzero the root a + (v / 2a) w, when u^2 - e v^2 = t^2 and
-    a^2 = (u + t) / 2 for t of either sign and a nonzero a in B; with pull
-    false, a t only norm descent finds leaves delta to _has_root over F.
-    At any other level delta is a square when its norm to B is one and
-    x^2 - delta has a root in F (see _has_root); only then is the root
-    pulled back by norm descent.
+    a^2 = (u + t) / 2 for t of either sign and a nonzero a in B.  At any
+    other level delta is no square unless its norm to B is one, and then
+    one norm descent factors x^2 - delta over F: a linear factor gives the
+    root, and none gives None.
     """
     B = F.base
     if B is None:
@@ -1190,43 +1208,40 @@ def _square_root(F, delta, pull=True):
         return Fraction(num, den) if exact else None
     if F.is_zero(delta):
         return delta
-    h = [F.neg(delta), F.zero(), F.one()]
     low, *high = F.coords(delta)
     below = all(B.is_zero(c) for c in high)
     if below:
-        r = _square_root(B, low, pull)
+        r = _square_root(B, low)
         if r is not None or F.degree % 2:
-            return r if r is None or r is True else F.from_base(r)
+            return r if r is None else F.from_base(r)
     if F.degree == 2:
         c, b, _ = F.modulus
         e = B.sub(B.mul(b, b), B.scale(c, 4))
         if below:
-            r = _square_root(B, B.mul(low, e), pull)
-            if r is None or r is True:
-                return r
+            r = _square_root(B, B.mul(low, e))
+            if r is None:
+                return None
             a, q = B.zero(), B.mul(r, B.inv(e))
         else:
             v = B.scale(high[0], Fraction(1, 2))
             u = B.sub(low, B.mul(b, v))
-            t = _square_root(B, B.sub(B.mul(u, u), B.mul(e, B.mul(v, v))),
-                             pull)
+            t = _square_root(B, B.sub(B.mul(u, u), B.mul(e, B.mul(v, v))))
             if t is None:
                 return None
-            if t is True:
-                return True if _has_root(F, h) else None
             for s in (t, B.neg(t)):
                 half = B.scale(B.add(u, s), Fraction(1, 2))
-                a = None if B.is_zero(half) else _square_root(B, half, pull)
+                a = None if B.is_zero(half) else _square_root(B, half)
                 if a is not None:
                     break
-            if a is None or a is True:
-                return a
+            if a is None:
+                return None
             q = B.mul(v, B.inv(B.scale(a, 2)))
         # a + q w = (a + q b) + 2 q y
         return F.from_coords([B.add(a, B.mul(q, b)), B.scale(q, 2)])
-    if _square_root(B, F.norm(delta), False) is None or not _has_root(F, h):
+    if not _is_square(B, F.norm(delta)):
         return None
-    return F.neg(_norm_factors(F, h)[0][0]) if pull else True
+    factors = _norm_factors(F, [F.neg(delta), F.zero(), F.one()])
+    return F.neg(factors[0][0]) if len(factors) == 2 else None
 
 
 def _has_root(F, h, degree: int = 1) -> bool:

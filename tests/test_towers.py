@@ -3,7 +3,7 @@
 import hashlib
 import json
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from pathlib import Path
 
 import pytest
@@ -952,6 +952,34 @@ def test_screen_never_certifies_a_power_norm(monkeypatch):
         assert not F.is_zero(shift), name
 
 
+def test_certified_walk_stops_at_its_bound(monkeypatch):
+    # f = x^3 + P theta over the degree-12 splitting field of x^3 - 2 over
+    # Q(i), theta its top generator and P the product of its screen primes,
+    # is x^3 modulo each of them, so no shift's norm is certified there;
+    # the certified walk stops after deg^2 d (d - 1) + 1 = 19 shifts, d = 2,
+    # and the exact walk decides; it took all 399 before the bound, and 404
+    # exact norms for the whole factoring
+    F = splitting_tower(P(-2, 0, 0, 1), base_field("Q(i)"))
+    primes = [p for p, *_ in F._residue_maps]
+    assert (F.absolute_degree, F.degree, primes) == (12, 2, [197, 229, 233])
+    f = [F.scale(F.generator(), prod(primes)), F.zero(), F.zero(), F.one()]
+    norms = []
+    norm_poly = towers._norm_poly
+
+    def counting(*args):
+        norms.append(args[0])
+        return norm_poly(*args)
+
+    monkeypatch.setattr(towers, "_norm_poly", counting)
+    shift, _, _ = towers._squarefree_norm(F, f)
+    nums, den = F.parts(shift)
+    k = -nums[F._width]
+    assert norms == [F] * (3 * 3 * 2 * 1 + 1 + towers._SHIFTS.index(k) + 1)
+    norms.clear()
+    assert factor_over_tower(F, f) == [(f, 1)]
+    assert len(norms) == 24
+
+
 def generic_quadratic_root(f, p):
     """The root the generic route picks for a monic quadratic f: the first
     factor that _equal_degree_split isolates in gcd(f, x^p - x), or None
@@ -1172,7 +1200,7 @@ DESCENT_SHIFTS = {
     "hard 17": (None, None),
     "model 1 over Q": (2,),
     "model 14 over Q": (2,),
-    "model 22 over Q": (None, 2, None, 1, 1),
+    "model 22 over Q": (None, 2, None, 1),
     "model 33 over Q": (2,),
     "model 37 over Q": (2,),
     "model 1 over Q(i)": (1,),
@@ -1187,7 +1215,7 @@ DESCENT_SHIFTS = {
     "model 0 over Q(sqrt-2)": (1,),
     "model 9 over Q(sqrt-2)": (1,),
     "model 17 over Q(sqrt-2)": (1,),
-    "model 22 over Q(sqrt-2)": (1, 1, 1, 1, 1),
+    "model 22 over Q(sqrt-2)": (1, 1, 1),
     "restriction 79": (1,),
     "restriction 85": (0,),
     "restriction 91": (1,),
@@ -1834,10 +1862,11 @@ def test_quadratics_over_the_degree_72_field_skip_the_recombination_cap():
         ([F.neg(s), F.one()], 1), ([s, F.one()], 1)]
 
 
-def test_is_square_pulls_no_root_back(monkeypatch):
-    # a delta outside the field below is a square exactly when x^2 - delta
-    # has a root, read off the degrees of its norms' factors down to Q: no
-    # gcd pulls a factor back at any level
+def test_has_root_pulls_no_root_back(monkeypatch):
+    # _has_root reads a root of x^2 - delta off the degrees of its norms'
+    # factors down to Q: no gcd pulls a factor back at any level, and it
+    # agrees with _is_square, which pulls a root back past a level that is
+    # not quadratic
     rng = random.Random(107)
     fields = [base_field("Q(i)"), extend(base_field("Q"),
                                          P(-2, 0, 0, 0, 0, 1)),
@@ -1861,9 +1890,35 @@ def test_is_square_pulls_no_root_back(monkeypatch):
 
     monkeypatch.setattr(towers, "_gp_gcd", recording)
     for F, delta, expected in cases:
-        gcd_fields.clear()
         assert towers._is_square(F, delta) == expected, F
+        gcd_fields.clear()
+        h = [F.neg(delta), F.zero(), F.one()]
+        assert towers._has_root(F, h) == expected, F
         assert not gcd_fields, F
+
+
+def test_square_root_past_an_odd_level_takes_one_descent(monkeypatch):
+    # past a level that is not quadratic, the root of a square is pulled
+    # back by one norm descent of x^2 - delta, with no second descent to
+    # test for a root first
+    rng = random.Random(113)
+    F = extend(base_field("Q"), P(-2, 0, 0, 0, 0, 1))
+    calls = []
+    squarefree_norm = towers._squarefree_norm
+
+    def counting(K, f):
+        calls.append(K)
+        return squarefree_norm(K, f)
+
+    monkeypatch.setattr(towers, "_squarefree_norm", counting)
+    for _ in range(3):
+        gamma = F.zero()
+        while all(F.base.is_zero(c) for c in F.coords(gamma)[1:]):
+            gamma = nonzero_element(F, rng)
+        calls.clear()
+        root = towers._square_root(F, F.mul(gamma, gamma))
+        assert root in (gamma, F.neg(gamma))
+        assert calls == [F]
 
 
 def random_rational_modulus(rng, degree):
