@@ -28,16 +28,16 @@ factor that norm one level down recursively, and pull factors back up: the
 factors of the norm are the norms of the factors over the field, one to
 one (Trager 1976), so a gcd with the shifted polynomial finds each but the
 last, and the last is what remains after dividing the others out.  The
-shifts are walked in order, and the first whose norm is squarefree modulo
-one of a few screen primes p is taken: a root mod p of each level modulus
-maps the subfield's p-integral elements to F_p, and the norm is monic, so
-a squarefree image proves it squarefree.  At most deg(f)^2 d (d - 1)
-shifts, d the degree of the top level, fail there when one can pass, so
-when that many plus one are distinct mod every screen prime, the walk
-stops after them.  Only when no shift passes does the exact squarefree
-test decide, walking the same shifts from the first.  When the norm
-is irreducible one level down, so is the polynomial, and no gcd pulls it
-back.
+shifts 0, 1, -1, 2, -2, ... are walked once, and the first whose norm is
+squarefree modulo one of a few screen primes p is taken: a root mod p of
+each level modulus maps the subfield's p-integral elements to F_p, and the
+norm is monic, so a squarefree image proves it squarefree.  The image
+depends on the shift mod p only, and at most deg(f)^2 d (d - 1) residues,
+d the degree of the top level, fail when one passes, so the walk stops
+after that many plus one shifts, or one per residue of the largest screen
+prime.  Only when none passes does the exact test decide, on those norms
+and then on more: at most half that many shifts fail it (Trager 1976).
+An irreducible norm one level down leaves the polynomial irreducible.
 
 One bound, FIELD_DEGREE_CAP, limits every tower: a norm descent of f over
 F ends in a rational norm of degree deg f [F : Q], the degree of F(alpha)
@@ -92,7 +92,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import count, islice
+from itertools import chain, count, islice
 from math import gcd, isqrt, lcm
 
 from .errors import InputError, ReducibleExtensionError, ResourceCapError
@@ -124,7 +124,7 @@ from .polynomials import (
 # for alpha a root of the polynomial at hand
 FIELD_DEGREE_CAP = 192
 
-# Norm descent walks the shifts in _SHIFTS in order and takes the first
+# Norm descent walks the shifts 0, 1, -1, 2, ... and takes the first
 # whose norm is squarefree modulo one of up to _SCREEN_PRIMES primes, found
 # among the first _SCREEN_SCAN primes above _SCREEN_FLOOR; when no shift is
 # certified there, the exact squarefree test decides.  The same primes
@@ -134,7 +134,6 @@ FIELD_DEGREE_CAP = 192
 _SCREEN_PRIMES = 3
 _SCREEN_SCAN = 64
 _SCREEN_FLOOR = FIELD_DEGREE_CAP
-_SHIFTS = (0,) + tuple(s for k in range(1, 200) for s in (k, -k))
 
 BASE_FIELD_POLYS = {
     "Q": None,
@@ -821,15 +820,13 @@ def _norm_factors(F, f):
 def _squarefree_norm(F, f):
     """The first half of norm descent, for a monic squarefree f of degree
     at least 2 over the extension F: None when the screen primes prove f
-    irreducible, else (shift, g, norm) with g(x) = f(x - shift) and norm
+    irreducible, else (shift, g, norm) with g(x) = f(x + shift) and norm
     its norm to F.base, monic and squarefree.
 
-    The shifts k of _SHIFTS are walked in order, g(x) = f(x - k*alpha),
-    and the first norm certified squarefree by its image at a screen prime
-    is taken; only when there is none does an exact gcd decide, walking
-    the same shifts.  The certified walk stops after the first
-    deg(f)^2 d (d - 1) + 1 shifts, d = [F : F.base], when that count is at
-    most the least screen prime, since one of them passes if any does."""
+    With n = deg(f)^2 d (d - 1), d = [F : F.base], the first of
+    _shifted_norms certified squarefree at a screen prime within the first
+    min(n + 1, largest screen prime) is taken; only when there is none does
+    an exact gcd decide, on the first n/2 + 1, reusing those norms."""
     deg = len(f) - 1
     B = F.base
     # The descent ends in a rational norm of degree deg [F : Q]; refuse
@@ -838,32 +835,36 @@ def _squarefree_norm(F, f):
     if _certified_irreducible(F, f):
         return None
     maps = [(p, basis) for p, basis, _ in F._residue_maps]
-    walks = []
-    if maps:
-        # At a screen prime p the image of the norm of f(x - k alpha), where
-        # it is defined, is the product of the conjugates f_r(x - k r) over
-        # the roots r of the top modulus's image.  It is squarefree only
-        # when each f_r is, and when conjugates of r and r' with equal
-        # images share no root; neither depends on k.  Conjugates of an
-        # ordered pair r, r' with distinct images share a root only at
-        # k = (b - a)/(r - r') for roots a of f_r and b of f_r', at most
-        # deg^2 values of k mod p.  So when the first `reach` shifts,
-        # consecutive integers, are distinct mod every screen prime, one
-        # of them passes if any does.
-        reach = deg * deg * F.degree * (F.degree - 1) + 1
-        shifts = _SHIFTS[:reach] if reach <= maps[0][0] else _SHIFTS
-        walks.append((lambda norm: _certified_squarefree(B, norm, maps),
-                      shifts))
-    walks.append((lambda norm: _gp_squarefree(B, norm), _SHIFTS))
-    alpha = F.generator()
-    for squarefree, shifts in walks:
-        for k in shifts:
-            shift = F.scale(alpha, -k)
-            g = _gp_taylor_shift(F, f, shift)  # g(x) = f(x - k*alpha)
-            norm = _norm_poly(F, g, deg * F.degree)
-            if squarefree(norm):
-                return shift, g, norm
+    # The norm of f(x - k alpha) is the product of the squarefree
+    # f_j(x - k alpha_j) over the conjugates alpha_j of alpha, whose roots
+    # a + k alpha_i, b + k alpha_j, i != j, meet at one k at most: at most
+    # n/2 shifts give a norm that is not squarefree (Trager 1976).  At a
+    # screen prime p where f is p-integral, the norm's image is the product
+    # of the f_r(x - k r) over the roots r of the top modulus's image: it
+    # depends on k mod p only and, where any k passes, fails only where
+    # roots for r != r' meet, at most n residues.  The first m shifts are
+    # consecutive integers, distinct mod p for m <= p and every residue for
+    # m >= p, so one of the first min(n + 1, p) passes at p if any does.
+    n = deg * deg * F.degree * (F.degree - 1)
+    descents = _shifted_norms(F, f)
+    walked = []
+    for descent in islice(descents, min(n + 1, maps[-1][0]) if maps else 0):
+        if _certified_squarefree(B, descent[2], maps):
+            return descent
+        walked.append(descent)
+    for descent in islice(chain(walked, descents), n // 2 + 1):
+        if _gp_squarefree(B, descent[2]):
+            return descent
     raise ArithmeticError("no squarefree shift found for separable input")
+
+
+def _shifted_norms(F, f):
+    """(-k alpha, f(x - k alpha), its norm) for k = 0, 1, -1, 2, -2, ..."""
+    for k in count():
+        for s in (k, -k) if k else (0,):
+            shift = F.scale(F.generator(), -s)
+            g = _gp_taylor_shift(F, f, shift)
+            yield shift, g, _norm_poly(F, g, (len(f) - 1) * F.degree)
 
 
 def _check_field_degree(F, n: int, stage: str) -> None:
@@ -1363,14 +1364,13 @@ def _pentagon_root(F, f, resolvent) -> bool:
 
 def _split_prime_roots(f):
     """(roots mod m, m): the roots in Z_p of the monic quintic f, given by
-    its ascending integer coefficients, mod m = p^(2^k) above 40 B^6 for B = 1 + max |a_i|, at the least odd
-    prime p with x^p = x mod (f, p).
+    its ascending integer coefficients, mod m = p^(2^k) above 40 B^6 for
+    B = 1 + max |a_i|, at the least odd prime p with x^p = x mod (f, p).
     Then f mod p divides x^p - x, which is squarefree, so it splits into
     distinct linears whose roots lift by Newton's method.  Each root has
-    |z| < B (Cauchy), so |r_j| < 2 B^2, the coefficients of f(x)/(x - z_j)
-    are below 2 B^4 by synthetic division, and every coordinate of
-    sum_j r_j f(x)/(x - z_j) is below 20 B^6: its symmetric residue is
-    exact.
+    |z| < B (Cauchy), so |r_j| < 2 B^2, f(x)/(x - z_j) has coefficients
+    below 2 B^4 by synthetic division, and every coordinate of
+    sum_j r_j f(x)/(x - z_j) is below 20 B^6: its symmetric residue is exact.
 
     The scan tries only primes p at which disc f is a nonzero square: by
     Stickelberger, f mod p squarefree with r irreducible factors has

@@ -3,6 +3,7 @@
 import hashlib
 import json
 from fractions import Fraction
+from itertools import islice
 from math import lcm, prod
 from pathlib import Path
 
@@ -952,17 +953,17 @@ def test_screen_never_certifies_a_power_norm(monkeypatch):
         assert not F.is_zero(shift), name
 
 
-def test_certified_walk_stops_at_its_bound(monkeypatch):
-    # f = x^3 + P theta over the degree-12 splitting field of x^3 - 2 over
-    # Q(i), theta its top generator and P the product of its screen primes,
-    # is x^3 modulo each of them, so no shift's norm is certified there;
-    # the certified walk stops after deg^2 d (d - 1) + 1 = 19 shifts, d = 2,
-    # and the exact walk decides; it took all 399 before the bound, and 404
-    # exact norms for the whole factoring
-    F = splitting_tower(P(-2, 0, 0, 1), base_field("Q(i)"))
+def screened_out(F, deg):
+    """x^deg + P theta over F, theta its top generator and P the product of
+    its screen primes: x^deg modulo each, so no norm descent of it has a
+    shift certified there."""
     primes = [p for p, *_ in F._residue_maps]
-    assert (F.absolute_degree, F.degree, primes) == (12, 2, [197, 229, 233])
-    f = [F.scale(F.generator(), prod(primes)), F.zero(), F.zero(), F.one()]
+    return [F.scale(F.generator(), prod(primes))] + [F.zero()] * (deg - 1) \
+        + [F.one()]
+
+
+def counted_norms(monkeypatch):
+    """The fields of the _norm_poly calls made from now on, in order."""
     norms = []
     norm_poly = towers._norm_poly
 
@@ -971,13 +972,90 @@ def test_certified_walk_stops_at_its_bound(monkeypatch):
         return norm_poly(*args)
 
     monkeypatch.setattr(towers, "_norm_poly", counting)
+    return norms
+
+
+def test_certified_walk_stops_at_its_bound(monkeypatch):
+    # x^3 + P theta over the degree-12 splitting field of x^3 - 2 over Q(i):
+    # the certified walk stops after deg^2 d (d - 1) + 1 = 19 shifts, d = 2,
+    # and the exact test takes the first of those norms, shift 0, with no
+    # norm computed again; 23 norms over all fields for the whole factoring
+    F = splitting_tower(P(-2, 0, 0, 1), base_field("Q(i)"))
+    primes = [p for p, *_ in F._residue_maps]
+    assert (F.absolute_degree, F.degree, primes) == (12, 2, [197, 229, 233])
+    f = screened_out(F, 3)
+    norms = counted_norms(monkeypatch)
     shift, _, _ = towers._squarefree_norm(F, f)
-    nums, den = F.parts(shift)
-    k = -nums[F._width]
-    assert norms == [F] * (3 * 3 * 2 * 1 + 1 + towers._SHIFTS.index(k) + 1)
+    assert F.is_zero(shift)
+    assert norms == [F] * (3 * 3 * 2 * 1 + 1)
     norms.clear()
     assert factor_over_tower(F, f) == [(f, 1)]
-    assert len(norms) == 24
+    assert len(norms) == 23
+
+
+def test_certified_walk_stops_at_the_largest_screen_prime(monkeypatch):
+    # x^6 + P theta over Q(2^(1/3)): deg^2 d (d - 1) + 1 = 217 exceeds the
+    # least screen prime, and the first 199 shifts hold every residue of
+    # the largest, so the certified walk stops there and the exact test
+    # takes shift 0 from those norms
+    F = extend(base_field("Q"), P(-2, 0, 0, 1))
+    assert [p for p, *_ in F._residue_maps] == [193, 197, 199]
+    f = screened_out(F, 6)
+    norms = counted_norms(monkeypatch)
+    shift, _, _ = towers._squarefree_norm(F, f)
+    assert F.is_zero(shift)
+    assert norms == [F] * 199
+    assert factor_over_tower(F, f) == [(f, 1)]
+
+
+def test_no_descent_computes_a_shifts_norm_twice(monkeypatch):
+    descents = []
+    squarefree_norm = towers._squarefree_norm
+
+    def recorded(F, f):
+        descents.append([])
+        return squarefree_norm(F, f)
+
+    def norm_poly(F, g, norm_deg, norm=towers._norm_poly):
+        # distinct shifts of f give distinct g, by their x^(deg - 1) terms
+        descents[-1].append(towers.flatten_poly(F, g))
+        return norm(F, g, norm_deg)
+
+    monkeypatch.setattr(towers, "_squarefree_norm", recorded)
+    monkeypatch.setattr(towers, "_norm_poly", norm_poly)
+    for _, item in descent_inputs():
+        classify(item)
+    assert sum(map(bool, descents)) == sum(
+        k is not None for ks in DESCENT_SHIFTS.values() for k in ks)
+    for F, deg in ((splitting_tower(P(-2, 0, 0, 1), base_field("Q(i)")), 3),
+                   (extend(base_field("Q"), P(-2, 0, 0, 1)), 6)):
+        factor_over_tower(F, screened_out(F, deg))
+    for shifts in descents:
+        assert len(set(shifts)) == len(shifts)
+
+
+def test_few_shifts_give_a_norm_that_is_not_squarefree():
+    # the roots a + k alpha_i and b + k alpha_j, i != j, of the norm of
+    # f(x - k alpha) meet at one k at most, so at most
+    # E - 1 = deg^2 d (d - 1)/2 of any E shifts fail (Trager 1976); roots
+    # a + b theta with small integers a, b make some of them fail
+    rng = random.Random(40)
+    failed = 0
+    for F in (base_field("Q(i)"), extend(base_field("Q"), P(-2, 0, 0, 1)),
+              splitting_tower(P(-2, 0, 0, 1), base_field("Q"))):
+        theta = F.generator()
+        for deg in (2, 3, 4) * 2:
+            roots = set()
+            while len(roots) < deg:
+                roots.add(F.add(F.from_fraction(rng.randrange(-2, 3)),
+                                F.scale(theta, rng.randrange(-2, 3))))
+            f = gp_product(F, [[F.neg(r), F.one()] for r in roots])
+            E = deg * deg * F.degree * (F.degree - 1) // 2 + 1
+            bad = [not towers._gp_squarefree(F.base, norm) for _, _, norm
+                   in islice(towers._shifted_norms(F, f), 2 * E)]
+            assert sum(bad) <= E - 1, (F, deg)
+            failed += sum(bad)
+    assert failed
 
 
 def generic_quadratic_root(f, p):
