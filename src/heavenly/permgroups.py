@@ -4,21 +4,26 @@ Groups here are small (a few hundred elements at most), so every operation
 works on the full element set.  A group keeps its elements in ascending
 order of image tuples, so equal groups have equal element tuples and an
 element index means the same permutation in every table cached per group.
-`close_generators` is a depth-first closure of image tuples, one route for
-every degree: the 272-point regular representation of the affine group of
-F17 closes the same way as S4.  Caps raise `ResourceCapError`: the element
-count of a closure, and the group order that subgroup enumeration and
+`close_generators` is a depth-first closure of image tuples under left
+multiplication by the generators, one route for every degree: the
+272-point regular representation of the affine group of F17 closes the
+same way as S4.  Caps raise `ResourceCapError`: the element count of a
+closure, and the group order that subgroup enumeration and
 `core_bound_check` accept.  The search-heavy operations (subgroup
 enumeration, normality and cores in `core_bound_check`, the pair search
 and the regular representation) run on element indices instead: a cached
 multiplication table gives the index of every product, and an inverse
 index gives conjugates as two table lookups.
-Three subgroup facts keep those searches short: a pair whose closure stops
-short of G settles every pair of cyclic subgroups inside that closure;
-normality and cores need conjugation by generators only; and the subgroups
-of a subgroup H of G are the members of G's lattice that lie in H, so a
-lattice is enumerated once per ambient group.  No stabilizer chains; the
-point is that every answer is directly auditable.
+Subgroup facts keep those searches short, and each is proved once: a pair
+whose closure stops short of G settles every pair of cyclic subgroups
+inside that closure, and the settled pairs are kept per group for every
+later pair search on it; normality and cores need conjugation by
+generators only, and each is computed once per pair of lattice members;
+a lattice grows by one adjoin per double coset H*g*H, since <H, x*g*z> =
+<H, g> for x, z in H; and the subgroups of a subgroup H of G are the
+members of G's lattice that lie in H, so a lattice is enumerated once per
+ambient group.  No stabilizer chains; the point is that every answer is
+directly auditable.
 """
 
 from __future__ import annotations
@@ -131,9 +136,11 @@ def _explicit(degree: int, elements) -> PermGroup:
 def close_generators(generators: list[Perm]) -> PermGroup:
     """The group generated by the given permutations, of any degree.
 
-    Closure is depth-first on image tuples under right multiplication by
+    Closure is depth-first on image tuples under left multiplication by
     generators, from the identity, so the result is independent of
-    generator order.  Raises when the element count would exceed the cap.
+    generator order.  The product s * x is x's image tuple read at the
+    points s sends 1..n to, one gather whose itemgetter is built once per
+    generator.  Raises when the element count would exceed the cap.
     """
     if not generators:
         raise InputError("close_generators needs at least one generator")
@@ -141,14 +148,18 @@ def close_generators(generators: list[Perm]) -> PermGroup:
     for g in generators:
         if g.degree != degree:
             raise InputError("generators act on different point sets")
-    gens = [g.images for g in generators]
     identity = tuple(range(1, degree + 1))
+    if degree <= 1:
+        # the only permutation of at most one point is the identity, and
+        # itemgetter returns no tuple for fewer than two indices
+        return PermGroup(degree, tuple(generators), (_unchecked(identity),))
+    gathers = [itemgetter(*[i - 1 for i in g.images]) for g in generators]
     seen = {identity}
     stack = [identity]
     while stack:
         x = stack.pop()
-        for g in gens:
-            y = compose_images(x, g)
+        for gather in gathers:
+            y = gather(x)
             if y not in seen:
                 if len(seen) >= DEFAULT_ELEMENT_CAP:
                     raise ResourceCapError(
@@ -176,7 +187,8 @@ def _mult_table(group: PermGroup) -> tuple[list[list[int]], int]:
     Only the rows of a few generators, taken greedily in element order, are
     composed from image tuples.  Every other row is a known row read through
     a generator's row: elements[y] = elements[x]*s gives
-    table[y][j] = table[x][table[s][j]].
+    table[y][j] = table[x][table[s][j]], one gather per row with an
+    itemgetter built once per generator row.
     """
     images = [p.images for p in group.elements]
     index = {im: k for k, im in enumerate(images)}
@@ -185,20 +197,22 @@ def _mult_table(group: PermGroup) -> tuple[list[list[int]], int]:
     e_idx = index[tuple(range(1, group.degree + 1))]
     table[e_idx] = list(range(n))
     reached = [e_idx]
-    gens: list[int] = []
+    gens: list[tuple[int, itemgetter]] = []
     for s in range(n):
         if table[s] is not None:
             continue
+        # s is not the identity, so n >= 2 and the row's itemgetter
+        # returns a tuple
         table[s] = [index[compose_images(images[s], b)] for b in images]
-        gens.append(s)
+        gens.append((s, itemgetter(*table[s])))
         reached.append(s)
         stack = reached[:]
         while stack:
             row = table[stack.pop()]
-            for g in gens:
+            for g, gather in gens:
                 y = row[g]
                 if table[y] is None:
-                    table[y] = list(itemgetter(*table[g])(row))
+                    table[y] = list(gather(row))
                     reached.append(y)
                     stack.append(y)
     return table, e_idx
@@ -233,9 +247,10 @@ def two_generation_search(group: PermGroup,
     |G| * #involutions with the flag.  <a, b> depends only on the cyclic
     subgroups <a> and <b>, and when it is a proper subgroup K, every pair of
     cyclic subgroups inside K generates a subgroup of K, so that pair is
-    settled too.  Settled pairs are kept as one bitmask of cyclic-subgroup
-    labels per label, filled as closures run, and their closures are
-    skipped.
+    settled too.  Settled pairs are kept per group (`_pair_facts`), filled
+    as closures run, and their closures are skipped; a settled pair never
+    generates, so a later search on the same group, with or without the
+    flag, finds the same first generating pair and the same count.
     """
     table, e_idx = _mult_table(group)
     n = group.order
@@ -243,9 +258,8 @@ def two_generation_search(group: PermGroup,
         second = [j for j in range(n) if table[j][j] == e_idx]
     else:
         second = list(range(n))
-    cyclic = _cyclic_subgroup_ids(table, e_idx)
+    cyclic, settled = _pair_facts(group)
     second_labels = [cyclic[j] for j in second]
-    settled = [0] * n
     for i in range(n):
         ci = cyclic[i]
         for pos, cj in enumerate(second_labels):
@@ -262,6 +276,19 @@ def two_generation_search(group: PermGroup,
             for c in labels:
                 settled[c] |= inside
     return TwoGenerationSearch(False, n * len(second), None)
+
+
+@lru_cache(maxsize=16)
+def _pair_facts(group: PermGroup) -> tuple[list[int], list[int]]:
+    """(cyclic, settled) for the pair search on a group.
+
+    cyclic[i] labels the cyclic subgroup generated by elements[i], and bit
+    c of settled[l] is set once the pair of cyclic subgroups labelled l
+    and c is known to generate a proper subgroup.  Searches extend settled
+    in place, so each such fact is proved once per group.
+    """
+    table, e_idx = _mult_table(group)
+    return _cyclic_subgroup_ids(table, e_idx), [0] * group.order
 
 
 def _cyclic_subgroup_ids(table, e_idx) -> list[int]:
@@ -342,8 +369,18 @@ class _Lattice:
             for g in range(n):
                 if covered[g]:
                     continue
-                for x in h:
-                    covered[table[x][g]] = 1
+                # cover the double coset h*g*h: the coset h*g, closed under
+                # right multiplication by the generators of h
+                stack = [table[x][g] for x in h]
+                for y in stack:
+                    covered[y] = 1
+                while stack:
+                    row = table[stack.pop()]
+                    for s in gens:
+                        y = row[s]
+                        if not covered[y]:
+                            covered[y] = 1
+                            stack.append(y)
                 grown = _adjoin(table, h, gens, g)
                 if grown not in found:
                     found[grown] = gens + (g,)
@@ -358,6 +395,8 @@ class _Lattice:
         self.table = table
         self.inverse = [row.index(e_idx) for row in table]
         self._below: dict[int, list[int]] = {}
+        self._normal: dict[tuple[int, int], bool] = {}
+        self._core_order: dict[tuple[int, int], int] = {}
 
     def below(self, k: int) -> list[int]:
         """The members inside member k, in order (k itself is the last)."""
@@ -369,11 +408,22 @@ class _Lattice:
         return out
 
     def is_normal(self, k: int, n: int) -> bool:
-        """Whether member k, inside member n, is normal in it: s^-1 K s is
-        inside K for every generator s of n."""
-        h = self.sets[k]
-        return all(y in h for s in self.gens[n]
-                   for y in _conjugates(self.table, self.inverse, h, s))
+        """Whether member k, inside member n, is normal in it; computed once
+        per pair."""
+        out = self._normal.get((k, n))
+        if out is None:
+            out = self._normal[k, n] = _is_normal(
+                self.table, self.inverse, self.gens[n], self.sets[k])
+        return out
+
+    def core_order(self, k: int, n: int) -> int:
+        """The order of the normal core of member k in member n; computed
+        once per pair."""
+        out = self._core_order.get((k, n))
+        if out is None:
+            out = self._core_order[k, n] = len(_normal_core(
+                self.table, self.inverse, self.gens[n], self.sets[k]))
+        return out
 
 
 _LATTICES: deque[_Lattice] = deque(maxlen=16)
@@ -406,7 +456,8 @@ def enumerate_subgroups(group: PermGroup) -> list[PermGroup]:
 
     Grows closures from the trivial subgroup by repeatedly adjoining single
     elements, deduplicating by element set; this reaches every subgroup.
-    Since <h, g> = <h, x*g> for x in h, one g per right coset h*g is tried.
+    Since <h, g> = <h, x*g*z> for x, z in h, one g per double coset h*g*h
+    is tried.
     The subgroups of H <= G are exactly the subgroups of G that lie in H,
     so a group inside a recently enumerated group is read off that group's
     lattice instead of being enumerated again.
@@ -497,6 +548,12 @@ def _conjugates(table, inverse, h, g):
     return (table[row[x]][g] for x in h)
 
 
+def _is_normal(table, inverse, gens, h: frozenset[int]) -> bool:
+    """Whether the group generated by gens normalizes the index set h:
+    s^-1 h s lies in h for every generator s."""
+    return all(y in h for s in gens for y in _conjugates(table, inverse, h, s))
+
+
 def _normal_core(table, inverse, gens, h: frozenset[int]) -> frozenset[int]:
     """The normal core of the index set h in the group generated by gens.
 
@@ -520,6 +577,9 @@ def core_bound_check(group: PermGroup) -> CoreBoundReport:
     lattice that `enumerate_subgroups` uses, and conjugation is by
     generators only: N <| G exactly when s^-1 N s lies in N for every
     generator s of G, and normality in N and the core work the same way.
+    The lattice keeps each normality answer and core order, so a pair met
+    in several chains, or in the checks of several subgroups, is computed
+    once.
     """
     _check_order_cap(group, "core bound check")
     lattice, top = _lattice_of(group)
@@ -537,9 +597,7 @@ def core_bound_check(group: PermGroup) -> CoreBoundReport:
             h_order = len(lattice.sets[k])
             m = n_order // h_order
             chains += 1
-            core = _normal_core(lattice.table, lattice.inverse,
-                                lattice.gens[top], lattice.sets[k])
-            core_index = order // len(core)
+            core_index = order // lattice.core_order(k, top)
             bound = d * m**d
             if core_index > bound:
                 violations.append((h_order, n_order, core_index, bound))

@@ -3,12 +3,14 @@
 import pytest
 import random
 from collections import deque
+from functools import lru_cache
 
-from heavenly import permgroups
+from heavenly import permgroups, verifier
 from heavenly.errors import InputError, ResourceCapError
-from heavenly.permutations import Perm, parse_cycles
+from heavenly.permutations import Perm, compose_images, parse_cycles
 from heavenly.permgroups import (
     PermGroup,
+    TwoGenerationSearch,
     affine_group_f17,
     close_generators,
     core_bound_check,
@@ -46,6 +48,59 @@ def test_closure_order_independent():
         shuffled = base[:]
         rng.shuffle(shuffled)
         assert close_generators(shuffled) == reference
+
+
+def reference_closure(generators):
+    """The element images of <generators>, closed under right
+    multiplication by the generators, one `compose_images` per product."""
+    identity = tuple(range(1, generators[0].degree + 1))
+    seen = {identity}
+    stack = [identity]
+    while stack:
+        x = stack.pop()
+        for g in generators:
+            y = compose_images(x, g.images)
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return seen
+
+
+def regular_image_of_affine_group_f17():
+    """The generators of the 272-point right regular action of F17's
+    affine group, on element indices read as points 1..272."""
+    group = affine_group_f17()
+    regular = right_regular_images(group)
+    position = {p: k for k, p in enumerate(group.elements)}
+    return [Perm(tuple(k + 1 for k in regular[position[g]]))
+            for g in group.generators]
+
+
+def closure_inputs():
+    rng = random.Random(41)
+    for degree in range(1, 9):
+        for count in (1, 2):
+            points = list(range(1, degree + 1))
+            gens = []
+            for _ in range(count):
+                rng.shuffle(points)
+                gens.append(Perm(tuple(points)))
+            yield f"random_{degree}_{count}", gens
+    for degree in (0, 1, 5):
+        yield f"identity_{degree}", [Perm.identity(degree)] * 2
+    yield "transposition_2", [parse_cycles("(1 2)", 2)]
+    yield "regular_272", regular_image_of_affine_group_f17()
+
+
+@pytest.mark.parametrize("gens", [g for _, g in closure_inputs()],
+                         ids=[name for name, _ in closure_inputs()])
+def test_closure_matches_right_multiplication_reference(gens):
+    # left multiplication by generators reaches the same element set; the
+    # degrees below 2, where an itemgetter returns no tuple, included
+    group = close_generators(gens)
+    assert {p.images for p in group.elements} == reference_closure(gens)
+    assert group.degree == gens[0].degree
+    assert group.generators == tuple(gens)
 
 
 def test_closure_cap(monkeypatch):
@@ -183,11 +238,7 @@ def test_affine_group_f17():
 
 def test_regular_representation_of_affine_group_f17():
     # the 272-point regular action closes like any other group
-    group = affine_group_f17()
-    regular = right_regular_images(group)
-    position = {p: k for k, p in enumerate(group.elements)}
-    image = close_generators([Perm(tuple(k + 1 for k in regular[position[g]]))
-                              for g in group.generators])
+    image = close_generators(regular_image_of_affine_group_f17())
     assert (image.degree, image.order) == (272, 272)
     assert len(image.orbit_of(1)) == 272
     assert image.stabilizer_of(1).order == 1
@@ -471,21 +522,60 @@ def test_pruned_pair_search_matches_cyclic_pair_reference(require_involution):
         (generates, pairs, witness)
 
 
+def fresh_pair_facts(monkeypatch):
+    """Give the pair search an empty settled-pair cache of its own, so no
+    search run before the test has settled a pair for it."""
+    monkeypatch.setattr(permgroups, "_pair_facts", lru_cache(maxsize=16)(
+        permgroups._pair_facts.__wrapped__))
+
+
+def count_calls(monkeypatch, name):
+    """Wrap permgroups.<name>; the returned list gets one entry per call."""
+    calls = []
+    original = getattr(permgroups, name)
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(permgroups, name, counting)
+    return calls
+
+
 def test_pair_search_closes_far_fewer_pairs_than_cyclic_pairs(monkeypatch):
     group = sylow_two_subgroup_s8()
     *_, cyclic_pairs = cyclic_pair_reference(group, False)
     assert cyclic_pairs == 3403
-    closures = []
-    original = permgroups._pair_closure
-
-    def counting(*args):
-        closures.append(args)
-        return original(*args)
-
-    monkeypatch.setattr(permgroups, "_pair_closure", counting)
+    fresh_pair_facts(monkeypatch)
+    closures = count_calls(monkeypatch, "_pair_closure")
     assert not two_generation_search(group).generates
     assert not two_generation_search(group, require_involution=True).generates
     assert 0 < len(closures) < cyclic_pairs // 5
+
+
+def test_involution_search_after_the_plain_search_closes_no_pair(monkeypatch):
+    # the plain search settles every pair of the octic group, and the
+    # involution search that follows reads them off the kept pair facts
+    group = sylow_two_subgroup_s8()
+    fresh_pair_facts(monkeypatch)
+    closures = count_calls(monkeypatch, "_pair_closure")
+    assert not two_generation_search(group).generates
+    assert len(closures) > 0
+    del closures[:]
+    restricted = two_generation_search(group, require_involution=True)
+    assert (restricted.generates, restricted.pairs_examined) == (False, 5632)
+    assert closures == []
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_GROUPS))
+def test_pair_searches_agree_in_either_order(monkeypatch, name):
+    group = SMALL_GROUPS[name]()
+    expected = {flag: TwoGenerationSearch(*reference_pair_search(group, flag))
+                for flag in (False, True)}
+    for flags in ((False, True), (True, False)):
+        fresh_pair_facts(monkeypatch)
+        for flag in flags:
+            assert two_generation_search(group, flag) == expected[flag]
 
 
 def test_subgroups_read_off_an_ambient_lattice_match_the_reference():
@@ -503,3 +593,27 @@ def test_each_ambient_lattice_is_enumerated_once(monkeypatch):
         has_subgroup_of_index(sub, 3)
     subdirect_products_s3()
     assert len(permgroups._LATTICES) == 1
+
+
+def test_lattice_adjoins_once_per_double_coset(monkeypatch):
+    # <h, x*g*z> = <h, g> for x, z in h, so growing each subgroup h tries
+    # one g per double coset h*g*h (one per right coset h*g would be 741)
+    monkeypatch.setattr(permgroups, "_LATTICES", deque(maxlen=16))
+    adjoins = count_calls(monkeypatch, "_adjoin")
+    ambients = [sym(2), sym(3), sym(4), s3_times_s3()]
+    found = [[(h.order, tuple(p.images for p in h.elements))
+              for h in enumerate_subgroups(group)] for group in ambients]
+    assert len(adjoins) <= 450
+    assert found == [reference_subgroups(group) for group in ambients]
+
+
+def test_corebound_tests_each_normality_and_core_once(monkeypatch):
+    # its chains ask 1713 normality questions about 578 distinct pairs and
+    # 800 cores of 359 distinct (subgroup, group) pairs
+    monkeypatch.setattr(permgroups, "_LATTICES", deque(maxlen=16))
+    normal = count_calls(monkeypatch, "_is_normal")
+    cores = count_calls(monkeypatch, "_normal_core")
+    report = verifier.verify_corebound()
+    assert report.passed
+    assert len(normal) <= 578
+    assert len(cores) <= 359
