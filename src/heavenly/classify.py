@@ -131,11 +131,6 @@ class Verdict(Record):
         object.__setattr__(self, "closure_degree", closure_degree)
         object.__setattr__(self, "screen", screen)
 
-    def axiom_ids(self) -> tuple[str, ...]:
-        """Cited axiom ids in certificate order."""
-        return tuple(step.value("axiom_id") for step in self.steps
-                     if step.kind == AXIOM)
-
 
 # ---------------------------------------------------------------------------
 # Input shapes.
@@ -190,22 +185,6 @@ class EllipticInput(Record):
         """Any squarefree rational cubic, as a monic integral model of the
         same curve."""
         return EllipticInput(base, _curve_model(f))
-
-    @staticmethod
-    def from_long_weierstrass(base: str, a1, a2, a3, a4, a6) -> "EllipticInput":
-        """Reduce y^2 + a1*x*y + a3*y = x^3 + a2*x^2 + a4*x + a6.
-
-        Completing the square turns the left side into a perfect square and
-        the right side into the quartic-free cubic whose roots are the
-        x-coordinates of the 2-torsion points.
-        """
-        a1, a2, a3 = Fraction(a1), Fraction(a2), Fraction(a3)
-        a4, a6 = Fraction(a4), Fraction(a6)
-        b2 = a1 * a1 + 4 * a2
-        b4 = 2 * a4 + a1 * a3
-        b6 = a3 * a3 + 4 * a6
-        return EllipticInput.from_cubic(
-            base, UniPoly.of(b6, 2 * b4, b2, 4))
 
 
 class JacobianInput(Record):

@@ -57,11 +57,6 @@ class PermGroup:
         self.elements = tuple(sorted(elements, key=_images))
         self._element_set = frozenset(self.elements)
 
-    @staticmethod
-    def trivial(degree: int) -> "PermGroup":
-        e = Perm.identity(degree)
-        return PermGroup(degree, (), (e,))
-
     @property
     def order(self) -> int:
         return len(self.elements)
@@ -80,50 +75,9 @@ class PermGroup:
     def __repr__(self) -> str:
         return f"PermGroup(degree={self.degree}, order={self.order})"
 
-    def is_subgroup_of(self, other: "PermGroup") -> bool:
-        return (self.degree == other.degree
-                and self._element_set <= other._element_set)
-
-    def orbit_of(self, point: int) -> list[int]:
-        """The orbit of a point, ascending."""
-        if not 1 <= point <= self.degree:
-            raise InputError(f"point {point} outside 1..{self.degree}")
-        return sorted({g(point) for g in self.elements})
-
-    def stabilizer_of(self, point: int) -> "PermGroup":
-        """The point stabilizer, as an explicit group."""
-        if not 1 <= point <= self.degree:
-            raise InputError(f"point {point} outside 1..{self.degree}")
-        return _explicit(self.degree,
-                         [g for g in self.elements if g(point) == point])
-
-    def is_normal_in(self, other: "PermGroup") -> bool:
-        if not self.is_subgroup_of(other):
-            return False
-        for g in other.generators or other.elements:
-            gi = g.inverse()
-            for h in self.elements:
-                if gi * h * g not in self._element_set:
-                    return False
-        return True
-
-    def normal_core_in(self, ambient: "PermGroup") -> "PermGroup":
-        """Largest subgroup of self normal in ambient (self <= ambient)."""
-        if not self.is_subgroup_of(ambient):
-            raise InputError("normal core requires a subgroup")
-        core = set(self._element_set)
-        for g in ambient.elements:
-            gi = g.inverse()
-            core &= {gi * h * g for h in self._element_set}
-        return _explicit(self.degree, core)
-
     def p_group_prime(self) -> int | None:
         facs = factorize(self.order) if self.order > 1 else {}
         return next(iter(facs)) if len(facs) == 1 else None
-
-    def conjugate_subgroup(self, g: Perm) -> "PermGroup":
-        gi = g.inverse()
-        return _explicit(self.degree, [gi * h * g for h in self.elements])
 
 
 def _explicit(degree: int, elements) -> PermGroup:

@@ -38,10 +38,6 @@ class Perm(Record):
     def __hash__(self):
         return hash((self.images,))
 
-    @staticmethod
-    def identity(n: int) -> "Perm":
-        return Perm(tuple(range(1, n + 1)))
-
     @property
     def degree(self) -> int:
         return len(self.images)

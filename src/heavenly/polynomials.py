@@ -64,14 +64,6 @@ class UniPoly(Record):
     def one() -> "UniPoly":
         return UniPoly.of(1)
 
-    @staticmethod
-    def x() -> "UniPoly":
-        return UniPoly.of(0, 1)
-
-    @staticmethod
-    def constant(c: RatLike) -> "UniPoly":
-        return UniPoly.of(c)
-
     @property
     def degree(self) -> int:
         """Degree, with the zero polynomial at -1."""
@@ -163,23 +155,6 @@ class UniPoly(Record):
 
     def __mod__(self, other: "UniPoly") -> "UniPoly":
         return self.divmod(other)[1]
-
-    def divides(self, other: "UniPoly") -> bool:
-        return (other % self).is_zero
-
-    def evaluate(self, x: RatLike) -> Fraction:
-        x = _as_fraction(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def compose(self, inner: "UniPoly") -> "UniPoly":
-        """self(inner(x)) by Horner."""
-        acc = UniPoly.zero()
-        for c in reversed(self.coeffs):
-            acc = acc * inner + UniPoly.constant(c)
-        return acc
 
     def derivative(self) -> "UniPoly":
         return UniPoly.from_list(

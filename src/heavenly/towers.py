@@ -160,15 +160,8 @@ def _lowest_terms(nums, den: int) -> tuple:
 class _Tower:
     """A field seen as its tower: equal and hash-equal by its levels."""
 
-    @property
-    def height(self) -> int:
-        return len(self.levels)
-
     def level_degrees(self) -> list[int]:
         return [len(lev) - 1 for lev in self.levels]
-
-    def extends(self, other: _Tower) -> bool:
-        return self.levels[: other.height] == other.levels
 
     def __eq__(self, other):
         return self is other or (isinstance(other, _Tower)

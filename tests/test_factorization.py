@@ -27,12 +27,12 @@ def brute_force_irreducible(f: UniPoly, bound: int = 8) -> bool:
     divisor of degree 1 or 2 with coefficients bounded by the bound."""
     assert f.is_monic and f.integer_coefficients() and f.degree <= 4
     for b in range(-bound, bound + 1):
-        if f.evaluate(Fraction(b)) == 0:
+        if sum(c * b ** i for i, c in enumerate(f.coeffs)) == 0:
             return False
     if f.degree >= 2:
         for b, c in product(range(-bound, bound + 1), repeat=2):
             g = P(c, b, 1)
-            if g.divides(f) and g != f:
+            if (f % g).is_zero and g != f:
                 return False
     return True
 

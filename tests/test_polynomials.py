@@ -29,10 +29,18 @@ def P(*coeffs):
     return UniPoly.of(*coeffs)
 
 
+def evaluate(f: UniPoly, x: Fraction) -> Fraction:
+    """f(x) by Horner."""
+    acc = Fraction(0)
+    for c in reversed(f.coeffs):
+        acc = acc * x + c
+    return acc
+
+
 def test_construction_and_degree():
     assert UniPoly.zero().degree == -1
     assert UniPoly.one().degree == 0
-    assert UniPoly.x().degree == 1
+    assert P(0, 1).degree == 1
     assert P(1, 0, 3).degree == 2
     assert P(0, 0, 0).degree == -1
     assert P(5).leading_coefficient == 5
@@ -60,14 +68,6 @@ def test_divmod_exact():
     assert r2 == P(1)
     with pytest.raises(InputError):
         divmod(f, UniPoly.zero())
-
-
-def test_evaluate_and_compose():
-    f = P(1, -2, 1)
-    assert f.evaluate(Fraction(1)) == 0
-    assert f.evaluate(Fraction(3)) == 4
-    g = f.compose(P(1, 1))  # f(x+1) = x^2
-    assert g == P(0, 0, 1)
 
 
 def test_derivative():
@@ -197,6 +197,34 @@ def test_rational_roots_agree_with_sympy(monkeypatch):
         rational_roots(UniPoly.zero())
 
 
+def test_quartic_resolvent_root_decides_a_2_power_galois_group():
+    # an irreducible quartic x^4 + ax^3 + bx^2 + cx + d has a Galois group
+    # of 2-power order (C4, V4 or D4) exactly when its resolvent cubic
+    # x^3 - bx^2 + (ac - 4d)x - (a^2 d - 4bd + c^2) has a rational root;
+    # every third quartic drawn is a biquadratic x^4 + bx^2 + d, since
+    # nearly every other one has group S4
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(41)
+    names = set()
+    checked = 0
+    while checked < 300:
+        a, c = (0, 0) if checked % 3 == 0 else (rng.randint(-6, 6),
+                                                 rng.randint(-6, 6))
+        b, d = rng.randint(-9, 9), rng.randint(-9, 9)
+        quartic = sympy.Poly([1, a, b, c, d], x)
+        if not quartic.is_irreducible:
+            continue
+        name, _ = sympy.galois_group(quartic, by_name=True)
+        order = name.get_perm_group().order()
+        resolvent = P(-(a * a * d - 4 * b * d + c * c), a * c - 4 * d, -b, 1)
+        assert (order & (order - 1) == 0) == has_rational_root(resolvent), \
+            (a, b, c, d, name)
+        names.add(name.name)
+        checked += 1
+    assert {"C4", "V", "D4", "S4"} <= names, names
+
+
 def test_rational_roots_of_a_large_constant_are_fast(monkeypatch):
     no_factoring(monkeypatch)
     start = time.perf_counter()
@@ -235,7 +263,7 @@ def test_monic_integral_scale_tracks_roots():
         g, a = monic_integral_with_scale(f)
         assert g.is_monic and g.integer_coefficients()
         for r in rational_roots(f):
-            assert g.evaluate(a * r) == 0
+            assert evaluate(g, a * r) == 0
 
 
 def test_parse_polynomial():

@@ -3,7 +3,7 @@
 import random
 
 from heavenly.classify import _base_modulus
-from heavenly.factorization import factor_over_q
+from heavenly.factorization import factor_mod_p, factor_over_q
 from heavenly.integers import factorize, odd_prime_divisors, valuation
 from heavenly.polynomials import UniPoly, discriminant, parse_polynomial
 from heavenly.ramification import (
@@ -158,6 +158,23 @@ def test_lattice_mod_p_is_the_hermite_basis():
             assert _rank_mod_p(rows + [row], p) == rank, (rows, p)
             det *= row[i]
         assert det == p ** (n - rank), (rows, p)
+
+
+def test_degree_17_field_is_unramified_at_its_17_digit_prime():
+    # h is the degree-17 polynomial of ROADMAP item 13, whose Frobenius
+    # cycle types 1+16 at 3, 1+8+8 at 7 and 17 at 31 all lie in AGL(1,17);
+    # its discriminant carries a 17-digit prime m squared, which the index
+    # test at m must show divides the index and not the field discriminant
+    h = parse_polynomial(
+        "x^17 - 2*x^16 + 8*x^13 + 16*x^12 - 16*x^11 + 64*x^9 - 32*x^8"
+        " - 80*x^7 + 32*x^6 + 40*x^5 + 80*x^4 + 16*x^3 - 128*x^2 - 2*x + 68")
+    assert factor_over_q(h) == [(h, 1)]
+    m = 11563101439788991
+    assert factorize(m) == {m: 1}
+    assert discriminant(h) == 2**81 * m**2
+    assert splitting_field_odd_ramified([h]) == set()
+    assert {p: sorted(len(g) - 1 for g, _ in factor_mod_p(h, p))
+            for p in (3, 7, 31)} == {3: [1, 16], 7: [1, 8, 8], 31: [17]}
 
 
 def test_cube_root_2_ramified_at_3():

@@ -2,8 +2,9 @@
 
 Every imported name is used (or re-exported through __all__), every
 private function, class, method and module constant is read somewhere in
-the package, and so is every public upper-case module constant, so dead
-code and dead settings left behind by a deletion show up here.  No
+the package, and so is every public upper-case module constant and every
+method of a package class, dunders aside, so dead code, dead settings and
+methods only the tests call show up here.  No
 verdict rests on floating point: the package has no float or complex
 literal and no float() or complex() call, elapsed times aside.  Importing
 the package generates no code: no module uses dataclasses or namedtuple,
@@ -98,6 +99,38 @@ def test_every_private_definition_is_read():
               for line, defined in _private_definitions(tree)
               if _is_private(defined) and defined not in loaded]
     assert not unread, "defined but never read: " + ", ".join(unread)
+
+
+def _methods(tree):
+    """(line, name) for every method of a module class, dunders aside."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, ast.FunctionDef)
+                        and not item.name.startswith("__")):
+                    yield item.lineno, item.name
+
+
+def _read_attributes(tree) -> set[str]:
+    """Names read as attributes: unlike _loaded, a variable named like a
+    method (x, say) does not count as reading it."""
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+
+
+def test_every_public_method_is_read():
+    # matched by name, like the private rule above: a method that shares
+    # its name with one the package does read passes unread (Perm.inverse
+    # beside _Lattice.inverse, say), so this catches only names that no
+    # class of the package is ever asked for
+    trees = _trees()
+    read = set().union(*(_read_attributes(tree) for tree in trees.values()))
+    unread = [f"{name}:{line} {method}"
+              for name, tree in trees.items()
+              for line, method in _methods(tree) if method not in read]
+    assert not unread, "method never read in the package: " + ", ".join(
+        unread)
 
 
 def test_every_public_constant_is_read():
