@@ -20,14 +20,6 @@ class AxiomRecord(Record):
 
     __slots__ = ("id", "statement", "source", "applies_when", "conclusion")
 
-    def __init__(self, id: str, statement: str, source: str,
-                 applies_when: str, conclusion: str):
-        object.__setattr__(self, "id", id)
-        object.__setattr__(self, "statement", statement)
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "applies_when", applies_when)
-        object.__setattr__(self, "conclusion", conclusion)
-
 
 _RECORDS = [
     AxiomRecord(

@@ -15,11 +15,13 @@ from math import lcm, prod
 
 from .axioms import MUST_BE_2POWER, apply_harbater, apply_small_degree, axiom
 from .errors import InputError, ResourceCapError
+from .factorization import factor_over_q
 from .integers import factorize, odd_part
 from .polynomials import (
     UniPoly,
     discriminant,
     format_polynomial,
+    has_rational_root,
     make_monic_integral,
     memo_scope,
     monic_rescale,
@@ -122,15 +124,6 @@ class Verdict(Record):
     __slots__ = ("status", "steps", "torsion_degree", "closure_degree",
                  "screen")
 
-    def __init__(self, status: str, steps: tuple[Step, ...],
-                 torsion_degree: int | None, closure_degree: int | None,
-                 screen: str | None):
-        object.__setattr__(self, "status", status)
-        object.__setattr__(self, "steps", steps)
-        object.__setattr__(self, "torsion_degree", torsion_degree)
-        object.__setattr__(self, "closure_degree", closure_degree)
-        object.__setattr__(self, "screen", screen)
-
 
 # ---------------------------------------------------------------------------
 # Input shapes.
@@ -173,8 +166,7 @@ class EllipticInput(Record):
     __slots__ = ("base", "cubic")
 
     def __init__(self, base: str, cubic: UniPoly):
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "cubic", cubic)
+        super().__init__(base, cubic)
         base_field(self.base)
         if self.cubic.degree != 3:
             raise InputError("elliptic input needs a cubic polynomial")
@@ -194,8 +186,7 @@ class JacobianInput(Record):
     __slots__ = ("base", "poly")
 
     def __init__(self, base: str, poly: UniPoly):
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "poly", poly)
+        super().__init__(base, poly)
         base_field(self.base)
         f = self.poly
         if f.degree not in (5, 6):
@@ -217,8 +208,7 @@ class ProductInput(Record):
     __slots__ = ("first", "second")
 
     def __init__(self, first: EllipticInput, second: EllipticInput):
-        object.__setattr__(self, "first", first)
-        object.__setattr__(self, "second", second)
+        super().__init__(first, second)
         if self.first.base != self.second.base:
             raise InputError("product factors must share a base field")
 
@@ -242,9 +232,7 @@ class WeilRestrictionInput(Record):
     __slots__ = ("base", "radicand", "cubic")
 
     def __init__(self, base: str, radicand: Fraction, cubic: tuple):
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "radicand", radicand)
-        object.__setattr__(self, "cubic", cubic)
+        super().__init__(base, radicand, cubic)
         below = base_field(self.base)
         if _is_square(below, below.from_fraction(self.radicand)):
             raise InputError("radicand must not be a square in the base field")
@@ -597,6 +585,72 @@ def _tower_stage(item, steps: list):
     return top
 
 
+def _ramified_steps(ramified: tuple) -> list[Step]:
+    """The step recording the 2-division field's odd ramified primes, and
+    the not_heavenly verdict their least one witnesses, if any."""
+    steps = [_computed(
+        "odd primes ramifying in the 2-division field",
+        primes=ramified)]
+    if ramified:
+        steps.append(_computed(
+            "verdict: an odd ramified prime keeps the tower outside every "
+            "extension unramified away from {2, infinity}",
+            status=NOT_HEAVENLY, witness_prime=ramified[0]))
+    return steps
+
+
+def _non_2group_factor(polys):
+    """The first irreducible rational factor of polys whose Galois group
+    is provably not a 2-group, or None.
+
+    A transitive group's order is divisible by its degree, and the group
+    of an irreducible quartic x^4 + ax^3 + bx^2 + cx + d is C4, V4 or D4
+    exactly when its resolvent cubic x^3 - bx^2 + (ac - 4d)x - (a^2 d -
+    4bd + c^2) has a rational root (Kappe-Warren); degrees 1 and 2 give
+    2-groups, and no factor here has degree 8 or more.
+    """
+    for f in polys:
+        for g, _ in factor_over_q(f):
+            n = g.degree
+            if n & (n - 1):
+                return g
+            if n == 4:
+                d, c, b, a, _ = g.coeffs
+                if not has_rational_root(UniPoly.of(
+                        -(a * a * d - 4 * b * d + c * c), a * c - 4 * d, -b,
+                        1)):
+                    return g
+    return None
+
+
+def _decide_at_cap(item) -> list[Step]:
+    """The steps of a not_heavenly verdict that the rational factors of
+    F = defining_polynomials(item) give once a cap has stopped the tower,
+    or none.
+
+    An odd prime ramifying in F, or a factor whose Galois group is not a
+    2-group (so neither is Gal(F), which maps onto it), decides the
+    verdict without any degree; anything else, a cap in these tests
+    included, leaves it undecided.
+    """
+    try:
+        polys = defining_polynomials(item)
+        ramified = tuple(sorted(splitting_field_odd_ramified(polys)))
+        factor = None if ramified else _non_2group_factor(polys)
+    except ResourceCapError:
+        return []
+    if not ramified and factor is None:
+        return []
+    steps = _ramified_steps(ramified)
+    if factor is not None:
+        steps.append(_computed(
+            "verdict: a rational factor of the defining polynomials has a "
+            "Galois group that is not a 2-group, so the closure degree is "
+            "not a power of 2",
+            status=NOT_HEAVENLY, factor=factor))
+    return steps
+
+
 def classify(item) -> Verdict:
     """Verdict with certificate for any supported input shape.
 
@@ -608,9 +662,12 @@ def classify(item) -> Verdict:
     splitting field over Q of the rational defining_polynomials, hence
     Galois over Q: its odd primes are those ramifying in the fields of
     their irreducible factors, and its closure degree is the tower's
-    absolute degree.  A resource cap anywhere in the call, the screen's
-    factoring included, yields an unknown verdict carrying the partial
-    certificate.
+    absolute degree.  A resource cap anywhere in the call stops it
+    there.  Once the screen has run, those rational factors still decide
+    not_heavenly, with both degrees null, by an odd ramified prime or by
+    a Galois group that is not a 2-group (_decide_at_cap); any other
+    capped verdict, and one capped in the screen, is unknown.  Either
+    carries the partial certificate.
 
     The call runs in its own polynomials.memo_scope: a discriminant or
     factoring asked for again within the call is not recomputed, and no
@@ -638,18 +695,15 @@ def _classify(item) -> Verdict:
         ramified = tuple(sorted(
             splitting_field_odd_ramified(defining_polynomials(item))))
     except ResourceCapError as exc:
+        decided = [] if screen is None else _decide_at_cap(item)
         steps.append(_computed(
-            "resource cap reached; verdict left undecided",
+            "resource cap reached; " + ("both degrees left unknown" if decided
+                                        else "verdict left undecided"),
             detail=str(exc)))
-        return Verdict(UNKNOWN, tuple(steps), torsion_degree, None, screen)
-    steps.append(_computed(
-        "odd primes ramifying in the 2-division field",
-        primes=ramified))
+        return Verdict(NOT_HEAVENLY if decided else UNKNOWN,
+                       tuple(steps + decided), torsion_degree, None, screen)
+    steps += _ramified_steps(ramified)
     if ramified:
-        steps.append(_computed(
-            "verdict: an odd ramified prime keeps the tower outside every "
-            "extension unramified away from {2, infinity}",
-            status=NOT_HEAVENLY, witness_prime=ramified[0]))
         return Verdict(NOT_HEAVENLY, tuple(steps), torsion_degree, None,
                        screen)
 

@@ -184,12 +184,6 @@ class TwoGenerationSearch(Record):
 
     __slots__ = ("generates", "pairs_examined", "witness")
 
-    def __init__(self, generates: bool, pairs_examined: int,
-                 witness: tuple[Perm, Perm] | None):
-        object.__setattr__(self, "generates", generates)
-        object.__setattr__(self, "pairs_examined", pairs_examined)
-        object.__setattr__(self, "witness", witness)
-
 
 def two_generation_search(group: PermGroup,
                           require_involution: bool = False) -> TwoGenerationSearch:
@@ -440,13 +434,6 @@ class SubdirectProduct(Record):
 
     __slots__ = ("group", "order", "has_index_three_subgroup")
 
-    def __init__(self, group: PermGroup, order: int,
-                 has_index_three_subgroup: bool):
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "has_index_three_subgroup",
-                           has_index_three_subgroup)
-
 
 def s3_times_s3() -> PermGroup:
     """S3 x S3 on points 1..6: first factor on 1-3, second on 4-6."""
@@ -489,11 +476,6 @@ class CoreBoundReport(Record):
     each violation is (|H|, |N|, core index, bound)."""
 
     __slots__ = ("chains_checked", "violations")
-
-    def __init__(self, chains_checked: int,
-                 violations: tuple[tuple[int, int, int, int], ...]):
-        object.__setattr__(self, "chains_checked", chains_checked)
-        object.__setattr__(self, "violations", violations)
 
 
 def _conjugates(table, inverse, h, g):

@@ -38,15 +38,6 @@ class LemmaReport(_NamedValues):
     __slots__ = ("lemma", "passed", "elapsed_seconds", "evidence", "failures")
     _pairs = "evidence"
 
-    def __init__(self, lemma: str, passed: bool, elapsed_seconds: float,
-                 evidence: tuple[tuple[str, object], ...],
-                 failures: tuple[str, ...] = ()):
-        object.__setattr__(self, "lemma", lemma)
-        object.__setattr__(self, "passed", passed)
-        object.__setattr__(self, "elapsed_seconds", elapsed_seconds)
-        object.__setattr__(self, "evidence", evidence)
-        object.__setattr__(self, "failures", failures)
-
 
 class _Check:
     """Evidence accumulator and stopwatch behind a single LemmaReport."""

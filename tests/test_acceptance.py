@@ -17,13 +17,7 @@ from heavenly.classify import (
 )
 from heavenly.cli import main
 from heavenly.factorization import factor_over_q
-from heavenly.permgroups import (
-    PermGroup,
-    close_generators,
-    enumerate_subgroups,
-    group_from_cycles,
-)
-from heavenly.permutations import Perm
+from heavenly.permgroups import close_generators, group_from_cycles
 from heavenly.polynomials import UniPoly, discriminant, resultant
 from heavenly.ramification import splitting_field_odd_ramified
 from heavenly.towers import factor_over_tower, splitting_tower
@@ -260,14 +254,18 @@ def test_criterion_10_seeded_property_suites():
 
 def test_criterion_11_a_hopeless_jacobian_stops_at_a_cap_in_seconds():
     # its tower factors a degree-60 norm with 30 modular factors, which
-    # the recombination cap stops
-    with _Timed(11, "Jacobian of x^6 - 32 over Q(i) ends unknown at a cap",
+    # the recombination cap stops; the odd prime 3 of F then decides it
+    with _Timed(11, "Jacobian of x^6 - 32 over Q(i) is decided at a cap",
                 10.0):
         verdict = classify(JacobianInput(
             "Q(i)", UniPoly.of(-32, 0, 0, 0, 0, 0, 1)))
-        assert verdict.status == "unknown"
-        assert verdict.steps[-1].description == (
-            "resource cap reached; verdict left undecided")
+        assert verdict.status == "not_heavenly"
+        assert (verdict.torsion_degree, verdict.closure_degree) == (None, None)
+        assert verdict.steps[-3].description == (
+            "resource cap reached; both degrees left unknown")
+        assert verdict.steps[-3].value("detail").startswith(
+            "factor recombination exceeded")
+        assert verdict.steps[-1].value("witness_prime") == 3
 
 
 def test_criterion_12_a_hopeless_splitting_degree_exits_3_in_seconds(

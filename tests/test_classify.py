@@ -672,19 +672,82 @@ TWO_CUBIC_WEIL = ((-1, -1), (-1, 0), (0, 0), (1, 0))
 # the Jacobian of x^5 - 2 over Q(i): the quartic cofactor over the quintic
 # level has a coefficient outside Q(i), so its norm to Q has degree 40
 CAPPED_JACOBIAN = JacobianInput("Q(i)", UniPoly.of(-2, 0, 0, 0, 0, 1))
+# the Jacobian of x^5 - 2x over Q: F = x(x^4 - 2) has no odd ramified
+# prime and the D4 group of x^4 - 2, so a cap in its degree-8 tower leaves
+# nothing to decide the verdict
+UNDECIDED_AT_A_CAP = JacobianInput("Q", UniPoly.of(0, -2, 0, 0, 0, 1))
+CAP = "resource cap reached; verdict left undecided"
+CAP_DECIDED = "resource cap reached; both degrees left unknown"
 
 
 def test_resource_cap_yields_unknown(monkeypatch):
-    # with the field degree cap lowered, factoring the quartic cofactor of
-    # x^5 - 2 over Q(i, theta) stops the tower before its degree is known
-    monkeypatch.setattr(towers, "FIELD_DEGREE_CAP", 24)
-    verdict = classify(CAPPED_JACOBIAN)
+    # with the field degree cap lowered, factoring over the quartic level
+    # of x^4 - 2 stops the tower before its degree is known
+    monkeypatch.setattr(towers, "FIELD_DEGREE_CAP", 8)
+    verdict = classify(UNDECIDED_AT_A_CAP)
     assert verdict.status == UNKNOWN
+    assert verdict.screen == PLAUSIBLE
     assert verdict.torsion_degree is None
     assert verdict.closure_degree is None
-    assert "resource cap" in verdict.steps[-1].description
+    assert verdict.steps[-1].description == CAP
+    assert verdict.steps[-1].value("detail") == \
+        "norm descent: field degree 12 exceeds cap 8"
+
+
+def test_a_cap_in_the_tower_is_decided_by_an_odd_ramified_prime(
+        monkeypatch):
+    # the same cap stops the tower of x^5 - 2 over Q(i), whose F = (x^5 -
+    # 2)(x^2 + 1) ramifies at 5: the verdict is decided with null degrees,
+    # by the two steps the uncapped call ends with
+    monkeypatch.setattr(towers, "FIELD_DEGREE_CAP", 24)
+    verdict = classify(CAPPED_JACOBIAN)
+    assert verdict.status == NOT_HEAVENLY
+    assert verdict.torsion_degree is None
+    assert verdict.closure_degree is None
+    cap, primes, last = verdict.steps[-3:]
+    assert cap.description == CAP_DECIDED
+    assert cap.value("detail") == "norm descent: field degree 40 exceeds cap 24"
+    monkeypatch.undo()
+    assert (primes, last) == classify(CAPPED_JACOBIAN).steps[-2:]
+    assert primes.value("primes") == (5,)
+    assert last.value("witness_prime") == 5
+    # a cap inside the tests after the cap leaves the verdict unknown
+
+    def capped(polys):
+        raise ResourceCapError("ramification capped")
+
+    monkeypatch.setattr(towers, "FIELD_DEGREE_CAP", 24)
+    monkeypatch.setattr(CLASSIFY_MODULE, "splitting_field_odd_ramified",
+                        capped)
+    verdict = classify(CAPPED_JACOBIAN)
+    assert verdict.status == UNKNOWN
+    assert verdict.steps[-1].description == CAP
     assert verdict.steps[-1].value("detail") == \
         "norm descent: field degree 40 exceeds cap 24"
+
+
+def test_a_cap_in_the_tower_is_decided_by_a_group_that_is_not_a_2group(
+        monkeypatch):
+    # no input reaches this branch while the ramification test is right:
+    # a field unramified at odd primes has a 2-group below degree 16 (the
+    # JONES axioms).  With that test blinded, the quintic x^5 - 2 and the
+    # S4 quartic x^4 + x + 1 decide the verdict, and x^4 - 2 does not
+    monkeypatch.setattr(CLASSIFY_MODULE, "splitting_field_odd_ramified",
+                        lambda polys: set())
+    monkeypatch.setattr(towers, "FIELD_DEGREE_CAP", 8)
+    for item, factor in (
+            (CAPPED_JACOBIAN, UniPoly.of(-2, 0, 0, 0, 0, 1)),
+            (JacobianInput("Q", UniPoly.of(0, 1, 1, 0, 0, 1)),
+             UniPoly.of(1, 1, 0, 0, 1))):
+        verdict = classify(item)
+        assert verdict.status == NOT_HEAVENLY, item
+        assert (verdict.torsion_degree, verdict.closure_degree) == (None, None)
+        cap, primes, last = verdict.steps[-3:]
+        assert cap.description == CAP_DECIDED, item
+        assert primes.value("primes") == ()
+        assert last.value("status") == NOT_HEAVENLY
+        assert last.value("factor") == factor
+    assert classify(UNDECIDED_AT_A_CAP).status == UNKNOWN
 
 
 def test_a_cap_in_the_screen_yields_unknown(monkeypatch):
@@ -708,25 +771,59 @@ def test_a_cap_in_the_screen_yields_unknown(monkeypatch):
     assert last.value("detail") == "factoring x^2 - 15016 capped"
 
 
+def test_the_2group_test_on_rational_factors_agrees_with_sympy():
+    # products of seeded quadratics, cubics, quartics (every other one a
+    # biquadratic x^4 + bx^2 + d, so that C4, V4 and D4 occur) and sextics:
+    # a factor is named exactly when sympy finds an irreducible factor
+    # whose Galois group order is not a power of 2, and it is one of those
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(44)
+    outcomes = set()
+    for k in range(150):
+        polys = []
+        for degree in rng.sample((2, 3, 4, 4, 6), 2):
+            coeffs = [rng.randint(-6, 6) for _ in range(degree)] + [1]
+            if degree == 4 and k % 2:
+                coeffs[1] = coeffs[3] = 0
+            polys.append(UniPoly.of(*coeffs))
+        expected = set()
+        for f in polys:
+            for g, _ in sympy.factor_list(
+                    sympy.Poly(list(reversed(f.integer_coefficients())),
+                               x))[1]:
+                if g.degree() > 1:
+                    name, _ = sympy.galois_group(g, by_name=True)
+                    order = name.get_perm_group().order()
+                    if order & (order - 1):
+                        expected.add(UniPoly.of(
+                            *map(int, reversed(g.all_coeffs()))))
+        found = CLASSIFY_MODULE._non_2group_factor(polys)
+        assert (found in expected) if expected else found is None, polys
+        outcomes.add(found is None)
+    assert outcomes == {True, False}
+
+
 def test_capped_certificates_keep_the_steps_of_built_towers(monkeypatch):
     # a cap in the second cubic of a product keeps the first factor's
     # step, and a cap in a Jacobian's only tower keeps its factor degrees
+    # ahead of the cap step and the odd ramified prime that decides each
     monkeypatch.setattr(towers, "FIELD_DEGREE_CAP", 6)
     product = classify(ProductInput(
         EllipticInput("Q", X3_MINUS_2),
         EllipticInput("Q", UniPoly.of(-3, 0, 0, 1))))
     jacobian = classify(JacobianInput("Q", UniPoly.of(-2, 0, 0, 0, 0, 1)))
-    cap = "resource cap reached; verdict left undecided"
-    for verdict in (product, jacobian):
-        assert verdict.status == UNKNOWN
+    for verdict, witness in ((product, 3), (jacobian, 5)):
+        assert verdict.status == NOT_HEAVENLY
         assert verdict.torsion_degree is None
-        assert verdict.steps[-1].description == cap
-    first, last = product.steps[-2:]
+        assert verdict.steps[-3].description == CAP_DECIDED
+        assert verdict.steps[-1].value("witness_prime") == witness
+    first, last = product.steps[-4:-2]
     assert first.description == "2-division field of the first factor"
     assert first.value("relative_degree") == 6
     assert last.value("detail") == \
         "norm descent: field degree 9 exceeds cap 6"
-    factors, last = jacobian.steps[-2:]
+    factors, last = jacobian.steps[-4:-2]
     assert factors.value("factor_degrees") == (5, 1)
     assert last.value("detail") == \
         "norm descent: field degree 20 exceeds cap 6"
@@ -752,12 +849,12 @@ def test_classify_deterministic():
 def test_a_verdict_depends_only_on_its_input(monkeypatch):
     # classify keeps no answer between calls: the input decided uncapped
     # still meets the lowered field degree cap in the next call
-    item = CAPPED_JACOBIAN
-    assert classify(item).status == NOT_HEAVENLY
-    monkeypatch.setattr(towers, "FIELD_DEGREE_CAP", 24)
+    item = UNDECIDED_AT_A_CAP
+    assert classify(item).status == HEAVENLY
+    monkeypatch.setattr(towers, "FIELD_DEGREE_CAP", 8)
     verdict = classify(item)
     assert verdict.status == UNKNOWN
-    assert "resource cap" in verdict.steps[-1].description
+    assert verdict.steps[-1].description == CAP
 
 
 def test_screen_primes_stay_above_the_default_cap(monkeypatch):
@@ -768,7 +865,10 @@ def test_screen_primes_stay_above_the_default_cap(monkeypatch):
     item = CAPPED_JACOBIAN
     towers._interned.cache_clear()
     monkeypatch.setattr(towers, "FIELD_DEGREE_CAP", 24)
-    assert classify(item).status == UNKNOWN
+    verdict = classify(item)
+    assert verdict.status == NOT_HEAVENLY
+    assert verdict.steps[-3].value("detail") == \
+        "norm descent: field degree 40 exceeds cap 24"
     monkeypatch.undo()
     fields = towers.field_chain(two_division_tower(item)[-1])[1:]
     assert [F.absolute_degree for F in fields] == [2, 10, 40]
@@ -1244,7 +1344,8 @@ def test_the_conjugate_twist_is_never_factored(monkeypatch):
 def test_the_a6_sextic_never_proves_its_norms_squarefree_twice(
         monkeypatch):
     # the degree-120 norms of the A6 sextic's descent are proven squarefree
-    # once, so no exact gcd over Q takes one; the cap detail is unchanged
+    # once, so no exact gcd over Q takes one; the cap detail is unchanged,
+    # and the odd prime 3 of F decides the verdict after the cap
     largest = [0]
 
     def spy(real):
@@ -1256,10 +1357,11 @@ def test_the_a6_sextic_never_proves_its_norms_squarefree_twice(
     for module in (factorization, polynomials, towers):
         monkeypatch.setattr(module, "poly_gcd", spy(module.poly_gcd))
     verdict = classify(JacobianInput("Q", UniPoly.of(8, -12, 0, 10, 0, -9, 1)))
-    assert verdict.status == UNKNOWN
-    assert verdict.steps[-1].value("detail") == (
+    assert verdict.status == NOT_HEAVENLY
+    assert verdict.steps[-3].value("detail") == (
         "factor recombination exceeded 200000 subsets "
         "(degree 120, 24 factors mod 41)")
+    assert verdict.steps[-1].value("witness_prime") == 3
     assert largest[0] < 100
 
 

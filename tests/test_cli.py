@@ -52,6 +52,9 @@ DIGIT_LIMIT = f"({sys.get_int_max_str_digits()} digits)"
 # norm of the quartic cofactor of x^5 - 2 over Q(i, theta)
 CAP_DOC = {"kind": "jacobian", "base_field": "Q(i)",
            "poly": [-2, 0, 0, 0, 0, 1]}
+# with the cap at 8, this one's tower refuses a degree-12 norm
+UNDECIDED_CAP_DOC = {"kind": "jacobian", "base_field": "Q",
+                     "poly": [0, -2, 0, 0, 0, 1]}
 # with a cap met while factoring x^2 - 15016 in the screen, this input
 # stops before the screen has an outcome
 SCREEN_CAP_DOC = {"kind": "weil_restriction", "base_field": "Q",
@@ -155,17 +158,28 @@ def test_classify_unreadable_file(capsys, tmp_path):
 
 
 def test_classify_resource_cap_exit(capsys, tmp_path, monkeypatch):
-    # the lowered field degree cap stops this input's tower; uncapped it
-    # decides not_heavenly at the odd prime 5
+    # the lowered field degree cap stops this input's tower, and F = (x^5 -
+    # 2)(x^2 + 1) ramifies at 5, so it is decided and exits 0; that of
+    # x^5 - 2x over Q has nothing to decide it and exits 3
     monkeypatch.setattr(towers, "FIELD_DEGREE_CAP", 24)
     path = write_doc(tmp_path / "cap.json", CAP_DOC)
     target = tmp_path / "cap.cert.json"
+    assert main(["classify", str(path), "--out", str(target)]) == 0
+    doc = json.loads(target.read_text(encoding="utf-8"))
+    assert doc["verdict"]["status"] == "not_heavenly"
+    assert doc["verdict"]["torsion_field_degree"] is None
+    assert doc["verdict"]["galois_closure_degree"] is None
+    assert doc["certificate"][-3]["values"]["detail"] == \
+        "norm descent: field degree 40 exceeds cap 24"
+    assert doc["certificate"][-1]["values"]["witness_prime"] == 5
+    monkeypatch.setattr(towers, "FIELD_DEGREE_CAP", 8)
+    path = write_doc(tmp_path / "undecided.json", UNDECIDED_CAP_DOC)
     assert main(["classify", str(path), "--out", str(target)]) == 3
     doc = json.loads(target.read_text(encoding="utf-8"))
     assert doc["verdict"]["status"] == "unknown"
     assert "resource cap" in doc["certificate"][-1]["description"]
     assert doc["certificate"][-1]["values"]["detail"] == \
-        "norm descent: field degree 40 exceeds cap 24"
+        "norm descent: field degree 12 exceeds cap 8"
 
 
 def test_classify_exits_3_when_odd_good_reduction_is_undecided(tmp_path):

@@ -224,7 +224,7 @@ def test_step_and_evidence_values_encode(value, encoded):
                       1, 1, "plausible")
     doc = output_document(ELLIPTIC_DOC, verdict, 0.0)
     assert doc["certificate"][0]["values"]["v"] == encoded
-    report = report_document(LemmaReport("demo", True, 0.0, (("v", value),)))
+    report = report_document(LemmaReport("demo", True, 0.0, (("v", value),), ()))
     assert report["evidence"][0]["value"] == encoded
 
 
@@ -235,7 +235,7 @@ def test_unencodable_values_are_rejected():
     with pytest.raises(InputError, match="cannot encode"):
         output_document(ELLIPTIC_DOC, verdict, 0.0)
     with pytest.raises(InputError, match="cannot encode"):
-        report_document(LemmaReport("demo", True, 0.0, (("v", object()),)))
+        report_document(LemmaReport("demo", True, 0.0, (("v", object()),), ()))
 
 
 @pytest.mark.parametrize("doc", [ELLIPTIC_DOC, JACOBIAN_DOC, PRODUCT_DOC,

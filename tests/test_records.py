@@ -1,7 +1,8 @@
-"""The package's immutable records behave as frozen value types: equal only
-to the same class with equal fields, hashed as the tuple of their fields,
-closed to assignment and deletion, and shown as Name(field=value, ...)
-unless the class writes its own repr."""
+"""The package's immutable records behave as frozen value types: built from
+their fields in order or by name, each exactly once, equal only to the
+same class with equal fields, hashed as the tuple of their fields, closed
+to assignment and deletion, and shown as Name(field=value, ...) unless the
+class writes its own repr."""
 
 from fractions import Fraction
 
@@ -33,8 +34,7 @@ SWAP = Perm((2, 1, 3))
 
 
 def _records():
-    """(record, its field names in order, its repr text); LemmaReport's
-    failures come from the default."""
+    """(record, its field names in order, its repr text)."""
     group = group_from_cycles(3, "(1 2)")
     pair = (Fraction(0), Fraction(0))
     one = (Fraction(1), Fraction(0))
@@ -66,7 +66,7 @@ def _records():
          ("id", "statement", "source", "applies_when", "conclusion"),
          "AxiomRecord(id='ID', statement='statement', source='source', "
          "applies_when='when', conclusion='conclusion')"),
-        (LemmaReport("octic", True, 0.5, (("count", 3),)),
+        (LemmaReport("octic", True, 0.5, (("count", 3),), ()),
          ("lemma", "passed", "elapsed_seconds", "evidence", "failures"),
          "LemmaReport(lemma='octic', passed=True, elapsed_seconds=0.5, "
          "evidence=(('count', 3),), failures=())"),
@@ -116,3 +116,22 @@ def test_record_is_a_frozen_value(record, fields, text):
             delattr(record, name)
     assert tuple(getattr(record, name) for name in fields) == values
     assert repr(record) == text
+
+
+@pytest.mark.parametrize("record, fields, text", RECORDS,
+                         ids=[type(r).__name__ for r, _, _ in RECORDS])
+def test_record_is_built_by_name_or_in_order(record, fields, text):
+    cls = type(record)
+    values = tuple(getattr(record, name) for name in fields)
+    named = dict(zip(fields, values))
+    assert cls(**named) == cls(*values) == record
+    assert cls(*values[:1], **dict(zip(fields[1:], values[1:]))) == record
+    name = cls.__qualname__
+    with pytest.raises(TypeError, match=name):
+        cls(*values[:-1])
+    with pytest.raises(TypeError, match=name):
+        cls(*values, **{fields[0]: values[0]})
+    with pytest.raises(TypeError, match=name):
+        cls(*values, extra=None)
+    with pytest.raises(TypeError, match=name):
+        cls(*values, None)

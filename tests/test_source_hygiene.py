@@ -1,10 +1,12 @@
 """Source hygiene of the package, checked on its syntax trees.
 
-Every imported name is used (or re-exported through __all__), every
-private function, class, method and module constant is read somewhere in
-the package, and so is every public upper-case module constant and every
-method of a package class, dunders aside, so dead code, dead settings and
-methods only the tests call show up here.  No
+Every imported name is used (or re-exported through __all__), in the
+package and in its tests, every private function, class, method and
+module constant is read somewhere in the package, and so is every public
+upper-case module constant and every method of a package class, dunders
+aside, so dead code, dead settings and methods only the tests call show
+up here.  Records get their fields from records.Record's one constructor:
+only the hot-path records UniPoly, Perm and Step set their own.  No
 verdict rests on floating point: the package has no float or complex
 literal and no float() or complex() call, elapsed times aside.  Importing
 the package generates no code: no module uses dataclasses or namedtuple,
@@ -14,12 +16,13 @@ which compile methods from source text, or calls exec or eval.
 import ast
 from pathlib import Path
 
-SOURCE = Path(__file__).resolve().parents[1] / "src" / "heavenly"
+TESTS = Path(__file__).resolve().parent
+SOURCE = TESTS.parent / "src" / "heavenly"
 
 
-def _trees():
+def _trees(directory: Path = SOURCE):
     return {path.name: ast.parse(path.read_text(), filename=str(path))
-            for path in sorted(SOURCE.glob("*.py"))}
+            for path in sorted(directory.glob("*.py"))}
 
 
 def _loaded(tree) -> set[str]:
@@ -84,7 +87,9 @@ def _private_definitions(tree):
 
 def test_every_import_is_used():
     unused = []
-    for name, tree in _trees().items():
+    trees = {f"{directory.name}/{name}": tree for directory in (SOURCE, TESTS)
+             for name, tree in _trees(directory).items()}
+    for name, tree in trees.items():
         used = _loaded(tree) | _exported(tree)
         unused += [f"{name}:{line} {bound}"
                    for line, bound in _imported(tree) if bound not in used]
@@ -142,6 +147,29 @@ def test_every_public_constant_is_read():
               if not _is_private(defined) and defined.isupper()
               and defined not in loaded]
     assert not unread, "public constant never read: " + ", ".join(unread)
+
+
+_OWN_CONSTRUCTORS = {"UniPoly", "Perm", "Step"}
+
+
+def test_only_hot_records_set_their_own_fields():
+    # every other record lists its fields in __slots__ and lets
+    # records.Record set them, validating after super().__init__
+    found = []
+    for name, tree in _trees().items():
+        if name == "records.py":
+            continue
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef) or cls.name in \
+                    _OWN_CONSTRUCTORS:
+                continue
+            lines = [node.lineno for node in ast.walk(cls)
+                     if isinstance(node, ast.Call)
+                     and ast.unparse(node.func) == "object.__setattr__"
+                     and ast.unparse(node.args[0]) == "self"]
+            if lines:
+                found.append(f"{name}:{min(lines)} {cls.name}")
+    assert not found, "a record sets its own fields: " + ", ".join(found)
 
 
 def _is_elapsed_time(node) -> bool:

@@ -178,7 +178,7 @@ def test_run_check_rejects_unknown_id():
 
 
 def test_report_value_accessors():
-    report = LemmaReport("demo", True, 0.0, (("answer", 42),))
+    report = LemmaReport("demo", True, 0.0, (("answer", 42),), ())
     assert report.value("answer") == 42
     assert report.has_value("answer")
     assert not report.has_value("question")
