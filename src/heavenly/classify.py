@@ -153,7 +153,8 @@ def _curve_model(f: UniPoly) -> UniPoly:
     n = f.degree
     if n > 0 and n % 2:
         d = lcm(*(c.denominator for c in f.coeffs))
-        return monic_rescale([int(c * d * d) for c in f.coeffs])
+        return monic_rescale([c.numerator * (d * d // c.denominator)
+                              for c in f.coeffs])
     lc = f.leading_coefficient
     c = prod(p ** (e % 2)
              for p, e in factorize(lc.numerator * lc.denominator).items())

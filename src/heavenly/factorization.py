@@ -1,8 +1,15 @@
 """Factorization of univariate polynomials over Q.
 
-The route reduces to a monic squarefree integer polynomial and first
-splits off its linear factors: its integer roots are the exact ones among
-the Newton lifts of its roots modulo one small prime
+Fractions are the API and Z[x] the inside.  factor_over_q converts f once
+to its primitive integer form, proves that squarefree modulo a small
+prime or splits it by Yun's algorithm with exact integer division, and
+factors each primitive part P of leading coefficient a in Z[x] through
+its monic integral form g (polynomials.make_monic_integral), whose roots
+are a times P's; each factor h of g maps back to the monic factor
+h(a x) / a^deg h of P, one Fraction per coefficient.
+
+Each part first splits off its linear factors: its integer roots are the
+exact ones among the Newton lifts of its roots modulo one small prime
 (polynomials.integer_roots). What is left has no rational root, so at
 degree 2 or 3 it is irreducible. From degree 4 it goes on to classical
 Zassenhaus: take the factor degrees, by distinct-degree factorization,
@@ -31,6 +38,7 @@ factorization, then Cantor-Zassenhaus, at a cost in log p.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations, count
 from math import isqrt
 
@@ -38,10 +46,14 @@ from .errors import InputError, ResourceCapError
 from .integers import is_probable_prime, next_odd_prime
 from .polynomials import (
     UniPoly,
+    _exact_quotient,
+    _from_ints,
+    _int_gcd,
+    _integer_form,
+    _primitive_derivative,
+    _rescaled,
     integer_roots,
     memoized,
-    monic_integral_with_scale,
-    poly_gcd,
 )
 
 # Guard against pathological subset recombination.  The most subsets any
@@ -640,44 +652,53 @@ def _zassenhaus(f: list[int]) -> list[list[int]]:
     return found
 
 
-def _provably_squarefree(f: UniPoly) -> bool:
-    """Cheap one-sided test: squarefree modulo some small prime.
+def _provably_squarefree(f: list[int]) -> bool:
+    """Cheap one-sided test on an integer polynomial: squarefree modulo
+    some small prime.
 
     deg gcd over Q never exceeds deg gcd mod p when p keeps the leading
     coefficient, so a single squarefree reduction proves squarefreeness
     and spares the exact gcd.
     """
-    ints = monic_integral_with_scale(f)[0].integer_coefficients()
     p = 3
     for _ in range(5):
-        if _squarefree_mod(ints, p):
+        if _squarefree_mod(f, p):
             return True
         p = next_odd_prime(p)
     return False
+
+
+def _squarefree_parts(f: list[int]) -> list[tuple[list[int], int]]:
+    """Yun's algorithm on a primitive integer polynomial of degree >= 1
+    with positive leading coefficient: its squarefree parts, primitive
+    with positive leading coefficients, with multiplicities.  Every gcd
+    and quotient is a primitive divisor of f over Q, so one in Z[x]
+    (Gauss's lemma), and each division is exact there."""
+    if _provably_squarefree(f):
+        return [(f, 1)]
+    out = []
+    g = _int_gcd(f, _primitive_derivative(f))
+    w = _exact_quotient(f, g)
+    i = 1
+    while len(w) > 1:
+        y = _int_gcd(w, g)
+        piece = _exact_quotient(w, y)
+        if len(piece) > 1:
+            out.append((piece, i))
+        w = y
+        g = _exact_quotient(g, y)
+        i += 1
+    return out
 
 
 def squarefree_decomposition(f: UniPoly) -> list[tuple[UniPoly, int]]:
     """Yun's algorithm: monic squarefree parts with multiplicities."""
     if f.is_zero:
         raise InputError("cannot decompose the zero polynomial")
-    f = f.monic()
     if f.degree < 1:
         return []
-    if _provably_squarefree(f):
-        return [(f, 1)]
-    out = []
-    g = poly_gcd(f, f.derivative())
-    w = f // g
-    i = 1
-    while w.degree >= 1:
-        y = poly_gcd(w, g)
-        piece = w // y
-        if piece.degree >= 1:
-            out.append((piece.monic(), i))
-        w = y
-        g = g // y
-        i += 1
-    return out
+    return [(_from_ints(part, part[-1]), mult)
+            for part, mult in _squarefree_parts(_integer_form(f)[0])]
 
 
 def factor_over_q(f: UniPoly) -> list[tuple[UniPoly, int]]:
@@ -695,8 +716,11 @@ def factor_over_q(f: UniPoly) -> list[tuple[UniPoly, int]]:
 def _factor_over_q(f: UniPoly) -> list[tuple[UniPoly, int]]:
     if f.is_zero:
         raise InputError("cannot factor the zero polynomial")
-    result = [(g, mult) for part, mult in squarefree_decomposition(f)
-              for g in _factor_squarefree_over_q(part)]
+    if f.degree < 1:
+        return []
+    result = [(h, mult)
+              for part, mult in _squarefree_parts(_integer_form(f)[0])
+              for h in _factor_primitive(part)]
     result.sort(key=lambda t: (t[0].degree, t[0].coeffs))
     return result
 
@@ -704,17 +728,28 @@ def _factor_over_q(f: UniPoly) -> list[tuple[UniPoly, int]]:
 def _factor_squarefree_over_q(part: UniPoly) -> list[UniPoly]:
     """Monic irreducible factors of a nonconstant part over Q, sorted as
     factor_over_q's; part must be squarefree, and is not checked again."""
-    monic_int, scale = monic_integral_with_scale(part)
-    ints = tuple(monic_int.integer_coefficients())
-    # a polynomial and its powers share this step, so a scope takes it once
+    return sorted(_factor_primitive(_integer_form(part)[0]),
+                  key=lambda h: (h.degree, h.coeffs))
+
+
+def _factor_primitive(f: list[int]) -> list[UniPoly]:
+    """Monic irreducible factors over Q of a squarefree primitive integer
+    polynomial f of leading coefficient a > 0.
+
+    They come from the factors h of the monic integer polynomial
+    g = a^(n-1) f(x/a), whose roots are a times f's, as h(a x) / a^deg h,
+    one Fraction per coefficient.  f is determined by its roots, so the
+    memoized step has one key for f, whether f comes alone or as the
+    squarefree part of one of its powers."""
+    a = f[-1]
+    ints = tuple(_rescaled(f))
     found = memoized(("factor_monic_squarefree_int", ints),
                      lambda: tuple(map(tuple, _factor_monic_squarefree_int(
                          list(ints)))))
-    # the roots of each g are scale times those of a factor of part, so
-    # substitute x -> scale*x and renormalize
-    return sorted((UniPoly.from_list([c * scale**k for k, c in enumerate(g)])
-                   .monic() for g in found),
-                  key=lambda g: (g.degree, g.coeffs))
+    if a == 1:
+        return [_from_ints(h) for h in found]
+    return [UniPoly(tuple(Fraction(c, a ** (len(h) - 1 - k))
+                          for k, c in enumerate(h))) for h in found]
 
 
 __all__ = [

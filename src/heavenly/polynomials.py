@@ -3,6 +3,12 @@
 Coefficients are `fractions.Fraction`, stored ascending (index = power), with
 no trailing zeros; the zero polynomial is the empty tuple.  All operations
 are exact and allocation-light; nothing here ever touches floating point.
+
+Fractions are the API; the algorithms run in Z[x].  Gcds, squarefree
+parts, resultants and discriminants clear f's denominators once, as
+f = (c/d) F with F primitive in Z[x], compute on F's integer coefficients
+with exact integer division only, and build one Fraction per coefficient,
+or one for a number, on the way out.
 """
 
 from __future__ import annotations
@@ -51,8 +57,9 @@ class UniPoly(Record):
 
     @staticmethod
     def from_list(coeffs: list[RatLike]) -> "UniPoly":
-        cs = [_as_fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
+        cs = [c if c.__class__ is Fraction else _as_fraction(c)
+              for c in coeffs]
+        while cs and not cs[-1]:
             cs.pop()
         return UniPoly(tuple(cs))
 
@@ -156,25 +163,11 @@ class UniPoly(Record):
     def __mod__(self, other: "UniPoly") -> "UniPoly":
         return self.divmod(other)[1]
 
-    def derivative(self) -> "UniPoly":
-        return UniPoly.from_list(
-            [i * c for i, c in enumerate(self.coeffs)][1:] or []
-        )
-
     def monic(self) -> "UniPoly":
         if self.is_zero:
             raise InputError("cannot normalize the zero polynomial")
         lc = self.leading_coefficient
         return self if lc == 1 else self.scale(1 / lc)
-
-    def integer_coefficients(self) -> list[int]:
-        """Coefficients as ints; error if any is non-integral."""
-        out = []
-        for c in self.coeffs:
-            if c.denominator != 1:
-                raise InputError(f"{self} has non-integral coefficient {c}")
-            out.append(c.numerator)
-        return out
 
     def __str__(self) -> str:
         return format_polynomial(self)
@@ -183,16 +176,29 @@ class UniPoly(Record):
         return f"UniPoly({format_polynomial(self)})"
 
 
-def _primitive_ints(f: UniPoly) -> list[int]:
-    """Integer coefficients of f cleared of content, positive leading."""
-    den = lcm(*[c.denominator for c in f.coeffs])
-    ints = [c.numerator * (den // c.denominator) for c in f.coeffs]
-    g = 0
-    for c in ints:
-        g = gcd(g, c)
+def _integer_form(f: UniPoly) -> tuple[list[int], int, int]:
+    """(F, c, d) with f = (c/d) F for nonzero f: F the primitive integer
+    coefficients of f with positive leading one, and d > 0."""
+    coeffs = f.coeffs
+    d = lcm(*[c.denominator for c in coeffs])
+    if d == 1:
+        ints = [c.numerator for c in coeffs]
+    else:
+        ints = [c.numerator * (d // c.denominator) for c in coeffs]
+    c = gcd(*ints)
     if ints[-1] < 0:
-        g = -g
-    return [c // g for c in ints]
+        c = -c
+    if c != 1:
+        ints = [a // c for a in ints]
+    return ints, c, d
+
+
+def _from_ints(ints: list[int], den: int = 1) -> UniPoly:
+    """The polynomial of ascending coefficients ints / den, for a trimmed
+    nonempty integer list and den > 0."""
+    if den == 1:
+        return UniPoly(tuple(map(Fraction, ints)))
+    return UniPoly(tuple(Fraction(c, den) for c in ints))
 
 
 def _pseudo_rem(a: list[int], b: list[int]) -> list[int]:
@@ -212,32 +218,69 @@ def _pseudo_rem(a: list[int], b: list[int]) -> list[int]:
     return r
 
 
-def poly_gcd(f: UniPoly, g: UniPoly) -> UniPoly:
-    """Monic gcd over Q; gcd(0, 0) = 0.
+def _int_gcd(a: list[int], b: list[int]) -> list[int]:
+    """The primitive gcd, with positive leading coefficient, of two nonzero
+    primitive integer polynomials with positive leading coefficients.
 
     Primitive pseudo-remainder sequence: contents are stripped after each
-    step, keeping all arithmetic in integers of moderate size (a plain
-    Euclidean loop over Q explodes fractionally on large inputs).
+    step, keeping the integers of moderate size.  For monic a the gcd is
+    monic: a monic divisor over Q of a monic integer polynomial is
+    integral (Gauss's lemma), so it is primitive.
     """
-    if f.is_zero:
-        return g if g.is_zero else g.monic()
-    if g.is_zero:
-        return f.monic()
-    a = _primitive_ints(f)
-    b = _primitive_ints(g)
     if len(a) < len(b):
         a, b = b, a
     while b:
         r = _pseudo_rem(a, b)
         if r:
-            cont = 0
-            for c in r:
-                cont = gcd(cont, c)
+            cont = gcd(*r)
             if r[-1] < 0:
                 cont = -cont
-            r = [c // cont for c in r]
+            if cont != 1:
+                r = [c // cont for c in r]
         a, b = b, r
-    return UniPoly.from_list(a).monic()
+    return a
+
+
+def _exact_quotient(a: list[int], b: list[int]) -> list[int]:
+    """a / b in Z[x], for integer polynomials with b dividing a there."""
+    a = list(a)
+    d = len(b) - 1
+    lc = b[-1]
+    low = b[:d]
+    q = [0] * (len(a) - d)
+    for k in range(len(a) - 1, d - 1, -1):
+        c = a[k] // lc
+        if c:
+            q[k - d] = c
+            for j, x in enumerate(low, k - d):
+                a[j] -= c * x
+    return q
+
+
+def _int_derivative(a: list[int]) -> list[int]:
+    return [k * c for k, c in enumerate(a)][1:]
+
+
+def _primitive_derivative(a: list[int]) -> list[int]:
+    """The derivative of a nonconstant integer polynomial with positive
+    leading coefficient, cleared of content."""
+    d = _int_derivative(a)
+    c = gcd(*d)
+    return [x // c for x in d] if c != 1 else d
+
+
+def poly_gcd(f: UniPoly, g: UniPoly) -> UniPoly:
+    """Monic gcd over Q; gcd(0, 0) = 0.
+
+    Computed in Z[x] from the primitive integer parts (_int_gcd): a plain
+    Euclidean loop over Q explodes fractionally on large inputs.
+    """
+    if f.is_zero:
+        return g if g.is_zero else g.monic()
+    if g.is_zero:
+        return f.monic()
+    h = _int_gcd(_integer_form(f)[0], _integer_form(g)[0])
+    return _from_ints(h, h[-1])
 
 
 def squarefree_part(f: UniPoly) -> UniPoly:
@@ -246,7 +289,12 @@ def squarefree_part(f: UniPoly) -> UniPoly:
         raise InputError("squarefree part of the zero polynomial")
     if f.degree == 0:
         return UniPoly.one()
-    return (f // poly_gcd(f, f.derivative())).monic()
+    F = _integer_form(f)[0]
+    h = _int_gcd(F, _primitive_derivative(F))
+    if len(h) == 1:
+        return f.monic()
+    F = _exact_quotient(F, h)
+    return _from_ints(F, F[-1])
 
 
 def _bareiss_det(rows) -> int:
@@ -271,18 +319,25 @@ def _bareiss_det(rows) -> int:
     return sign * m[-1][-1] if n else 1
 
 
+def _int_resultant(a: list[int], b: list[int]) -> int:
+    """Res(a, b) for nonzero integer polynomials given by their ascending
+    coefficients: the Bareiss determinant of their Sylvester matrix, which
+    is empty, so 1, for two constants."""
+    m, n = len(a) - 1, len(b) - 1
+    a, b = a[::-1], b[::-1]
+    return _bareiss_det([[0] * i + a + [0] * (n - 1 - i) for i in range(n)]
+                        + [[0] * i + b + [0] * (m - 1 - i) for i in range(m)])
+
+
 def resultant(f: UniPoly, g: UniPoly) -> Fraction:
-    """Res(f, g), exact: with f = c F and g = d G for primitive integer F
-    and G, c^(deg g) d^(deg f) times the Bareiss determinant of the
-    Sylvester matrix of F and G, which is empty, so 1, for two constants."""
+    """Res(f, g), exact: with f = (c/d) F and g = (e/k) G for primitive
+    integer F and G, (c/d)^(deg g) (e/k)^(deg f) Res(F, G)."""
     if f.is_zero or g.is_zero:
         raise InputError("resultant requires nonzero polynomials")
     m, n = f.degree, g.degree
-    a, b = _primitive_ints(f)[::-1], _primitive_ints(g)[::-1]
-    rows = ([[0] * i + a + [0] * (n - 1 - i) for i in range(n)]
-            + [[0] * i + b + [0] * (m - 1 - i) for i in range(m)])
-    return (_bareiss_det(rows) * (f.leading_coefficient / a[0]) ** n
-            * (g.leading_coefficient / b[0]) ** m)
+    F, c, d = _integer_form(f)
+    G, e, k = _integer_form(g)
+    return Fraction(_int_resultant(F, G) * c ** n * e ** m, d ** n * k ** m)
 
 
 # The answers of the innermost memo_scope, keyed by function and exact
@@ -333,11 +388,18 @@ def discriminant(f: UniPoly) -> Fraction:
 
 
 def _discriminant(f: UniPoly) -> Fraction:
+    """With f = (c/d) F for primitive integer F of degree n,
+    disc(f) = (c/d)^(2n-2) disc(F), and disc(F) = (-1)^(n(n-1)/2)
+    Res(F, F') / lc(F), a quotient exact in Z."""
     n = f.degree
     if n < 1:
         raise InputError("discriminant requires degree >= 1")
-    sign = -1 if (n * (n - 1) // 2) % 2 else 1
-    return sign * resultant(f, f.derivative()) / f.leading_coefficient
+    F, c, d = _integer_form(f)
+    disc = _int_resultant(F, _int_derivative(F)) // F[-1]
+    if (n * (n - 1) // 2) % 2:
+        disc = -disc
+    e = 2 * n - 2
+    return Fraction(disc * c ** e, d ** e)
 
 
 def has_rational_root(f: UniPoly) -> bool:
@@ -352,8 +414,8 @@ def rational_roots(f: UniPoly) -> list[Fraction]:
         raise InputError("rational roots of the zero polynomial")
     if f.degree < 1:
         return []
-    g, scale = monic_integral_with_scale(squarefree_part(f))
-    return [r / scale for r in integer_roots(g.integer_coefficients())]
+    g, scale = _monic_integral_ints(squarefree_part(f))
+    return [Fraction(r, scale) for r in integer_roots(g)]
 
 
 def _horner(f: list[int], x: int, m: int) -> int:
@@ -424,18 +486,30 @@ def make_monic_integral(f: UniPoly) -> UniPoly:
 
 def monic_integral_with_scale(f: UniPoly) -> tuple[UniPoly, Fraction]:
     """make_monic_integral plus the factor by which roots were scaled."""
+    g, scale = _monic_integral_ints(f)
+    return _from_ints(g), Fraction(scale)
+
+
+def _monic_integral_ints(f: UniPoly) -> tuple[list[int], int]:
+    """monic_integral_with_scale as integers: the ascending coefficients
+    of make_monic_integral(f) and the scale of its roots."""
     if f.is_zero:
         raise InputError("cannot normalize the zero polynomial")
-    ints = _primitive_ints(f)
-    return monic_rescale(ints), Fraction(ints[-1])
+    ints = _integer_form(f)[0]
+    return _rescaled(ints), ints[-1]
+
+
+def _rescaled(ints: list[int]) -> list[int]:
+    a, n = ints[-1], len(ints) - 1
+    if a == 1:
+        return ints
+    return [c * a ** (n - 1 - k) for k, c in enumerate(ints[:-1])] + [1]
 
 
 def monic_rescale(ints: list[int]) -> UniPoly:
     """a^(n-1) * F(x/a), monic and integral with F's roots scaled by a, for
     F of ascending integer coefficients ints, degree n and leading a."""
-    a, n = ints[-1], len(ints) - 1
-    return UniPoly.from_list(
-        [c * a ** (n - 1 - k) for k, c in enumerate(ints[:-1])] + [1])
+    return _from_ints(_rescaled(ints))
 
 
 # one term, matched whole; digits are ASCII only

@@ -10,7 +10,7 @@ import time
 
 import heavenly.factorization as factorization
 from heavenly.errors import ResourceCapError
-from heavenly.polynomials import UniPoly, poly_gcd
+from heavenly.polynomials import UniPoly, poly_gcd, squarefree_part
 from heavenly.factorization import (
     factor_mod_p,
     factor_over_q,
@@ -22,10 +22,15 @@ def P(*coeffs):
     return UniPoly.of(*coeffs)
 
 
+def derivative(f: UniPoly) -> UniPoly:
+    return UniPoly.from_list([k * c for k, c in enumerate(f.coeffs)][1:])
+
+
 def brute_force_irreducible(f: UniPoly, bound: int = 8) -> bool:
     """Oracle: monic integral f of degree <= 4 has no monic integral
     divisor of degree 1 or 2 with coefficients bounded by the bound."""
-    assert f.is_monic and f.integer_coefficients() and f.degree <= 4
+    assert f.is_monic and f.degree <= 4
+    assert all(c.denominator == 1 for c in f.coeffs)
     for b in range(-bound, bound + 1):
         if sum(c * b ** i for i, c in enumerate(f.coeffs)) == 0:
             return False
@@ -140,6 +145,30 @@ def test_squarefree_decomposition():
     assert squarefree_decomposition(P(0, 1)) == [(P(0, 1), 1)]
 
 
+def test_a_non_monic_part_keeps_its_own_scale(monkeypatch):
+    # each squarefree part goes to the integer factoring in its own monic
+    # integral form: (2x^2 + 1)^k takes the key x^2 + 2 for every k, as the
+    # part alone does, and (2x^2 + 1)^2 (3x - 1) splits 3x - 1 off as its
+    # own part, so its scale 3 never reaches the quadratic's key
+    keys = []
+    memoized = factorization.memoized
+
+    def recorded(key, compute):
+        if key[0] == "factor_monic_squarefree_int":
+            keys.append(key[1])
+        return memoized(key, compute)
+
+    monkeypatch.setattr(factorization, "memoized", recorded)
+    f = P(1, 0, 2)
+    half = P(Fraction(1, 2), 0, 1)
+    assert factorization._factor_squarefree_over_q(f) == [half]
+    for k in (1, 2, 3):
+        assert factor_over_q(f ** k) == [(half, k)]
+    assert factor_over_q(f ** 2 * P(-1, 3)) == [
+        (P(Fraction(-1, 3), 1), 1), (half, 2)]
+    assert set(keys) == {(2, 0, 1), (-1, 1)}, keys
+
+
 def test_factor_over_q_frozen():
     # x^4 - 1 = (x - 1)(x + 1)(x^2 + 1)
     facs = factor_over_q(P(-1, 0, 0, 0, 1))
@@ -176,7 +205,7 @@ def test_factor_over_q_irreducibility_against_brute_force():
         deg = rng.randrange(2, 5)
         coeffs = [rng.randrange(-5, 6) for _ in range(deg)] + [1]
         f = P(*coeffs)
-        if poly_gcd(f, f.derivative()).degree > 0:
+        if poly_gcd(f, derivative(f)).degree > 0:
             continue
         assert ([m for _, m in factor_over_q(f)] == [1]) == \
             brute_force_irreducible(f)
@@ -342,11 +371,19 @@ def _sympy_irreducible(sympy, rng):
             return P(*reversed(coeffs))
 
 
+def _sympy_poly(sympy, f):
+    return sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                       for c in reversed(f.coeffs)], sympy.Symbol("x"))
+
+
+def _from_sympy(g):
+    return P(*(Fraction(int(c.p), int(c.q))
+               for c in reversed(g.all_coeffs()))).monic()
+
+
 def _sympy_factor_list(sympy, f):
-    x = sympy.Symbol("x")
-    poly = sympy.Poly([int(c) for c in reversed(f.coeffs)], x)
-    out = [(P(*(int(c) for c in reversed(g.all_coeffs()))).monic(), mult)
-           for g, mult in poly.factor_list()[1]]
+    out = [(_from_sympy(g), mult)
+           for g, mult in _sympy_poly(sympy, f).factor_list()[1]]
     return sorted(out, key=lambda t: (t[0].degree, t[0].coeffs))
 
 
@@ -385,6 +422,29 @@ def test_factor_over_q_agrees_with_sympy_on_products_rich_in_linear_factors():
         for _ in range(rng.randrange(0, 3)):
             f = f * _sympy_irreducible(sympy, rng)
         _assert_agrees_with_sympy(sympy, f)
+
+
+def test_rational_inputs_with_repeated_factors_agree_with_sympy():
+    # f = c times a product of powers, at least one repeated, of integer
+    # polynomials with leading coefficient >= 2 in size, c non-integral:
+    # factors and their order as sympy's factor_list, made monic, the
+    # squarefree part as sympy's sqf_part, and Fractions in every result
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(45)
+    for _ in range(60):
+        f = P(Fraction(rng.choice([-3, 2, 5]), rng.choice([3, 4, 7])))
+        for k in range(rng.randrange(1, 4)):
+            g = P(*[rng.randrange(-6, 7) for _ in range(rng.randrange(1, 4))],
+                  rng.choice([-3, -2, 2, 4]))
+            f = f * g ** (rng.randrange(2, 4) if k == 0 else
+                          rng.randrange(1, 4))
+        facs = factor_over_q(f)
+        assert facs == _sympy_factor_list(sympy, f), f
+        part = squarefree_part(f)
+        assert part == _from_sympy(_sympy_poly(sympy, f).sqf_part()), f
+        results = [g for g, _ in facs] + [part] + [
+            g for g, _ in squarefree_decomposition(f)]
+        assert all(type(c) is Fraction for g in results for c in g.coeffs)
 
 
 def _unreduced(rng, length, m):

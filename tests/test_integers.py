@@ -2,6 +2,7 @@
 
 import random
 import time
+from math import prod
 
 import pytest
 
@@ -78,14 +79,18 @@ def test_odd_prime_divisors():
 
 def test_factorize_agrees_with_sympy_on_semiprimes():
     # products of two or three primes of 8 to 12 digits, where the rho
-    # cycle finding does all the work; sympy's factorint is the oracle
+    # cycle finding does all the work.  Factorization is unique, so prime
+    # powers whose product is n are its factorization; sympy's isprime is
+    # the oracle, as its factorint takes seconds on these
     sympy = pytest.importorskip("sympy")
     rng = random.Random(113)
     for _ in range(4):
         n = 1
         for _ in range(rng.choice((2, 3))):
             n *= sympy.nextprime(rng.randrange(10**7, 10**rng.randrange(8, 13)))
-        assert factorize(n) == sympy.factorint(n), n
+        factors = factorize(n)
+        assert prod(p ** e for p, e in factors.items()) == n, n
+        assert all(sympy.isprime(p) for p in factors), n
 
 
 def test_factorize_roots_a_perfect_power():

@@ -29,6 +29,16 @@ def P(*coeffs):
     return UniPoly.of(*coeffs)
 
 
+def derivative(f: UniPoly) -> UniPoly:
+    return UniPoly.from_list([k * c for k, c in enumerate(f.coeffs)][1:])
+
+
+def ints(f: UniPoly) -> list[int]:
+    """The coefficients of an integral f as ints."""
+    assert all(c.denominator == 1 for c in f.coeffs)
+    return [c.numerator for c in f.coeffs]
+
+
 def evaluate(f: UniPoly, x: Fraction) -> Fraction:
     """f(x) by Horner."""
     acc = Fraction(0)
@@ -71,8 +81,8 @@ def test_divmod_exact():
 
 
 def test_derivative():
-    assert P(5, 3, 0, 2).derivative() == P(3, 0, 6)
-    assert P(7).derivative() == UniPoly.zero()
+    assert polynomials._int_derivative([5, 3, 0, 2]) == [3, 0, 6]
+    assert polynomials._int_derivative([7]) == []
 
 
 def test_gcd_frozen():
@@ -94,7 +104,7 @@ def test_resultant_frozen():
     assert resultant(P(-1, 1), P(1, 1)) == 2
     assert resultant(P(2), P(-1, 0, 1)) == 4
     f = P(0, -1, 0, 0, 0, 1)  # x^5 - x
-    assert resultant(f, f.derivative()) == -256
+    assert resultant(f, derivative(f)) == -256
 
 
 def test_resultant_multiplicative():
@@ -138,6 +148,32 @@ def test_discriminant_frozen():
     assert discriminant(P(1, 0, 1)) == -4          # x^2 + 1
     assert discriminant(P(-2, 0, 0, 1)) == -108    # x^3 - 2
     assert discriminant(P(9, 0, -2, 0, 1)) == 2**14 * 3**2
+
+
+def test_discriminant_is_the_sylvester_determinant_over_lc():
+    # disc(f) = (-1)^(n(n-1)/2) det Sylvester(f, f') / lc(f), with sympy's
+    # Sylvester matrix as the oracle, not sympy.resultant (see above); f
+    # is a rational c times an integer g with |lc(g)| >= 2, so it is never
+    # monic, and its integer form has content to clear
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.subresultants_qq_zz import sylvester
+
+    x = sympy.Symbol("x")
+    rng = random.Random(45)
+    for _ in range(200):
+        n = rng.randint(1, 7)
+        g = P(*[rng.randint(-9, 9) for _ in range(n)],
+              rng.choice([-4, -3, -2, 2, 3, 5]))
+        f = g.scale(Fraction(rng.choice([2, 3, 6]), rng.choice([1, 5, 7, 11])))
+        fs = sum(sympy.Rational(c.numerator, c.denominator) * x**k
+                 for k, c in enumerate(f.coeffs))
+        lc = f.leading_coefficient
+        expected = ((-1) ** (n * (n - 1) // 2)
+                    * sylvester(fs, sympy.diff(fs, x), x).det()
+                    / sympy.Rational(lc.numerator, lc.denominator))
+        d = discriminant(f)
+        assert type(d) is Fraction
+        assert d == expected, f
 
 
 def test_discriminant_quadratic_formula():
@@ -237,11 +273,11 @@ def test_integer_roots_skip_primes_with_a_repeated_root():
     # x(x - 105)(x + 2): 0 and 105 meet mod 3, 5 and 7, and 0 and -2 mod 2,
     # so the roots are lifted from 11, where all three are simple
     f = P(0, 1) * P(-105, 1) * P(2, 1)
-    assert integer_roots(f.integer_coefficients()) == [-2, 0, 105]
+    assert integer_roots(ints(f)) == [-2, 0, 105]
     # roots far beyond p, and none at all
     assert integer_roots([-(7 ** 60), 1]) == [7 ** 60]
     assert integer_roots([1, 0, 1]) == []
-    assert integer_roots((P(3, 1) * P(1, 1, 1)).integer_coefficients()) == [-3]
+    assert integer_roots(ints(P(3, 1) * P(1, 1, 1))) == [-3]
 
 
 def test_make_monic_integral_frozen():
@@ -261,7 +297,7 @@ def test_monic_integral_scale_tracks_roots():
         coeffs.append(Fraction(rng.randrange(1, 7), rng.randrange(1, 4)))
         f = UniPoly.of(*coeffs)
         g, a = monic_integral_with_scale(f)
-        assert g.is_monic and g.integer_coefficients()
+        assert g.is_monic and all(c.denominator == 1 for c in g.coeffs)
         for r in rational_roots(f):
             assert evaluate(g, a * r) == 0
 

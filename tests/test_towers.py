@@ -30,6 +30,7 @@ from heavenly.factorization import factor_over_q
 from heavenly.integers import is_probable_prime
 from heavenly.polynomials import (
     UniPoly,
+    _integer_form,
     memo_scope,
     parse_polynomial,
     poly_gcd,
@@ -44,6 +45,10 @@ from heavenly.towers import (
     splitting_degree,
     splitting_tower,
 )
+
+
+def derivative(f: UniPoly) -> UniPoly:
+    return UniPoly.from_list([k * c for k, c in enumerate(f.coeffs)][1:])
 
 
 def P(*coeffs):
@@ -486,7 +491,7 @@ def test_splitting_degree_divides_factorial():
             coeffs = [rng.randrange(-4, 5) for _ in range(deg)] + [1]
             f = UniPoly.of(*coeffs)
             from heavenly.polynomials import poly_gcd
-            if poly_gcd(f, f.derivative()).degree == 0:
+            if poly_gcd(f, derivative(f)).degree == 0:
                 break
         d = splitting_degree(f)
         assert math.factorial(deg) % d == 0
@@ -1374,7 +1379,7 @@ BASE_TAGS = ("Q", "Q(i)", "Q(sqrt2)", "Q(sqrt-2)")
 def seeded_squarefree(rng, deg):
     while True:
         f = UniPoly.of(*[rng.randrange(-3, 4) for _ in range(deg)], 1)
-        if poly_gcd(f, f.derivative()).degree == 0:
+        if poly_gcd(f, derivative(f)).degree == 0:
             return f
 
 
@@ -1689,13 +1694,15 @@ def test_weil_conjugate_cubic_takes_no_norm_over_the_degree_12_field(
 
 def test_a_proven_squarefree_norm_is_not_decomposed_again(monkeypatch):
     # norm descent proves each norm squarefree before it is factored over
-    # Q, so squarefree_decomposition never takes a norm: neither when
-    # factoring (x - 1)(x^2 - s) over Q(s), s^2 = 2, nor in the root test of
-    # x^2 - 2 there.  x^3 - s x (the corpus weil_sqrt2 curve) takes no norm
-    # at all: x splits off, and x^2 - s is irreducible as 4s is no square
+    # Q, so Yun's algorithm (factorization._squarefree_parts, which takes
+    # the primitive integer form of what factor_over_q factors) never
+    # takes a norm: neither when factoring (x - 1)(x^2 - s) over Q(s),
+    # s^2 = 2, nor in the root test of x^2 - 2 there.  x^3 - s x (the
+    # corpus weil_sqrt2 curve) takes no norm at all: x splits off, and
+    # x^2 - s is irreducible as 4s is no square
     norms, decomposed, norm_polys = [], [], []
     squarefree_norm = towers._squarefree_norm
-    decomposition = factorization.squarefree_decomposition
+    squarefree_parts = factorization._squarefree_parts
     norm_poly = towers._norm_poly
 
     def recorded_norm(F, f):
@@ -1704,9 +1711,9 @@ def test_a_proven_squarefree_norm_is_not_decomposed_again(monkeypatch):
             norms.append(UniPoly.from_list(descent[2]))
         return descent
 
-    def recorded_decomposition(f):
-        decomposed.append(f)
-        return decomposition(f)
+    def recorded_parts(f):
+        decomposed.append(list(f))
+        return squarefree_parts(f)
 
     def recorded_norm_poly(F, g, norm_deg):
         norm_polys.append(F)
@@ -1714,8 +1721,7 @@ def test_a_proven_squarefree_norm_is_not_decomposed_again(monkeypatch):
 
     monkeypatch.setattr(towers, "_squarefree_norm", recorded_norm)
     monkeypatch.setattr(towers, "_norm_poly", recorded_norm_poly)
-    monkeypatch.setattr(factorization, "squarefree_decomposition",
-                        recorded_decomposition)
+    monkeypatch.setattr(factorization, "_squarefree_parts", recorded_parts)
     K = base_field("Q(sqrt2)")
     s = K.generator()
     x = [K.zero(), K.one()]
@@ -1728,7 +1734,7 @@ def test_a_proven_squarefree_norm_is_not_decomposed_again(monkeypatch):
         ([K.from_fraction(-1), K.one()], 1), (x2_minus_s, 1)]
     assert towers._has_root(K, [K.from_fraction(-2), K.zero(), K.one()])
     assert len(norms) == 2
-    assert not [f for f in decomposed if f in norms]
+    assert not [f for f in norms if _integer_form(f)[0] in decomposed]
 
 
 def divmod_fields():
